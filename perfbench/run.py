@@ -8,7 +8,8 @@ One caller drives the public API in a closed loop: each operation (one
 ``repro.run`` call, or one ``IncrementalRepartitioner.apply`` call for
 ``churn_repair``) starts when the previous one returns.  Every output is
 validated outside the timed region.  ``--trace 0`` prints the end-to-end
-metrics; ``--trace 1`` alternates untraced and traced operations and
+metrics, with times in host-speed-corrected reference seconds (see
+:class:`HostClock`); ``--trace 1`` alternates untraced and traced operations and
 prints the per-layer metrics of :mod:`tracer` plus the tracing overhead.
 ``--trace-out FILE`` also writes the traced spans as Chrome trace-event
 JSON; nothing else is written.  The last line of standard output is one
@@ -39,9 +40,60 @@ SRC = ROOT / "src"
 SETUP_REPEATS = 3
 #: A seed kept out of tuning: a later gain claim must also hold on it.
 HELD_OUT_SEED = 9173
+#: The times of ``--trace 0`` are in reference seconds: wall seconds on a
+#: host where one :meth:`HostClock.calibrate` takes exactly this long.
+CALIBRATION_NOMINAL_S = 0.04
 
 END_TO_END = (("solve_s", "s"), ("solve_s_tail", "s"), ("edge_locality_pct", "%"),
               ("setup_s", "s"), ("peak_rss_mb", "MB"))
+
+
+class HostClock:
+    """Converts wall time into reference seconds.
+
+    On a shared host the same operation runs up to twice as slow for
+    minutes at a time, with CPU time equal to wall time, so no wall-clock
+    median is steady from run to run.  A fixed kernel that no change to
+    the program can move (a sparse mat-vec on a seeded matrix, which
+    tracks memory-bound speed, and an interpreter loop, which tracks
+    Python overhead) is timed right before and right after every measured
+    interval; the interval is scaled by the nominal kernel time over the
+    mean of the two.
+    """
+
+    SIZE = 100_000
+    SPMV_REPEATS = 16
+    LOOP = 300_000
+
+    def __init__(self):
+        import numpy as np
+        import scipy.sparse
+
+        rng = np.random.default_rng(0)
+        nnz = 8 * self.SIZE
+        rows, cols = rng.integers(0, self.SIZE, (2, nnz))
+        self.matrix = scipy.sparse.csr_matrix((rng.random(nnz), (rows, cols)),
+                                              shape=(self.SIZE, self.SIZE))
+        self.vector = rng.random(self.SIZE)
+        self.calibrations: list[float] = []
+        self.last = self.calibrate()
+
+    def calibrate(self) -> float:
+        start = time.perf_counter()
+        for _ in range(self.SPMV_REPEATS):
+            self.matrix @ self.vector
+        total = 0
+        for i in range(self.LOOP):
+            total += i & 7
+        elapsed = time.perf_counter() - start
+        self.calibrations.append(elapsed)
+        return elapsed
+
+    def scale(self, wall_s: float) -> float:
+        """``wall_s``, just measured, in reference seconds; calibrates
+        again, and that calibration also opens the next interval."""
+        before, self.last = self.last, self.calibrate()
+        return wall_s * CALIBRATION_NOMINAL_S / (0.5 * (before + self.last))
 
 
 def pin_environment() -> dict:
@@ -115,13 +167,15 @@ def set_up(name: str, seed: int, size: float, reference_tracer=None):
 
     workload = workloads.make(name, seed, size)
     workload.setup(reference_tracer)
-    return workload, workload.validate(workload.operation(workload.next_input()))
+    return workload, workload.validate(workload.operation(workload.warm_up_input()))
 
 
-def measure(workload, seconds: float, tracer=None) -> dict:
+def measure(workload, seconds: float, tracer=None, clock: HostClock | None = None) -> dict:
     """Closed loop for ``seconds``, at least one operation; with a tracer
     every second operation is traced, at least one.  Failed operations
-    (raised or invalid) are counted."""
+    (raised or invalid) are counted.  With a clock, ``reference`` holds
+    the untraced times in reference seconds."""
+    reference: list[float] = []
     untraced: list[float] = []
     traced: list[float] = []
     counters: list[dict] = []
@@ -144,6 +198,8 @@ def measure(workload, seconds: float, tracer=None) -> dict:
         except Exception as error:  # noqa: BLE001 — a failed operation is a data point
             problem = f"raised {error!r}"
         elapsed = time.perf_counter() - start
+        if clock is not None:
+            reference.append(clock.scale(elapsed))
         if output is not None:
             problem = workload.validate(output)
         if tracing:
@@ -153,8 +209,8 @@ def measure(workload, seconds: float, tracer=None) -> dict:
             untraced.append(elapsed)
         if problem is not None:
             problems.append(problem)
-    return {"untraced": untraced, "traced": traced, "counters": counters,
-            "attempted": attempted, "problems": problems}
+    return {"untraced": untraced, "traced": traced, "reference": reference,
+            "counters": counters, "attempted": attempted, "problems": problems}
 
 
 def tail(samples: list[float]) -> tuple[float, float]:
@@ -179,6 +235,7 @@ def run_benchmark(name: str, seed: int, seconds: float, trace: bool, *,
                   size: float = 1.0, trace_out: str | None = None) -> tuple[dict, list[str]]:
     """One benchmark run: ``(result object, report lines)``."""
     import tracer as tracing
+    import workloads  # noqa: F401 — imported before any set-up is timed
 
     report = []
     warm_ups = []
@@ -195,20 +252,29 @@ def run_benchmark(name: str, seed: int, seconds: float, trace: bool, *,
         if trace_out is not None:
             Path(trace_out).write_text(spans.chrome_trace())
     else:
-        setups = []
+        clock = HostClock()
+        setups, setups_wall = [], []
         for _ in range(SETUP_REPEATS):
             workload = None  # release the previous set-up before the next
             start = time.perf_counter()
             workload, problem = set_up(name, seed, size)
-            setups.append(time.perf_counter() - start)
+            setups_wall.append(time.perf_counter() - start)
+            setups.append(clock.scale(setups_wall[-1]))
             warm_ups.append(problem)
-        run = measure(workload, seconds)
-        samples = run["untraced"]
+        run = measure(workload, seconds, clock=clock)
+        samples = run["reference"]
         tail_value, percentile = tail(samples)
         values = {"solve_s": statistics.median(samples), "solve_s_tail": tail_value,
                   "edge_locality_pct": workload.edge_locality_pct(),
                   "setup_s": statistics.median(setups), "peak_rss_mb": peak_rss_mb()}
         units = dict(END_TO_END)
+        report.append(f"# times are reference seconds (wall x {CALIBRATION_NOMINAL_S:g} s / "
+                      f"calibration); calibration median "
+                      f"{statistics.median(clock.calibrations):.4g} s over "
+                      f"{len(clock.calibrations)}")
+        report.append(f"# wall: solve median {statistics.median(run['untraced']):.4g} s, "
+                      f"tail {tail(run['untraced'])[0]:.4g} s, "
+                      f"set-ups {', '.join(f'{value:.4g}' for value in setups_wall)} s")
         report.append(f"# solve_s_tail is p{percentile:.1f} of {len(samples)} samples; "
                       f"setup_s is the median of {SETUP_REPEATS} set-ups")
     final = workload.finish()

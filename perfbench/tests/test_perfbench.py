@@ -23,9 +23,9 @@ from repro.partition import Partition  # noqa: E402
 
 SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
 #: Shrinks every graph to a few thousand vertices or fewer; k = 64 needs
-#: enough vertices per part for an ε-balanced split to exist.
+#: enough vertices per part for every GD seed to reach an ε-balanced split.
 TINY = 0.05
-SIZES = {"kway_k64": 0.25}
+SIZES = {"kway_k64": 0.5}
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -69,6 +69,15 @@ def test_corrupted_assignment_counts_as_failed():
     measured = run.measure(workload, 0.0)
     assert measured["attempted"] == 1
     assert len(measured["problems"]) == 1 and "imbalance" in measured["problems"][0]
+
+
+def test_host_clock_scales_by_the_calibrations_around_an_interval():
+    clock = run.HostClock()
+    before = clock.last
+    scaled = clock.scale(2.0)
+    after = clock.last
+    assert clock.calibrations[-2:] == [before, after] and after > 0
+    assert scaled == pytest.approx(2.0 * run.CALIBRATION_NOMINAL_S / (0.5 * (before + after)))
 
 
 def test_check_assignment_rejects_bad_shapes_and_labels():
