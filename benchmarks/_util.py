@@ -4,7 +4,9 @@ Every benchmark regenerates one table or figure of the paper.  Besides the
 timing collected by pytest-benchmark, the rendered table/series is printed
 to stdout (visible with ``pytest -s``) and written to
 ``benchmarks/results/<name>.txt`` so the numbers can be compared against the
-paper after a run (see EXPERIMENTS.md).
+paper after a run (see EXPERIMENTS.md).  Measured wall-clock and memory
+numbers change on every run, so they are printed only: a run leaves the
+tracked tables unchanged.
 """
 
 from __future__ import annotations
@@ -20,12 +22,18 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
-def save_result(name: str, text: str) -> Path:
-    """Print a rendered experiment table and persist it under results/."""
+def save_result(name: str, text: str, timings: str | None = None) -> Path:
+    """Print a rendered experiment table and persist it under results/.
+
+    ``timings`` — the run's measured times and memory — is printed after
+    the table but not persisted.
+    """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n{text}\n[saved to {path}]")
+    if timings is not None:
+        print(f"\n{timings}\n[not saved: measured, changes every run]")
     return path
 
 

@@ -1,9 +1,9 @@
 """Dump per-kernel call/ns counters as a flat metrics JSON.
 
-Runs one fixed fb-preset bisection per kernel backend and writes the
-per-kernel nanosecond totals (plus call counts) that
+Runs one fixed fb-preset bisection and writes the per-kernel nanosecond
+totals (plus call counts) that
 :class:`~repro.core.gd.BisectionResult.kernel_stats` surfaces, flattened
-to ``<backend>.<kernel>.ns`` / ``.calls`` keys::
+to ``<kernel>.ns`` / ``.calls`` keys::
 
     PYTHONPATH=src python benchmarks/kernel_counters.py kernel_stats.json
     python benchmarks/perf_guard.py record kernel_stats.json --label kernels
@@ -20,24 +20,19 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core import KERNEL_BACKENDS, GDConfig, gd_bisect
+from repro.core import GDConfig, gd_bisect
 from repro.graphs import fb_like, standard_weights
 
 
 def collect(iterations: int = 60, scale: float = 1.0) -> dict[str, float]:
-    """One bisection per backend on the fb-80 preset; flat metric dict."""
+    """One bisection on the fb-80 preset; flat metric dict."""
     graph = fb_like(80, scale=scale, seed=0)
     weights = standard_weights(graph, 2)
+    result = gd_bisect(graph, weights, 0.05, GDConfig(iterations=iterations, seed=0))
     metrics: dict[str, float] = {}
-    for backend in KERNEL_BACKENDS:
-        config = GDConfig(iterations=iterations, seed=0, kernel_backend=backend)
-        result = gd_bisect(graph, weights, 0.05, config)
-        total_ns = 0
-        for name, entry in result.kernel_stats.items():
-            metrics[f"{backend}.{name}.ns"] = float(entry["ns"])
-            metrics[f"{backend}.{name}.calls"] = float(entry["calls"])
-            total_ns += entry["ns"]
-        metrics[f"{backend}.total.ns"] = float(total_ns)
+    for name, entry in result.kernel_stats.items():
+        metrics[f"{name}.ns"] = float(entry["ns"])
+        metrics[f"{name}.calls"] = float(entry["calls"])
     return metrics
 
 

@@ -27,23 +27,11 @@ def test_fig7_measured_parallel(benchmark):
             == [row["speedup_pct"] for row in rows_serial])
 
 
-def test_fig7_multilevel_speedup(benchmark):
-    """Fig7 through the multilevel + compaction pipeline (the nightly
-    slow-lane variant): the headline claim — vertex-edge partitioning
-    always improves over Hash — must survive the V-cycle's small
-    locality trade, and the placements must stay within the ε bound
-    (checked implicitly by the cost model's placement validation)."""
-    rows = run_once(benchmark, lambda: fig7_speedup.run(
-        scale=BENCH_SCALE, gd_iterations=40, multilevel=True, compaction=True))
-    save_result("fig7_multilevel_speedup", fig7_speedup.format_result(rows))
-    vertex_edge = [r["speedup_pct"] for r in rows if r["mode"] == "vertex-edge"]
-    assert all(speedup > 0 for speedup in vertex_edge)
-
-
 def test_fig7_speedup(benchmark):
     rows = run_once(benchmark, lambda: fig7_speedup.run(
         scale=BENCH_SCALE, gd_iterations=40))
-    save_result("fig7_speedup", fig7_speedup.format_result(rows))
+    save_result("fig7_speedup", fig7_speedup.format_result(rows),
+                fig7_speedup.format_timings(rows))
 
     vertex_edge = [r["speedup_pct"] for r in rows if r["mode"] == "vertex-edge"]
     one_dimensional = [r["speedup_pct"] for r in rows if r["mode"] in ("vertex", "edge")]

@@ -17,7 +17,8 @@ pytestmark = pytest.mark.slow
 def test_table3_gd_vs_metis(benchmark):
     rows = run_once(benchmark, lambda: table3_gd_vs_metis.run(
         scale=BENCH_SCALE, gd_iterations=60))
-    save_result("table3_gd_vs_metis", table3_gd_vs_metis.format_result(rows))
+    save_result("table3_gd_vs_metis", table3_gd_vs_metis.format_result(rows),
+                table3_gd_vs_metis.format_timings(rows))
 
     def worst_imbalance(algorithm, dimensions):
         return max(r["max_imbalance_pct"] for r in rows

@@ -50,7 +50,7 @@ def partition_graph(graph: Graph, num_parts: int = 2, *,
     config:
         Algorithm parameters (:class:`~repro.core.GDConfig`); defaults to
         the paper preset.  Every knob — iterations, projection method,
-        parallelism, kernel backend — lives there.
+        parallelism — lives there.
     """
     if weights is None:
         weights = standard_weights(graph, 2)

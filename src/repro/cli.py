@@ -62,7 +62,6 @@ from .core import (
     ExecutionConfig,
     GDConfig,
     GDPartitioner,
-    KERNEL_BACKENDS,
     PARALLELISM_MODES,
     PROJECTION_METHODS,
 )
@@ -115,64 +114,22 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=PROJECTION_METHODS,
                            default="alternating_oneshot",
                            help="projection method of the GD inner loop (Table 1)")
-    partition.add_argument("--kernel-backend", choices=KERNEL_BACKENDS,
-                           default=None,
-                           help="kernel implementation of the GD hot loop: "
-                                "numpy (bit-identical reference), fused "
-                                "(float64 single-pass step+projection), or "
-                                "fused32 (fused with a float32-staged mat-vec; "
-                                "fastest, quality within the documented bound). "
-                                "Default: the REPRO_KERNEL_BACKEND environment "
-                                "variable, else numpy")
-    partition.add_argument("--projection-cache", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="drive projections through the cache-and-warm-start "
-                                "engine (--no-projection-cache cold-starts every "
-                                "projection, for A/B benchmarking; partitions are "
-                                "bit-identical either way for the alternating/exact "
-                                "methods, and agree to solver tolerance for dykstra)")
     partition.add_argument("--parallelism", choices=PARALLELISM_MODES, default="serial",
                            help="execution backend for recursive k-way GD: serial, "
-                                "thread/process pools, shm (a process pool fed "
-                                "through zero-copy shared-memory wave arenas — "
-                                "fastest multi-core backend), or batched (each "
-                                "recursion level solved in lock-step as one "
-                                "vectorized block-diagonal solve — fastest on a "
-                                "single core; bit-identical output across "
-                                "backends for a fixed seed)")
+                                "thread/process pools, or shm (a process pool fed "
+                                "through zero-copy shared-memory wave arenas); "
+                                "bit-identical output across backends for a "
+                                "fixed seed")
     partition.add_argument("--workers", type=int, default=None, metavar="N",
                            help="worker count for --parallelism thread/process/shm "
                                 "(default: let the pool decide; ignored by "
-                                "serial/batched — a warning is printed)")
+                                "serial — a warning is printed)")
     partition.add_argument("--shm-min-wave-tasks", type=int, default=None,
                            metavar="N",
                            help="smallest frontier the shm backend packs into a "
                                 "shared-memory arena; smaller waves run through "
                                 "the ordinary task path (default from "
                                 "ExecutionConfig)")
-    partition.add_argument("--multilevel", action=argparse.BooleanOptionalAction,
-                           default=False,
-                           help="solve each bisection as a coarsen-solve-refine "
-                                "V-cycle: cluster-coarsen to --coarsest-size "
-                                "vertices, run the full GD budget there, then "
-                                "prolongate with short compacted boundary "
-                                "refinements per level (fastest on large graphs; "
-                                "composes with every --parallelism backend)")
-    partition.add_argument("--coarsest-size", type=int, default=None, metavar="N",
-                           help="multilevel: stop coarsening at this many "
-                                "vertices (default from GDConfig)")
-    partition.add_argument("--refinement-iterations", type=int, default=None,
-                           metavar="N",
-                           help="multilevel: GD iterations of each per-level "
-                                "refinement pass (default from GDConfig)")
-    partition.add_argument("--compaction", action=argparse.BooleanOptionalAction,
-                           default=False,
-                           help="compact the GD hot loop around fixed vertices: "
-                                "run gradients/projections on an incrementally "
-                                "restricted free-vertex system once vertices "
-                                "freeze (large end-to-end speedup at identical "
-                                "quality; outputs may differ from the masked "
-                                "path in the last float bits)")
     partition.add_argument("--task-timeout", dest="task_timeout", type=float,
                            default=None, metavar="SECONDS",
                            help="per-bisection-task wall-clock budget for "
@@ -255,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "across backends)")
     repartition.add_argument("--workers", type=int, default=None, metavar="N",
                              help="worker count for --parallelism thread/process")
-    repartition.add_argument("--kernel-backend", choices=KERNEL_BACKENDS,
-                             default=None,
-                             help="kernel implementation of the GD hot loop "
-                                  "(see partition --kernel-backend)")
     repartition.add_argument("--seed", type=int, default=0)
     repartition.add_argument("--output",
                              help="write the repaired part-per-line assignment")
@@ -414,8 +367,8 @@ def _run_partition(args: argparse.Namespace) -> int:
         return _fail(str(error))
     if args.algorithm == "gd":
         # Every GDConfig-shaped flag (iterations, seed, projection method,
-        # multilevel knobs, kernel backend, ...) flows through the shared
-        # from_args convention; the execution flags (parallelism, workers,
+        # ...) flows through the shared from_args convention; the
+        # execution flags (parallelism, workers,
         # task timeout/retry budget, shm knobs) build the nested
         # ExecutionConfig the same way.  Absent optional flags fall back
         # to the field defaults.
@@ -471,13 +424,13 @@ def _partition_with_checkpoints(args: argparse.Namespace, graph, weights,
 def _warn_ignored_workers(args: argparse.Namespace) -> None:
     """One-line heads-up when --workers cannot take effect.
 
-    The serial and batched backends run in the coordinating process, so
-    a worker count silently doing nothing is an operator surprise worth
+    The serial backend runs in the coordinating process, so a worker
+    count silently doing nothing is an operator surprise worth
     a warning (not an error: scripted sweeps legitimately hold --workers
     fixed while varying --parallelism)."""
     workers = getattr(args, "workers", None)
     parallelism = getattr(args, "parallelism", "serial")
-    if workers is not None and parallelism in ("serial", "batched"):
+    if workers is not None and parallelism == "serial":
         print(f"warning: --workers {workers} is ignored with --parallelism "
               f"{parallelism} (worker pools exist only for thread/process/shm)",
               file=sys.stderr)

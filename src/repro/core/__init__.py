@@ -4,7 +4,6 @@ from .config import (
     ConfigIO,
     ExecutionConfig,
     GDConfig,
-    KERNEL_BACKENDS,
     PARALLELISM_MODES,
     PROJECTION_METHODS,
     install_move_shims,
@@ -13,17 +12,10 @@ from .config import (
 from .checkpoint import CheckpointMismatch, FrontierCheckpoint, TaskState
 from .executor import BisectionExecutor, ExecutorStats, ExecutorTaskError, task_seed
 from .shm import SharedGraphArena, ShmStats, ShmWaveStats
-from .kernels import (
-    Fused32Backend,
-    FusedBackend,
-    KernelBackend,
-    KernelStats,
-    NumpyBackend,
-    make_backend,
-)
+from .kernels import FusedBackend, KernelBackend, KernelStats, NumpyBackend
 from .relaxation import QuadraticRelaxation
-from .noise import BatchedNoiseSchedule, NoiseSchedule
-from .step import BatchedStepSizeController, StepSizeController, target_step_length
+from .noise import NoiseSchedule
+from .step import StepSizeController, target_step_length
 from .rounding import balance_repair, deterministic_round, randomized_round
 from .gd import (
     BisectionResult,
@@ -32,18 +24,14 @@ from .gd import (
     IterationRecord,
     gd_bisect,
 )
-from .batched import BatchedFrontierSolver, FrontierStats, FrontierTask
 from .compaction import FreeVertexSystem
-from .multilevel import build_hierarchy, multilevel_bisect, refinement_config
 from .recursive import recursive_bisection
 from .multiway import MultiwayResult, gd_multiway, project_rows_to_simplex
 from .projection import (
     AlternatingProjector,
-    BatchedProjectionEngine,
     DykstraProjector,
     ExactProjector,
     FeasibleRegion,
-    FrontierCache,
     ProjectionEngine,
     ProjectionStats,
     Projector,
@@ -55,7 +43,6 @@ __all__ = [
     "ConfigIO",
     "ExecutionConfig",
     "GDConfig",
-    "KERNEL_BACKENDS",
     "PARALLELISM_MODES",
     "PROJECTION_METHODS",
     "install_move_shims",
@@ -70,16 +57,12 @@ __all__ = [
     "CheckpointMismatch",
     "FrontierCheckpoint",
     "TaskState",
-    "Fused32Backend",
     "FusedBackend",
     "KernelBackend",
     "KernelStats",
     "NumpyBackend",
-    "make_backend",
     "QuadraticRelaxation",
-    "BatchedNoiseSchedule",
     "NoiseSchedule",
-    "BatchedStepSizeController",
     "StepSizeController",
     "target_step_length",
     "balance_repair",
@@ -90,23 +73,15 @@ __all__ = [
     "GDPartitioner",
     "IterationRecord",
     "gd_bisect",
-    "BatchedFrontierSolver",
-    "FrontierStats",
-    "FrontierTask",
     "FreeVertexSystem",
-    "build_hierarchy",
-    "multilevel_bisect",
-    "refinement_config",
     "recursive_bisection",
     "MultiwayResult",
     "gd_multiway",
     "project_rows_to_simplex",
     "AlternatingProjector",
-    "BatchedProjectionEngine",
     "DykstraProjector",
     "ExactProjector",
     "FeasibleRegion",
-    "FrontierCache",
     "ProjectionEngine",
     "ProjectionStats",
     "Projector",

@@ -1,14 +1,14 @@
-"""Free-vertex compaction of the GD iteration hot loop.
+"""The free-vertex system the GD iteration runs on.
 
 Once the vertex-fixing rule of §3.2 freezes a vertex at ±1 it never moves
-again, yet the masked iteration path keeps paying for it: the gradient is
-a *full-size* mat-vec ``A @ z`` whose rows for fixed vertices are computed
-and then discarded, and every per-iteration copy/update touches all ``n``
+again, so iterating on full-size arrays would keep paying for it: a
+full-size mat-vec ``A @ z`` computes rows for fixed vertices only to
+discard them, and every per-iteration copy/update touches all ``n``
 coordinates.  Late in a run — when the majority of vertices are fixed —
-most of that work is dead.
+most of that work would be dead.
 
-:class:`FreeVertexSystem` is the compacted alternative.  For the free
-vertex set ``F`` and fixed set ``C`` it maintains
+For the free vertex set ``F`` and fixed set ``C``,
+:class:`FreeVertexSystem` maintains
 
 * ``A_FF`` — the adjacency restricted to free rows and columns, and
 * ``boundary = A_FC @ x_C`` — the fixed vertices' (constant) contribution
@@ -21,12 +21,6 @@ O(all edges).  Each fixing event *restricts the restriction*: the current
 fixed columns' contribution is folded into the boundary, so an event
 costs O(nnz of the current free system), never O(nnz of the full graph),
 and the total restriction work over a run is bounded by a geometric sum.
-
-Compaction is mathematically equivalent to the masked full-size path but
-not bit-equal to it — restricted sums visit the same addends in a
-different order — which is why it is an opt-in
-(:attr:`repro.core.GDConfig.compaction`); the multilevel refinement
-passes, which start majority-fixed, enable it unconditionally.
 
 Internal module: not part of the stable public API (see ``repro.__all__``); its contents may change between releases.
 """
@@ -62,13 +56,13 @@ class FreeVertexSystem:
     fixed:
         Global boolean mask of fixed vertices.  With no fixed vertex the
         system degenerates to the original operator itself (no slicing,
-        zero boundary) — the fused stepper's starting state.
+        zero boundary) — a cold-started stepper's starting state.
     values:
         Full iterate; only the entries at fixed positions are read.
     backend:
         Optional :class:`~repro.core.kernels.KernelBackend` the gradient
-        mat-vec routes through; enables per-kernel counters and float32
-        staging.  ``None`` keeps the direct scipy call.
+        mat-vec routes through, for per-kernel counters.  ``None`` keeps
+        the direct scipy call.
     """
 
     #: Live fraction below which the epoch matrix is re-sliced.  Dead
@@ -87,8 +81,7 @@ class FreeVertexSystem:
         free_ids = np.flatnonzero(~fixed)
         if not fixed.any():
             # Fully free: the epoch operator is the adjacency itself (no
-            # copy — important for backends that stage the matrix by
-            # identity) and the boundary contribution is zero.
+            # copy) and the boundary contribution is zero.
             self._matrix = adjacency
             self._boundary = np.zeros(adjacency.shape[0])
         else:

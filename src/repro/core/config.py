@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 import warnings
 from dataclasses import dataclass, field, replace
-
-from .kernels import KERNEL_BACKENDS
 
 __all__ = [
     "ConfigIO",
     "ExecutionConfig",
     "GDConfig",
-    "KERNEL_BACKENDS",
     "PARALLELISM_MODES",
     "PROJECTION_METHODS",
     "install_move_shims",
@@ -44,19 +40,8 @@ PARALLELISM_MODES = (
     "serial",
     "thread",
     "process",
-    "batched",
     "shm",
 )
-
-
-def _default_kernel_backend() -> str:
-    """Default kernel backend, overridable via ``REPRO_KERNEL_BACKEND``.
-
-    The environment hook exists so a whole test/benchmark run can be
-    pointed at a backend without touching every config construction
-    (CI matrixes the fast suite over it).
-    """
-    return os.environ.get("REPRO_KERNEL_BACKEND", "numpy")
 
 
 def install_rename_shims(cls, renames: dict[str, str]):
@@ -307,25 +292,19 @@ class ExecutionConfig(ConfigIO):
         through :mod:`multiprocessing.shared_memory`: every wave's CSR,
         weights and output buffers live in one shared segment that
         workers attach zero-copy, so only task coordinates cross the
-        pipe — see :mod:`repro.core.shm`), or ``"batched"`` (advance
-        each level's whole frontier in lock-step as one vectorized
-        block-diagonal solve — single-process, so it speeds up even a
-        one-core machine; see
-        :class:`~repro.core.batched.BatchedFrontierSolver`).  All
-        backends produce bit-identical partitions for a fixed
-        ``GDConfig.seed``.
+        pipe — see :mod:`repro.core.shm`).  All backends produce
+        bit-identical partitions for a fixed ``GDConfig.seed``.
     max_workers:
         Worker count for the thread/process/shm backends; ``None`` lets
         :mod:`concurrent.futures` pick a machine-dependent default.
-        Ignored when ``parallelism`` is ``"serial"`` or ``"batched"``.
+        Ignored when ``parallelism`` is ``"serial"``.
     task_timeout_seconds:
         Per-task wall-clock budget on the pool backends.  A task that
         exceeds it is treated exactly like a task that raised: retried
         up to ``task_retries`` times (the process-pool backends kill and
         rebuild the pool first, since a hung worker cannot be reclaimed
         any other way).  ``None`` (the default) waits forever.  Ignored
-        by the serial and batched backends, which run in the
-        coordinating process.
+        by the serial backend, which runs in the coordinating process.
     task_retries:
         How many times a failed or timed-out task is re-executed before
         the run fails with :class:`~repro.core.executor.ExecutorTaskError`.
@@ -399,7 +378,9 @@ class GDConfig(ConfigIO):
         a constant step size derived from the first iteration is used.
     vertex_fixing:
         Freeze vertices whose relaxed value is nearly integral so they stop
-        participating in the gradient and projection steps (§3.2).
+        participating in the gradient and projection steps (§3.2).  Every
+        iteration runs on the free vertices only
+        (:class:`~repro.core.compaction.FreeVertexSystem`).
     fixing_threshold:
         ``|x_i| >= fixing_threshold`` marks vertex ``i`` as integral.
     fixing_start_fraction:
@@ -416,32 +397,6 @@ class GDConfig(ConfigIO):
         algorithm more freedom (Figure 10); the final solution is still
         repaired to the user-requested ``epsilon``.  ``None`` means "use the
         user-requested epsilon".
-    projection_cache:
-        Drive the projection step through the cache-and-warm-start
-        :class:`~repro.core.projection.ProjectionEngine` (the default).
-        The engine precomputes the per-region weight invariants once per
-        bisection and warm-starts the exact active-set loop / Dykstra's
-        correction vectors from the previous iteration's solution.  When
-        False every projection is a cold start, as in the seed
-        implementation — the A/B toggle for benchmarking
-        (``--projection-cache`` / ``--no-projection-cache`` on the CLI).
-        Caching does not change the partitions: outputs are bit-identical
-        for the alternating/exact methods and agree to the solver tolerance
-        (~1e-9) for Dykstra.
-    kernel_backend:
-        Kernel implementation the hot loop runs on — one of
-        :data:`~repro.core.kernels.KERNEL_BACKENDS` (``"numpy"`` the
-        bit-identical reference, ``"fused"`` the float64 fused
-        step+projection pass, ``"fused32"`` the fused pass with a
-        float32-staged mat-vec).  The default reads the
-        ``REPRO_KERNEL_BACKEND`` environment variable (falling back to
-        ``"numpy"``) so whole test runs can be pointed at a backend.
-        Fused backends engage their single-pass iteration only when
-        ``projection_method`` is ``"alternating_oneshot"`` (the pass
-        *is* that sweep); for other methods they run the reference
-        kernel path.  Within any backend, outputs are bit-identical
-        across all ``parallelism`` modes; across backends the contract
-        is bounded quality (see :mod:`repro.core.kernels.base`).
     noise_std:
         Standard deviation of the Gaussian noise added at iteration 0;
         ``None`` picks ``1 / sqrt(n)`` which is enough to leave the saddle
@@ -467,38 +422,6 @@ class GDConfig(ConfigIO):
         ``task_retries``) keep working for one release with a
         :class:`DeprecationWarning`; passing a flat name together with
         ``execution=`` is a :class:`TypeError`.
-    multilevel:
-        Solve each bisection through the multilevel V-cycle
-        (:mod:`repro.core.multilevel`): coarsen the graph by heavy-edge
-        matching down to ``coarsest_size`` vertices, run the full GD
-        iteration budget there, then prolongate the fractional iterate
-        level by level with a short warm-started refinement at each
-        level.  Off by default — the flat path's outputs are unchanged.
-        Bisections no larger than ``coarsest_size`` run flat even when
-        enabled.
-    coarsest_size:
-        Vertex count at which coarsening stops (the size of the graph
-        the full GD budget runs on).  Smaller values coarsen more
-        aggressively (faster, more reliant on refinement); larger values
-        spend more time on the exact solve.  Only read when
-        ``multilevel`` is True.
-    refinement_iterations:
-        GD iterations of each per-level refinement pass of the V-cycle.
-        Refinement starts from the prolongated iterate (no fresh noise,
-        vertex fixing active immediately, step target rescaled to the
-        level's free-vertex count), so a handful of iterations suffices.
-    compaction:
-        Compact the per-iteration hot loop around fixed vertices: once
-        vertices freeze, the gradient mat-vec and iterate updates run on
-        an incrementally restricted free-vertex CSR system with the
-        fixed vertices folded into a constant boundary term
-        (:mod:`repro.core.compaction`), instead of full-size arrays
-        masked after the fact.  Mathematically equivalent, but the
-        reordered floating-point sums mean outputs can differ from the
-        masked path in the last bits — hence opt-in for flat GD.  The
-        multilevel refinement passes (majority-fixed by construction)
-        always compact.  With ``parallelism="batched"`` compacted tasks
-        are advanced per task rather than in lock-step.
     repartition_hops:
         Radius of the incremental repartitioner's freeze rule
         (:mod:`repro.dynamic.repartition`): after an update batch, only
@@ -519,7 +442,7 @@ class GDConfig(ConfigIO):
     repartition_iterations:
         GD iterations of each local-repair pass.  Repairs start from the
         previous (integral) assignment with most vertices frozen, so a
-        short compacted budget suffices — this is the lever behind the
+        short budget suffices — this is the lever behind the
         repair-vs-recompute work ratio.
     """
 
@@ -531,8 +454,6 @@ class GDConfig(ConfigIO):
     fixing_start_fraction: float = 0.25
     projection_method: str = "alternating_oneshot"
     projection_epsilon: float | None = None
-    projection_cache: bool = True
-    kernel_backend: str = field(default_factory=_default_kernel_backend)
     noise_std: float | None = None
     noise_every_iteration: bool = False
     final_projection_rounds: int = 50
@@ -540,10 +461,6 @@ class GDConfig(ConfigIO):
     record_history: bool = False
     seed: int = 0
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    multilevel: bool = False
-    coarsest_size: int = 512
-    refinement_iterations: int = 10
-    compaction: bool = False
     repartition_hops: int = 2
     repartition_damage_threshold: float = 0.05
     repartition_iterations: int = 10
@@ -571,9 +488,6 @@ class GDConfig(ConfigIO):
                              f"got {self.projection_method!r}")
         if self.projection_epsilon is not None and self.projection_epsilon <= 0:
             raise ValueError("projection_epsilon must be positive when given")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                             f"got {self.kernel_backend!r}")
         if self.final_projection_rounds < 0:
             raise ValueError("final_projection_rounds must be non-negative")
         if isinstance(self.execution, dict):
@@ -584,10 +498,6 @@ class GDConfig(ConfigIO):
         if not isinstance(self.execution, ExecutionConfig):
             raise TypeError("execution must be an ExecutionConfig "
                             f"(got {type(self.execution).__name__})")
-        if self.coarsest_size < 8:
-            raise ValueError("coarsest_size must be at least 8")
-        if self.refinement_iterations < 1:
-            raise ValueError("refinement_iterations must be at least 1")
         if self.repartition_hops < 0:
             raise ValueError("repartition_hops must be non-negative")
         if self.repartition_damage_threshold <= 0:

@@ -6,14 +6,10 @@ disjoint vertex sets and are therefore fully independent.
 :class:`BisectionExecutor` is the small abstraction that runs one such
 frontier: serially, on a thread pool (the numpy/scipy kernels inside GD
 release the GIL during mat-vecs and sorts, so threads already overlap),
-on a process pool for full CPU parallelism — pickling each subgraph to
-its worker (``"process"``) or sharing the whole wave zero-copy through
-one :mod:`multiprocessing.shared_memory` arena with only task
-coordinates crossing the pipe (``"shm"``, see :mod:`repro.core.shm`) —
-or *batched*: the whole frontier advanced in lock-step as one
-vectorized block-diagonal solve
-(:class:`~repro.core.batched.BatchedFrontierSolver`), which needs no
-extra cores at all.
+or on a process pool for full CPU parallelism — pickling each subgraph
+to its worker (``"process"``) or sharing the whole wave zero-copy
+through one :mod:`multiprocessing.shared_memory` arena with only task
+coordinates crossing the pipe (``"shm"``, see :mod:`repro.core.shm`).
 
 Two properties the scheduler relies on:
 
@@ -44,7 +40,7 @@ occurred.  Specifics per backend:
   killed, so on timeout the task is resubmitted alongside it and the
   hung thread is left to unwind on its own (best effort — enough hung
   threads can clog the pool and exhaust retries).
-* **serial / batched / single-task waves** — run in the coordinating
+* **serial / single-task waves** — run in the coordinating
   process: exceptions are retried inline, but timeouts are not enforced
   (we cannot interrupt our own thread).
 
@@ -159,15 +155,15 @@ class BisectionExecutor:
     Parameters
     ----------
     parallelism:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"shm"`` or
-        ``"batched"``.  ``"shm"`` is a process pool whose frontier waves
+        ``"serial"``, ``"thread"``, ``"process"`` or ``"shm"``.
+        ``"shm"`` is a process pool whose frontier waves
         travel through shared-memory arenas instead of pickles (see
         :mod:`repro.core.shm`); its generic :meth:`map` path and
         too-small waves fall back to the ordinary pickling pool.
     max_workers:
         Pool size for the thread/process/shm backends; ``None`` uses the
-        :mod:`concurrent.futures` default.  Ignored by the serial and
-        batched backends.
+        :mod:`concurrent.futures` default.  Ignored by the serial
+        backend.
     task_timeout_seconds:
         Per-task wall-clock budget on the pool backends; ``None`` waits
         forever.  See the module docs for per-backend semantics.
@@ -278,10 +274,7 @@ class BisectionExecutor:
 
         With a single task (the root of the recursion tree, typically the
         most expensive bisection of the whole run) the pool is bypassed to
-        avoid pickling the largest subgraph for no concurrency gain.  The
-        batched backend has no generic function-level batching, so ``map``
-        runs it serially — frontier-shaped work should go through
-        :meth:`solve_frontier` instead.
+        avoid pickling the largest subgraph for no concurrency gain.
         """
         tasks = list(tasks)
         if labels is None:
@@ -289,7 +282,7 @@ class BisectionExecutor:
         else:
             labels = [label if label is not None else f"#{index}"
                       for index, label in enumerate(labels)]
-        if self.parallelism in ("serial", "batched") or len(tasks) <= 1:
+        if self.parallelism == "serial" or len(tasks) <= 1:
             return [self._run_inline(function, task, label)
                     for task, label in zip(tasks, labels)]
         if self.parallelism == "thread":
@@ -399,11 +392,9 @@ class BisectionExecutor:
                        labels: Sequence[str] | None = None) -> list[np.ndarray]:
         """Solve one wave of bisection subproblems on the configured backend.
 
-        ``subproblems`` are :class:`~repro.core.batched.FrontierTask`-shaped
-        records.  The batched backend hands the whole wave to
-        :class:`~repro.core.batched.BatchedFrontierSolver`, which advances
-        every subproblem in lock-step as one block-diagonal solve; the
-        shm backend packs the wave into one shared-memory arena and
+        ``subproblems`` are records with ``subgraph``, ``weights``,
+        ``epsilon``, ``config`` and ``target_fraction`` fields.  The shm
+        backend packs the wave into one shared-memory arena and
         drives the process pool with task coordinates only
         (:func:`~repro.core.shm.solve_frontier_shm` — the retry/timeout/
         pool-rebuild machinery of :meth:`_map_processes` applies
@@ -415,12 +406,6 @@ class BisectionExecutor:
         subproblems = list(subproblems)
         if not subproblems:
             return []
-        if self.parallelism == "batched":
-            # Imported lazily: the executor itself stays independent of the
-            # solver stack (only the batched backend needs it).
-            from .batched import BatchedFrontierSolver
-
-            return BatchedFrontierSolver(subproblems).solve()
         if self.parallelism == "shm":
             from .shm import solve_frontier_shm, wave_is_shm_packable
 

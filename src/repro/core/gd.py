@@ -16,21 +16,26 @@ projection), a final convergent projection pass that removes the residual
 imbalance accumulated by one-shot alternating projections, and randomized
 rounding with an optional greedy balance repair.
 
-The projection step — the dominant cost per iteration (Table 1) — is
-served by one :class:`~repro.core.projection.ProjectionEngine` per
-bisection, which caches the region's weight invariants and warm-starts
-each projection from the previous iterate's solution (disable via
-``GDConfig.projection_cache`` for A/B comparisons).
+Every iteration runs on the free (not yet fixed) vertices only: a fixed
+vertex never moves again, so the gradient is the mat-vec of the free
+system ``A_FF z + A_FC x_C`` (:class:`~repro.core.compaction.FreeVertexSystem`)
+and the projection region is the band induced on the free vertices.  For
+the default one-shot alternating projection the gradient step and the
+sweep run as one in-place pass
+(:meth:`~repro.core.kernels.FusedBackend.fused_update`); the other
+projection methods are served by one
+:class:`~repro.core.projection.ProjectionEngine` per bisection, which
+caches the region's weight invariants, narrows the region as vertices are
+fixed, and warm-starts each projection from the previous iterate's
+solution.
 
 Structure
 ---------
-The algorithm is decomposed so the batched frontier solver can reuse it:
 :class:`BisectionStepper` owns one bisection's mutable state and advances
 it one iteration at a time; :func:`bisection_regions` and
-:func:`finalize_bisection` are the construction/finalization halves shared
-with :class:`~repro.core.batched.BatchedFrontierSolver`, which mirrors
-``BisectionStepper.step`` on stacked arrays.  :func:`gd_bisect` is the
-serial driver: build a stepper, step it ``config.iterations`` times,
+:func:`finalize_bisection` are its construction and finalization halves,
+the latter shared with the incremental repartitioner.  :func:`gd_bisect`
+is the driver: build a stepper, step it ``config.iterations`` times,
 finalize.
 """
 
@@ -47,7 +52,7 @@ from ..partition.partition import Partition
 from ..partition.validation import validate_epsilon, validate_weights
 from .compaction import FreeVertexSystem
 from .config import GDConfig
-from .kernels import KernelBackend, make_backend
+from .kernels import FusedBackend, KernelBackend
 from .noise import NoiseSchedule
 from .projection import (
     AlternatingProjector,
@@ -72,13 +77,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration diagnostics (used by the convergence figures).
-
-    ``level`` is the multilevel V-cycle level the iteration ran on (0 =
-    the input graph; larger = coarser).  Flat GD records only level 0,
-    so the fig8/fig9 step-length and convergence plots keep their
-    meaning; multilevel histories can be split per level.
-    """
+    """Per-iteration diagnostics (used by the convergence figures)."""
 
     iteration: int
     edge_locality_pct: float
@@ -86,7 +85,6 @@ class IterationRecord:
     step_length: float
     num_fixed: int
     objective: float
-    level: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class BisectionResult:
 
 def _history_record(graph: Graph, weights: np.ndarray, relaxation: QuadraticRelaxation,
                     x: np.ndarray, iteration: int, step_length: float,
-                    num_fixed: int, level: int = 0) -> IterationRecord:
+                    num_fixed: int) -> IterationRecord:
     sides = deterministic_round(x)
     snapshot = Partition.from_sides(graph, sides)
     return IterationRecord(
@@ -128,7 +126,6 @@ def _history_record(graph: Graph, weights: np.ndarray, relaxation: QuadraticRela
         step_length=step_length,
         num_fixed=num_fixed,
         objective=relaxation.objective(x),
-        level=level,
     )
 
 
@@ -141,8 +138,7 @@ def bisection_regions(weights: np.ndarray, epsilon: float, config: GDConfig,
     target ``(2 * fraction − 1) * W_j`` (``fraction = 0.5`` recovers the
     symmetric band).  The descent region uses the (possibly wider)
     ``config.projection_epsilon``; the final region uses the
-    user-requested ``epsilon``.  Shared by the serial stepper and the
-    batched frontier solver so both construct bit-identical regions.
+    user-requested ``epsilon``.
     """
     projection_epsilon = (config.projection_epsilon
                           if config.projection_epsilon is not None else epsilon)
@@ -168,15 +164,13 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
     convergent sweeps on the free vertices to remove it, then round the
     fractional solution and (optionally) repair the integral balance.
     Mutates ``x`` in place (the clean-up projection) and returns the ±1
-    side vector.  Serial and batched GD call this with identical
-    per-subproblem state, which keeps their outputs bit-identical.
+    side vector.
 
     ``movable`` restricts the greedy balance repair to a subset of
     vertices (see :func:`repro.core.rounding.balance_repair`); the
     incremental repartitioner passes the vertices its freeze rule
     released so frozen vertices provably keep their side.  ``None`` (the
-    default, used by every full solve) is bit-identical to the
-    historical behaviour.
+    default, used by every full solve) lets every vertex move.
     """
     if config.final_projection_rounds > 0:
         free = ~fixed
@@ -198,44 +192,43 @@ class BisectionStepper:
     """One GD bisection's state, advanced one iteration at a time.
 
     :func:`gd_bisect` drives a stepper for ``config.iterations`` steps and
-    calls :meth:`result`.  The batched frontier solver
-    (:mod:`repro.core.batched`) mirrors :meth:`step` on stacked arrays and
-    shares :func:`bisection_regions` / :func:`finalize_bisection`, which is
-    what keeps the serial and batched paths bit-identical.
+    calls :meth:`result`.  Every iteration runs noise → free-vertex
+    gradient → projection → fixing on the free-vertex system built at
+    construction (with nothing fixed, that system is the adjacency
+    itself).  Only the projection depends on the method: the default
+    ``alternating_oneshot`` sweep is fused with the gradient step into
+    :meth:`~repro.core.kernels.FusedBackend.fused_update`, over sweep
+    invariants narrowed here as vertices fix; every other method projects
+    through :attr:`engine`, whose region narrows the same way.
 
     Requires a non-empty graph (``gd_bisect`` short-circuits ``n == 0``).
 
-    Multilevel hooks
-    ----------------
+    Warm starts
+    -----------
     ``initial_x`` / ``initial_fixed`` start the iterate (and the fixed
-    mask) from a prolongated coarse solution instead of all-zeros;
-    ``warm_lambdas`` seeds the projection engine's warm-start multipliers
-    from the previous level's final state; ``adjacency`` overrides the
-    relaxation operator with the level's edge-weighted matrix; ``level``
-    tags the history records.  When an initial fixed mask is given the
-    step-length target is rescaled to the *free* vertex count — the
-    distance a refinement pass may still travel is ``O(√free)``, not
-    ``O(√n)`` (the coarse levels already placed the fixed mass).
-
-    With ``config.compaction`` the iteration switches to a compacted
-    free-vertex system (:class:`~repro.core.compaction.FreeVertexSystem`)
-    as soon as any vertex is fixed; see the config field's docstring for
-    the (ulp-level) output caveat.
+    mask) from a given state instead of all-zeros, and ``warm_lambdas``
+    seeds the projection engine's warm-start multipliers — the
+    incremental repartitioner's repair passes start this way from the
+    previous assignment.  The step-length target is derived from the
+    *free* vertex count: the distance left to travel is ``O(√free)``,
+    not ``O(√n)``.
     """
 
     def __init__(self, graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
                  config: GDConfig | None = None, target_fraction: float = 0.5,
                  *, initial_x: np.ndarray | None = None,
                  initial_fixed: np.ndarray | None = None,
-                 warm_lambdas: dict[int, float] | None = None,
-                 adjacency=None, level: int = 0):
-        # Clock starts here so BisectionResult.elapsed_seconds keeps its
-        # pre-refactor meaning: construction (relaxation, regions, engine)
-        # counts, as it did inside the old monolithic gd_bisect.
+                 warm_lambdas: dict[int, float] | None = None):
+        # Clock starts here so BisectionResult.elapsed_seconds counts
+        # construction (relaxation, regions, engine, free-vertex system).
         self._start_time = time.perf_counter()
         config = config if config is not None else GDConfig()
         epsilon = validate_epsilon(epsilon)
-        weights = validate_weights(graph, weights)
+        # One memory order for every caller: a column slice such as
+        # ``weights[:, mapping]`` is Fortran-ordered, and row dot products
+        # over it differ in the last bit from the C-ordered rows the shm
+        # executor ships, which would break the executors' bit-identity.
+        weights = np.ascontiguousarray(validate_weights(graph, weights))
         if not 0.0 < target_fraction < 1.0:
             raise ValueError("target_fraction must be strictly between 0 and 1")
         if graph.num_vertices == 0:
@@ -246,12 +239,11 @@ class BisectionStepper:
         self.epsilon = epsilon
         self.config = config
         self.target_fraction = target_fraction
-        self.level = level
 
         n = graph.num_vertices
         self.rng = np.random.default_rng(config.seed)
         self.history: list[IterationRecord] = []
-        self.relaxation = QuadraticRelaxation(graph, adjacency=adjacency)
+        self.relaxation = QuadraticRelaxation(graph)
         self.region, self.final_region, self.center = bisection_regions(
             weights, epsilon, config, target_fraction)
 
@@ -275,48 +267,37 @@ class BisectionStepper:
             self.fixed = np.zeros(n, dtype=bool)
 
         # Step target over the vertices that can still move: √n for a cold
-        # start, √free for a warm (multilevel-refinement) start.
+        # start, √free for a warm start.
         free_count = int(n - self.fixed.sum())
         step_target = target_step_length(max(free_count, 1), config.iterations,
                                          config.step_length_factor)
         self.controller = StepSizeController(step_target, adaptive=config.adaptive_step)
 
         self.fixing_start = int(config.fixing_start_fraction * config.iterations)
-        # One backend instance per stepper: kernels carry per-run stats and
-        # (for the fused backends) per-run staging caches, and worker
-        # processes construct their own — no kernel state crosses the
+        # One backend and one engine per stepper: kernels and projections
+        # carry per-run stats (and the engine its cache and warm state);
+        # worker processes construct their own, so no state crosses the
         # pickle boundary.
-        self.backend = make_backend(config.kernel_backend)
-        # One engine per bisection: the feasible region (and hence every
-        # cached weight invariant) is constant across iterations, and
-        # consecutive iterates warm-start each other's projections.  Worker
-        # processes of the parallel recursive scheduler each run their own
-        # gd_bisect and hence build their own engine — no cache state
-        # crosses the pickle boundary.
+        self.backend = FusedBackend()
         self.engine = ProjectionEngine(config.projection_method, self.region,
-                                       cache=config.projection_cache,
                                        backend=self.backend)
         if warm_lambdas:
             self.engine.seed_warm_lambdas(warm_lambdas)
+        self.system = FreeVertexSystem(self.relaxation.adjacency, self.fixed, self.x,
+                                       backend=self.backend)
 
-        # The fused backends replace the step/projection kernels with one
-        # pass over the compacted free set — but the pass *is* the
-        # one-shot band-center sweep, so other projection methods fall
-        # back to the reference kernel path.
-        self._fused = (self.backend.fuses_iteration
-                       and config.projection_method == "alternating_oneshot")
-        self._fused_system: FreeVertexSystem | None = None
-        self._fused_weights: np.ndarray | None = None
-        self._fused_centers: np.ndarray | None = None
-        self._fused_norms: np.ndarray | None = None
-
-        self._compact: FreeVertexSystem | None = None
-        self._compact_projection_ready = False
-        if (not self._fused and config.compaction
-                and self.fixed.any() and not self.fixed.all()):
-            self._compact = FreeVertexSystem(self.relaxation.adjacency,
-                                             self.fixed, self.x,
-                                             backend=self.backend)
+        self._fused = config.projection_method == "alternating_oneshot"
+        if self._fused:
+            region = (self.region.restrict(~self.fixed, self.x[self.fixed])
+                      if self.fixed.any() else self.region)
+            # Contiguous copy: the fused pass dots every row per iteration,
+            # and the contiguous dot kernel is the fast one.
+            self._sweep_weights = np.ascontiguousarray(region.weights)
+            self._sweep_centers = 0.5 * (region.lower + region.upper)
+            self._sweep_norms = np.einsum("ij,ij->i", self._sweep_weights,
+                                          self._sweep_weights)
+        elif self.fixed.any():
+            self.engine.narrow_restricted(~self.fixed, self.x[self.fixed])
 
     @property
     def converged(self) -> bool:
@@ -324,185 +305,42 @@ class BisectionStepper:
         return bool(self.fixed.all())
 
     def step(self, iteration: int) -> float:
-        """Run one noise/gradient/projection iteration; returns the
-        realized (post-projection) Euclidean step length."""
-        config = self.config
-        backend = self.backend
-        if self._fused or config.compaction:
-            if self.converged:
-                # Nothing can move; skip the work (and the noise draw —
-                # acceptable because the fused/compacted paths already
-                # waive bit-parity with the masked path).
-                if config.record_history:
-                    self.history.append(_history_record(
-                        self.graph, self.weights, self.relaxation, self.x,
-                        iteration, 0.0, int(self.fixed.sum()), self.level))
-                return 0.0
-            if self._fused:
-                return self._step_fused(iteration)
-            if self._compact is not None:
-                return self._step_compacted(iteration)
-        free = ~self.fixed
-        z = backend.mix_noise(self.x, self.noise.sample(iteration), free)
-
-        gradient = backend.spmv(self.relaxation.adjacency, z)
-        gamma = self.controller.step_size(
-            backend.gather(gradient, free) if free.any() else gradient)
-        y = backend.axpy(gamma, gradient, z)
-        backend.masked_assign(y, self.fixed, self.x)
-
-        if self.fixed.any():
-            new_x = self.x.copy()
-            backend.scatter(new_x, free, self.engine.project_restricted(
-                backend.gather(y, free), free, backend.gather(self.x, self.fixed)))
-        else:
-            new_x = self.engine.project(y)
-
-        realized = backend.step_norm(new_x, self.x)
-        self.controller.update(realized)
-        self.x = new_x
-
-        if config.vertex_fixing and iteration >= self.fixing_start:
-            newly_fixed = (~self.fixed) & backend.fixing_mask(self.x,
-                                                              config.fixing_threshold)
-            if newly_fixed.any():
-                backend.scatter(self.x, newly_fixed,
-                                backend.snap(backend.gather(self.x, newly_fixed)))
-                self.fixed |= newly_fixed
-                if config.compaction and not self.fixed.all():
-                    # First fixing event under compaction: switch the
-                    # remaining iterations to the restricted system.
-                    self._compact = FreeVertexSystem(self.relaxation.adjacency,
-                                                     self.fixed, self.x,
-                                                     backend=backend)
-
-        if config.record_history:
+        """Run one noise/gradient/projection/fixing iteration on the free
+        vertices; returns the realized (post-projection) Euclidean step
+        length, 0 once every vertex is fixed."""
+        realized = 0.0 if self.converged else self._iterate(iteration)
+        if self.config.record_history:
             self.history.append(_history_record(self.graph, self.weights,
                                                 self.relaxation, self.x, iteration,
-                                                realized, int(self.fixed.sum()),
-                                                self.level))
+                                                realized, int(self.fixed.sum())))
         return realized
 
-    def _step_compacted(self, iteration: int) -> float:
-        """One iteration on the compacted free-vertex system.
-
-        Mirrors :meth:`step` with the gradient, iterate updates, norms
-        *and the projection's restricted-region maintenance* confined to
-        the free coordinates — every per-iteration cost is O(free
-        vertices + free edges), never O(n).  The fixed vertices'
-        gradient contribution enters through the system's constant
-        boundary term; fixing events narrow the projection state
-        incrementally (:meth:`ProjectionEngine.narrow_restricted`).
-        """
+    def _iterate(self, iteration: int) -> float:
         config = self.config
         backend = self.backend
-        compact = self._compact
-        free_ids = compact.free_ids
-        x_free = backend.gather(self.x, free_ids)
-
-        if iteration == 0 or self.noise.every_iteration:
-            z = backend.mix_noise(x_free,
-                                  backend.gather(self.noise.sample(iteration),
-                                                 free_ids))
-        else:
-            # The schedule would return all-zeros (drawing nothing from
-            # the RNG); skip the O(n) allocation and the no-op add.
-            z = x_free
-        gradient = compact.gradient(z)
-        gamma = self.controller.step_size(gradient)
-        y = backend.axpy(gamma, gradient, z)
-
-        if self.engine.cache_enabled:
-            if not self._compact_projection_ready:
-                self.engine.begin_compacted(~self.fixed, self.x[self.fixed])
-                self._compact_projection_ready = True
-            new_free = self.engine.project_compacted(y)
-        else:
-            # Cache disabled (A/B cold-start mode): fall back to the
-            # stateless restricted path, rebuilt per call as always.
-            new_free = self.engine.project_restricted(y, ~self.fixed,
-                                                      self.x[self.fixed])
-
-        realized = backend.step_norm(new_free, x_free)
-        self.controller.update(realized)
-        backend.scatter(self.x, free_ids, new_free)
-
-        if config.vertex_fixing and iteration >= self.fixing_start:
-            newly_fixed = backend.fixing_mask(new_free, config.fixing_threshold)
-            if newly_fixed.any():
-                snapped = backend.snap(backend.gather(new_free, newly_fixed))
-                dying_ids = backend.gather(free_ids, newly_fixed)
-                backend.scatter(self.x, dying_ids, snapped)
-                self.fixed[dying_ids] = True
-                compact.fix(newly_fixed, snapped)
-                if self._compact_projection_ready:
-                    self.engine.narrow_restricted(~newly_fixed, snapped)
-
-        if config.record_history:
-            self.history.append(_history_record(self.graph, self.weights,
-                                                self.relaxation, self.x, iteration,
-                                                realized, int(self.fixed.sum()),
-                                                self.level))
-        return realized
-
-    def _ensure_fused_state(self) -> None:
-        """Lazily build the fused path's free-vertex system and the
-        restricted sweep invariants it projects with."""
-        if self._fused_system is not None:
-            return
-        backend = self.backend
-        self._fused_system = FreeVertexSystem(self.relaxation.adjacency,
-                                              self.fixed, self.x,
-                                              backend=backend)
-        region = self.region
-        if self.fixed.any():
-            restricted = region.restrict(~self.fixed, self.x[self.fixed])
-        else:
-            restricted = region
-        # Contiguous copy: the fused pass dots every row per iteration,
-        # and the contiguous dot kernel is the fast one.
-        self._fused_weights = np.ascontiguousarray(restricted.weights)
-        self._fused_centers = 0.5 * (restricted.lower + restricted.upper)
-        self._fused_norms = np.einsum("ij,ij->i", self._fused_weights,
-                                      self._fused_weights)
-
-    def _step_fused(self, iteration: int) -> float:
-        """One fused iteration: SpMV → step → one-shot projection in a
-        single backend pass over the compacted free set.
-
-        Mirrors :meth:`_step_compacted`'s structure (free-vertex system,
-        O(free) updates, incremental narrowing on fixing events) but
-        hands the whole step+sweep+clip to
-        :meth:`~repro.core.kernels.KernelBackend.fused_update`, with the
-        restricted sweep invariants maintained here instead of inside
-        the projection engine.  Like compaction, the fused path waives
-        bit-parity with the masked path; within the backend it is fully
-        deterministic.
-        """
-        config = self.config
-        backend = self.backend
-        self._ensure_fused_state()
-        system = self._fused_system
+        system = self.system
         free_ids = system.free_ids
         x_free = backend.gather(self.x, free_ids)
 
         if iteration == 0 or self.noise.every_iteration:
             z = backend.mix_noise(x_free,
-                                  backend.gather(self.noise.sample(iteration),
-                                                 free_ids))
+                                  backend.gather(self.noise.sample(iteration), free_ids))
         else:
+            # The schedule would return all-zeros (drawing nothing from
+            # the RNG); skip the O(n) allocation and the no-op add.
             z = x_free
         gradient = system.gradient(z)
         gamma = self.controller.step_size(gradient)
-        new_free = backend.fused_update(z, gamma, gradient, self._fused_weights,
-                                        self._fused_centers, self._fused_norms)
+        if self._fused:
+            new_free = backend.fused_update(z, gamma, gradient, self._sweep_weights,
+                                            self._sweep_centers, self._sweep_norms)
+            self.engine.count_external_projection()
+        else:
+            new_free = self.engine.project(backend.axpy(gamma, gradient, z))
 
         realized = backend.step_norm(new_free, x_free)
         self.controller.update(realized)
         backend.scatter(self.x, free_ids, new_free)
-        # The engine is bypassed, but the projection happened; keep the
-        # result's projection counters meaningful.
-        self.engine.count_external_projection()
 
         if config.vertex_fixing and iteration >= self.fixing_start:
             newly_fixed = backend.fixing_mask(new_free, config.fixing_threshold)
@@ -512,22 +350,18 @@ class BisectionStepper:
                 backend.scatter(self.x, dying_ids, snapped)
                 self.fixed[dying_ids] = True
                 system.fix(newly_fixed, snapped)
-                # Narrow the sweep invariants in place: the dropped
-                # columns' (constant) contribution shifts the band
-                # centers, exactly as FeasibleRegion.restrict would.
                 surviving = ~newly_fixed
-                self._fused_centers = (self._fused_centers
-                                       - self._fused_weights[:, newly_fixed] @ snapped)
-                self._fused_weights = np.ascontiguousarray(
-                    self._fused_weights[:, surviving])
-                self._fused_norms = np.einsum("ij,ij->i", self._fused_weights,
-                                              self._fused_weights)
-
-        if config.record_history:
-            self.history.append(_history_record(self.graph, self.weights,
-                                                self.relaxation, self.x, iteration,
-                                                realized, int(self.fixed.sum()),
-                                                self.level))
+                if self._fused:
+                    # The dropped columns' (constant) contribution shifts
+                    # the band centers, as FeasibleRegion.restrict would.
+                    self._sweep_centers = (self._sweep_centers
+                                           - self._sweep_weights[:, newly_fixed] @ snapped)
+                    self._sweep_weights = np.ascontiguousarray(
+                        self._sweep_weights[:, surviving])
+                    self._sweep_norms = np.einsum("ij,ij->i", self._sweep_weights,
+                                                  self._sweep_weights)
+                else:
+                    self.engine.narrow_restricted(surviving, snapped)
         return realized
 
     def result(self) -> BisectionResult:
@@ -542,7 +376,7 @@ class BisectionStepper:
             self.history.append(_history_record(self.graph, self.weights,
                                                 self.relaxation, sides,
                                                 config.iterations, 0.0,
-                                                int(self.fixed.sum()), self.level))
+                                                int(self.fixed.sum())))
 
         return BisectionResult(
             partition=partition,
@@ -559,10 +393,7 @@ class BisectionStepper:
 
 def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
               config: GDConfig | None = None,
-              target_fraction: float = 0.5, *,
-              initial_x: np.ndarray | None = None,
-              initial_fixed: np.ndarray | None = None,
-              warm_lambdas: dict[int, float] | None = None) -> BisectionResult:
+              target_fraction: float = 0.5) -> BisectionResult:
     """Partition ``graph`` into two parts balanced along every weight row.
 
     Parameters
@@ -575,28 +406,14 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
     epsilon:
         Allowed relative imbalance of the final partition.
     config:
-        Algorithm parameters; defaults to :class:`GDConfig()`.  With
-        ``config.multilevel`` the bisection runs as a coarsen–solve–refine
-        V-cycle (:func:`repro.core.multilevel.multilevel_bisect`) whenever
-        the graph is larger than ``config.coarsest_size``.
+        Algorithm parameters; defaults to :class:`GDConfig()`.
     target_fraction:
         Fraction of each weight dimension that part ``V₁`` should receive
         (0.5 for an even split).  Used by recursive partitioning into a
         number of parts that is not a power of two.
-    initial_x, initial_fixed, warm_lambdas:
-        Optional warm start — an initial iterate, fixed-vertex mask, and
-        projection-engine multipliers (see :class:`BisectionStepper`).
-        A warm-started call always runs flat: the V-cycle is what
-        produces such states.
     """
     config = config if config is not None else GDConfig()
     epsilon = validate_epsilon(epsilon)
-
-    if (config.multilevel and initial_x is None and initial_fixed is None
-            and graph.num_vertices > config.coarsest_size):
-        from .multilevel import multilevel_bisect  # local import avoids a cycle
-
-        return multilevel_bisect(graph, weights, epsilon, config, target_fraction)
 
     if graph.num_vertices == 0:
         start_time = time.perf_counter()
@@ -608,9 +425,7 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
                                epsilon=epsilon, config=config,
                                elapsed_seconds=time.perf_counter() - start_time)
 
-    stepper = BisectionStepper(graph, weights, epsilon, config, target_fraction,
-                               initial_x=initial_x, initial_fixed=initial_fixed,
-                               warm_lambdas=warm_lambdas)
+    stepper = BisectionStepper(graph, weights, epsilon, config, target_fraction)
     for iteration in range(config.iterations):
         stepper.step(iteration)
     return stepper.result()

@@ -1,55 +1,21 @@
-"""Pluggable kernel backends for the GD hot loop.
+"""Kernel backends for the GD hot loop.
 
-``make_backend`` is the registry front door; the available names are in
-``KERNEL_BACKENDS`` (also the accepted values of
-``GDConfig.kernel_backend`` / the ``--kernel-backend`` CLI flag):
-
-========== ==========================================================
-``numpy``  Reference implementation — the historical inline numpy
-           expressions, bit-identical to the pre-extraction solver.
-``fused``  Float64 fused step+projection pass (in-place, allocation
-           free); bit-identical arithmetic to ``numpy`` per kernel.
-``fused32`` Fused pass with the sparse mat-vec staged in float32
-           (accumulation stays float64); fastest, not bit-comparable.
-========== ==========================================================
-
-See :mod:`repro.core.kernels.base` for the protocol and the per-backend
-determinism contract.
+:class:`NumpyBackend` holds the reference kernels; :class:`FusedBackend`
+inherits them and replaces the gradient step plus the one-shot projection
+sweep with one in-place pass, and is the backend every bisection runs on.
+See :mod:`repro.core.kernels.base` for the protocol.
 """
 
 from __future__ import annotations
 
 from .base import KernelBackend, KernelStats, kernel
-from .fused import Fused32Backend, FusedBackend
+from .fused import FusedBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "Fused32Backend",
     "FusedBackend",
     "KernelBackend",
     "KernelStats",
     "NumpyBackend",
     "kernel",
-    "make_backend",
 ]
-
-_BACKENDS: dict[str, type[KernelBackend]] = {
-    NumpyBackend.name: NumpyBackend,
-    FusedBackend.name: FusedBackend,
-    Fused32Backend.name: Fused32Backend,
-}
-
-#: Names accepted by :func:`make_backend` / ``GDConfig.kernel_backend``.
-KERNEL_BACKENDS = tuple(_BACKENDS)
-
-
-def make_backend(name: str) -> KernelBackend:
-    """Construct a fresh kernel backend (fresh stats) by registry name."""
-    try:
-        backend_cls = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"kernel_backend must be one of {KERNEL_BACKENDS}, got {name!r}"
-        ) from None
-    return backend_cls()

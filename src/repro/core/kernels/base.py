@@ -2,24 +2,18 @@
 
 Every per-iteration cost of the partitioner reduces to a small set of
 array kernels — the CSR mat-vec of the gradient, the axpy of the step
-update, the noise mix-in, the projection sweep's weighted dots and
-hyperplane updates, the breakpoint sweep of the exact 1-D projection,
-the compaction gather/scatter, and the masked argmax of the rounding
-repair.  :class:`KernelBackend` names each of them once, so swapping the
-arithmetic (fused passes, float32 staging, numba/GPU kernels, zero-copy
-shared memory) is a backend choice instead of a solver rewrite.
+update, the noise mix-in, the projection sweep's hyperplane updates, the
+breakpoint sweep of the exact 1-D projection, the free-vertex
+gather/scatter, and the masked argmax of the rounding repair.
+:class:`KernelBackend` names each of them once, so the arithmetic of one
+kernel can change without touching the solver.
 
 Determinism contract
 --------------------
-*Within* a backend, outputs are bit-identical across the
-serial/thread/process/batched executors — every backend must preserve
-the per-kernel summation orders the executors rely on.  *Across*
-backends only the partition quality is bounded (edge locality within
-one point on the reference presets); float32 staging legitimately
-perturbs low-order bits.  :class:`~repro.core.kernels.NumpyBackend` is
-the reference: its methods are the verbatim inline expressions the
-solver used before the extraction, so it is additionally bit-identical
-to the pre-kernel-layer implementation.
+A backend must preserve the per-kernel summation orders, so outputs are
+bit-identical across the serial/thread/process/shm executors.
+:class:`~repro.core.kernels.NumpyBackend` is the reference: each method
+is the plain numpy expression for its kernel.
 
 Observability
 -------------
@@ -104,29 +98,17 @@ class KernelBackend(ABC):
     """Abstract protocol of the solver's hot kernels.
 
     Implementations must be cheap to construct — the solvers build one
-    instance per bisection/frontier so the stats are per-run — and must
-    never carry state across processes (workers construct their own).
-
-    ``fuses_iteration`` marks backends whose :meth:`fused_update`
-    replaces the stepper's separate step/projection kernels with one
-    fused pass over the compacted free set; the stepper switches to its
-    fused path when it is set.
+    instance per bisection so the stats are per-run — and must never
+    carry state across processes (workers construct their own).
 
     Buffer ownership: input arrays may be externally owned and
     *read-only* — under the ``"shm"`` executor the graph arrays and
     weight rows are zero-copy views into a shared-memory segment with
     ``writeable=False``.  Kernels must never write into an input unless
     the kernel is documented as in-place on a named *output* argument
-    (:meth:`masked_assign`, :meth:`scatter`, :meth:`stacked_sweep_update`,
-    ``clip_box(..., out=)``); those outputs are always solver-allocated
-    scratch, never the shared inputs.
+    (:meth:`scatter`, ``clip_box(..., out=)``); those outputs are always
+    solver-allocated scratch, never the shared inputs.
     """
-
-    #: Registry name of the backend (``GDConfig.kernel_backend`` value).
-    name: str = "abstract"
-    #: Whether the stepper should drive this backend through its fused
-    #: single-pass iteration instead of the kernel-by-kernel path.
-    fuses_iteration: bool = False
 
     def __init__(self) -> None:
         self.stats = KernelStats()
@@ -137,10 +119,6 @@ class KernelBackend(ABC):
     @abstractmethod
     def spmv(self, matrix, x: np.ndarray) -> np.ndarray:
         """CSR mat-vec ``A @ x`` (the gradient of the relaxation)."""
-
-    @abstractmethod
-    def block_spmv(self, matrix, x: np.ndarray) -> np.ndarray:
-        """Block-diagonal CSR mat-vec over a stacked frontier iterate."""
 
     @abstractmethod
     def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -154,30 +132,15 @@ class KernelBackend(ABC):
         """``y + a * x`` with scalar or per-element ``a`` (the GD step)."""
 
     @abstractmethod
-    def mix_noise(self, x: np.ndarray, noise: np.ndarray,
-                  free: np.ndarray | None = None) -> np.ndarray:
-        """Noise mix-in: ``x + noise`` (``free=None``) or a copy of ``x``
-        with ``noise`` added on the free coordinates only."""
-
-    @abstractmethod
-    def masked_assign(self, target: np.ndarray, mask: np.ndarray,
-                      source: np.ndarray) -> None:
-        """``target[mask] = source[mask]`` in place (pin fixed vertices)."""
+    def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Noise mix-in ``x + noise``."""
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def norm(self, v: np.ndarray) -> float:
-        """Euclidean norm of a 1-D vector."""
-
-    @abstractmethod
     def step_norm(self, new: np.ndarray, old: np.ndarray) -> float:
         """Realized step length ``||new - old||``."""
-
-    @abstractmethod
-    def weighted_dot(self, weights: np.ndarray, x: np.ndarray) -> float:
-        """Weighted sum ``⟨w, x⟩`` (projection-sweep reduction)."""
 
     # ------------------------------------------------------------------ #
     # Projection kernels
@@ -187,13 +150,6 @@ class KernelBackend(ABC):
                            target: float, norm_squared: float | None = None
                            ) -> np.ndarray:
         """Euclidean projection onto ``{x : ⟨w, x⟩ = target}``."""
-
-    @abstractmethod
-    def stacked_sweep_update(self, current: np.ndarray, coefficients: np.ndarray,
-                             sizes: np.ndarray, weight_row: np.ndarray,
-                             scratch: np.ndarray) -> None:
-        """Stacked hyperplane update of the batched one-shot sweep:
-        ``current -= repeat(coefficients, sizes) * weight_row`` in place."""
 
     @abstractmethod
     def clip_box(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -207,7 +163,7 @@ class KernelBackend(ABC):
         target`` by the sorted-breakpoint prefix-sum sweep."""
 
     # ------------------------------------------------------------------ #
-    # Compaction gather/scatter
+    # Free-vertex gather/scatter
     # ------------------------------------------------------------------ #
     @abstractmethod
     def gather(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -235,7 +191,7 @@ class KernelBackend(ABC):
         pick among the near-best balance moves)."""
 
     # ------------------------------------------------------------------ #
-    # Fused iteration (optional fast path)
+    # Fused iteration
     # ------------------------------------------------------------------ #
     def fused_update(self, z: np.ndarray, gamma: float, gradient: np.ndarray,
                      weight_rows: np.ndarray, centers: np.ndarray,
@@ -247,7 +203,8 @@ class KernelBackend(ABC):
         hyperplane in turn (``weight_rows`` is the ``(d, free)`` restricted
         weight matrix, ``centers``/``norms_squared`` its per-dimension
         invariants).  The base implementation composes the primitive
-        kernels; fused backends override it with a single in-place pass.
+        kernels; :class:`~repro.core.kernels.FusedBackend` overrides it
+        with a single in-place pass.
         """
         y = self.axpy(gamma, gradient, z)
         for j in range(weight_rows.shape[0]):

@@ -1,35 +1,24 @@
-"""Fused-iteration backends: SpMV → gradient step → projection in one pass.
+"""The fused iteration: gradient step and projection sweep in one pass.
 
 The kernel-by-kernel iteration materializes an intermediate array per
-kernel: the noisy iterate, the gradient, the stepped point, one array per
-hyperplane sweep, the clipped result.  On the compacted free set those
-allocations (and the memory traffic they imply) dominate once the
-arithmetic is cheap.  :class:`FusedBackend` collapses the step and the
-one-shot projection sweep into a single in-place pass over a reused
-buffer — the stepper feeds it through
+kernel: the stepped point, one array per hyperplane sweep, the clipped
+result.  On the free-vertex set those allocations (and the memory
+traffic they imply) dominate once the arithmetic is cheap.
+:class:`FusedBackend` collapses the step and the one-shot projection
+sweep into a single in-place pass over a reused buffer — the stepper
+feeds it through
 :meth:`~repro.core.kernels.base.KernelBackend.fused_update` and skips the
 separate kernels entirely.
-
-:class:`Fused32Backend` additionally *stages* the sparse mat-vec in
-float32: the CSR operator is cached in single precision and the iterate
-downcast per call, halving the memory traffic of the dominant kernel,
-while every reduction and projection update still accumulates in float64
-(the gradient is upcast as soon as it enters the fused pass).  Staging
-perturbs low-order bits, so float32 runs are *not* bit-comparable to the
-float64 backends — the contract is bounded partition quality (edge
-locality within one point of the reference, asserted by tests), with
-bit-identity preserved across executors *within* the backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .base import kernel
 from .numpy_backend import NumpyBackend
 
-__all__ = ["FusedBackend", "Fused32Backend"]
+__all__ = ["FusedBackend"]
 
 
 class FusedBackend(NumpyBackend):
@@ -38,12 +27,9 @@ class FusedBackend(NumpyBackend):
     All primitive kernels are inherited unchanged from the reference
     backend; only the fused pass differs — and since its in-place
     operations perform the same float64 arithmetic in the same order as
-    the composed kernels, the fused float64 iteration is bit-identical
-    to the reference composition (property-tested per kernel).
+    the composed kernels, the fused iteration is bit-identical to the
+    reference composition (property-tested per kernel).
     """
-
-    name = "fused"
-    fuses_iteration = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -59,9 +45,7 @@ class FusedBackend(NumpyBackend):
                      weight_rows: np.ndarray, centers: np.ndarray,
                      norms_squared: np.ndarray) -> np.ndarray:
         y = np.empty(z.shape[0])
-        # y = z + gamma * gradient (upcasts a float32-staged gradient here,
-        # so everything downstream accumulates in float64).
-        np.multiply(gamma, gradient, out=y, casting="same_kind")
+        np.multiply(gamma, gradient, out=y)
         np.add(z, y, out=y)
         scratch = self._scratch(y.size)
         for j in range(weight_rows.shape[0]):
@@ -76,33 +60,3 @@ class FusedBackend(NumpyBackend):
             np.subtract(y, scratch, out=y)
         np.clip(y, -1.0, 1.0, out=y)
         return y
-
-
-class Fused32Backend(FusedBackend):
-    """Fused iteration with the sparse mat-vec staged in float32."""
-
-    name = "fused32"
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Staged operators keyed by id; the matrix itself is kept in the
-        # value so the id cannot be recycled while the entry is alive.
-        # Compaction reslices a handful of times per run, so the cache
-        # stays small.
-        self._staged: dict[int, tuple[sparse.csr_matrix, sparse.csr_matrix]] = {}
-
-    def _stage(self, matrix) -> sparse.csr_matrix:
-        entry = self._staged.get(id(matrix))
-        if entry is None or entry[0] is not matrix:
-            entry = (matrix, matrix.astype(np.float32))
-            self._staged[id(matrix)] = entry
-        return entry[1]
-
-    @kernel
-    def spmv(self, matrix, x: np.ndarray) -> np.ndarray:
-        return self._stage(matrix) @ x.astype(np.float32)
-
-    @kernel
-    def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:
-        # Single-precision mat-vec, double-precision boundary accumulate.
-        return self._stage(matrix) @ z.astype(np.float32) + boundary

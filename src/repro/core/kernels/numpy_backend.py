@@ -1,12 +1,4 @@
-"""The reference backend: today's inline numpy expressions, verbatim.
-
-Every method body is the exact expression the solver used inline before
-the kernel layer existed — same operations, same order, same dtypes —
-so routing through this backend is bit-transparent: outputs are
-identical to the pre-extraction implementation down to the last bit
-(asserted by the worktree-comparison check and the executor-matrix
-tests).
-"""
+"""The reference backend: each kernel as its plain numpy expression."""
 
 from __future__ import annotations
 
@@ -20,10 +12,7 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(KernelBackend):
-    """Plain-numpy kernels, bit-identical to the historical inline code."""
-
-    name = "numpy"
-    fuses_iteration = False
+    """Plain-numpy kernels."""
 
     # ------------------------------------------------------------------ #
     # Sparse mat-vec kernels
@@ -33,12 +22,8 @@ class NumpyBackend(KernelBackend):
         return matrix @ x
 
     @kernel
-    def block_spmv(self, matrix, x: np.ndarray) -> np.ndarray:
-        return matrix @ x
-
-    @kernel
     def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return matrix @ z + boundary
+        return self.spmv(matrix, z) + boundary
 
     # ------------------------------------------------------------------ #
     # Iterate-update kernels
@@ -48,36 +33,16 @@ class NumpyBackend(KernelBackend):
         return y + a * x
 
     @kernel
-    def mix_noise(self, x: np.ndarray, noise: np.ndarray,
-                  free: np.ndarray | None = None) -> np.ndarray:
-        if free is None:
-            return x + noise
-        z = x.copy()
-        z[free] += noise[free]
-        return z
-
-    @kernel
-    def masked_assign(self, target: np.ndarray, mask: np.ndarray,
-                      source: np.ndarray) -> None:
-        target[mask] = source[mask]
+    def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return x + noise
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     @kernel
-    def norm(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
-
-    @kernel
     def step_norm(self, new: np.ndarray, old: np.ndarray) -> float:
-        # np.linalg.norm of a 1-D float64 vector is sqrt(v @ v) bit for
-        # bit, so one kernel serves both historical spellings.
         delta = new - old
         return float(np.sqrt(delta @ delta))
-
-    @kernel
-    def weighted_dot(self, weights: np.ndarray, x: np.ndarray) -> float:
-        return float(weights @ x)
 
     # ------------------------------------------------------------------ #
     # Projection kernels
@@ -87,13 +52,6 @@ class NumpyBackend(KernelBackend):
                            target: float, norm_squared: float | None = None
                            ) -> np.ndarray:
         return project_onto_hyperplane(point, weights, target, norm_squared)
-
-    @kernel
-    def stacked_sweep_update(self, current: np.ndarray, coefficients: np.ndarray,
-                             sizes: np.ndarray, weight_row: np.ndarray,
-                             scratch: np.ndarray) -> None:
-        np.multiply(np.repeat(coefficients, sizes), weight_row, out=scratch)
-        np.subtract(current, scratch, out=current)
 
     @kernel
     def clip_box(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -107,7 +65,7 @@ class NumpyBackend(KernelBackend):
                                weights_squared=weights_squared)
 
     # ------------------------------------------------------------------ #
-    # Compaction gather/scatter
+    # Free-vertex gather/scatter
     # ------------------------------------------------------------------ #
     @kernel
     def gather(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:

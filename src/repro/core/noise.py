@@ -10,11 +10,9 @@ Internal module: not part of the stable public API (see ``repro.__all__``); its 
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["BatchedNoiseSchedule", "NoiseSchedule"]
+__all__ = ["NoiseSchedule"]
 
 
 class NoiseSchedule:
@@ -52,57 +50,3 @@ class NoiseSchedule:
         if iteration == 0 or self._every_iteration:
             return self._rng.normal(0.0, self._std, size=self._num_vertices)
         return np.zeros(self._num_vertices)
-
-
-class BatchedNoiseSchedule:
-    """The noise schedules of a whole bisection frontier, stacked.
-
-    Wraps one :class:`NoiseSchedule` per frontier block (each with its own
-    per-task RNG, see the deterministic-seeding contract in
-    :mod:`repro.core.recursive`) and serves their samples as one
-    concatenated vector.  Iterations that add no noise return a shared
-    zero vector, skipping the per-block allocations of the serial path;
-    adding zeros is elementwise identical either way.
-
-    Because every :meth:`sample_stacked` call draws from *all* block
-    schedules — including blocks that already dropped out of the batch —
-    the per-block RNG streams stay aligned with a serial run, which is
-    what keeps the randomized rounding (the next consumer of each RNG)
-    bit-identical.
-    """
-
-    def __init__(self, schedules: Sequence[NoiseSchedule]):
-        self._schedules = list(schedules)
-        if not self._schedules:
-            raise ValueError("at least one noise schedule is required")
-        flags = {schedule.every_iteration for schedule in self._schedules}
-        if len(flags) != 1:
-            raise ValueError("all schedules must share the every_iteration setting")
-        self._every_iteration = flags.pop()
-        self._zeros = np.zeros(sum(s.num_vertices for s in self._schedules))
-
-    @property
-    def num_vertices(self) -> int:
-        return self._zeros.shape[0]
-
-    def sample_stacked(self, iteration: int) -> np.ndarray:
-        """Concatenated noise of every block for the given iteration."""
-        if iteration == 0 or self._every_iteration:
-            return np.concatenate([s.sample(iteration) for s in self._schedules])
-        return self._zeros
-
-    def consume(self, start_iteration: int, end_iteration: int) -> None:
-        """Draw and discard the noise of iterations ``[start, end)``.
-
-        Called when the batch exits its iteration loop early (every block
-        converged): a serial run would keep sampling until the iteration
-        budget is exhausted, so the RNG streams must be advanced the same
-        way before they are reused for rounding.  A no-op unless noise is
-        added at every iteration (first-iteration-only noise draws nothing
-        after iteration 0).
-        """
-        if not self._every_iteration:
-            return
-        for iteration in range(start_iteration, end_iteration):
-            for schedule in self._schedules:
-                schedule.sample(iteration)

@@ -9,7 +9,7 @@ of them and is what the optimizer actually drives (see
 
 from .base import FeasibleRegion, Projector
 from .box import project_onto_box, truncate
-from .cache import DimensionCache, FrontierCache, RegionCache
+from .cache import DimensionCache, RegionCache
 from .halfspace import project_onto_band, project_onto_hyperplane
 from .exact_1d import project_exact_1d, solve_lambda_1d, weighted_truncated_sum
 from .exact_2d import project_exact_2d, solve_lambda_2d
@@ -18,7 +18,7 @@ from .warmstart import classify_pattern, region_linear_system, try_warm_equality
 from .exact import ExactProjector
 from .alternating import AlternatingProjector
 from .dykstra import DykstraProjector
-from .engine import BatchedProjectionEngine, ProjectionEngine, ProjectionStats
+from .engine import ProjectionEngine, ProjectionStats
 
 __all__ = [
     "FeasibleRegion",
@@ -38,12 +38,10 @@ __all__ = [
     "region_linear_system",
     "try_warm_equality_solve",
     "DimensionCache",
-    "FrontierCache",
     "RegionCache",
     "ExactProjector",
     "AlternatingProjector",
     "DykstraProjector",
-    "BatchedProjectionEngine",
     "ProjectionEngine",
     "ProjectionStats",
     "make_projector",

@@ -1,11 +1,12 @@
 """Per-region caches of projection invariants.
 
 Within one GD bisection the feasible region ``K = B∞ ∩ ⋂_j S^j`` never
-changes (the weights, the band bounds, and therefore every derived
-quantity are fixed), yet the seed implementation re-derived weight sums,
-squared norms, and tolerance scales on every projection call — once per
-GD iteration, per bisection task.  :class:`RegionCache` computes each of
-these exactly once and hands them to the projection kernels.
+changes between fixing events (the weights, the band bounds, and therefore
+every derived quantity are fixed), so re-deriving weight sums, squared
+norms, and tolerance scales on every projection call would repeat work
+once per GD iteration, per bisection task.  :class:`RegionCache`
+computes each of these once per region and hands them to the projection
+kernels.
 
 Everything cached here is *bit-compatible* with the uncached computation:
 the cache stores the result of the very same numpy expression the kernels
@@ -17,13 +18,12 @@ tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .base import FeasibleRegion
 
-__all__ = ["DimensionCache", "FrontierCache", "RegionCache"]
+__all__ = ["DimensionCache", "RegionCache"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class RegionCache:
     """All per-region invariants of the projection hot path.
 
     One instance is built per :class:`FeasibleRegion` (i.e. once per
-    bisection task, plus once per distinct fixed-vertex mask) and shared
-    across every projection of that region.
+    bisection task, plus once per fixing event) and shared across every
+    projection of that region.
     """
 
     def __init__(self, region: FeasibleRegion):
@@ -84,45 +84,3 @@ class RegionCache:
     def contains(self, x: np.ndarray, tolerance: float = 1e-7) -> bool:
         """:meth:`FeasibleRegion.contains` with the cached tolerance scale."""
         return self.region.contains(x, tolerance, scale=self.scales)
-
-
-class FrontierCache:
-    """The invariants of every region of one bisection frontier, stacked.
-
-    Built once per frontier by the batched projection path: one
-    :class:`RegionCache` per region plus the stacked views the vectorized
-    one-shot sweep consumes — the ``(d, N)`` concatenated weight matrix
-    (``N`` = total vertices across all blocks), and ``(d, W)`` matrices of
-    band centers and squared weight norms (``W`` = number of blocks).
-
-    Every stacked entry is the *same float64 value* the corresponding
-    per-region cache holds (concatenation copies bits, it does not
-    recompute), so serving a projection from the stack is bit-compatible
-    with serving it from the block's own cache.
-    """
-
-    def __init__(self, regions: Sequence[FeasibleRegion]):
-        self.regions = tuple(regions)
-        if not self.regions:
-            raise ValueError("at least one region is required")
-        dimensions = {region.num_dimensions for region in self.regions}
-        if len(dimensions) != 1:
-            raise ValueError("all frontier regions must share the number of "
-                             "balance dimensions")
-        self.num_dimensions = dimensions.pop()
-        self.caches = tuple(RegionCache(region) for region in self.regions)
-
-        sizes = np.array([region.num_vertices for region in self.regions],
-                         dtype=np.int64)
-        #: Vertex offsets of each block in the stacked arrays.
-        self.offsets = np.zeros(len(self.regions) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.offsets[1:])
-        #: ``(d, N)`` concatenation of the per-region weight matrices.
-        self.weights = np.concatenate([region.weights for region in self.regions],
-                                      axis=1)
-        #: ``(d, W)`` band centers, one column per block.
-        self.centers = np.stack([cache.centers for cache in self.caches], axis=1)
-        #: ``(d, W)`` squared weight norms, one column per block.
-        self.norms_squared = np.array(
-            [[cache.dimensions[j].norm_squared for cache in self.caches]
-             for j in range(self.num_dimensions)])

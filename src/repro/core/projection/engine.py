@@ -1,16 +1,15 @@
-"""Batched projection engine: amortize per-region work across GD iterations.
+"""Projection engine: amortize per-region work across GD iterations.
 
 The projected gradient descent of Algorithm 1 performs one Euclidean
 projection onto ``K = B∞ ∩ ⋂_j S^j`` per iteration, and the feasible
 region is *identical* across all iterations of a bisection (it only
 shrinks when vertices are fixed, which happens a handful of times per
-run).  The seed implementation nevertheless treated every projection as a
-cold start: it re-derived weight sums, norms and tolerance scales, rebuilt
-projector objects for restricted regions, and re-ran the active-set /
-Dykstra loops from scratch.
+run).  Treating every projection as a cold start would re-derive weight
+sums, norms and tolerance scales and re-run the active-set / Dykstra
+loops from scratch each time.
 
 :class:`ProjectionEngine` is the stateful layer that kills that repeated
-work.  Per region it holds
+work.  For its current region it holds
 
 * a :class:`~repro.core.projection.cache.RegionCache` of the weight-derived
   invariants (sums, squared norms, elementwise squares, tolerance scales),
@@ -23,19 +22,20 @@ Because consecutive GD iterates are close, the KKT sign pattern is stable
 between calls and most warm-started projections resolve in a single
 O(n) pass (:mod:`~repro.core.projection.warmstart`) instead of an
 O(n log n) sort-and-search — or, for d ≥ 2 cold solves, instead of a full
-nested bisection.
+nested bisection.  When vertices are fixed the region is narrowed in
+place (:meth:`ProjectionEngine.narrow_restricted`), O(free) per fixing
+event, and the warm state carries over.
 
-``gd_bisect`` constructs one engine per bisection task.  The engine is a
-plain picklable object, but it is deliberately *not* shipped across the
+Each bisection task constructs its own engine.  The engine is a plain
+picklable object, but it is deliberately *not* shipped across the
 :class:`~repro.core.executor.BisectionExecutor` process boundary: each
 worker runs ``gd_bisect`` on its own subproblem and therefore builds its
 own engine locally, so no cache state needs to survive pickling.
 
 Warm starts never change the mathematical result — wrong warm guesses are
-detected and corrected by the same KKT rules as cold starts — and with
-``cache=False`` the engine reproduces the seed behaviour (and bit-identical
-outputs) exactly; the toggle exists for A/B benchmarking via
-``GDConfig.projection_cache`` / the ``--projection-cache`` CLI flag.
+detected and corrected by the same KKT rules as cold starts.  With
+``cache=False`` every projection is a cold start: the reference that
+tests and the cold/warm microbenchmark compare warm starts against.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Sequence
-
 from .alternating import AlternatingProjector
 from .base import FeasibleRegion, Projector
-from .cache import FrontierCache, RegionCache
+from .cache import RegionCache
 from .dykstra import DykstraProjector
 from .exact import ExactProjector
 
-__all__ = ["BatchedProjectionEngine", "ProjectionEngine", "ProjectionStats"]
+__all__ = ["ProjectionEngine", "ProjectionStats"]
 
 
 @dataclass
@@ -72,8 +70,8 @@ class ProjectionStats:
         back to convergent alternating projections (KKT non-convergence —
         also logged at warning level by the projector).
     region_rebuilds:
-        Times the restricted (fixed-vertex) region changed and its cache and
-        warm state had to be rebuilt.
+        Times the region was narrowed after a fixing event and its cache
+        rebuilt.
     dykstra_rounds:
         Total Dykstra rounds across all calls (warm starts shrink this).
     """
@@ -90,14 +88,9 @@ class _RegionState:
     """Cache + projector + warm-start state for one concrete region."""
 
     def __init__(self, method: str, region: FeasibleRegion, use_cache: bool,
-                 prebuilt_cache: RegionCache | None = None, backend=None):
+                 backend=None):
         self.region = region
-        if prebuilt_cache is not None and use_cache:
-            if prebuilt_cache.region is not region:
-                raise ValueError("prebuilt cache was built for a different region")
-            self.cache = prebuilt_cache
-        else:
-            self.cache = RegionCache(region) if use_cache else None
+        self.cache = RegionCache(region) if use_cache else None
         self.projector = _build_projector(method, region, self.cache, backend)
         # Warm-start state (only populated when the cache is enabled).
         self.warm_lambdas: dict[int, float] | None = None
@@ -130,35 +123,24 @@ class ProjectionEngine:
     region:
         The full feasible region of the bisection.
     cache:
-        When False the engine degenerates to the seed behaviour — a
-        stateless projector per region, rebuilt per call for restricted
-        regions — producing bit-identical outputs to the cached mode for
-        d ≤ 2 and outputs agreeing to the cold solvers' tolerance beyond.
-    region_cache:
-        Optional prebuilt :class:`RegionCache` for ``region`` (must have
-        been built *for this region object*).  Used by the batched frontier
-        path, which precomputes every block's invariants in one
-        :class:`~repro.core.projection.cache.FrontierCache` pass and hands
-        them to the per-block engines instead of having each engine rebuild
-        them.  Ignored when ``cache`` is False.
+        When False every projection is a cold start: a stateless
+        projector per region, producing bit-identical outputs to the
+        cached mode for d ≤ 2 and outputs agreeing to the cold solvers'
+        tolerance beyond.
     backend:
         Optional :class:`~repro.core.kernels.KernelBackend` the projectors
         route their numeric kernels (hyperplane projections, box clips,
-        breakpoint sweeps) through.  ``None`` keeps the historical direct
-        calls — same arithmetic, no per-kernel counters.
+        breakpoint sweeps) through.  ``None`` calls the numpy functions
+        directly — same arithmetic, no per-kernel counters.
     """
 
     def __init__(self, method: str, region: FeasibleRegion, *, cache: bool = True,
-                 region_cache: RegionCache | None = None, backend=None):
+                 backend=None):
         self._method = method
         self._cache_enabled = bool(cache)
         self._backend = backend
         self._stats = ProjectionStats()
-        self._full = _RegionState(method, region, self._cache_enabled,
-                                  prebuilt_cache=region_cache, backend=backend)
-        self._restricted: _RegionState | None = None
-        self._restricted_free: np.ndarray | None = None
-        self._restricted_fixed: np.ndarray | None = None
+        self._state = _RegionState(method, region, self._cache_enabled, backend)
 
     # ------------------------------------------------------------------ #
     @property
@@ -166,12 +148,9 @@ class ProjectionEngine:
         return self._method
 
     @property
-    def cache_enabled(self) -> bool:
-        return self._cache_enabled
-
-    @property
     def region(self) -> FeasibleRegion:
-        return self._full.region
+        """The current region: the full one until vertices are fixed."""
+        return self._state.region
 
     @property
     def stats(self) -> ProjectionStats:
@@ -180,161 +159,43 @@ class ProjectionEngine:
     def count_external_projection(self) -> None:
         """Record a projection performed *outside* the engine.
 
-        The fused iteration kernel (``GDConfig.kernel_backend="fused"``)
-        folds the one-shot projection sweep into its single pass and never
+        The stepper folds the one-shot projection sweep into
+        :meth:`~repro.core.kernels.FusedBackend.fused_update` and never
         enters :meth:`project`; it calls this per iteration so
-        :attr:`stats` stays meaningful across backends.
+        :attr:`stats` counts every projection.
         """
         self._stats.calls += 1
 
     def reset(self) -> None:
-        """Drop all warm-start state (the caches themselves stay valid)."""
-        for state in (self._full, self._restricted):
-            if state is not None:
-                state.warm_lambdas = None
-                state.corrections = None
+        """Drop all warm-start state (the cache itself stays valid)."""
+        self._state.warm_lambdas = None
+        self._state.corrections = None
 
     def seed_warm_lambdas(self, lambdas: dict[int, float]) -> None:
         """Seed the exact projector's warm multipliers from external state.
 
         Multipliers are indexed by balance dimension, so a warm state
-        exported from *another* engine — e.g. the previous level of the
-        multilevel V-cycle, whose region has a different vertex count but
-        the same dimensions — is a valid warm guess here.  Wrong guesses
-        are detected and corrected by the usual KKT rules, so seeding can
-        change the solve path but never the answer.  A no-op when the
-        cache is disabled or the method keeps no multiplier state.
+        exported from *another* engine over the same dimensions — the
+        previous repair pass of the same recursion-tree node, most
+        notably — is a valid warm guess here.  Wrong guesses are detected
+        and corrected by the usual KKT rules, so seeding can change the
+        solve path but never the answer.  A no-op when the cache is
+        disabled or the method keeps no multiplier state.
         """
         if self._cache_enabled and lambdas:
-            self._full.warm_lambdas = dict(lambdas)
+            self._state.warm_lambdas = dict(lambdas)
 
     def export_warm_lambdas(self) -> dict[int, float] | None:
-        """The most recent solve's multipliers (restricted state preferred),
-        for seeding another engine; ``None`` when there is nothing warm."""
-        for state in (self._restricted, self._full):
-            if state is not None and state.warm_lambdas:
-                return dict(state.warm_lambdas)
+        """The most recent solve's multipliers, for seeding another
+        engine; ``None`` when there is nothing warm."""
+        if self._state.warm_lambdas:
+            return dict(self._state.warm_lambdas)
         return None
 
-    # ------------------------------------------------------------------ #
     def project(self, point: np.ndarray) -> np.ndarray:
-        """Project onto the full region, warm-starting from the last call."""
-        return self._project_with(self._full, point)
-
-    def project_restricted(self, point: np.ndarray, free: np.ndarray,
-                           fixed_values: np.ndarray) -> np.ndarray:
-        """Project ``point`` (length ``free.sum()``) onto the induced region.
-
-        ``free`` is the global free-vertex mask and ``fixed_values`` the
-        values of the fixed vertices (see :meth:`FeasibleRegion.restrict`).
-        The restricted region's cache is rebuilt only when the mask (or the
-        fixed values) actually change — between fixing events it is reused
-        across iterations, and the warm-start state survives the rebuild:
-        multipliers are per-dimension (unchanged by restriction) and
-        Dykstra corrections are sliced down to the surviving coordinates.
-        """
-        free = np.asarray(free, dtype=bool)
-        fixed_values = np.asarray(fixed_values, dtype=np.float64)
-        if not self._cache_enabled:
-            state = _RegionState(self._method, self.region.restrict(free, fixed_values),
-                                 use_cache=False, backend=self._backend)
-            return self._project_with(state, point)
-
-        if (self._restricted is None
-                or self._restricted_free is None
-                or not np.array_equal(free, self._restricted_free)
-                or not np.array_equal(fixed_values, self._restricted_fixed)):
-            self._rebuild_restricted(free, fixed_values)
-        return self._project_with(self._restricted, point)
-
-    # ------------------------------------------------------------------ #
-    # Compacted (incremental) restricted projections
-    #
-    # ``project_restricted`` rebuilds its state from the *full* region on
-    # every mask change — an O(n · d) construction that the flat path
-    # keeps for bit-compatibility with its historical outputs.  The
-    # compacted stepper (``GDConfig.compaction``) instead narrows the
-    # current restricted state in place: O(free) per fixing event, never
-    # O(n).  Numerically this subtracts the newly fixed contribution from
-    # the already-shifted bounds instead of re-deriving them from the full
-    # region — same mathematical value, different float summation order,
-    # which compaction's contract already allows.
-    # ------------------------------------------------------------------ #
-    def begin_compacted(self, free: np.ndarray, fixed_values: np.ndarray) -> None:
-        """Build the restricted state once for a compacted stepping run."""
-        if not self._cache_enabled:
-            raise RuntimeError("compacted projections require the cache")
-        self._rebuild_restricted(np.asarray(free, dtype=bool),
-                                 np.asarray(fixed_values, dtype=np.float64))
-
-    def narrow_restricted(self, surviving: np.ndarray,
-                          newly_fixed_values: np.ndarray) -> None:
-        """Narrow the current restricted region after a fixing event.
-
-        ``surviving`` masks the *current restricted coordinates* that stay
-        free; ``newly_fixed_values`` are the snapped values of the dropped
-        coordinates (aligned with ``~surviving``).  Warm state carries
-        over exactly as in :meth:`_rebuild_restricted`.
-        """
-        previous = self._restricted
-        if previous is None:
-            raise RuntimeError("narrow_restricted requires begin_compacted first")
-        surviving = np.asarray(surviving, dtype=bool)
-        region = previous.region
-        newly_contribution = (region.weights[:, ~surviving]
-                              @ np.asarray(newly_fixed_values, dtype=np.float64))
-        narrowed = FeasibleRegion(weights=region.weights[:, surviving],
-                                  lower=region.lower - newly_contribution,
-                                  upper=region.upper - newly_contribution)
-        state = _RegionState(self._method, narrowed, use_cache=True,
-                             backend=self._backend)
-        state.warm_lambdas = previous.warm_lambdas
-        if previous.corrections is not None:
-            state.corrections = [c[surviving] for c in previous.corrections]
-        self._restricted = state
-        # The global free-mask bookkeeping is no longer coherent with the
-        # narrowed state; drop it so a later project_restricted call
-        # rebuilds from the full region instead of trusting stale masks.
-        self._restricted_free = None
-        self._restricted_fixed = None
-        self._stats.region_rebuilds += 1
-
-    def project_compacted(self, point: np.ndarray) -> np.ndarray:
-        """Project onto the current (incrementally narrowed) restricted
-        region; ``point`` holds the free coordinates only."""
-        if self._restricted is None:
-            raise RuntimeError("project_compacted requires begin_compacted first")
-        return self._project_with(self._restricted, point)
-
-    # ------------------------------------------------------------------ #
-    def _rebuild_restricted(self, free: np.ndarray, fixed_values: np.ndarray) -> None:
-        previous = self._restricted
-        previous_free = self._restricted_free
-        state = _RegionState(self._method, self.region.restrict(free, fixed_values),
-                             use_cache=True, backend=self._backend)
-        if previous is None:
-            # First restriction of this engine: the full region's
-            # multipliers (possibly seeded from a coarser level) are the
-            # best available guess — restriction leaves the dimension
-            # indexing untouched.
-            state.warm_lambdas = self._full.warm_lambdas
-        if previous is not None and previous_free is not None:
-            # Multipliers are indexed by balance dimension, which restriction
-            # leaves untouched — carry them over as warm guesses.
-            state.warm_lambdas = previous.warm_lambdas
-            if previous.corrections is not None:
-                # Dykstra corrections are per-coordinate: keep the entries of
-                # vertices that are still free (fixing only shrinks the mask).
-                survivors = free[np.flatnonzero(previous_free)]
-                if int(survivors.sum()) == int(free.sum()):
-                    state.corrections = [c[survivors] for c in previous.corrections]
-        self._restricted = state
-        self._restricted_free = free.copy()
-        self._restricted_fixed = fixed_values.copy()
-        self._stats.region_rebuilds += 1
-
-    def _project_with(self, state: _RegionState, point: np.ndarray) -> np.ndarray:
+        """Project onto the current region, warm-starting from the last call."""
         self._stats.calls += 1
+        state = self._state
         projector = state.projector
 
         if isinstance(projector, ExactProjector):
@@ -360,329 +221,25 @@ class ProjectionEngine:
 
         return projector.project(point)
 
+    def narrow_restricted(self, surviving: np.ndarray,
+                          newly_fixed_values: np.ndarray) -> None:
+        """Narrow the current region after a fixing event.
 
-class BatchedProjectionEngine:
-    """Projections for a whole frontier of regions, served from one call.
-
-    The batched frontier solver (:mod:`repro.core.batched`) advances many
-    independent bisections in lock-step on one stacked iterate.  Each block
-    still has its *own* feasible region, so this engine holds one
-    :class:`ProjectionEngine` per block — all primed from a single
-    :class:`~repro.core.projection.cache.FrontierCache` pass — and exposes
-    :meth:`project_frontier`, which projects the stacked iterate of the
-    whole wave at once.
-
-    Two serving paths, chosen per method:
-
-    * **vectorized one-shot sweep** — for the paper-default
-      ``alternating_oneshot`` method, every active block is swept together
-      on a *compacted* stack holding only the free vertices: per balance
-      dimension, one tiny slice dot per block plus a single stacked
-      elementwise update, then one stacked box clip.  Blocks with fixed
-      vertices contribute their induced (restricted) region, whose
-      invariants are rebuilt only when the block's free mask changes —
-      through the very same :meth:`FeasibleRegion.restrict` construction
-      the per-block engine performs, so the numbers match to the last bit.
-      Elementwise the sweep is the exact image of the per-block sweep
-      (same dots on the same contiguous values, same scalar coefficient
-      applied per element), so the results are bit-identical to serial —
-      the fast path simply replaces W small interpreter round-trips with
-      O(1) stacked calls per dimension.
-    * **per-block engine** — every other projection method is routed
-      through its block's :class:`ProjectionEngine` exactly as the serial
-      optimizer would call it, warm starts and all.
-
-    ``cache=False`` reproduces the engine's A/B cold-start semantics on the
-    per-block path; the vectorized sweep always consumes the precomputed
-    invariants, whose values are identical to the inline recomputation
-    either way.
-    """
-
-    def __init__(self, method: str, regions: Sequence[FeasibleRegion], *,
-                 cache: bool = True, backend=None):
-        self._method = method
-        self._cache_enabled = bool(cache)
-        self._backend = backend
-        self._frontier = FrontierCache(regions)
-        # Per-block engines serve every method except the vectorized
-        # one-shot sweep; for the sweep they would sit unused, so they are
-        # built lazily on first access.
-        self._engine_list: list[ProjectionEngine] | None = None
-        # Compacted-stack state of the vectorized sweep (lazily built).
-        # Fixed-capacity layout: block ``b``'s compacted (free-vertex)
-        # values occupy the *prefix* of its original segment
-        # ``offsets[b] : offsets[b] + free_count[b]`` in every stacked
-        # buffer, so a mask change rewrites only that block's prefix —
-        # never the whole stack.  Bytes past the prefix are stale and
-        # never read (every dot and scatter is span-limited).
-        self._sweep_counts: np.ndarray | None = None
-        self._sweep_centers: list[np.ndarray] = []
-        self._sweep_norms: list[np.ndarray] = []
-        self._sweep_masks: list[np.ndarray | None] = []
-        self._w_free: np.ndarray | None = None
-        self._point_buffer: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
-        self._sweep_dot_rows: list[list[np.ndarray]] = []
-        self._sweep_restricted: list[np.ndarray | None] = []
-        self._sweep_blocks: list[int] = []
-        self._sweep_spans: list[slice] = []
-        self._sweep_all_unrestricted = True
-        self._segment_sizes = np.diff(self._frontier.offsets)
-        offsets = self._frontier.offsets
-        self._segments = [slice(int(offsets[b]), int(offsets[b + 1]))
-                          for b in range(len(self._frontier.regions))]
-        #: Blocks served by the vectorized sweep (diagnostics and tests).
-        self.vectorized_projections = 0
-        #: Blocks served through their per-block engine.
-        self.engine_projections = 0
-
-    @property
-    def method(self) -> str:
-        return self._method
-
-    @property
-    def engines(self) -> list[ProjectionEngine]:
-        if self._engine_list is None:
-            self._engine_list = [
-                ProjectionEngine(self._method, region, cache=self._cache_enabled,
-                                 region_cache=cache if self._cache_enabled else None,
-                                 backend=self._backend)
-                for region, cache in zip(self._frontier.regions,
-                                         self._frontier.caches)
-            ]
-        return self._engine_list
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._frontier.offsets
-
-    def project_frontier(self, y: np.ndarray, x: np.ndarray, fixed: np.ndarray,
-                         active: np.ndarray,
-                         free_counts: np.ndarray | None = None) -> np.ndarray:
-        """Project the stacked iterate ``y`` of every active block.
-
-        Parameters
-        ----------
-        y:
-            Stacked post-gradient point (left unmodified).
-        x:
-            Current stacked iterate — the fixed coordinates keep these
-            values, exactly as in the serial update.
-        fixed:
-            Stacked fixed-vertex mask.
-        active:
-            Per-block mask; inactive (converged, fully fixed) blocks keep
-            their ``x`` segment untouched.
-        free_counts:
-            Optional per-block count of free vertices (the solver already
-            tracks it); derived from ``fixed`` when omitted.
+        ``surviving`` masks the current region's coordinates that stay
+        free; ``newly_fixed_values`` are the values of the dropped
+        coordinates (aligned with ``~surviving``), whose constant
+        contribution shifts the bounds (:meth:`FeasibleRegion.restrict`).
+        O(current vertices) per call, never O(n).  Warm state carries
+        over: multipliers are per-dimension (unchanged by narrowing) and
+        Dykstra corrections are sliced down to the surviving coordinates.
         """
-        if self._method == "alternating_oneshot":
-            return self._sweep_compacted(y, x, fixed, active, free_counts)
-
-        new_x = x.copy()
-        offsets = self._frontier.offsets
-        engines = self.engines
-        for block in np.flatnonzero(active):
-            segment = slice(offsets[block], offsets[block + 1])
-            free = ~fixed[segment]
-            engine = engines[block]
-            if free.all():
-                new_x[segment] = engine.project(y[segment])
-            else:
-                target = new_x[segment]
-                target[free] = engine.project_restricted(
-                    y[segment][free], free, x[segment][~free])
-            self.engine_projections += 1
-        return new_x
-
-    # ------------------------------------------------------------------ #
-    # Vectorized one-shot sweep
-    # ------------------------------------------------------------------ #
-    def _rebuild_sweep_state(self, x: np.ndarray, fixed: np.ndarray,
-                             free_counts: np.ndarray) -> None:
-        """Refresh the compacted invariants of blocks whose mask changed.
-
-        Mirrors :meth:`ProjectionEngine._rebuild_restricted`: a block's
-        restricted region (the induced ``FeasibleRegion.restrict`` with the
-        fixed vertices' ±1 values) is rebuilt only on a free-mask change,
-        through the identical construction — fancy-indexed weight copy,
-        mat-vec shifted bounds — so every derived number matches the
-        serial engine's bit for bit.
-        """
-        frontier = self._frontier
-        offsets = frontier.offsets
-        num_blocks = len(frontier.regions)
-        if self._sweep_counts is None:
-            # All blocks start fully free: the compacted stack *is* the
-            # frontier weight stack, and every block uses the full-region
-            # invariants.
-            self._sweep_counts = np.diff(offsets)
-            self._w_free = frontier.weights.copy()
-            self._point_buffer = np.empty(int(offsets[-1]))
-            self._scratch = np.empty(int(offsets[-1]))
-            self._sweep_centers = [frontier.centers[:, b] for b in range(num_blocks)]
-            self._sweep_norms = [frontier.norms_squared[:, b] for b in range(num_blocks)]
-            self._sweep_masks = [None] * num_blocks
-            self._sweep_restricted = [None] * num_blocks
-            # The hyperplane *dots* must run on the very array objects the
-            # per-block sweep would use — the region's weight matrix, or
-            # the fancy-indexed restriction — because numpy's dot kernel
-            # for a strided row differs from the contiguous one by an ulp.
-            # The contiguous ``_w_free`` buffer is only safe for the
-            # elementwise update, which is layout-invariant.
-            self._sweep_dot_rows = [
-                [region.weights[j] for j in range(frontier.num_dimensions)]
-                for region in frontier.regions]
-
-        for block in np.flatnonzero(free_counts != self._sweep_counts):
-            count = int(free_counts[block])
-            if count == 0:
-                self._sweep_masks[block] = None
-                self._sweep_restricted[block] = None
-                continue
-            # Inlined FeasibleRegion.restrict: the same fancy-indexed
-            # weight copy and the same shifted-bound expressions, without
-            # constructing (and re-validating) a region object.  Fixing
-            # only shrinks the mask, so a partially free block is always
-            # a genuine restriction.
-            segment = slice(offsets[block], offsets[block + 1])
-            fixed_mask = fixed[segment]
-            region = frontier.regions[block]
-            fixed_contribution = region.weights[:, fixed_mask] @ x[segment][fixed_mask]
-            previous = self._sweep_restricted[block]
-            if previous is None:
-                restricted_weights = region.weights[:, ~fixed_mask]
-            else:
-                # Fancy-index the *previous* restriction instead of the
-                # full matrix: a copy of a copy carries the same bits, and
-                # the (d, m) advanced-indexing layout — hence the strided
-                # dot kernel — is the same either way.
-                previous_mask = self._sweep_masks[block]
-                restricted_weights = previous[:, ~fixed_mask[previous_mask]]
-            lower = region.lower - fixed_contribution
-            upper = region.upper - fixed_contribution
-            start = int(offsets[block])
-            self._w_free[:, start:start + count] = restricted_weights
-            self._sweep_centers[block] = 0.5 * (lower + upper)
-            self._sweep_norms[block] = np.array([
-                float(restricted_weights[j] @ restricted_weights[j])
-                for j in range(frontier.num_dimensions)])
-            self._sweep_masks[block] = ~fixed_mask
-            self._sweep_restricted[block] = restricted_weights
-            self._sweep_dot_rows[block] = [
-                restricted_weights[j] for j in range(frontier.num_dimensions)]
-        self._sweep_counts = free_counts.copy()
-
-        # The sweep's participation, spans and gather mode only change on a
-        # mask change, so they are derived here rather than per call.
-        self._sweep_blocks = [int(b) for b in np.flatnonzero(free_counts > 0)]
-        self._sweep_spans = [
-            slice(int(offsets[b]), int(offsets[b]) + int(free_counts[b]))
-            for b in self._sweep_blocks]
-        self._sweep_all_unrestricted = all(
-            self._sweep_masks[b] is None for b in self._sweep_blocks)
-
-    def _sweep_compacted(self, y: np.ndarray, x: np.ndarray, fixed: np.ndarray,
-                         active: np.ndarray,
-                         free_counts: np.ndarray | None) -> np.ndarray:
-        """One-shot alternating sweep of every unconverged block, vectorized.
-
-        Mirrors :meth:`AlternatingProjector._sweep` with
-        ``use_band_center=True`` on the compacted (free-vertex) stack: for
-        each dimension, project onto the band-center hyperplane; finish
-        with the box.  The per-block hyperplane coefficient is a scalar,
-        so one stacked elementwise update is bit-identical to the
-        per-block ``point - offset * weights``.  Returns the new stacked
-        iterate; fixed coordinates (and fully converged blocks) keep their
-        ``x`` values.
-        """
-        frontier = self._frontier
-        offsets = frontier.offsets
-        if free_counts is None:
-            sizes = np.diff(offsets)
-            free_counts = sizes - np.add.reduceat(
-                fixed.astype(np.int64), offsets[:-1]) if fixed.any() else sizes
-        if (self._sweep_counts is None
-                or not np.array_equal(free_counts, self._sweep_counts)):
-            self._rebuild_sweep_state(x, fixed, free_counts)
-
-        # A fully fixed block has a zero-width span of the compacted stack,
-        # so it drops out of the sweep by construction; an explicitly
-        # deactivated block with free vertices (possible for external
-        # callers — the solver only deactivates fully fixed blocks) is
-        # filtered here so its segment keeps x, as on the engine path.
-        if active.all():
-            blocks = self._sweep_blocks
-            spans = self._sweep_spans
-        else:
-            blocks, spans = [], []
-            for block, span in zip(self._sweep_blocks, self._sweep_spans):
-                if active[block]:
-                    blocks.append(block)
-                    spans.append(span)
-        if not blocks:
-            return x.copy()
-        # Before any vertex is fixed, a block's span *is* its segment, so
-        # one wholesale copy covers every unrestricted block; restricted
-        # blocks then overwrite their (prefix) span with the gathered free
-        # values.  Stale bytes past a span are never read.
-        all_unrestricted = self._sweep_all_unrestricted
-
-        current = self._point_buffer
-        np.copyto(current, y)
-        if not all_unrestricted:
-            for block, span in zip(blocks, spans):
-                mask = self._sweep_masks[block]
-                if mask is not None:
-                    current[span] = y[self._segments[block]][mask]
-
-        num_blocks = len(frontier.regions)
-        sizes = self._segment_sizes
-        scratch = self._scratch
-        backend = self._backend
-        for j in range(frontier.num_dimensions):
-            weight_row = self._w_free[j]
-            coefficients = np.zeros(num_blocks)
-            for block, span in zip(blocks, spans):
-                # Dot with the block's own weight rows (see the rebuild
-                # note on strided-row dot kernels).  A zero norm means the
-                # hyperplane is undefined; the serial kernel leaves the
-                # point untouched there, which a zero coefficient mirrors.
-                norm_squared = self._sweep_norms[block][j]
-                if norm_squared == 0.0:
-                    continue
-                row = self._sweep_dot_rows[block][j]
-                value = (backend.weighted_dot(row, current[span])
-                         if backend is not None
-                         else float(row @ current[span]))
-                coefficients[block] = ((value - self._sweep_centers[block][j])
-                                       / norm_squared)
-            # current -= coeff_per_vertex * weights, elementwise in place —
-            # the same ``point - offset * weights`` as the scalar sweep.
-            if backend is not None:
-                backend.stacked_sweep_update(current, coefficients, sizes,
-                                             weight_row, scratch)
-            else:
-                np.multiply(np.repeat(coefficients, sizes), weight_row, out=scratch)
-                np.subtract(current, scratch, out=current)
-        if backend is not None:
-            backend.clip_box(current, out=current)
-        else:
-            np.clip(current, -1.0, 1.0, out=current)
-
-        if all_unrestricted and len(blocks) == num_blocks:
-            # Every coordinate was swept: the result is the buffer itself
-            # (copied out, since the buffer is reused next call).
-            new_x = current.copy()
-        else:
-            new_x = x.copy()
-            for block, span in zip(blocks, spans):
-                mask = self._sweep_masks[block]
-                if mask is None:
-                    new_x[self._segments[block]] = current[span]
-                else:
-                    target = new_x[self._segments[block]]
-                    target[mask] = current[span]
-        self.vectorized_projections += len(blocks)
-        return new_x
+        surviving = np.asarray(surviving, dtype=bool)
+        previous = self._state
+        state = _RegionState(self._method,
+                             previous.region.restrict(surviving, newly_fixed_values),
+                             self._cache_enabled, self._backend)
+        state.warm_lambdas = previous.warm_lambdas
+        if previous.corrections is not None:
+            state.corrections = [c[surviving] for c in previous.corrections]
+        self._state = state
+        self._stats.region_rebuilds += 1

@@ -17,11 +17,9 @@ Instead of depth-first recursion, the recursion tree is processed as a
 disjoint vertex sets: the coordinating process materializes the whole
 wave's induced subgraphs in one pass (:meth:`Graph.subgraphs`) and hands
 the wave to :meth:`~repro.core.executor.BisectionExecutor.solve_frontier`
-— serially, on a thread pool, on a process pool (pickled subgraphs, or
-the wave shared zero-copy through one shared-memory arena with
-``parallelism="shm"``; see :mod:`repro.core.shm`), or *batched* (the
-whole wave advanced in lock-step as one vectorized block-diagonal solve
-by :class:`~repro.core.batched.BatchedFrontierSolver`), selected by
+— serially, on a thread pool, or on a process pool (pickled subgraphs,
+or the wave shared zero-copy through one shared-memory arena with
+``parallelism="shm"``; see :mod:`repro.core.shm`), selected by
 :attr:`GDConfig.execution` (an :class:`~repro.core.ExecutionConfig`).
 
 Each worker's ``gd_bisect`` call constructs its own
@@ -29,14 +27,6 @@ Each worker's ``gd_bisect`` call constructs its own
 feasible region, so the projection caches and warm-start state are local
 to the worker — nothing stateful crosses the pickle boundary, and the
 engine's results are independent of the execution backend.
-
-The multilevel V-cycle (:attr:`GDConfig.multilevel`) and the compacted
-hot loop (:attr:`GDConfig.compaction`) compose with every backend
-through the same config plumbing: each subproblem's ``gd_bisect`` routes
-itself (tasks at or below ``coarsest_size`` run flat), and the batched
-backend advances exactly those tasks per task whose serial solve would
-not be the plain stacked iteration — so the deterministic-seeding
-contract below holds for the new modes unchanged.
 
 Deterministic-seeding contract
 ------------------------------
@@ -46,8 +36,7 @@ through :class:`numpy.random.SeedSequence` ``spawn_key`` s — never of
 execution order or of the chosen backend.  Consequently
 ``recursive_bisection(graph, w, k, eps, config)`` returns **bit-identical**
 assignments for ``parallelism`` in ``{"serial", "thread", "process",
-"shm", "batched"}`` and any ``max_workers``, given a fixed
-``config.seed``.  Code
+"shm"}`` and any ``max_workers``, given a fixed ``config.seed``.  Code
 that changes the task identity (the ``(depth, first_part)`` coordinate)
 changes the sampled partitions and must be treated as a behavioural change.
 """
@@ -126,8 +115,7 @@ def _prepare_wave(graph: Graph, weights: np.ndarray, tasks: list[_Task],
     The tasks of a wave cover disjoint vertex sets, so their induced
     subgraphs are materialized in a single :meth:`Graph.subgraphs` pass —
     shared by every execution backend (the pool backends ship the
-    subproblems to workers, the batched backend stacks them into one
-    block-diagonal solve).
+    subproblems to workers).
     """
     extracted = graph.subgraphs([task.vertex_ids for task in tasks])
     prepared: list[tuple[_Subproblem, np.ndarray]] = []

@@ -22,24 +22,11 @@ __all__ = ["QuadraticRelaxation"]
 
 
 class QuadraticRelaxation:
-    """The quadratic form ``f(x) = ½ xᵀAx`` for a graph's adjacency matrix.
+    """The quadratic form ``f(x) = ½ xᵀAx`` for a graph's adjacency matrix."""
 
-    ``adjacency`` optionally overrides the operator with an edge-weighted
-    symmetric matrix on the same vertex set — used by the multilevel
-    V-cycle, where a coarse level's collapsed parallel edges carry
-    accumulated weights and ``½ xᵀA_c x`` then counts *fine* uncut edges
-    across coarse clusters (the unit-weight pattern would undercount
-    them).  ``None`` keeps the graph's own 0/1 adjacency, bit-identical
-    to the historical behaviour.
-    """
-
-    def __init__(self, graph: Graph, adjacency: sparse.csr_matrix | None = None):
+    def __init__(self, graph: Graph):
         self._graph = graph
-        if adjacency is None:
-            adjacency = graph.adjacency_matrix()
-        elif adjacency.shape != (graph.num_vertices, graph.num_vertices):
-            raise ValueError("adjacency override must match the graph's vertex count")
-        self._adjacency: sparse.csr_matrix = adjacency
+        self._adjacency: sparse.csr_matrix = graph.adjacency_matrix()
 
     @property
     def graph(self) -> Graph:

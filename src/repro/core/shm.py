@@ -24,10 +24,10 @@ tiny completion token.
 Determinism: the configs packed into the header already carry their
 recursion-coordinate seeds (derived upstream by
 ``task_seed(config.seed, depth, first_part)``), the per-task weight
-blocks are stored C-contiguously so every kernel sees the same memory
-layout as the serial path, and the worker runs the identical
-``gd_bisect`` code — so ``"shm"`` output is bit-identical to the
-serial/thread/process/batched backends.
+blocks are stored C-contiguously — the layout the stepper gives every
+weight matrix on the serial path too — and the worker runs the identical
+``gd_bisect`` code, so ``"shm"`` output is bit-identical to the
+serial/thread/process backends.
 
 Lifecycle: segments are refcounted per process; the creating process
 records every owned segment in a registry that is drained by an
@@ -322,8 +322,10 @@ def pack_wave(subproblems: Sequence, *,
         Concatenated adjacency lists and canonical edge arrays.
     ``weights``
         Per-task ``(d_i, n_i)`` blocks flattened C-contiguously — the
-        same memory layout the serial path's ``weights[:, mapping]``
-        copies have, which keeps reductions bit-identical.
+        layout :class:`~repro.core.gd.BisectionStepper` gives every
+        weight matrix it takes (the serial path's ``weights[:, mapping]``
+        slices are Fortran-ordered and copied to C order there), which
+        keeps reductions bit-identical.
     ``out``
         One int8 slot per vertex of the wave; workers write their local
         0/1 sides here.

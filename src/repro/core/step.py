@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BatchedStepSizeController", "StepSizeController", "target_step_length"]
+__all__ = ["StepSizeController", "target_step_length"]
 
 
 def target_step_length(num_vertices: int, iterations: int, factor: float = 2.0) -> float:
     """The paper's step-length target ``factor * sqrt(n) / iterations``.
 
     ``num_vertices`` must be the count of vertices that can actually
-    move: a cold-started bisection passes its full ``n``, while the
-    multilevel V-cycle's warm-started refinement passes the *free*
-    vertex count of their level — the distance left to travel from a
-    prolongated iterate is ``O(√free)``, and deriving the target from
-    the original ``n`` would overshoot the boundary vertices by orders
-    of magnitude (see :class:`~repro.core.gd.BisectionStepper`).
+    move: a cold-started bisection passes its full ``n``, while a
+    warm-started repair pass passes its *free* vertex count — the
+    distance left to travel from a mostly fixed iterate is ``O(√free)``,
+    and deriving the target from the original ``n`` would overshoot the
+    free vertices by orders of magnitude (see
+    :class:`~repro.core.gd.BisectionStepper`).
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -83,75 +83,3 @@ class StepSizeController:
         correction = self._target / realized_length
         correction = float(np.clip(correction, self._MIN_CORRECTION, self._MAX_CORRECTION))
         self._gamma *= correction
-
-
-class BatchedStepSizeController:
-    """One :class:`StepSizeController` per frontier block, vectorized.
-
-    Holds the per-subproblem step state of a whole bisection frontier as
-    arrays over the batch axis.  Every operation is the elementwise image
-    of the scalar controller — same divisions, same clip bounds, same
-    multiplicative update — so a batched run reproduces the per-block
-    gammas of independent serial controllers bit for bit (asserted by the
-    batched-vs-serial determinism tests).
-    """
-
-    _MIN_CORRECTION = StepSizeController._MIN_CORRECTION
-    _MAX_CORRECTION = StepSizeController._MAX_CORRECTION
-
-    def __init__(self, target_lengths: np.ndarray, adaptive: bool = True):
-        targets = np.asarray(target_lengths, dtype=np.float64)
-        if targets.ndim != 1 or targets.size == 0:
-            raise ValueError("target_lengths must be a non-empty 1-D array")
-        if np.any(targets <= 0):
-            raise ValueError("every target length must be positive")
-        self._targets = targets
-        self._adaptive = adaptive
-        self._gamma: np.ndarray | None = None
-
-    @property
-    def target_lengths(self) -> np.ndarray:
-        return self._targets
-
-    @property
-    def primed(self) -> bool:
-        """Whether the first-iteration gradient norms have been consumed."""
-        return self._gamma is not None
-
-    def step_sizes(self, gradient_norms: np.ndarray | None = None) -> np.ndarray:
-        """Per-block gradient multipliers for this iteration.
-
-        The first call must supply the per-block gradient norms (the batched
-        analogue of the scalar controller normalizing by its first
-        gradient); later calls reuse the adapted values and ignore the
-        argument, exactly as :meth:`StepSizeController.step_size` does.
-        """
-        if self._gamma is None:
-            if gradient_norms is None:
-                raise ValueError("the first call must supply per-block gradient norms")
-            norms = np.asarray(gradient_norms, dtype=np.float64)
-            if norms.shape != self._targets.shape:
-                raise ValueError("gradient_norms must have one entry per block")
-            safe = np.where(norms > 0, norms, 1.0)
-            self._gamma = np.where(norms > 0, self._targets / safe, 1.0)
-        return self._gamma
-
-    def update(self, realized_lengths: np.ndarray,
-               active: np.ndarray | None = None) -> None:
-        """Report the realized post-projection step length of every block.
-
-        ``active`` masks blocks that dropped out of the batch: their gamma is
-        left untouched (they no longer take steps, so the value is inert).
-        """
-        if not self._adaptive or self._gamma is None:
-            return
-        realized = np.asarray(realized_lengths, dtype=np.float64)
-        safe = np.where(realized > 0, realized, 1.0)
-        correction = np.clip(self._targets / safe,
-                             self._MIN_CORRECTION, self._MAX_CORRECTION)
-        # Zero realized progress means the projection absorbed the whole
-        # step; push harder next time (the scalar controller's rule).
-        correction = np.where(realized > 0, correction, self._MAX_CORRECTION)
-        if active is not None:
-            correction = np.where(active, correction, 1.0)
-        self._gamma = self._gamma * correction

@@ -16,10 +16,10 @@ full recursive GD after every update batch costs
    assignment* (the same ⌈log₂ k⌉-level shape as
    :func:`repro.core.recursive_bisection`, groups split
    ``⌈k'/2⌉ / ⌊k'/2⌋`` by part id).  Subtrees containing no released
-   vertex are skipped outright; each remaining node runs a short
-   **compacted** GD pass (:mod:`repro.core.compaction`) warm-started
+   vertex are skipped outright; each remaining node runs a short GD pass
+   on its free vertices (:mod:`repro.core.compaction`) warm-started
    from the previous sides — the released vertices start at their old
-   ±1 values, the frozen ones enter as the compacted system's boundary
+   ±1 values, the frozen ones enter as the free-vertex system's boundary
    term, and the projection engine is seeded with the multipliers the
    previous solve of the same tree node exported
    (:attr:`BisectionResult.warm_lambdas`).  Finalization reuses the
@@ -35,9 +35,8 @@ Repair waves run through the same
 :class:`~repro.core.executor.BisectionExecutor` as the one-shot
 scheduler, with per-task seeds keyed by the node's recursion-tree
 coordinate, so repaired assignments are **bit-identical** across the
-``serial`` / ``thread`` / ``process`` / ``batched`` backends (the batched
-backend executes repair tasks per task — they are compacted by
-construction — which is the serial code path).
+``serial`` / ``thread`` / ``process`` / ``shm`` backends (repair tasks
+carry warm-start state, so ``shm`` runs them on its pickling path).
 """
 
 from __future__ import annotations
@@ -110,13 +109,10 @@ class RepairReport:
 
 def repair_config(config: GDConfig) -> GDConfig:
     """Per-node parameters of a local repair pass, derived from the user
-    config the same way the multilevel refinement derives its own: short
-    budget, no fresh noise (the warm iterate is far from the saddle),
-    vertex fixing active immediately (the start *is* integral), and the
-    compacted hot loop (repairs are majority-frozen by construction)."""
-    return config.with_updates(multilevel=False,
-                               compaction=True,
-                               iterations=config.repartition_iterations,
+    config: short budget, no fresh noise (the warm iterate is far from
+    the saddle) and vertex fixing active immediately (the start *is*
+    integral)."""
+    return config.with_updates(iterations=config.repartition_iterations,
                                noise_std=0.0,
                                fixing_start_fraction=0.0,
                                record_history=False,
@@ -150,7 +146,7 @@ class _RepairOutcome:
 
 def _run_repair_task(task: _RepairTask) -> _RepairOutcome:
     """Worker entry point (module-level so the process backend can pickle
-    it by reference): one warm-started compacted bisection repair."""
+    it by reference): one warm-started bisection repair."""
     stepper = BisectionStepper(task.subgraph, task.weights, task.epsilon,
                                task.config, task.target_fraction,
                                initial_x=task.initial_x,

@@ -108,9 +108,7 @@ def make_gd(epsilon: float = 0.05, iterations: int = 60, seed: int = 0,
 def partition_by_mode(graph: Graph, mode: str, num_parts: int,
                       epsilon: float = 0.05, iterations: int = 60,
                       seed: int = 0, parallelism: str = "serial",
-                      max_workers: int | None = None,
-                      multilevel: bool = False,
-                      compaction: bool = False) -> Partition:
+                      max_workers: int | None = None) -> Partition:
     """Partition with GD balancing the dimensions selected by ``mode``.
 
     ``"vertex"`` balances vertex counts only, ``"edge"`` balances edge
@@ -118,8 +116,6 @@ def partition_by_mode(graph: Graph, mode: str, num_parts: int,
     strategies compared in Figures 1 and 7.  ``parallelism`` /
     ``max_workers`` pick the recursive-bisection execution backend; the
     produced partition is bit-identical across backends for a fixed seed.
-    ``multilevel`` / ``compaction`` enable the V-cycle pipeline and the
-    compacted hot loop (see :class:`~repro.core.GDConfig`).
     """
     if mode == "vertex":
         weights = unit_weights(graph)[None, :]
@@ -132,8 +128,7 @@ def partition_by_mode(graph: Graph, mode: str, num_parts: int,
                          f"available: {PARTITIONING_MODES}")
     partitioner = make_gd(epsilon=epsilon, iterations=iterations, seed=seed,
                           execution=ExecutionConfig(parallelism=parallelism,
-                                                    max_workers=max_workers),
-                          multilevel=multilevel, compaction=compaction)
+                                                    max_workers=max_workers))
     return partitioner.partition(graph, weights, num_parts)
 
 

@@ -9,10 +9,14 @@ through the origin.
 
 Besides the cost-model-style sweep (:func:`run`), :func:`run_parallel`
 measures the *actual* wall-clock behaviour of the parallel recursive
-bisection scheduler: one k-way partitioning per worker count (or a single
-run for the worker-less ``batched`` backend), each checked bit for bit
-against the serial reference (the deterministic-seeding contract of
-:mod:`repro.core.recursive`).
+bisection scheduler: one k-way partitioning per worker count, each
+checked bit for bit against the serial reference (the deterministic-seeding
+contract of :mod:`repro.core.recursive`).
+
+The ``format_*`` helpers keep the measured times apart from the rest:
+:func:`format_result` / :func:`format_parallel_result` render what a run
+reproduces exactly, :func:`format_timings` / :func:`format_parallel_timings`
+the wall-clock columns, the fit and the host's CPU count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from ..core import GDConfig, gd_bisect, recursive_bisection
 from ..graphs import fb_like, standard_weights
 from .reporting import format_table
 
-__all__ = ["run", "run_parallel", "format_result", "format_parallel_result",
+__all__ = ["run", "run_parallel", "format_result", "format_timings",
+           "format_parallel_result", "format_parallel_timings",
            "linear_fit_r_squared"]
 
 DEFAULT_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -50,26 +55,24 @@ def linear_fit_r_squared(edge_counts: np.ndarray, times: np.ndarray) -> float:
 
 
 def run(scales: tuple[float, ...] = DEFAULT_SCALES, seed: int = 0,
-        iterations: int = 50, epsilon: float = 0.05,
-        multilevel: bool = False, compaction: bool = False) -> dict:
+        iterations: int = 50, epsilon: float = 0.05) -> dict:
     """Time GD bisection on FB-like graphs of growing size.
 
-    ``multilevel`` / ``compaction`` time the V-cycle pipeline / the
-    compacted hot loop instead of the flat masked path — the near-linear
-    dependence on ``|E|`` holds for all three.
+    Each size is timed as the fastest of three identical bisections, so a
+    single host hiccup cannot bend the fit.
     """
     rows: list[dict] = []
     for scale in scales:
         graph = fb_like(80, scale=scale, seed=seed)
         weights = standard_weights(graph, 2)
-        config = GDConfig(iterations=iterations, seed=seed,
-                          multilevel=multilevel, compaction=compaction)
-        result = gd_bisect(graph, weights, epsilon, config)
+        config = GDConfig(iterations=iterations, seed=seed)
+        seconds = min(gd_bisect(graph, weights, epsilon, config).elapsed_seconds
+                      for _ in range(3))
         rows.append({
             "scale": scale,
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,
-            "seconds": result.elapsed_seconds,
+            "seconds": seconds,
         })
     edge_counts = np.array([row["num_edges"] for row in rows], dtype=np.float64)
     times = np.array([row["seconds"] for row in rows])
@@ -82,8 +85,7 @@ def run(scales: tuple[float, ...] = DEFAULT_SCALES, seed: int = 0,
 def run_parallel(scale: float = 4.0, num_parts: int = 8,
                  worker_counts: tuple[int, ...] = DEFAULT_WORKER_COUNTS,
                  parallelism: str = "process", seed: int = 0,
-                 iterations: int = 30, epsilon: float = 0.05,
-                 multilevel: bool = False) -> dict:
+                 iterations: int = 30, epsilon: float = 0.05) -> dict:
     """Measured-parallel mode: k-way partitioning time vs worker count.
 
     Runs the serial scheduler once as the reference, then the ``parallelism``
@@ -94,17 +96,11 @@ def run_parallel(scale: float = 4.0, num_parts: int = 8,
     machine the pool backends degrade gracefully to roughly serial time
     plus pool overhead (``"shm"`` additionally removes the per-task
     subgraph pickling, so it dominates ``"process"`` whenever tasks are
-    large).  The exception is ``parallelism="batched"``: it
-    takes no workers (the whole frontier advances in lock-step as one
-    vectorized block-diagonal solve), so it is measured once and its
-    speedup comes from vectorization, not extra cores.  ``multilevel``
-    runs the comparison with the V-cycle pipeline on — coarsening
-    composes with every backend, and the bit-identical check still holds
-    (multilevel-sized tasks are advanced per task on every backend).
+    large).
     """
     graph = fb_like(80, scale=scale, seed=seed)
     weights = standard_weights(graph, 2)
-    config = GDConfig(iterations=iterations, seed=seed, multilevel=multilevel)
+    config = GDConfig(iterations=iterations, seed=seed)
 
     start = time.perf_counter()
     reference = recursive_bisection(graph, weights, num_parts, epsilon, config)
@@ -112,17 +108,14 @@ def run_parallel(scale: float = 4.0, num_parts: int = 8,
 
     rows = [{"backend": "serial", "workers": 1, "seconds": serial_seconds,
              "speedup": 1.0, "identical": True}]
-    # The batched backend has no worker knob: one measurement row.
-    runs = ([(parallelism, None)] if parallelism == "batched"
-            else [(parallelism, workers) for workers in worker_counts])
-    for backend, workers in runs:
+    for workers in worker_counts:
         start = time.perf_counter()
         partition = recursive_bisection(graph, weights, num_parts, epsilon, config,
-                                        parallelism=backend, max_workers=workers)
+                                        parallelism=parallelism, max_workers=workers)
         seconds = time.perf_counter() - start
         rows.append({
-            "backend": backend,
-            "workers": workers if workers is not None else 1,
+            "backend": parallelism,
+            "workers": workers,
             "seconds": seconds,
             "speedup": serial_seconds / max(seconds, 1e-9),
             "identical": bool(np.array_equal(partition.assignment,
@@ -138,20 +131,37 @@ def run_parallel(scale: float = 4.0, num_parts: int = 8,
 
 
 def format_result(result: dict) -> str:
-    headers = ["scale", "|V|", "|E|", "seconds"]
-    table_rows = [[row["scale"], row["num_vertices"], row["num_edges"], row["seconds"]]
+    """The sweep's graph sizes; the times are in :func:`format_timings`."""
+    headers = ["scale", "|V|", "|E|"]
+    table_rows = [[row["scale"], row["num_vertices"], row["num_edges"]]
                   for row in result["rows"]]
-    table = format_table(headers, table_rows,
-                         title="Figure 11: GD runtime vs graph size", precision=3)
+    return format_table(headers, table_rows,
+                        title="Figure 11: GD runtime vs graph size", precision=3)
+
+
+def format_timings(result: dict) -> str:
+    """The sweep's measured times and the linear fit through the origin."""
+    table = format_table(["|E|", "seconds"],
+                         [[row["num_edges"], row["seconds"]] for row in result["rows"]],
+                         title="Figure 11: GD runtime", precision=3)
     return table + f"\nlinear-fit R^2 = {result['r_squared']:.3f}"
 
 
 def format_parallel_result(result: dict) -> str:
-    headers = ["backend", "workers", "seconds", "speedup", "identical"]
-    table_rows = [[row["backend"], row["workers"], row["seconds"],
-                   row["speedup"], row["identical"]]
+    """Whether every backend run matched the serial reference; the times
+    are in :func:`format_parallel_timings`."""
+    headers = ["backend", "workers", "identical"]
+    table_rows = [[row["backend"], row["workers"], row["identical"]]
                   for row in result["rows"]]
     title = (f"Figure 11 (measured): k={result['num_parts']} recursive bisection, "
-             f"|V|={result['num_vertices']} |E|={result['num_edges']}, "
-             f"{result['cpu_count']} CPU(s)")
-    return format_table(headers, table_rows, title=title, precision=3)
+             f"|V|={result['num_vertices']} |E|={result['num_edges']}")
+    return format_table(headers, table_rows, title=title)
+
+
+def format_parallel_timings(result: dict) -> str:
+    """Measured wall-clock time and speedup over serial per run."""
+    headers = ["backend", "workers", "seconds", "speedup"]
+    table_rows = [[row["backend"], row["workers"], row["seconds"], row["speedup"]]
+                  for row in result["rows"]]
+    return format_table(headers, table_rows, precision=3,
+                        title=f"Figure 11 (measured): {result['cpu_count']} CPU(s)")

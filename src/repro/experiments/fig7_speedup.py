@@ -24,7 +24,7 @@ from ..graphs import fb_like
 from .common import DEFAULT_SCALE, PARTITIONING_MODES, hash_placement, partition_by_mode
 from .reporting import format_table
 
-__all__ = ["run", "format_result", "APPLICATIONS", "CONFIGURATIONS"]
+__all__ = ["run", "format_result", "format_timings", "APPLICATIONS", "CONFIGURATIONS"]
 
 APPLICATIONS = {
     "PR": lambda: PageRank(supersteps=10),
@@ -44,23 +44,17 @@ CONFIGURATIONS = (
 def run(scale: float = DEFAULT_SCALE, seed: int = 0, gd_iterations: int = 40,
         applications: tuple[str, ...] = ("PR", "CC", "MF", "HC"),
         configurations=CONFIGURATIONS, parallelism: str = "serial",
-        max_workers: int | None = None, multilevel: bool = False,
-        compaction: bool = False) -> list[dict]:
+        max_workers: int | None = None) -> list[dict]:
     """One row per (application, configuration, partitioning mode).
 
     The job speedups come from the simulated cluster's cost model; next to
     them every row carries ``partition_seconds`` — the *measured* wall-clock
     time GD spent producing that placement.  ``parallelism`` /
     ``max_workers`` select the recursive-bisection backend — including
-    ``"batched"``, whose lock-step frontier solve speeds the measured
-    column up without extra cores, and ``"shm"``, the zero-copy
-    shared-memory process pool — so the column doubles as the
-    experiment's parallel mode (the placements, and hence the cost-model
-    numbers, are backend-independent by the deterministic-seeding
-    contract).  ``multilevel`` / ``compaction`` switch the partitioner to
-    the V-cycle pipeline / the compacted hot loop, which speed the
-    measured column up further (compaction leaves the quality columns
-    essentially unchanged; multilevel trades a little edge locality).
+    ``"shm"``, the zero-copy shared-memory process pool — so the column
+    doubles as the experiment's parallel mode (the placements, and hence
+    the cost-model numbers, are backend-independent by the
+    deterministic-seeding contract).
     """
     rows: list[dict] = []
     for label, fb_billions, num_workers in configurations:
@@ -73,8 +67,7 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0, gd_iterations: int = 40,
             start = time.perf_counter()
             placements[mode] = partition_by_mode(
                 graph, mode, num_workers, iterations=gd_iterations, seed=seed,
-                parallelism=parallelism, max_workers=max_workers,
-                multilevel=multilevel, compaction=compaction)
+                parallelism=parallelism, max_workers=max_workers)
             partition_seconds[mode] = time.perf_counter() - start
         for app_name in applications:
             program = APPLICATIONS[app_name]()
@@ -97,12 +90,22 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0, gd_iterations: int = 40,
 
 
 def format_result(rows: list[dict]) -> str:
-    headers = ["app", "config", "workers", "mode", "speedup_%", "locality_%",
-               "partition_s"]
+    """The speedup table; the measured partitioning times are in
+    :func:`format_timings`."""
+    headers = ["app", "config", "workers", "mode", "speedup_%", "locality_%"]
     table_rows = [[row["application"], row["configuration"], row["num_workers"],
-                   row["mode"], row["speedup_pct"], row["edge_locality_pct"],
-                   row.get("partition_seconds", float("nan"))]
+                   row["mode"], row["speedup_pct"], row["edge_locality_pct"]]
                   for row in rows]
     return format_table(headers, table_rows,
                         title="Figure 7: speedup over Hash partitioning "
                               "(positive = faster than Hash)")
+
+
+def format_timings(rows: list[dict]) -> str:
+    """Measured GD partitioning time per (configuration, mode)."""
+    seconds = {(row["configuration"], row["mode"]): row["partition_seconds"]
+               for row in rows}
+    return format_table(["config", "mode", "partition_s"],
+                        [[config, mode, value]
+                         for (config, mode), value in seconds.items()],
+                        title="Figure 7: GD partitioning time")

@@ -17,7 +17,7 @@ from ..partition.metrics import edge_locality, max_imbalance
 from .common import DEFAULT_SCALE, make_gd, measure_resources, public_graph
 from .reporting import format_table
 
-__all__ = ["run", "format_result"]
+__all__ = ["run", "format_result", "format_timings"]
 
 DEFAULT_GRAPHS = ("livejournal", "orkut", "stackoverflow")
 DIMENSIONS = (2, 3, 4)
@@ -26,23 +26,15 @@ DIMENSIONS = (2, 3, 4)
 def run(scale: float = DEFAULT_SCALE, seed: int = 0, num_parts: int = 2,
         gd_iterations: int = 60, epsilon: float = 0.05,
         graphs: tuple[str, ...] = DEFAULT_GRAPHS,
-        dimensions: tuple[int, ...] = DIMENSIONS,
-        multilevel: bool = False, compaction: bool = False) -> list[dict]:
-    """One row per (dimension count, graph, algorithm).
-
-    ``multilevel`` / ``compaction`` run the GD rows through the V-cycle
-    pipeline / the compacted hot loop — an apples-to-apples comparison
-    against the METIS-like baseline, whose own multilevel machinery now
-    shares the same :mod:`repro.graphs.coarsening` layer.
-    """
+        dimensions: tuple[int, ...] = DIMENSIONS) -> list[dict]:
+    """One row per (dimension count, graph, algorithm)."""
     rows: list[dict] = []
     for graph_name in graphs:
         graph = public_graph(graph_name, scale=scale, seed=seed)
         for num_dimensions in dimensions:
             weights = standard_weights(graph, num_dimensions)
             algorithms = {
-                "GD": make_gd(epsilon=epsilon, iterations=gd_iterations, seed=seed,
-                              multilevel=multilevel, compaction=compaction),
+                "GD": make_gd(epsilon=epsilon, iterations=gd_iterations, seed=seed),
                 "METIS": MetisLikePartitioner(seed=seed),
             }
             for name, partitioner in algorithms.items():
@@ -61,10 +53,19 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0, num_parts: int = 2,
 
 
 def format_result(rows: list[dict]) -> str:
-    headers = ["d", "graph", "algorithm", "locality_%", "max_imbalance_%",
-               "memory_MB", "seconds"]
+    """Quality per row; memory and time are in :func:`format_timings`."""
+    headers = ["d", "graph", "algorithm", "locality_%", "max_imbalance_%"]
     table_rows = [[row["d"], row["graph"], row["algorithm"], row["edge_locality_pct"],
-                   row["max_imbalance_pct"], row["memory_mb"], row["seconds"]]
+                   row["max_imbalance_pct"]]
                   for row in rows]
     return format_table(headers, table_rows,
                         title="Table 3: GD vs METIS under multi-dimensional constraints")
+
+
+def format_timings(rows: list[dict]) -> str:
+    """Measured peak memory and wall-clock time per row."""
+    headers = ["d", "graph", "algorithm", "memory_MB", "seconds"]
+    table_rows = [[row["d"], row["graph"], row["algorithm"], row["memory_mb"],
+                   row["seconds"]]
+                  for row in rows]
+    return format_table(headers, table_rows, title="Table 3: memory and time")

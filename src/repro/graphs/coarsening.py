@@ -1,5 +1,4 @@
-"""Heavy-edge-matching coarsening shared by the METIS-like baseline and
-multilevel GD.
+"""Heavy-edge-matching coarsening of the METIS-like baseline.
 
 A *coarsening hierarchy* is the classic multilevel construction: starting
 from the input graph, repeatedly match vertices along heavy edges and
@@ -10,27 +9,12 @@ weighted graphs whose per-dimension vertex-weight totals are identical at
 every level — which is what lets a balance-constrained solve on a coarse
 level transfer to the finer levels unchanged.
 
-Two matching strategies are provided:
+The matching rule is ``heavy_edge_matching``, the sequential
+random-visit-order rule used by METIS: visit vertices in a seeded random
+permutation and match each unmatched vertex with its heaviest unmatched
+neighbor.
 
-``heavy_edge_matching``
-    The sequential random-visit-order rule used by METIS (and previously
-    private to :class:`repro.baselines.MetisLikePartitioner`): visit
-    vertices in a seeded random permutation and match each unmatched
-    vertex with its heaviest unmatched neighbor.  Kept verbatim so the
-    baseline's output stays bit-stable for a fixed seed — but the visit
-    loop is pure Python, O(|E|) interpreter work per level.
-
-``handshake_matching``
-    A vectorized deterministic alternative for the performance-sensitive
-    multilevel GD path: every unmatched vertex nominates its heaviest
-    unmatched neighbor (ties broken by a seeded random priority), and
-    mutual nominations are matched; repeat until no pair shakes hands.
-    Each round is a handful of numpy passes over the edge array, so
-    coarsening costs a few mat-vec equivalents instead of a Python loop.
-    The matching differs from the sequential rule (it is a different
-    algorithm), but is a pure function of ``(adjacency, seed)``.
-
-Contraction (:func:`contract`) is shared and fully vectorized; its coarse
+Contraction (:func:`contract`) is fully vectorized; its coarse
 vertex numbering reproduces the first-visit order of the historical
 sequential loop bit for bit (see the function docstring), so routing the
 baseline through it is output-neutral.
@@ -50,7 +34,6 @@ __all__ = [
     "CoarseLevel",
     "CoarseningHierarchy",
     "contract",
-    "handshake_matching",
     "heavy_edge_matching",
 ]
 
@@ -112,75 +95,6 @@ def heavy_edge_matching(adjacency: sparse.csr_matrix,
     return match
 
 
-def handshake_matching(adjacency: sparse.csr_matrix,
-                       rng: np.random.Generator,
-                       max_rounds: int = 64) -> np.ndarray:
-    """Vectorized deterministic heavy-edge matching (locally dominant edges).
-
-    Every unmatched vertex nominates its incident edge with the largest
-    key ``weight + tiebreak``; edges nominated from *both* endpoints
-    (locally dominant edges) are matched, and rounds repeat on the
-    remaining vertices until no edge dominates (or ``max_rounds`` is hit
-    — the stragglers become singletons, which the hierarchy's stall rule
-    tolerates).  Deterministic for a fixed ``rng`` state.
-
-    The tie-break is a *symmetric per-edge* fraction in ``[0, 1)`` built
-    from seeded random vertex tokens, so both endpoints of an edge score
-    it identically — which makes heavy edges locally dominant at both
-    ends at once and matches an expected ``Θ(|E| / avg-degree)`` pairs
-    per round (per-vertex priorities, by contrast, make mutual
-    nominations ``Θ(|E| / avg-degree²)``-rare on unit-weight graphs).
-    The hierarchies built here have integral edge weights (unit finest
-    edges, contraction sums), so a ``< 1`` fraction never reorders
-    distinct weights; arbitrary float weights blend with the tie-break
-    but stay deterministic.
-
-    Each round is a handful of O(live-edges) numpy passes (boolean
-    filters, one ``maximum.reduceat`` segment max) — no sort, no
-    per-vertex Python loop.  CSR edge order is preserved by the
-    filtering, so the row segments stay contiguous for ``reduceat``.
-    """
-    n = adjacency.shape[0]
-    match = np.arange(n, dtype=np.int64)
-    if n == 0 or adjacency.nnz == 0:
-        return match
-    token = rng.random(n)
-    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    not_loop = indices != rows
-    rows, cols = rows[not_loop], indices[not_loop]
-    tiebreak = token[rows] + token[cols]          # symmetric in (u, v)
-    key = data[not_loop] + (tiebreak - np.floor(tiebreak))
-
-    unmatched = np.ones(n, dtype=bool)
-    for _ in range(max_rounds):
-        if rows.size == 0:
-            break
-        live = unmatched[rows] & unmatched[cols]
-        rows, cols, key = rows[live], cols[live], key[live]
-        if rows.size == 0:
-            break
-        # Nomination per vertex: the first incident edge achieving the
-        # row-segment maximum key (ties are astronomically unlikely with
-        # the random fraction, and first-in-CSR-order keeps them
-        # deterministic).
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        segment_max = np.maximum.reduceat(key, starts)
-        lengths = np.diff(np.r_[starts, rows.size])
-        maximal = np.flatnonzero(key == np.repeat(segment_max, lengths))
-        maximal_rows = rows[maximal]
-        first = np.r_[True, maximal_rows[1:] != maximal_rows[:-1]]
-        nominee = np.full(n, -1, dtype=np.int64)
-        nominee[maximal_rows[first]] = cols[maximal[first]]
-        nominators = np.flatnonzero(nominee >= 0)
-        mutual = nominators[nominee[nominee[nominators]] == nominators]
-        if mutual.size == 0:
-            break
-        match[mutual] = nominee[mutual]
-        unmatched[mutual] = False
-    return match
-
-
 def contract(adjacency: sparse.csr_matrix, vertex_weights: np.ndarray,
              matching: np.ndarray) -> CoarseLevel:
     """Contract matched vertex pairs into one coarse level.
@@ -226,196 +140,9 @@ def contract(adjacency: sparse.csr_matrix, vertex_weights: np.ndarray,
 
 
 #: Matching strategies accepted by :meth:`CoarseningHierarchy.build`.
-#: ``"cluster"`` is handled separately (it aggregates whole clusters per
-#: level instead of vertex pairs — see :func:`cluster_labels`).
 MATCHINGS: dict[str, Callable[[sparse.csr_matrix, np.random.Generator], np.ndarray]] = {
     "sequential": heavy_edge_matching,
-    "handshake": handshake_matching,
 }
-
-
-def _resolve_pointers(pointer: np.ndarray, jump_rounds: int) -> np.ndarray:
-    """Flatten a nomination forest into cluster labels.
-
-    A pointer 2-cycle is its component's anchor: collapse it to the
-    smaller endpoint, then pointer-double the trees toward it.
-    Unconverged chain tails simply split into smaller clusters (any
-    equal-final-pointer grouping is a valid clustering).
-    """
-    identity = np.arange(pointer.shape[0], dtype=np.int64)
-    mutual = pointer[pointer] == identity
-    pointer = np.where(mutual, np.minimum(identity, pointer), pointer)
-    for _ in range(jump_rounds):
-        pointer = pointer[pointer]
-    return pointer
-
-
-def _compact_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel to ``0 .. k-1`` (rank order) and return the cluster count."""
-    compact = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    return compact, (int(compact.max()) + 1 if compact.size else 0)
-
-
-def _dissolve_oversized(labels: np.ndarray, num_clusters: int,
-                        fallback: np.ndarray, vertex_weights: np.ndarray,
-                        max_cluster_fraction: float) -> tuple[np.ndarray, bool]:
-    """Send members of over-heavy clusters back to their ``fallback`` labels.
-
-    ``labels`` must be compact (``0 .. num_clusters-1``).  Clusters whose
-    weight exceeds ``max_cluster_fraction`` of any dimension's total
-    (hub pile-ups on power-law graphs) would make the coarse balance
-    bands unsatisfiable; their members revert to the previous (finer)
-    grouping, deterministically.  Returns the (possibly non-compact)
-    labels and whether anything was dissolved.
-    """
-    weights = np.atleast_2d(vertex_weights)
-    caps = max_cluster_fraction * weights.sum(axis=1)
-    oversized = np.zeros(num_clusters, dtype=bool)
-    for row, cap in zip(weights, caps):
-        oversized |= np.bincount(labels, weights=row, minlength=num_clusters) > cap
-    if not oversized.any():
-        return labels, False
-    # Shift the surviving cluster ids clear of the fallback id space so
-    # the two label families cannot collide.
-    offset = int(fallback.max()) + 1 if fallback.size else 0
-    return np.where(oversized[labels], fallback, labels + offset), True
-
-
-def cluster_labels(adjacency: sparse.csr_matrix, vertex_weights: np.ndarray,
-                   rng: np.random.Generator, *, target_clusters: int | None = None,
-                   max_rounds: int = 6,
-                   max_cluster_fraction: float = 0.01) -> np.ndarray:
-    """Random-mate cluster labels: O(n)-per-round seeded coarsening.
-
-    Pairwise matchings must scan the edge array (several times, for
-    decent coverage), which at ``Θ(tens of ns)`` per entry rivals whole
-    GD iterations.  This aggregator never scans edges: every vertex
-    points at *one* random neighbor (an O(n) gather of a random CSR
-    slot, which weights the choice by edge multiplicity on
-    duplicate-carrying levels), and the pointer forest's flattened
-    components become clusters (:func:`_resolve_pointers`).
-
-    When ``target_clusters`` is given, further *composition rounds*
-    coarsen the clustering itself until at most that many clusters
-    remain: each round one random member per cluster samples one random
-    fine edge, nominating the neighbor's cluster — O(current clusters)
-    work on top of an O(n log n) regroup, still no edge scan.  Rounds
-    stop at the target, at ``max_rounds``, or when a round stops making
-    progress.  Oversized clusters dissolve back to their previous-round
-    labels (:func:`_dissolve_oversized`) so the coarse balance bands
-    stay satisfiable; the degenerate all-dissolved case (e.g. star
-    graphs) surfaces as a coarsening stall upstream.
-
-    Returns a per-vertex cluster *label* array (values are arbitrary
-    ids, not compacted; feed through :func:`numpy.unique`).
-    """
-    n = adjacency.shape[0]
-    identity = np.arange(n, dtype=np.int64)
-    if n == 0 or adjacency.nnz == 0:
-        return identity
-    indptr, indices = adjacency.indptr, adjacency.indices
-    degrees = np.diff(indptr)
-    has_neighbors = degrees > 0
-
-    # Round 0: per-vertex random-neighbor pointers.
-    token = rng.random(n)
-    slot = (token * degrees).astype(np.int64)  # in [0, degree) per vertex
-    pointer = identity.copy()
-    pointer[has_neighbors] = indices[(indptr[:-1] + slot)[has_neighbors]]
-    raw, _ = _dissolve_oversized(*_compact_labels(_resolve_pointers(pointer, 1)),
-                                 fallback=identity, vertex_weights=vertex_weights,
-                                 max_cluster_fraction=max_cluster_fraction)
-    labels, num_clusters = _compact_labels(raw)
-
-    if target_clusters is None:
-        return labels
-
-    for _ in range(max_rounds):
-        if num_clusters <= target_clusters:
-            break
-        # One seeded-random member per cluster (last write of a permuted
-        # scatter wins), then one random fine edge of that member; the
-        # neighbor's cluster becomes the nomination.  O(n) gathers plus
-        # O(clusters) pointer work — no sort, no edge scan.
-        permutation = rng.permutation(n)
-        members = np.zeros(num_clusters, dtype=np.int64)
-        members[labels[permutation]] = permutation
-        member_degrees = degrees[members]
-        sampleable = member_degrees > 0
-        slots = (rng.random(num_clusters) * member_degrees).astype(np.int64)
-        cluster_pointer = np.arange(num_clusters, dtype=np.int64)
-        neighbors = indices[(indptr[:-1][members] + slots)[sampleable]]
-        cluster_pointer[sampleable] = labels[neighbors]
-        cluster_pointer, merged_count = _compact_labels(
-            _resolve_pointers(cluster_pointer, 1))
-        merged = cluster_pointer[labels]
-        dissolved, changed = _dissolve_oversized(
-            merged, merged_count, fallback=labels,
-            vertex_weights=vertex_weights,
-            max_cluster_fraction=max_cluster_fraction)
-        if changed:
-            new_labels, new_count = _compact_labels(dissolved)
-        else:
-            new_labels, new_count = merged, merged_count
-        if new_count >= num_clusters:
-            break  # no progress (everything oversized or isolated)
-        labels, num_clusters = new_labels, new_count
-    return labels
-
-
-#: Dense key-space budget of the scatter contraction (entries of the
-#: ``nc × nc`` accumulator).  ``cluster_labels`` composition targets keep
-#: ``nc`` under ``√budget``, so the scatter path is the norm.
-_SCATTER_BUDGET = 1 << 23
-
-
-def _contract_clusters(adjacency: sparse.csr_matrix, vertex_weights: np.ndarray,
-                       labels: np.ndarray) -> CoarseLevel:
-    """Contract cluster labels without an edge sort.
-
-    Every entry is relabelled to its ``(coarse row, coarse col)`` key and
-    scatter-added into a dense ``nc × nc`` accumulator with one
-    :func:`numpy.bincount` pass; collapsed (diagonal) cells are zeroed
-    and the nonzero cells lifted back to a canonical CSR.  Cost:
-    ~5 flat passes over the entries plus an O(nc²) scan — no sort of the
-    edge array anywhere.  Levels whose ``nc²`` would dwarf the entry
-    count (possible only when cluster composition stalled, e.g. every
-    cluster dissolved on a star graph) fall back to scipy's sort-based
-    duplicate summation.
-    """
-    n = adjacency.shape[0]
-    _, fine_to_coarse = np.unique(labels, return_inverse=True)
-    fine_to_coarse = fine_to_coarse.astype(np.int64)
-    num_coarse = int(fine_to_coarse.max()) + 1 if n else 0
-    degrees = np.diff(adjacency.indptr)
-    coarse_rows = np.repeat(fine_to_coarse, degrees)
-    coarse_cols = fine_to_coarse[adjacency.indices]
-
-    key_space = num_coarse * num_coarse
-    if key_space <= max(8 * adjacency.nnz, _SCATTER_BUDGET):
-        summed = np.bincount(coarse_rows * num_coarse + coarse_cols,
-                             weights=adjacency.data, minlength=key_space)
-        if num_coarse:
-            summed[np.arange(num_coarse) * (num_coarse + 1)] = 0.0
-        nonzero = np.flatnonzero(summed)
-        rows, cols = np.divmod(nonzero, num_coarse)
-        coarse_indptr = np.zeros(num_coarse + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_coarse), out=coarse_indptr[1:])
-        coarse_adjacency = sparse.csr_matrix(
-            (summed[nonzero], cols.astype(np.int64), coarse_indptr),
-            shape=(num_coarse, num_coarse))
-    else:
-        off_diagonal = coarse_rows != coarse_cols
-        coarse_adjacency = sparse.csr_matrix(
-            (adjacency.data[off_diagonal],
-             (coarse_rows[off_diagonal], coarse_cols[off_diagonal])),
-            shape=(num_coarse, num_coarse))
-    coarse_weights = np.stack([
-        np.bincount(fine_to_coarse, weights=row, minlength=num_coarse)
-        for row in np.atleast_2d(vertex_weights)])
-    return CoarseLevel(adjacency=coarse_adjacency,
-                       vertex_weights=coarse_weights,
-                       fine_to_coarse=fine_to_coarse)
 
 
 class CoarseningHierarchy:
@@ -438,29 +165,24 @@ class CoarseningHierarchy:
     def build(cls, graph_or_adjacency: Graph | sparse.csr_matrix,
               vertex_weights: np.ndarray, *, coarsest_size: int = 128,
               rng: np.random.Generator | int | None = None,
-              matching: str = "handshake",
+              matching: str = "sequential",
               stall_fraction: float = 0.95) -> "CoarseningHierarchy":
         """Coarsen until at most ``coarsest_size`` vertices remain.
 
         ``graph_or_adjacency`` may be a :class:`Graph` (whose unit-weight
         adjacency seeds the edge weights) or a weighted symmetric scipy
-        CSR matrix.  ``matching`` selects the per-level aggregation:
-        ``"sequential"`` / ``"handshake"`` pair matchings (see the module
-        docstring) or ``"cluster"`` — O(n) random-mate clusters with
-        sort-free contraction, the cheapest mode, used by multilevel GD
-        (intermediate cluster levels may carry duplicate CSR entries for
-        collapsed parallel edges; see :func:`cluster_labels`).
-        Coarsening stops early when a contraction removes less than
-        ``1 - stall_fraction`` of the vertices (stars and other
-        matching-hostile shapes), mirroring the METIS-like baseline's
-        stall rule — including running (and discarding) the stalled
-        contraction, so a shared RNG advances identically.
+        CSR matrix.  ``matching`` names the per-level pair matching (see
+        :data:`MATCHINGS`).  Coarsening stops early when a contraction
+        removes less than ``1 - stall_fraction`` of the vertices (stars
+        and other matching-hostile shapes), mirroring the METIS-like
+        baseline's stall rule — including running (and discarding) the
+        stalled contraction, so a shared RNG advances identically.
         """
         if coarsest_size < 1:
             raise ValueError("coarsest_size must be at least 1")
-        if matching not in MATCHINGS and matching != "cluster":
-            raise ValueError(f"matching must be one of "
-                             f"{sorted([*MATCHINGS, 'cluster'])}, got {matching!r}")
+        if matching not in MATCHINGS:
+            raise ValueError(f"matching must be one of {sorted(MATCHINGS)}, "
+                             f"got {matching!r}")
         if isinstance(graph_or_adjacency, Graph):
             finest_graph: Graph | None = graph_or_adjacency
             adjacency = graph_or_adjacency.adjacency_matrix()
@@ -477,20 +199,8 @@ class CoarseningHierarchy:
                               fine_to_coarse=None)]
         while levels[-1].num_vertices > coarsest_size:
             current = levels[-1]
-            if matching == "cluster":
-                # Compose cluster rounds until the level fits the scatter
-                # contraction's key-space budget (cheap rounds — see
-                # cluster_labels), but never aim below the coarsest size.
-                budget = max(8 * current.adjacency.nnz, _SCATTER_BUDGET)
-                target = max(coarsest_size, int(np.sqrt(budget)) // 2)
-                labels = cluster_labels(current.adjacency, current.vertex_weights,
-                                        rng, target_clusters=target)
-                coarse = _contract_clusters(current.adjacency,
-                                            current.vertex_weights, labels)
-            else:
-                pairing = MATCHINGS[matching](current.adjacency, rng)
-                coarse = contract(current.adjacency, current.vertex_weights,
-                                  pairing)
+            pairing = MATCHINGS[matching](current.adjacency, rng)
+            coarse = contract(current.adjacency, current.vertex_weights, pairing)
             if coarse.num_vertices >= stall_fraction * current.num_vertices:
                 break  # coarsening stalled (e.g. star graphs)
             levels.append(coarse)
@@ -512,8 +222,7 @@ class CoarseningHierarchy:
         The finest level returns the original input graph when the
         hierarchy was built from one; coarser levels materialize the
         adjacency *pattern* (collapsed edge weights live on
-        ``levels[level].adjacency`` and are consumed via the weighted
-        relaxation, not via the Graph).
+        ``levels[level].adjacency``).
         """
         if level == 0 and self._finest_graph is not None:
             return self._finest_graph

@@ -255,43 +255,6 @@ class Graph:
                                   indptr=indptr, indices=indices), mapping))
         return results
 
-    @classmethod
-    def block_diagonal(cls, graphs: Sequence["Graph"]) -> tuple["Graph", np.ndarray]:
-        """Stack ``graphs`` into one disconnected graph (block-diagonal CSR).
-
-        Returns the stacked graph and the vertex offsets: block ``i`` owns
-        vertices ``offsets[i]:offsets[i + 1]``, and its adjacency rows are
-        the rows of ``graphs[i]`` with column ids shifted by ``offsets[i]``.
-
-        The result's adjacency matrix equals
-        ``scipy.sparse.block_diag([g.adjacency_matrix() for g in graphs])``
-        with one extra guarantee scipy's constructor does not make: each
-        row keeps its block's original neighbor *order* (scipy's CSR
-        conversion sorts column indices, which would change the summation
-        order of ``A @ x``).  Preserving the order makes the stacked
-        mat-vec reproduce every block's ``A_i @ x_i`` bit for bit — the
-        property the batched frontier solver's determinism contract rests
-        on (see :mod:`repro.core.batched`).
-        """
-        graphs = list(graphs)
-        if not graphs:
-            raise ValueError("block_diagonal needs at least one graph")
-        sizes = np.array([g.num_vertices for g in graphs], dtype=np.int64)
-        offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-
-        edges = np.concatenate(
-            [g.edges + offset for g, offset in zip(graphs, offsets[:-1])])
-        indices = np.concatenate([g.indices + offset
-                                  for g, offset in zip(graphs, offsets[:-1])])
-        degrees = np.concatenate([np.diff(g.indptr) for g in graphs])
-        indptr = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-
-        stacked = cls(num_vertices=int(offsets[-1]), edges=edges,
-                      indptr=indptr, indices=indices.astype(np.int64))
-        return stacked, offsets
-
     def to_networkx(self):
         """Convert to a :class:`networkx.Graph` (for interop and testing)."""
         import networkx as nx

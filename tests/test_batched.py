@@ -1,94 +1,15 @@
-"""Tests of the batched frontier solver and its supporting layers.
+"""Tests of the batched wave extraction :meth:`Graph.subgraphs`.
 
-The backend-level contract — ``parallelism="batched"`` bit-identical to
-serial through ``recursive_bisection`` — lives in ``test_executor.py``;
-this module exercises the pieces: the block-diagonal graph stacking, the
-one-pass wave extraction, the stacked noise/step state, the batched
-projection engine, and the solver's early-drop-out behaviour.
+Every level of the recursive scheduler extracts the induced subgraphs of
+a whole wave of disjoint vertex sets in one pass over the edge list.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
-
-from repro.core import (
-    BatchedFrontierSolver,
-    BatchedNoiseSchedule,
-    BatchedProjectionEngine,
-    BatchedStepSizeController,
-    FrontierTask,
-    GDConfig,
-    NoiseSchedule,
-    StepSizeController,
-    gd_bisect,
-    task_seed,
-)
-from repro.core.projection import FeasibleRegion, ProjectionEngine
-from repro.graphs import Graph, power_law_cluster_graph, standard_weights
 
 
-def _frontier_tasks(graph, weights, num_chunks, iterations=10, **config_overrides):
-    """Split ``graph`` into contiguous chunks, one bisection task each."""
-    chunks = np.array_split(np.arange(graph.num_vertices), num_chunks)
-    tasks = []
-    for index, ids in enumerate(chunks):
-        subgraph, mapping = graph.subgraph(ids)
-        config = GDConfig(iterations=iterations, seed=task_seed(0, 1, index),
-                          **config_overrides)
-        tasks.append(FrontierTask(subgraph=subgraph, weights=weights[:, mapping],
-                                  epsilon=0.05, config=config))
-    return tasks
-
-
-def _serial_assignments(tasks):
-    return [gd_bisect(task.subgraph, task.weights, task.epsilon, task.config,
-                      task.target_fraction).partition.assignment
-            for task in tasks]
-
-
-# --------------------------------------------------------------------- #
-# Graph.block_diagonal
-# --------------------------------------------------------------------- #
-class TestBlockDiagonal:
-    def test_matches_scipy_block_diag(self, social_graph, small_grid, small_star):
-        graphs = [social_graph, small_grid, small_star]
-        stacked, offsets = Graph.block_diagonal(graphs)
-        expected = sparse.block_diag(
-            [g.adjacency_matrix() for g in graphs], format="csr")
-        assert (stacked.adjacency_matrix() != expected).nnz == 0
-        assert offsets.tolist() == [0, social_graph.num_vertices,
-                                    social_graph.num_vertices + small_grid.num_vertices,
-                                    stacked.num_vertices]
-
-    def test_matvec_reproduces_per_block_products_bitwise(self, social_graph, small_grid):
-        graphs = [social_graph, small_grid]
-        stacked, offsets = Graph.block_diagonal(graphs)
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=stacked.num_vertices)
-        product = stacked.adjacency_matrix() @ x
-        for graph, start, stop in zip(graphs, offsets[:-1], offsets[1:]):
-            block = graph.adjacency_matrix() @ x[start:stop]
-            np.testing.assert_array_equal(product[start:stop], block)
-
-    def test_handles_empty_and_edgeless_blocks(self):
-        lonely = Graph.from_edges(3, [])
-        pair = Graph.from_edges(2, [(0, 1)])
-        stacked, offsets = Graph.block_diagonal([lonely, pair])
-        assert stacked.num_vertices == 5
-        assert stacked.num_edges == 1
-        assert stacked.edges.tolist() == [[3, 4]]
-        assert offsets.tolist() == [0, 3, 5]
-
-    def test_requires_at_least_one_graph(self):
-        with pytest.raises(ValueError, match="at least one graph"):
-            Graph.block_diagonal([])
-
-
-# --------------------------------------------------------------------- #
-# Graph.subgraphs (one-pass wave extraction)
-# --------------------------------------------------------------------- #
 class TestSubgraphs:
     def test_matches_per_set_subgraph_calls(self, social_graph):
         rng = np.random.default_rng(3)
@@ -116,285 +37,3 @@ class TestSubgraphs:
     def test_rejects_out_of_range_ids(self, small_grid):
         with pytest.raises(ValueError, match="out of range"):
             small_grid.subgraphs([[0, small_grid.num_vertices]])
-
-
-# --------------------------------------------------------------------- #
-# Stacked noise / step state
-# --------------------------------------------------------------------- #
-class TestBatchedNoise:
-    def test_stacked_samples_equal_per_block_samples(self):
-        seeds = [7, 8, 9]
-        sizes = [5, 3, 4]
-        schedules = [NoiseSchedule(n, rng=np.random.default_rng(seed))
-                     for n, seed in zip(sizes, seeds)]
-        batched = BatchedNoiseSchedule(schedules)
-        stacked = batched.sample_stacked(0)
-        reference = np.concatenate([
-            NoiseSchedule(n, rng=np.random.default_rng(seed)).sample(0)
-            for n, seed in zip(sizes, seeds)])
-        np.testing.assert_array_equal(stacked, reference)
-        # Quiet iterations share one zero vector of the stacked length.
-        assert batched.sample_stacked(1).shape == (sum(sizes),)
-        assert not batched.sample_stacked(1).any()
-
-    def test_consume_advances_streams_like_a_serial_run(self):
-        rng_a = np.random.default_rng(1)
-        schedule = NoiseSchedule(4, every_iteration=True, rng=rng_a)
-        batched = BatchedNoiseSchedule([schedule])
-        batched.sample_stacked(0)
-        batched.consume(1, 5)
-
-        rng_b = np.random.default_rng(1)
-        serial = NoiseSchedule(4, every_iteration=True, rng=rng_b)
-        for iteration in range(5):
-            serial.sample(iteration)
-        np.testing.assert_array_equal(rng_a.random(8), rng_b.random(8))
-
-    def test_mixed_every_iteration_flags_rejected(self):
-        with pytest.raises(ValueError, match="every_iteration"):
-            BatchedNoiseSchedule([NoiseSchedule(2, every_iteration=True),
-                                  NoiseSchedule(2, every_iteration=False)])
-
-
-class TestBatchedStepSizes:
-    def test_matches_scalar_controllers_bitwise(self):
-        rng = np.random.default_rng(0)
-        targets = np.array([0.5, 1.25, 2.0])
-        scalars = [StepSizeController(t) for t in targets]
-        batched = BatchedStepSizeController(targets)
-
-        norms = np.array([3.0, 0.0, 7.5])
-        gammas = batched.step_sizes(norms)
-        for controller, norm, gamma in zip(scalars, norms, gammas):
-            gradient = np.array([norm])  # norm of a 1-vector is its value
-            assert controller.step_size(gradient) == gamma
-
-        for _ in range(6):
-            realized = np.abs(rng.normal(size=3)) * np.array([1.0, 1.0, 0.0])
-            batched.update(realized)
-            for controller, value in zip(scalars, realized):
-                controller.update(float(value))
-            for controller, gamma in zip(scalars, batched.step_sizes()):
-                assert controller.step_size(np.array([1.0])) == gamma
-
-    def test_inactive_blocks_keep_their_gamma(self):
-        batched = BatchedStepSizeController(np.array([1.0, 1.0]))
-        batched.step_sizes(np.array([2.0, 2.0]))
-        before = batched.step_sizes().copy()
-        batched.update(np.array([0.25, 0.25]), active=np.array([True, False]))
-        after = batched.step_sizes()
-        assert after[0] != before[0]
-        assert after[1] == before[1]
-
-    def test_first_call_requires_norms(self):
-        controller = BatchedStepSizeController(np.array([1.0]))
-        with pytest.raises(ValueError, match="norms"):
-            controller.step_sizes()
-
-
-# --------------------------------------------------------------------- #
-# Batched projection engine
-# --------------------------------------------------------------------- #
-class TestBatchedProjectionEngine:
-    def _regions(self, rng, sizes, d=2):
-        regions = []
-        for n in sizes:
-            weights = rng.uniform(0.5, 2.0, size=(d, n))
-            regions.append(FeasibleRegion.balanced(weights, 0.05))
-        return regions
-
-    def test_oneshot_sweep_matches_per_block_engines(self):
-        rng = np.random.default_rng(11)
-        sizes = [40, 25, 33]
-        regions = self._regions(rng, sizes)
-        batched = BatchedProjectionEngine("alternating_oneshot", regions)
-        offsets = batched.offsets
-        total = int(offsets[-1])
-
-        x = np.zeros(total)
-        fixed = np.zeros(total, dtype=bool)
-        active = np.ones(len(sizes), dtype=bool)
-        y = rng.normal(size=total) * 2.0
-
-        result = batched.project_frontier(y, x, fixed, active)
-        for block, region in enumerate(regions):
-            segment = slice(offsets[block], offsets[block + 1])
-            engine = ProjectionEngine("alternating_oneshot", region)
-            np.testing.assert_array_equal(result[segment], engine.project(y[segment]))
-        assert batched.vectorized_projections == len(sizes)
-        assert batched.engine_projections == 0
-
-    def test_oneshot_sweep_matches_restricted_engines(self):
-        rng = np.random.default_rng(12)
-        sizes = [30, 22]
-        regions = self._regions(rng, sizes)
-        batched = BatchedProjectionEngine("alternating_oneshot", regions)
-        offsets = batched.offsets
-        total = int(offsets[-1])
-
-        fixed = rng.random(total) < 0.3
-        x = np.where(fixed, np.where(rng.random(total) < 0.5, 1.0, -1.0), 0.1)
-        active = np.ones(len(sizes), dtype=bool)
-        y = rng.normal(size=total)
-
-        result = batched.project_frontier(y, x, fixed, active)
-        for block, region in enumerate(regions):
-            segment = slice(offsets[block], offsets[block + 1])
-            free = ~fixed[segment]
-            engine = ProjectionEngine("alternating_oneshot", region)
-            expected = x[segment].copy()
-            expected[free] = engine.project_restricted(
-                y[segment][free], free, x[segment][~free])
-            np.testing.assert_array_equal(result[segment], expected)
-
-    def test_non_oneshot_methods_route_through_engines(self):
-        rng = np.random.default_rng(13)
-        regions = self._regions(rng, [20, 20], d=1)
-        batched = BatchedProjectionEngine("exact", regions)
-        offsets = batched.offsets
-        total = int(offsets[-1])
-        x = np.zeros(total)
-        fixed = np.zeros(total, dtype=bool)
-        y = rng.normal(size=total)
-
-        result = batched.project_frontier(y, x, fixed, np.ones(2, dtype=bool))
-        for block, region in enumerate(regions):
-            segment = slice(offsets[block], offsets[block + 1])
-            engine = ProjectionEngine("exact", region)
-            np.testing.assert_array_equal(result[segment], engine.project(y[segment]))
-        assert batched.engine_projections == 2
-        assert batched.vectorized_projections == 0
-
-    def test_zero_norm_dimension_matches_serial_no_op(self):
-        """A dimension whose weight row is all zeros has no hyperplane; the
-        serial kernel leaves the point untouched and the batched sweep must
-        mirror that instead of dividing by the zero norm."""
-        rng = np.random.default_rng(15)
-        regions = []
-        for n in (12, 9):
-            weights = np.vstack([rng.uniform(0.5, 2.0, size=n), np.zeros(n)])
-            regions.append(FeasibleRegion(weights=weights,
-                                          lower=np.array([-1.0, 0.0]),
-                                          upper=np.array([1.0, 0.0])))
-        batched = BatchedProjectionEngine("alternating_oneshot", regions)
-        total = int(batched.offsets[-1])
-        x = np.zeros(total)
-        fixed = np.zeros(total, dtype=bool)
-        y = rng.normal(size=total)
-
-        result = batched.project_frontier(y, x, fixed, np.ones(2, dtype=bool))
-        assert np.isfinite(result).all()
-        for block, region in enumerate(regions):
-            segment = slice(batched.offsets[block], batched.offsets[block + 1])
-            engine = ProjectionEngine("alternating_oneshot", region)
-            np.testing.assert_array_equal(result[segment], engine.project(y[segment]))
-
-    def test_inactive_blocks_keep_their_iterate(self):
-        rng = np.random.default_rng(14)
-        regions = self._regions(rng, [15, 15])
-        batched = BatchedProjectionEngine("alternating_oneshot", regions)
-        total = int(batched.offsets[-1])
-        # Block 1 fully fixed: its segment must come back untouched.
-        fixed = np.zeros(total, dtype=bool)
-        fixed[15:] = True
-        x = np.where(fixed, 1.0, 0.2)
-        y = rng.normal(size=total)
-        active = np.array([True, False])
-
-        result = batched.project_frontier(y, x, fixed, active)
-        np.testing.assert_array_equal(result[15:], x[15:])
-
-
-# --------------------------------------------------------------------- #
-# BatchedFrontierSolver
-# --------------------------------------------------------------------- #
-class TestBatchedFrontierSolver:
-    @pytest.mark.parametrize("projection",
-                             ["alternating_oneshot", "alternating", "exact", "dykstra"])
-    def test_matches_serial_for_every_projection_method(self, social_graph,
-                                                        social_weights, projection):
-        tasks = _frontier_tasks(social_graph, social_weights, 4,
-                                projection_method=projection)
-        batched = BatchedFrontierSolver(tasks).solve()
-        for expected, actual in zip(_serial_assignments(tasks), batched):
-            np.testing.assert_array_equal(expected, actual)
-
-    def test_uneven_target_fractions_match_serial(self, social_graph, social_weights):
-        chunks = np.array_split(np.arange(social_graph.num_vertices), 3)
-        tasks = []
-        for index, (ids, fraction) in enumerate(zip(chunks, (0.5, 2.0 / 3.0, 0.6))):
-            subgraph, mapping = social_graph.subgraph(ids)
-            tasks.append(FrontierTask(
-                subgraph=subgraph, weights=social_weights[:, mapping], epsilon=0.05,
-                config=GDConfig(iterations=10, seed=task_seed(5, 2, index)),
-                target_fraction=fraction))
-        batched = BatchedFrontierSolver(tasks).solve()
-        for expected, actual in zip(_serial_assignments(tasks), batched):
-            np.testing.assert_array_equal(expected, actual)
-
-    def test_empty_subgraphs_yield_empty_assignments(self, social_graph, social_weights):
-        tasks = _frontier_tasks(social_graph, social_weights, 2)
-        empty_graph = Graph.from_edges(0, [])
-        empty = FrontierTask(subgraph=empty_graph,
-                             weights=np.empty((2, 0)), epsilon=0.05,
-                             config=tasks[0].config)
-        results = BatchedFrontierSolver([tasks[0], empty, tasks[1]]).solve()
-        assert results[1].size == 0
-        for expected, actual in zip(_serial_assignments(tasks), [results[0], results[2]]):
-            np.testing.assert_array_equal(expected, actual)
-
-    def test_early_convergence_drops_blocks_and_matches_serial(self, social_graph,
-                                                               social_weights):
-        # Aggressive fixing (any |x| >= 0.2 freezes) makes whole
-        # subproblems converge well before the iteration budget; the batch
-        # must drop them, stop early, and still agree with serial — which
-        # grinds through all 60 iterations on frozen iterates.
-        tasks = _frontier_tasks(social_graph, social_weights, 4, iterations=60,
-                                fixing_threshold=0.2, fixing_start_fraction=0.0)
-        solver = BatchedFrontierSolver(tasks)
-        batched = solver.solve()
-        for expected, actual in zip(_serial_assignments(tasks), batched):
-            np.testing.assert_array_equal(expected, actual)
-        if tasks[0].config.kernel_backend == "numpy":
-            assert solver.stats.dropped_early == len(tasks)
-            assert solver.stats.iterations_run < 60
-        else:
-            # Non-reference kernel backends solo-route every task (the
-            # stacked loop is numpy-only), so nothing runs in lock-step.
-            assert solver.stats.solo_tasks == len(tasks)
-
-    def test_rejects_mismatched_configs(self, social_graph, social_weights):
-        tasks = _frontier_tasks(social_graph, social_weights, 2)
-        broken = [tasks[0],
-                  FrontierTask(subgraph=tasks[1].subgraph, weights=tasks[1].weights,
-                               epsilon=0.05,
-                               config=tasks[1].config.with_updates(iterations=99))]
-        with pytest.raises(ValueError, match="share one GDConfig"):
-            BatchedFrontierSolver(broken)
-
-    def test_rejects_history_recording(self, social_graph, social_weights):
-        tasks = _frontier_tasks(social_graph, social_weights, 2,
-                                record_history=True)
-        with pytest.raises(ValueError, match="history"):
-            BatchedFrontierSolver(tasks)
-
-    def test_rejects_empty_frontier(self):
-        with pytest.raises(ValueError, match="at least one"):
-            BatchedFrontierSolver([])
-
-    def test_noise_every_iteration_matches_serial(self, social_graph, social_weights):
-        tasks = _frontier_tasks(social_graph, social_weights, 3,
-                                noise_every_iteration=True)
-        batched = BatchedFrontierSolver(tasks).solve()
-        for expected, actual in zip(_serial_assignments(tasks), batched):
-            np.testing.assert_array_equal(expected, actual)
-
-    def test_single_block_frontier_matches_serial(self):
-        graph = power_law_cluster_graph(num_vertices=120, num_communities=3,
-                                        average_degree=8.0, seed=2)
-        weights = standard_weights(graph, 2)
-        task = FrontierTask(subgraph=graph, weights=weights, epsilon=0.05,
-                            config=GDConfig(iterations=12, seed=17))
-        batched, = BatchedFrontierSolver([task]).solve()
-        serial = gd_bisect(graph, weights, 0.05, task.config).partition.assignment
-        np.testing.assert_array_equal(serial, batched)

@@ -47,11 +47,6 @@ class TestParser:
         assert data["tool"]["setuptools"]["dynamic"]["version"]["attr"] == "repro.__version__"
         assert repro.__version__
 
-    def test_parallelism_accepts_batched(self):
-        args = build_parser().parse_args(
-            ["partition", "g.txt", "--parallelism", "batched"])
-        assert args.parallelism == "batched"
-
     def test_parallelism_accepts_shm(self):
         args = build_parser().parse_args(
             ["partition", "g.txt", "--parallelism", "shm",
@@ -76,33 +71,21 @@ class TestParser:
     def test_projection_flags(self):
         args = build_parser().parse_args(["partition", "g.txt"])
         assert args.projection_method == "alternating_oneshot"
-        assert args.projection_cache is True
         args = build_parser().parse_args(
-            ["partition", "g.txt", "--projection", "exact", "--no-projection-cache"])
+            ["partition", "g.txt", "--projection", "exact"])
         assert args.projection_method == "exact"
-        assert args.projection_cache is False
 
     def test_rejects_unknown_projection(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["partition", "g.txt", "--projection", "bogus"])
 
-    def test_multilevel_and_compaction_flags(self):
-        args = build_parser().parse_args(["partition", "g.txt"])
-        assert args.multilevel is False
-        assert args.compaction is False
-        assert args.coarsest_size is None
-        assert args.refinement_iterations is None
-        args = build_parser().parse_args(
-            ["partition", "g.txt", "--multilevel", "--coarsest-size", "256",
-             "--refinement-iterations", "6", "--compaction"])
-        assert args.multilevel is True
-        assert args.coarsest_size == 256
-        assert args.refinement_iterations == 6
-        assert args.compaction is True
-        args = build_parser().parse_args(
-            ["partition", "g.txt", "--no-multilevel", "--no-compaction"])
-        assert args.multilevel is False
-        assert args.compaction is False
+    def test_removed_hot_loop_flags_are_rejected(self):
+        # GD has one hot loop, so no flag selects a variant of it.
+        for flags in (["--parallelism", "batched"], ["--kernel-backend", "numpy"],
+                      ["--multilevel"], ["--compaction"], ["--no-projection-cache"],
+                      ["--coarsest-size", "64"], ["--refinement-iterations", "5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["partition", "g.txt", *flags])
 
 
 class TestPartitionCommand:
@@ -119,7 +102,7 @@ class TestPartitionCommand:
         assert "edge locality" in captured
 
     def test_workers_with_poolless_backend_warns(self, graph_file, capsys):
-        # --workers has no effect on serial/batched; say so instead of
+        # --workers has no effect on serial; say so instead of
         # silently ignoring it.
         code = main(["partition", str(graph_file), "--parts", "2",
                      "--iterations", "10", "--workers", "4"])
@@ -148,14 +131,6 @@ class TestPartitionCommand:
                      "--output", str(shm_out)]) == 0
         capsys.readouterr()
         assert np.array_equal(read_partition(serial_out), read_partition(shm_out))
-
-    def test_gd_partition_with_multilevel_and_compaction(self, graph_file, capsys):
-        code = main(["partition", str(graph_file), "--parts", "2",
-                     "--iterations", "15", "--multilevel",
-                     "--coarsest-size", "64", "--refinement-iterations", "5",
-                     "--compaction"])
-        assert code == 0
-        assert "edge locality" in capsys.readouterr().out
 
     @pytest.mark.parametrize("algorithm", ["hash", "blp", "fennel", "ldg"])
     def test_baseline_algorithms(self, graph_file, algorithm, capsys):

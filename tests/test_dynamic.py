@@ -244,14 +244,14 @@ def _replay(graph, weights, partition, config, trace, **config_updates):
 class TestIncrementalRepartitioner:
     def test_repair_is_deterministic_across_backends(self, churn_setup):
         """The ISSUE 5 determinism bar: the repaired assignment after every
-        batch is bit-identical across serial/thread/process/batched."""
+        batch is bit-identical across serial/thread/process/shm."""
         graph, weights, partition, config, trace = churn_setup
         assignments = {}
-        for backend in ("serial", "thread", "process", "batched"):
+        for backend in ("serial", "thread", "process", "shm"):
             repartitioner, reports = _replay(
                 graph, weights, partition, config, trace,
                 parallelism=backend,
-                max_workers=2 if backend in ("thread", "process") else None)
+                max_workers=2 if backend != "serial" else None)
             assert any(report.mode == "repair" for report in reports)
             assignments[backend] = repartitioner.assignment
         reference = assignments["serial"]
@@ -350,7 +350,6 @@ class TestIncrementalRepartitioner:
         config = GDConfig(iterations=80, repartition_iterations=7)
         derived = repair_config(config)
         assert derived.iterations == 7
-        assert derived.compaction and not derived.multilevel
         assert derived.noise_std == 0.0
         assert derived.fixing_start_fraction == 0.0
 

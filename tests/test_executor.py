@@ -2,24 +2,21 @@
 
 The load-bearing property is the deterministic-seeding contract of
 ``repro.core.recursive``: for a fixed ``GDConfig.seed`` the serial,
-thread, process, shm and batched backends must produce *bit-identical*
+thread, process and shm backends must produce *bit-identical*
 assignments, because every subproblem's RNG seed is a pure function of
-its recursion-tree coordinate, never of scheduling order — the batched
-backend's stacked arithmetic is the exact image of the per-task
-arithmetic, and the shm backend's shared-segment views replay the exact
-serial memory layout (see ``tests/test_shm.py`` for the arena-level
-tests).
+its recursion-tree coordinate, never of scheduling order, and the shm
+backend's shared-segment views replay the serial memory layout (see
+``tests/test_shm.py`` for the arena-level tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
-    KERNEL_BACKENDS,
+    PARALLELISM_MODES,
+    PROJECTION_METHODS,
     BisectionExecutor,
     GDConfig,
     GDPartitioner,
@@ -32,7 +29,7 @@ from repro.graphs import Graph, fb_like, standard_weights
 from repro.partition import imbalance
 
 #: The full backend matrix of the determinism contract.
-ALL_BACKENDS = ("serial", "thread", "process", "batched", "shm")
+ALL_BACKENDS = PARALLELISM_MODES
 
 
 # --------------------------------------------------------------------- #
@@ -233,7 +230,7 @@ def test_subgraph_of_empty_selection():
 def test_backends_produce_identical_partitions(social_graph, social_weights, num_parts):
     config = GDConfig(iterations=15, seed=11)
     reference = recursive_bisection(social_graph, social_weights, num_parts, 0.05, config)
-    for parallelism in ("thread", "process", "batched", "shm"):
+    for parallelism in ("thread", "process", "shm"):
         partition = recursive_bisection(social_graph, social_weights, num_parts, 0.05,
                                         config, parallelism=parallelism, max_workers=2)
         assert np.array_equal(partition.assignment, reference.assignment), parallelism
@@ -245,7 +242,7 @@ def test_determinism_contract_all_backends(social_graph, social_weights,
                                            parallelism, num_parts):
     """The acceptance matrix: every backend × odd and power-of-two k.
 
-    All four backends must return bit-identical assignments for a fixed
+    Every backend must return bit-identical assignments for a fixed
     seed; re-running the same backend must also be bit-stable.
     """
     config = GDConfig(iterations=12, seed=29)
@@ -259,51 +256,18 @@ def test_determinism_contract_all_backends(social_graph, social_weights,
     assert np.array_equal(second.assignment, reference.assignment)
 
 
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       num_parts=st.sampled_from([3, 4, 5, 7, 8]))
-def test_batched_matches_serial_for_any_seed(seed, num_parts):
-    """Property form of the contract: the batched backend agrees with
-    serial for arbitrary seeds and part counts (odd and power-of-two)."""
-    graph = Graph.from_edges(60, [(i, (i + 1) % 60) for i in range(60)]
-                             + [(i, (i + 7) % 60) for i in range(60)])
-    weights = standard_weights(graph, 2)
-    config = GDConfig(iterations=8, seed=seed)
-    serial = recursive_bisection(graph, weights, num_parts, 0.05, config)
-    batched = recursive_bisection(graph, weights, num_parts, 0.05, config,
-                                  parallelism="batched")
-    assert np.array_equal(serial.assignment, batched.assignment)
-
-
-@pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
-def test_kernel_backends_bit_identical_across_executors(social_graph, social_weights,
-                                                        kernel_backend):
-    """Within a kernel backend, every executor returns the same bits.
-
-    The cross-executor determinism contract holds per kernel backend:
-    the fused and float32-staged backends may differ from the numpy
-    reference (different summation orders / precision), but each of them
-    must itself be bit-stable across serial, thread and batched runs.
-    """
-    config = GDConfig(iterations=12, seed=17, kernel_backend=kernel_backend)
-    reference = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
-                                    parallelism="serial")
-    for parallelism in ("thread", "batched"):
-        partition = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
+@pytest.mark.parametrize("method", [method for method in PROJECTION_METHODS
+                                    if method != "alternating_oneshot"])
+def test_projection_methods_bit_identical_across_backends(social_graph, social_weights,
+                                                          method):
+    """The determinism contract holds for every projection method, not
+    only the default one-shot sweep."""
+    config = GDConfig(iterations=12, seed=17, projection_method=method)
+    reference = recursive_bisection(social_graph, social_weights, 5, 0.05, config)
+    for parallelism in ("thread", "process", "shm"):
+        partition = recursive_bisection(social_graph, social_weights, 5, 0.05, config,
                                         parallelism=parallelism, max_workers=2)
-        assert np.array_equal(partition.assignment, reference.assignment), \
-            (kernel_backend, parallelism)
-
-
-@pytest.mark.parametrize("kernel_backend", ["fused", "fused32"])
-def test_kernel_backend_survives_process_pool(social_graph, social_weights, kernel_backend):
-    """Backends are constructed per worker, so the process pool (pickled
-    configs, no shared backend state) must reproduce the serial bits."""
-    config = GDConfig(iterations=10, seed=23, kernel_backend=kernel_backend)
-    serial = recursive_bisection(social_graph, social_weights, 4, 0.05, config)
-    pooled = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
-                                 parallelism="process", max_workers=2)
-    assert np.array_equal(serial.assignment, pooled.assignment)
+        assert np.array_equal(partition.assignment, reference.assignment), parallelism
 
 
 def test_config_knobs_equal_keyword_overrides(social_graph, social_weights):
@@ -346,7 +310,7 @@ def test_process_backend_bit_identical_on_large_graph():
     weights = standard_weights(graph, 2)
     config = GDConfig(iterations=30, seed=42)
     serial = recursive_bisection(graph, weights, 8, 0.05, config)
-    for parallelism in ("process", "batched", "shm"):
+    for parallelism in ("process", "shm"):
         parallel = recursive_bisection(graph, weights, 8, 0.05, config,
                                        parallelism=parallelism, max_workers=4)
         assert np.array_equal(serial.assignment, parallel.assignment), parallelism

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GDConfig, GDPartitioner, gd_bisect
-from repro.graphs import Graph, standard_weights, unit_weights
+from repro.graphs import Graph, power_law_cluster_graph, standard_weights, unit_weights
 from repro.partition import edge_locality, is_epsilon_balanced, max_imbalance
 
 
@@ -158,3 +160,21 @@ class TestGDPartitioner:
 
     def test_name(self):
         assert GDPartitioner().name == "GD"
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       method=st.sampled_from(["exact", "alternating", "dykstra"]))
+def test_output_independent_of_weight_memory_order(seed, method):
+    """A column slice such as ``weights[:, mapping]`` is Fortran-ordered;
+    the solver must give the same bits as for the C-ordered copy the shm
+    executor ships."""
+    graph = power_law_cluster_graph(num_vertices=300, num_communities=6,
+                                    average_degree=12.0, seed=7)
+    weights = standard_weights(graph, 2)
+    config = GDConfig(iterations=20, seed=seed, projection_method=method)
+    c_order = gd_bisect(graph, np.ascontiguousarray(weights), 0.05, config)
+    f_order = gd_bisect(graph, np.asfortranarray(weights), 0.05, config)
+    assert np.array_equal(c_order.fractional, f_order.fractional)
+    assert np.array_equal(c_order.partition.assignment, f_order.partition.assignment)
+

@@ -1,10 +1,9 @@
 """Tests of the kernel-backend layer (:mod:`repro.core.kernels`).
 
 Property-based agreement checks between the reference :class:`NumpyBackend`
-and the fused backends — exact equality for the float64 fused pass, a
-float32-roundoff tolerance for the staged mat-vecs — plus the edge cases
-the solvers actually hit (empty free sets, single-vertex systems,
-all-fixed blocks), the backend registry, and the per-kernel counters.
+and :class:`FusedBackend`'s single pass, plus the edge cases the solver
+actually hits (empty free sets, single-vertex systems) and the per-kernel
+counters.
 """
 
 from __future__ import annotations
@@ -15,17 +14,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from repro.core import GDConfig, GDPartitioner, gd_bisect
-from repro.core.kernels import (
-    KERNEL_BACKENDS,
-    Fused32Backend,
-    FusedBackend,
-    KernelStats,
-    NumpyBackend,
-    make_backend,
-)
-from repro.graphs import load_dataset, standard_weights
-from repro.partition import edge_locality
+from repro.core import GDConfig, gd_bisect
+from repro.core.kernels import FusedBackend, KernelStats, NumpyBackend
+from repro.graphs import standard_weights
 
 
 def _vectors(n, lo=-5.0, hi=5.0):
@@ -42,29 +33,6 @@ def _random_csr(n, seed):
     dense = np.triu(dense, 1)
     adjacency = (dense | dense.T).astype(np.float64)
     return sparse.csr_matrix(adjacency)
-
-
-class TestRegistry:
-    def test_registry_names(self):
-        assert KERNEL_BACKENDS == ("numpy", "fused", "fused32")
-        for name in KERNEL_BACKENDS:
-            backend = make_backend(name)
-            assert backend.name == name
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
-            make_backend("cuda")
-
-    def test_fused_flags(self):
-        assert not make_backend("numpy").fuses_iteration
-        assert make_backend("fused").fuses_iteration
-        assert make_backend("fused32").fuses_iteration
-
-    def test_instances_are_fresh(self):
-        first, second = make_backend("numpy"), make_backend("numpy")
-        assert first is not second
-        first.norm(np.ones(3))
-        assert second.stats.total_calls() == 0
 
 
 class TestFusedAgreement:
@@ -105,59 +73,7 @@ class TestFusedAgreement:
         assert np.array_equal(rows, r0)
 
 
-class TestFloat32Staging:
-    """Fused32's staged mat-vecs agree with float64 to f32 roundoff, and
-    the staged operator is cached by identity."""
-
-    @settings(max_examples=25)
-    @given(x=_vectors(20, -1.0, 1.0), seed=st.integers(0, 10))
-    def test_spmv_tolerance(self, x, seed):
-        matrix = _random_csr(20, seed)
-        exact = NumpyBackend().spmv(matrix, x)
-        staged = Fused32Backend().spmv(matrix, x)
-        assert staged.dtype == np.float32
-        scale = max(1.0, float(np.abs(exact).max()))
-        assert np.allclose(staged, exact, atol=1e-4 * scale)
-
-    @settings(max_examples=25)
-    @given(x=_vectors(16, -1.0, 1.0), boundary=_vectors(16, -2.0, 2.0),
-           seed=st.integers(0, 10))
-    def test_free_gradient_tolerance_and_dtype(self, x, boundary, seed):
-        matrix = _random_csr(16, seed)
-        exact = NumpyBackend().free_gradient(matrix, boundary, x)
-        staged = Fused32Backend().free_gradient(matrix, boundary, x)
-        # The boundary accumulate is float64, so the result is too.
-        assert staged.dtype == np.float64
-        scale = max(1.0, float(np.abs(exact).max()))
-        assert np.allclose(staged, exact, atol=1e-4 * scale)
-
-    def test_staging_cached_by_identity(self):
-        backend = Fused32Backend()
-        matrix = _random_csr(12, 3)
-        first = backend._stage(matrix)
-        assert backend._stage(matrix) is first
-        resliced = matrix[:6][:, :6].tocsr()
-        assert backend._stage(resliced) is not first
-
-    @settings(max_examples=20)
-    @given(z=_vectors(13, -1.0, 1.0), rows=_weight_rows(2, 13),
-           gamma=st.floats(1e-4, 1.0), seed=st.integers(0, 5))
-    def test_fused32_full_iteration_tolerance(self, z, rows, gamma, seed):
-        # End to end: staged gradient into the fused pass vs all-float64.
-        matrix = _random_csr(13, seed)
-        centers = rows.sum(axis=1) * 0.25
-        norms = np.einsum("ij,ij->i", rows, rows)
-        reference = NumpyBackend()
-        exact = reference.fused_update(z, gamma, reference.free_gradient(
-            matrix, np.zeros(13), z), rows, centers, norms)
-        staged = Fused32Backend()
-        approx = staged.fused_update(z, gamma, staged.free_gradient(
-            matrix, np.zeros(13), z), rows, centers, norms)
-        assert approx.dtype == np.float64
-        assert np.allclose(approx, exact, atol=1e-3)
-
-
-ALL_BACKENDS = [NumpyBackend, FusedBackend, Fused32Backend]
+ALL_BACKENDS = [NumpyBackend, FusedBackend]
 
 
 @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
@@ -172,17 +88,11 @@ class TestPrimitiveKernels:
         per_element = rng.random(8)
         assert np.array_equal(backend.axpy(per_element, x, y), y + per_element * x)
         assert np.array_equal(backend.mix_noise(x, noise), x + noise)
-        free = rng.random(8) < 0.5
-        mixed = backend.mix_noise(x, noise, free)
-        assert np.array_equal(mixed[free], (x + noise)[free])
-        assert np.array_equal(mixed[~free], x[~free])
 
     def test_reductions(self, backend_cls, rng):
         backend = backend_cls()
         v, w = rng.standard_normal(9), rng.random(9)
-        assert backend.norm(v) == float(np.linalg.norm(v))
         assert backend.step_norm(v, w) == float(np.linalg.norm(v - w))
-        assert backend.weighted_dot(w, v) == float(w @ v)
 
     def test_projection_kernels(self, backend_cls, rng):
         backend = backend_cls()
@@ -212,28 +122,18 @@ class TestPrimitiveKernels:
         assert backend.masked_argmax(scores, candidates) == \
             candidates[np.argmax(scores[candidates])]
 
-    def test_masked_assign_all_fixed_block(self, backend_cls, rng):
-        # An all-fixed block pins every coordinate back to the source.
-        backend = backend_cls()
-        target, source = rng.random(6), rng.random(6)
-        backend.masked_assign(target, np.ones(6, dtype=bool), source)
-        assert np.array_equal(target, source)
-
     def test_empty_free_set(self, backend_cls):
         # Zero-length arrays flow through every elementwise kernel; the
-        # compacted stepper hits this when the last vertex fixes.
+        # stepper hits this when the last vertex fixes.
         backend = backend_cls()
         empty = np.empty(0)
         assert backend.axpy(1.0, empty, empty).size == 0
         assert backend.mix_noise(empty, empty).size == 0
-        assert backend.norm(empty) == 0.0
         assert backend.step_norm(empty, empty) == 0.0
         assert backend.clip_box(empty).size == 0
         out = backend.fused_update(empty, 0.5, empty, np.empty((2, 0)),
                                    np.zeros(2), np.zeros(2))
         assert out.size == 0
-        assert backend.mix_noise(np.ones(4), np.ones(4),
-                                 np.zeros(4, dtype=bool)).tolist() == [1.0] * 4
 
     def test_single_vertex_region(self, backend_cls):
         # d = 1 hyperplane on one coordinate: projection lands exactly on
@@ -269,49 +169,51 @@ class TestKernelStats:
         assert left.as_dict() == {"axpy": {"calls": 2, "ns": 12},
                                   "snap": {"calls": 3, "ns": 5}}
 
+    def test_instances_have_fresh_stats(self):
+        first, second = FusedBackend(), FusedBackend()
+        first.step_norm(np.ones(3), np.zeros(3))
+        assert second.stats.total_calls() == 0
+
     def test_kernel_decorator_times_calls(self):
         backend = NumpyBackend()
-        backend.norm(np.ones(4))
-        backend.norm(np.ones(4))
-        entry = backend.stats.as_dict()["norm"]
+        backend.step_norm(np.ones(4), np.zeros(4))
+        backend.step_norm(np.ones(4), np.zeros(4))
+        entry = backend.stats.as_dict()["step_norm"]
         assert entry["calls"] == 2
         assert entry["ns"] > 0
 
 
 class TestSolverIntegration:
-    @pytest.mark.parametrize("backend_name", KERNEL_BACKENDS)
-    def test_bisection_surfaces_kernel_stats(self, two_cliques_graph, backend_name):
+    def test_bisection_surfaces_kernel_stats(self, two_cliques_graph):
         weights = standard_weights(two_cliques_graph, 2)
-        config = GDConfig(iterations=20, seed=1, kernel_backend=backend_name)
+        config = GDConfig(iterations=20, seed=1)
         result = gd_bisect(two_cliques_graph, weights, 0.1, config)
         assert result.kernel_stats, "kernel counters missing from BisectionResult"
         for entry in result.kernel_stats.values():
             assert entry["calls"] > 0 and entry["ns"] >= 0
-        if backend_name == "numpy":
-            assert "fused_update" not in result.kernel_stats
-        else:
-            assert "fused_update" in result.kernel_stats
+        assert "fused_update" in result.kernel_stats
+        # The gradient's mat-vec runs through the counted spmv kernel.
+        assert (result.kernel_stats["spmv"]["calls"]
+                == result.kernel_stats["free_gradient"]["calls"])
 
     def test_fused_backends_fall_back_off_oneshot(self, two_cliques_graph):
-        # Fused pass only exists for the one-shot sweep; other projection
-        # methods must run the reference kernel path, not error out.
+        # The fused pass is the one-shot sweep; other projection methods
+        # project through the engine instead.
         weights = standard_weights(two_cliques_graph, 2)
-        config = GDConfig(iterations=15, seed=1, kernel_backend="fused",
-                          projection_method="exact")
+        config = GDConfig(iterations=15, seed=1, projection_method="exact")
         result = gd_bisect(two_cliques_graph, weights, 0.1, config)
         assert "fused_update" not in result.kernel_stats
         assert result.partition.num_parts == 2
 
-    @pytest.mark.parametrize("backend_name", KERNEL_BACKENDS)
-    def test_solver_accepts_read_only_input_buffers(self, two_cliques_graph,
-                                                    backend_name):
+    @pytest.mark.parametrize("method", ["alternating_oneshot", "exact"])
+    def test_solver_accepts_read_only_input_buffers(self, two_cliques_graph, method):
         # The buffer-ownership contract of KernelBackend: under the shm
         # executor the graph arrays and weights are externally owned,
-        # read-only views — every kernel backend must run on them
-        # without attempting an in-place write, and produce the same
-        # bits as the writable path.
+        # read-only views — the solver must run on them without
+        # attempting an in-place write, and produce the same bits as the
+        # writable path.
         weights = standard_weights(two_cliques_graph, 2)
-        config = GDConfig(iterations=20, seed=1, kernel_backend=backend_name)
+        config = GDConfig(iterations=20, seed=1, projection_method=method)
         reference = gd_bisect(two_cliques_graph, weights, 0.1, config)
 
         frozen_weights = weights.copy()
@@ -327,37 +229,3 @@ class TestSolverIntegration:
                 array.flags.writeable = True
         assert np.array_equal(result.partition.assignment,
                               reference.partition.assignment)
-
-
-class TestCrossBackendQuality:
-    """The cross-backend contract on the fb preset: quality within one
-    point of the reference; within-backend runs bit-stable."""
-
-    @pytest.fixture(scope="class")
-    def fb_setup(self):
-        graph = load_dataset("fb-80", scale=0.05, seed=3)
-        return graph, standard_weights(graph, 2)
-
-    def _locality(self, fb_setup, backend_name):
-        graph, weights = fb_setup
-        config = GDConfig(iterations=60, seed=7, kernel_backend=backend_name)
-        partitioner = GDPartitioner(epsilon=0.05, config=config)
-        return float(edge_locality(partitioner.partition(graph, weights, 2)))
-
-    def test_fused_locality_within_one_point(self, fb_setup):
-        reference = self._locality(fb_setup, "numpy")
-        assert abs(self._locality(fb_setup, "fused") - reference) <= 1.0
-
-    def test_fused32_locality_within_one_point(self, fb_setup):
-        # The acceptance bound of the float32 staging: locality delta
-        # vs the float64 reference within one point on the fb preset.
-        reference = self._locality(fb_setup, "numpy")
-        assert abs(self._locality(fb_setup, "fused32") - reference) <= 1.0
-
-    @pytest.mark.parametrize("backend_name", ["fused", "fused32"])
-    def test_within_backend_runs_are_bit_stable(self, fb_setup, backend_name):
-        graph, weights = fb_setup
-        config = GDConfig(iterations=30, seed=5, kernel_backend=backend_name)
-        first = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 2)
-        second = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 2)
-        assert np.array_equal(first.assignment, second.assignment)

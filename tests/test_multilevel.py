@@ -1,145 +1,36 @@
-"""Tests of the multilevel V-cycle (core/multilevel.py) and the compacted
-free-vertex hot loop (core/compaction.py + the stepper/engine hooks).
+"""Tests of the free-vertex system the GD iteration runs on
+(core/compaction.py), the stepper's warm-start hooks, and the projection
+engine's incrementally narrowed region.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
     FreeVertexSystem,
     GDConfig,
+    PARALLELISM_MODES,
     ProjectionEngine,
-    gd_bisect,
-    multilevel_bisect,
     recursive_bisection,
 )
 from repro.core.gd import BisectionStepper
-from repro.core.multilevel import build_hierarchy, open_boundary, refinement_config
 from repro.core.projection import FeasibleRegion
-from repro.graphs import Graph, fb_like, standard_weights
-from repro.partition import edge_locality, imbalance
-
-ALL_BACKENDS = ("serial", "thread", "process", "batched")
-
-
-@pytest.fixture(scope="module")
-def fb_graph():
-    return fb_like(80, scale=0.5, seed=0)
-
-
-@pytest.fixture(scope="module")
-def fb_weights(fb_graph):
-    return standard_weights(fb_graph, 2)
 
 
 # --------------------------------------------------------------------- #
-# V-cycle output quality and plumbing
+# Determinism contract
 # --------------------------------------------------------------------- #
-def test_multilevel_bisect_meets_epsilon_and_partitions_everything(fb_graph, fb_weights):
-    config = GDConfig(iterations=60, seed=0, multilevel=True, coarsest_size=128)
-    result = gd_bisect(fb_graph, fb_weights, 0.05, config)
-    assert result.partition.num_parts == 2
-    assert set(np.unique(result.partition.assignment)) == {0, 1}
-    assert np.all(imbalance(result.partition, fb_weights) <= 0.05 + 1e-9)
-    # The cut should be far better than a random split (~50% locality).
-    assert edge_locality(result.partition) > 70.0
-
-
-def test_multilevel_routes_through_gd_bisect(fb_graph, fb_weights):
-    """gd_bisect with multilevel=True returns the V-cycle's result and
-    keeps the caller's config on the result object."""
-    config = GDConfig(iterations=30, seed=1, multilevel=True, coarsest_size=128)
-    via_gd = gd_bisect(fb_graph, fb_weights, 0.05, config)
-    direct = multilevel_bisect(fb_graph, fb_weights, 0.05, config)
-    assert np.array_equal(via_gd.partition.assignment, direct.partition.assignment)
-    assert via_gd.config.multilevel is True
-
-
-def test_small_graph_runs_flat_even_when_multilevel_enabled(social_graph, social_weights):
-    """Bisections at or below coarsest_size are exactly the flat path."""
-    flat = GDConfig(iterations=20, seed=5)
-    multilevel = flat.with_updates(multilevel=True,
-                                   coarsest_size=social_graph.num_vertices + 8)
-    a = gd_bisect(social_graph, social_weights, 0.05, flat)
-    b = gd_bisect(social_graph, social_weights, 0.05, multilevel)
-    assert np.array_equal(a.partition.assignment, b.partition.assignment)
-
-
-def test_multilevel_defaults_leave_flat_output_unchanged(social_graph, social_weights):
-    """The new config fields default off: a default config's output is the
-    PR 3 flat path bit for bit (multilevel=False, compaction=False)."""
-    config = GDConfig(iterations=25, seed=7)
-    assert config.multilevel is False and config.compaction is False
-    a = gd_bisect(social_graph, social_weights, 0.05, config)
-    b = gd_bisect(social_graph, social_weights, 0.05, config)
-    assert np.array_equal(a.partition.assignment, b.partition.assignment)
-
-
-def test_multilevel_history_records_levels(fb_graph, fb_weights):
-    config = GDConfig(iterations=30, seed=0, multilevel=True, coarsest_size=128,
-                      record_history=True)
-    result = gd_bisect(fb_graph, fb_weights, 0.05, config)
-    levels = {record.level for record in result.history}
-    assert 0 in levels
-    assert max(levels) >= 1  # at least one coarse level was recorded
-    # Flat histories stay level 0.
-    flat = gd_bisect(fb_graph, fb_weights, 0.05,
-                     GDConfig(iterations=10, seed=0, record_history=True))
-    assert {record.level for record in flat.history} == {0}
-
-
-def test_hierarchy_composes_with_epsilon_budget(fb_graph, fb_weights):
-    config = GDConfig(iterations=25, seed=3, multilevel=True, coarsest_size=128)
-    partition = recursive_bisection(fb_graph, fb_weights, 5, 0.05, config)
-    assert partition.num_parts == 5
-    assert np.all(imbalance(partition, fb_weights) <= 0.05 + 1e-9)
-
-
-# --------------------------------------------------------------------- #
-# Determinism contract with the new modes
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("num_parts", [5, 8], ids=["odd-k", "power-of-two-k"])
-@pytest.mark.parametrize("parallelism", ALL_BACKENDS)
-def test_multilevel_bit_identical_across_backends(fb_graph, fb_weights,
-                                                  parallelism, num_parts):
-    """The satellite matrix: multilevel GD is bit-identical for a fixed
-    seed across serial/thread/process/batched, odd and power-of-two k."""
-    config = GDConfig(iterations=15, seed=29, multilevel=True, coarsest_size=128)
-    reference = recursive_bisection(fb_graph, fb_weights, num_parts, 0.05,
-                                    config, parallelism="serial")
-    run = recursive_bisection(fb_graph, fb_weights, num_parts, 0.05, config,
-                              parallelism=parallelism, max_workers=2)
-    assert np.array_equal(run.assignment, reference.assignment)
-
-
-@pytest.mark.parametrize("parallelism", ALL_BACKENDS)
+@pytest.mark.parametrize("parallelism", PARALLELISM_MODES)
 def test_compaction_bit_identical_across_backends(social_graph, social_weights,
                                                   parallelism):
-    config = GDConfig(iterations=15, seed=4, compaction=True)
+    config = GDConfig(iterations=15, seed=4)
     reference = recursive_bisection(social_graph, social_weights, 4, 0.05,
                                     config, parallelism="serial")
     run = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
                               parallelism=parallelism, max_workers=2)
     assert np.array_equal(run.assignment, reference.assignment)
-
-
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       num_parts=st.sampled_from([3, 4, 5]))
-def test_multilevel_batched_matches_serial_for_any_seed(seed, num_parts):
-    graph = Graph.from_edges(300, [(i, (i + 1) % 300) for i in range(300)]
-                             + [(i, (i + 9) % 300) for i in range(300)]
-                             + [(i, (i + 41) % 300) for i in range(300)])
-    weights = standard_weights(graph, 2)
-    config = GDConfig(iterations=8, seed=seed, multilevel=True, coarsest_size=64)
-    serial = recursive_bisection(graph, weights, num_parts, 0.05, config)
-    batched = recursive_bisection(graph, weights, num_parts, 0.05, config,
-                                  parallelism="batched")
-    assert np.array_equal(serial.assignment, batched.assignment)
 
 
 # --------------------------------------------------------------------- #
@@ -203,27 +94,6 @@ def test_engine_warm_lambda_export_import(social_graph, social_weights):
         receiver_warm.seed_warm_lambdas(warm)
     np.testing.assert_array_equal(receiver_warm.project(point),
                                   receiver_cold.project(point))
-
-
-# --------------------------------------------------------------------- #
-# Boundary opening
-# --------------------------------------------------------------------- #
-def test_open_boundary_releases_conflicted_vertices_only(small_grid):
-    adjacency = small_grid.adjacency_matrix()
-    n = small_grid.num_vertices
-    x = np.ones(n)
-    x[: n // 2] = -1.0  # a split along the grid's row order
-    fixed = np.ones(n, dtype=bool)
-    opened = open_boundary(adjacency, x, fixed, open_fraction=0.25)
-    sides = np.where(x >= 0, 1.0, -1.0)
-    crossing = 0.5 * (adjacency.sum(axis=1).A1 - sides * (adjacency @ sides))
-    released = ~opened
-    # Exactly the heavily conflicted vertices are released.
-    expected = crossing > 0.25 * adjacency.sum(axis=1).A1
-    np.testing.assert_array_equal(released, expected)
-    # A uniform partition has no conflicts: nothing is released.
-    untouched = open_boundary(adjacency, np.ones(n), fixed)
-    assert untouched.all()
 
 
 # --------------------------------------------------------------------- #
@@ -292,24 +162,18 @@ def test_free_vertex_system_validates_inputs(social_graph):
 # Compacted stepping
 # --------------------------------------------------------------------- #
 def test_compaction_inert_without_vertex_fixing(social_graph, social_weights):
-    """With vertex fixing disabled nothing is ever compacted, so the
-    outputs are bit-identical to the masked path."""
-    base = GDConfig(iterations=15, seed=6, vertex_fixing=False)
-    a = gd_bisect(social_graph, social_weights, 0.05, base)
-    b = gd_bisect(social_graph, social_weights, 0.05,
-                  base.with_updates(compaction=True))
-    assert np.array_equal(a.partition.assignment, b.partition.assignment)
-
-
-def test_compacted_run_quality_matches_masked(fb_graph, fb_weights):
-    """Compaction changes float summation order, not the algorithm: the
-    compacted run must deliver the same quality and feasibility."""
-    masked = gd_bisect(fb_graph, fb_weights, 0.05, GDConfig(iterations=60, seed=0))
-    compacted = gd_bisect(fb_graph, fb_weights, 0.05,
-                          GDConfig(iterations=60, seed=0, compaction=True))
-    assert np.all(imbalance(compacted.partition, fb_weights) <= 0.05 + 1e-9)
-    assert (edge_locality(compacted.partition)
-            >= edge_locality(masked.partition) - 1.0)
+    """With vertex fixing disabled nothing is ever fixed: the free-vertex
+    system stays the whole adjacency and the region is never narrowed."""
+    for method in ("alternating_oneshot", "exact"):
+        config = GDConfig(iterations=15, seed=6, vertex_fixing=False,
+                          projection_method=method)
+        stepper = BisectionStepper(social_graph, social_weights, 0.05, config)
+        for iteration in range(config.iterations):
+            stepper.step(iteration)
+        assert not stepper.fixed.any()
+        assert stepper.system.num_free == social_graph.num_vertices
+        assert stepper.system.matrix is stepper.relaxation.adjacency
+        assert stepper.engine.stats.region_rebuilds == 0
 
 
 def test_compacted_projection_matches_full_restriction(social_graph, social_weights):
@@ -324,7 +188,7 @@ def test_compacted_projection_matches_full_restriction(social_graph, social_weig
     full_values[fixed] = values
 
     engine = ProjectionEngine("alternating_oneshot", region)
-    engine.begin_compacted(~fixed, full_values[fixed])
+    engine.narrow_restricted(~fixed, full_values[fixed])
     # Narrow twice, then compare against a one-shot restriction.
     free_ids = np.flatnonzero(~fixed)
     newly = np.zeros(free_ids.size, dtype=bool)
@@ -335,49 +199,8 @@ def test_compacted_projection_matches_full_restriction(social_graph, social_weig
     fixed_after = fixed.copy()
     fixed_after[free_ids[newly]] = True
     full_values[free_ids[newly]] = snapped
-    reference = ProjectionEngine("alternating_oneshot", region)
+    reference = ProjectionEngine("alternating_oneshot",
+                                 region.restrict(~fixed_after, full_values[fixed_after]))
     point = rng.normal(size=int((~fixed_after).sum()))
-    expected = reference.project_restricted(point, ~fixed_after,
-                                            full_values[fixed_after])
-    np.testing.assert_allclose(engine.project_compacted(point), expected,
+    np.testing.assert_allclose(engine.project(point), reference.project(point),
                                rtol=1e-9, atol=1e-12)
-
-
-def test_compacted_projection_requires_begin(social_weights):
-    engine = ProjectionEngine("alternating_oneshot",
-                              FeasibleRegion.balanced(social_weights, 0.05))
-    with pytest.raises(RuntimeError):
-        engine.project_compacted(np.zeros(3))
-    with pytest.raises(RuntimeError):
-        engine.narrow_restricted(np.ones(3, dtype=bool), np.zeros(0))
-
-
-# --------------------------------------------------------------------- #
-# Config validation
-# --------------------------------------------------------------------- #
-def test_config_validates_multilevel_fields():
-    with pytest.raises(ValueError, match="coarsest_size"):
-        GDConfig(coarsest_size=4)
-    with pytest.raises(ValueError, match="refinement_iterations"):
-        GDConfig(refinement_iterations=0)
-
-
-def test_build_hierarchy_is_config_seed_deterministic(fb_graph, fb_weights):
-    config = GDConfig(seed=13, multilevel=True, coarsest_size=128)
-    a = build_hierarchy(fb_graph, fb_weights, config)
-    b = build_hierarchy(fb_graph, fb_weights, config)
-    assert a.sizes == b.sizes
-    for la, lb in zip(a.levels[1:], b.levels[1:]):
-        np.testing.assert_array_equal(la.fine_to_coarse, lb.fine_to_coarse)
-
-
-def test_refinement_config_shape():
-    config = GDConfig(iterations=100, seed=3, refinement_iterations=7,
-                      multilevel=True)
-    refine = refinement_config(config)
-    assert refine.iterations == 7
-    assert refine.multilevel is False
-    assert refine.compaction is True
-    assert refine.noise_std == 0.0
-    assert refine.fixing_start_fraction == 0.0
-    assert refine.seed == config.seed

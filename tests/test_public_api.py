@@ -113,7 +113,7 @@ class TestRenameShims:
 class TestConfigRoundTrip:
     def test_gdconfig_dict_round_trip(self):
         config = GDConfig(iterations=42, projection_method="exact", seed=9,
-                          kernel_backend="fused", compaction=True)
+                          noise_every_iteration=True)
         restored = GDConfig.from_dict(config.to_dict())
         assert restored == config
 
@@ -140,11 +140,10 @@ class TestConfigRoundTrip:
 
     def test_from_args_takes_matching_dests(self):
         namespace = argparse.Namespace(
-            iterations=7, seed=2, kernel_backend="fused",
-            projection_method="alternating_oneshot",
+            iterations=7, seed=2, projection_method="exact",
             dataset="fb-80", output=None)  # non-field entries ignored
         config = GDConfig.from_args(namespace)
-        assert (config.iterations, config.seed, config.kernel_backend) == (7, 2, "fused")
+        assert (config.iterations, config.seed, config.projection_method) == (7, 2, "exact")
 
     def test_from_args_skips_none_and_applies_aliases(self):
         namespace = argparse.Namespace(
@@ -242,10 +241,10 @@ class TestMoveShims:
     def test_from_dict_accepts_old_flat_keys(self):
         # Pre-redesign serialized configs keep loading.
         with pytest.warns(DeprecationWarning, match="moved to"):
-            config = GDConfig.from_dict({"seed": 7, "parallelism": "batched",
+            config = GDConfig.from_dict({"seed": 7, "parallelism": "shm",
                                          "task_retries": 1})
         assert config.seed == 7
-        assert config.execution.parallelism == "batched"
+        assert config.execution.parallelism == "shm"
         assert config.execution.task_retries == 1
 
     def test_execution_dict_is_coerced(self):

@@ -279,3 +279,18 @@ def test_shm_backend_bit_identical_on_large_graph():
     shm = recursive_bisection(graph, weights, 8, 0.05, config,
                               parallelism="shm", max_workers=4)
     assert np.array_equal(serial.assignment, shm.assignment)
+
+
+@pytest.mark.slow
+def test_shm_matches_serial_on_the_canonical_graph():
+    """The canonical k = 16 workload at a GD seed where a last-bit
+    difference in a row dot product — Fortran-ordered weight slice versus
+    the C-ordered shm copy — grows through the recursion into thousands
+    of reassigned vertices."""
+    graph = fb_like(80, scale=8)
+    weights = standard_weights(graph, 2)
+    config = GDConfig(iterations=100, seed=6)
+    serial = recursive_bisection(graph, weights, 16, 0.05, config)
+    shm = recursive_bisection(graph, weights, 16, 0.05, config,
+                              parallelism="shm", max_workers=2)
+    assert np.array_equal(serial.assignment, shm.assignment)
