@@ -17,6 +17,7 @@ from repro.core import (
     QuadraticRelaxation,
     gd_bisect,
     recursive_bisection,
+    task_seed,
 )
 from repro.core.gd import BisectionStepper
 from repro.graphs import fb_like
@@ -173,6 +174,29 @@ def test_perf_recursive_bisection_k8_serial(benchmark):
     config = GDConfig(iterations=10, seed=0)
     benchmark.pedantic(lambda: recursive_bisection(GRAPH, WEIGHTS, 8, 0.05, config),
                        rounds=3, iterations=1, warmup_rounds=0)
+
+
+def _k8_frontier(iterations: int = 30) -> list[tuple]:
+    """The wave that refines a k=8 partition: 8 independent bisection tasks
+    on disjoint chunks of the benchmark graph, each with its own
+    recursion-coordinate seed — the workload shape every level of the
+    recursive scheduler hands to its execution backend."""
+    chunks = np.array_split(np.arange(GRAPH.num_vertices), 8)
+    tasks = []
+    for index, ids in enumerate(chunks):
+        subgraph, mapping = GRAPH.subgraph(ids)
+        config = GDConfig(iterations=iterations, seed=task_seed(0, 3, index))
+        tasks.append((subgraph, WEIGHTS[:, mapping], config))
+    return tasks
+
+
+def test_perf_frontier_serial_k8(benchmark):
+    """One 8-task frontier wave solved task by task — the serial backend's
+    per-task iteration loops, without the scheduler around them."""
+    tasks = _k8_frontier()
+    benchmark.pedantic(lambda: [gd_bisect(subgraph, weights, 0.05, config)
+                                for subgraph, weights, config in tasks],
+                       rounds=3, iterations=1, warmup_rounds=1)
 
 
 # --------------------------------------------------------------------- #

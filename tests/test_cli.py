@@ -79,13 +79,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["partition", "g.txt", "--projection", "bogus"])
 
-    def test_removed_hot_loop_flags_are_rejected(self):
-        # GD has one hot loop, so no flag selects a variant of it.
-        for flags in (["--parallelism", "batched"], ["--kernel-backend", "numpy"],
-                      ["--multilevel"], ["--compaction"], ["--no-projection-cache"],
-                      ["--coarsest-size", "64"], ["--refinement-iterations", "5"]):
+    def test_multilevel_and_compaction_flags(self):
+        # GD runs one free-vertex loop: no flag selects a V-cycle or turns
+        # compaction on or off, and the parsed arguments carry no such knob.
+        args = build_parser().parse_args(["partition", "g.txt"])
+        for dest in ("multilevel", "compaction", "coarsest_size",
+                     "refinement_iterations"):
+            assert not hasattr(args, dest)
+        for flags in (["--multilevel"], ["--no-multilevel"], ["--compaction"],
+                      ["--no-compaction"], ["--coarsest-size", "256"],
+                      ["--refinement-iterations", "6"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["partition", "g.txt", *flags])
+
+    def test_removed_hot_loop_flags_are_rejected(self):
+        # GD has one hot loop, so no flag selects a variant of it.
+        for argv in (["partition", "g.txt", "--parallelism", "batched"],
+                     ["partition", "g.txt", "--kernel-backend", "numpy"],
+                     ["partition", "g.txt", "--no-projection-cache"],
+                     ["repartition", "g.txt", "a.txt", "u.txt",
+                      "--kernel-backend", "numpy"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestPartitionCommand:
@@ -131,6 +146,17 @@ class TestPartitionCommand:
                      "--output", str(shm_out)]) == 0
         capsys.readouterr()
         assert np.array_equal(read_partition(serial_out), read_partition(shm_out))
+
+    def test_gd_partition_with_multilevel_and_compaction(self, graph_file, capsys):
+        # The command refuses the flags of the deleted V-cycle and
+        # compaction switch with a usage error instead of ignoring them.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition", str(graph_file), "--parts", "2",
+                  "--iterations", "15", "--multilevel",
+                  "--coarsest-size", "64", "--refinement-iterations", "5",
+                  "--compaction"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --multilevel" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm", ["hash", "blp", "fennel", "ldg"])
     def test_baseline_algorithms(self, graph_file, algorithm, capsys):

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import (
     PARALLELISM_MODES,
-    PROJECTION_METHODS,
     BisectionExecutor,
     GDConfig,
     GDPartitioner,
@@ -30,6 +29,12 @@ from repro.partition import imbalance
 
 #: The full backend matrix of the determinism contract.
 ALL_BACKENDS = PARALLELISM_MODES
+
+#: The GD iteration's two kernel paths, with the projection methods that
+#: take each: the one-shot sweep runs fused with the gradient step; every
+#: other method composes the numpy kernels with the projection engine.
+KERNEL_PATHS = {"fused": ("alternating_oneshot",),
+                "numpy": ("exact", "alternating", "dykstra")}
 
 
 # --------------------------------------------------------------------- #
@@ -256,18 +261,34 @@ def test_determinism_contract_all_backends(social_graph, social_weights,
     assert np.array_equal(second.assignment, reference.assignment)
 
 
-@pytest.mark.parametrize("method", [method for method in PROJECTION_METHODS
-                                    if method != "alternating_oneshot"])
-def test_projection_methods_bit_identical_across_backends(social_graph, social_weights,
-                                                          method):
-    """The determinism contract holds for every projection method, not
-    only the default one-shot sweep."""
-    config = GDConfig(iterations=12, seed=17, projection_method=method)
-    reference = recursive_bisection(social_graph, social_weights, 5, 0.05, config)
-    for parallelism in ("thread", "process", "shm"):
-        partition = recursive_bisection(social_graph, social_weights, 5, 0.05, config,
-                                        parallelism=parallelism, max_workers=2)
-        assert np.array_equal(partition.assignment, reference.assignment), parallelism
+@pytest.mark.parametrize("kernel_path", KERNEL_PATHS)
+def test_kernel_backends_bit_identical_across_executors(social_graph, social_weights,
+                                                        kernel_path):
+    """Within each kernel path of the GD iteration every executor returns
+    the same bits, so the contract holds for every projection method,
+    not only the default one-shot sweep."""
+    for method in KERNEL_PATHS[kernel_path]:
+        config = GDConfig(iterations=12, seed=17, projection_method=method)
+        reference = recursive_bisection(social_graph, social_weights, 5, 0.05, config)
+        for parallelism in ("thread", "shm"):
+            partition = recursive_bisection(social_graph, social_weights, 5, 0.05,
+                                            config, parallelism=parallelism,
+                                            max_workers=2)
+            assert np.array_equal(partition.assignment, reference.assignment), \
+                (method, parallelism)
+
+
+@pytest.mark.parametrize("kernel_path", KERNEL_PATHS)
+def test_kernel_backend_survives_process_pool(social_graph, social_weights, kernel_path):
+    """Every stepper constructs its own backend, so the process pool
+    (pickled configs, no shared backend state) must reproduce the serial
+    bits."""
+    for method in KERNEL_PATHS[kernel_path]:
+        config = GDConfig(iterations=10, seed=23, projection_method=method)
+        serial = recursive_bisection(social_graph, social_weights, 4, 0.05, config)
+        pooled = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
+                                     parallelism="process", max_workers=2)
+        assert np.array_equal(serial.assignment, pooled.assignment), method
 
 
 def test_config_knobs_equal_keyword_overrides(social_graph, social_weights):

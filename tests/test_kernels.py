@@ -2,8 +2,9 @@
 
 Property-based agreement checks between the reference :class:`NumpyBackend`
 and :class:`FusedBackend`'s single pass, plus the edge cases the solver
-actually hits (empty free sets, single-vertex systems) and the per-kernel
-counters.
+actually hits (empty free sets, single-vertex systems), the per-kernel
+counters, and the solver's quality against the reference transcription of
+Algorithm 1 (``tests/reference_gd.py``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from repro.core import GDConfig, gd_bisect
+from reference_gd import reference_bisect
+from repro.core import GDConfig, GDPartitioner, gd_bisect
 from repro.core.kernels import FusedBackend, KernelStats, NumpyBackend
-from repro.graphs import standard_weights
+from repro.graphs import load_dataset, standard_weights
+from repro.partition import edge_locality, imbalance
+
+#: The GD iteration's two kernel paths, with the projection methods that
+#: take each: the one-shot sweep runs fused with the gradient step
+#: (``FusedBackend.fused_update``); every other method composes the
+#: reference numpy kernels with the projection engine.
+KERNEL_PATHS = {"fused": ("alternating_oneshot",),
+                "numpy": ("exact", "alternating", "dykstra")}
 
 
 def _vectors(n, lo=-5.0, hi=5.0):
@@ -184,17 +194,21 @@ class TestKernelStats:
 
 
 class TestSolverIntegration:
-    def test_bisection_surfaces_kernel_stats(self, two_cliques_graph):
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_bisection_surfaces_kernel_stats(self, two_cliques_graph, path):
         weights = standard_weights(two_cliques_graph, 2)
-        config = GDConfig(iterations=20, seed=1)
-        result = gd_bisect(two_cliques_graph, weights, 0.1, config)
-        assert result.kernel_stats, "kernel counters missing from BisectionResult"
-        for entry in result.kernel_stats.values():
-            assert entry["calls"] > 0 and entry["ns"] >= 0
-        assert "fused_update" in result.kernel_stats
-        # The gradient's mat-vec runs through the counted spmv kernel.
-        assert (result.kernel_stats["spmv"]["calls"]
-                == result.kernel_stats["free_gradient"]["calls"])
+        for method in KERNEL_PATHS[path]:
+            config = GDConfig(iterations=20, seed=1, projection_method=method)
+            result = gd_bisect(two_cliques_graph, weights, 0.1, config)
+            stats = result.kernel_stats
+            assert stats, "kernel counters missing from BisectionResult"
+            for entry in stats.values():
+                assert entry["calls"] > 0 and entry["ns"] >= 0
+            # The fused pass replaces the separate gradient step.
+            assert ("fused_update" in stats) == (path == "fused"), method
+            assert ("axpy" in stats) == (path == "numpy"), method
+            # The gradient's mat-vec runs through the counted spmv kernel.
+            assert stats["spmv"]["calls"] == stats["free_gradient"]["calls"]
 
     def test_fused_backends_fall_back_off_oneshot(self, two_cliques_graph):
         # The fused pass is the one-shot sweep; other projection methods
@@ -205,27 +219,65 @@ class TestSolverIntegration:
         assert "fused_update" not in result.kernel_stats
         assert result.partition.num_parts == 2
 
-    @pytest.mark.parametrize("method", ["alternating_oneshot", "exact"])
-    def test_solver_accepts_read_only_input_buffers(self, two_cliques_graph, method):
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_solver_accepts_read_only_input_buffers(self, two_cliques_graph, path):
         # The buffer-ownership contract of KernelBackend: under the shm
         # executor the graph arrays and weights are externally owned,
-        # read-only views — the solver must run on them without
+        # read-only views — both kernel paths must run on them without
         # attempting an in-place write, and produce the same bits as the
         # writable path.
         weights = standard_weights(two_cliques_graph, 2)
-        config = GDConfig(iterations=20, seed=1, projection_method=method)
-        reference = gd_bisect(two_cliques_graph, weights, 0.1, config)
-
         frozen_weights = weights.copy()
         frozen_weights.flags.writeable = False
-        for array in (two_cliques_graph.indptr, two_cliques_graph.indices,
-                      two_cliques_graph.edges):
-            array.flags.writeable = False
-        try:
-            result = gd_bisect(two_cliques_graph, frozen_weights, 0.1, config)
-        finally:
+        for method in KERNEL_PATHS[path]:
+            config = GDConfig(iterations=20, seed=1, projection_method=method)
+            reference = gd_bisect(two_cliques_graph, weights, 0.1, config)
             for array in (two_cliques_graph.indptr, two_cliques_graph.indices,
                           two_cliques_graph.edges):
-                array.flags.writeable = True
-        assert np.array_equal(result.partition.assignment,
-                              reference.partition.assignment)
+                array.flags.writeable = False
+            try:
+                result = gd_bisect(two_cliques_graph, frozen_weights, 0.1, config)
+            finally:
+                for array in (two_cliques_graph.indptr, two_cliques_graph.indices,
+                              two_cliques_graph.edges):
+                    array.flags.writeable = True
+            assert np.array_equal(result.partition.assignment,
+                                  reference.partition.assignment), method
+
+
+class TestCrossBackendQuality:
+    """The fused pass against the reference transcription of Algorithm 1
+    on the fb preset: mean locality at most one point below the
+    reference's; repeated runs on either kernel path bit-stable."""
+
+    SEEDS = range(4)
+
+    @pytest.fixture(scope="class")
+    def fb_setup(self):
+        graph = load_dataset("fb-80", scale=0.5, seed=3)
+        return graph, standard_weights(graph, 2)
+
+    def test_fused_locality_within_one_point(self, fb_setup):
+        # Compared on the mean over GD seeds: the two are not
+        # bit-comparable (the solver fixes vertices and sweeps once per
+        # iteration), so single runs differ by a few points either way.
+        graph, weights = fb_setup
+        reference, fused = [], []
+        for seed in self.SEEDS:
+            reference.append(edge_locality(reference_bisect(graph, weights, 0.05,
+                                                            iterations=60, seed=seed)))
+            config = GDConfig(iterations=60, seed=seed)
+            partition = GDPartitioner(epsilon=0.05, config=config).partition(
+                graph, weights, 2)
+            assert np.all(imbalance(partition, weights) <= 0.05 + 1e-9)
+            fused.append(edge_locality(partition))
+        assert np.mean(fused) >= np.mean(reference) - 1.0
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_within_backend_runs_are_bit_stable(self, fb_setup, path):
+        graph, weights = fb_setup
+        for method in KERNEL_PATHS[path]:
+            config = GDConfig(iterations=30, seed=5, projection_method=method)
+            first = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 2)
+            second = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 2)
+            assert np.array_equal(first.assignment, second.assignment), method

@@ -1,6 +1,8 @@
 """Tests of the free-vertex system the GD iteration runs on
-(core/compaction.py), the stepper's warm-start hooks, and the projection
-engine's incrementally narrowed region.
+(core/compaction.py), the stepper's warm-start hooks, the projection
+engine's incrementally narrowed region, and the compacted loop's quality
+against the full-size reference transcription of Algorithm 1
+(``tests/reference_gd.py``).
 """
 
 from __future__ import annotations
@@ -8,15 +10,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_gd import reference_bisect
 from repro.core import (
     FreeVertexSystem,
     GDConfig,
     PARALLELISM_MODES,
+    PROJECTION_METHODS,
     ProjectionEngine,
+    gd_bisect,
     recursive_bisection,
 )
 from repro.core.gd import BisectionStepper
 from repro.core.projection import FeasibleRegion
+from repro.graphs import fb_like, standard_weights
+from repro.partition import edge_locality, imbalance
 
 
 # --------------------------------------------------------------------- #
@@ -176,6 +183,29 @@ def test_compaction_inert_without_vertex_fixing(social_graph, social_weights):
         assert stepper.engine.stats.region_rebuilds == 0
 
 
+def test_compacted_run_quality_matches_masked():
+    """Every projection method runs the compacted free-vertex loop; each
+    must deliver the quality of the full-size reference, which never fixes
+    or compacts.  The two are not bit-comparable, so the checks are on
+    outcomes over several GD seeds: every output ε-balanced in every
+    dimension, and the mean edge locality at most one point below the
+    reference's."""
+    graph = fb_like(80, scale=0.5, seed=0)
+    weights = standard_weights(graph, 2)
+    seeds, iterations, epsilon = range(4), 60, 0.05
+    reference = np.mean([edge_locality(reference_bisect(graph, weights, epsilon,
+                                                        iterations, seed))
+                         for seed in seeds])
+    for method in PROJECTION_METHODS:
+        localities = []
+        for seed in seeds:
+            config = GDConfig(iterations=iterations, seed=seed, projection_method=method)
+            partition = gd_bisect(graph, weights, epsilon, config).partition
+            assert np.all(imbalance(partition, weights) <= epsilon + 1e-9), (method, seed)
+            localities.append(edge_locality(partition))
+        assert np.mean(localities) >= reference - 1.0, method
+
+
 def test_compacted_projection_matches_full_restriction(social_graph, social_weights):
     """The engine's incrementally narrowed region projects to the same
     point as a from-scratch restriction of the full region."""
@@ -204,3 +234,17 @@ def test_compacted_projection_matches_full_restriction(social_graph, social_weig
     point = rng.normal(size=int((~fixed_after).sum()))
     np.testing.assert_allclose(engine.project(point), reference.project(point),
                                rtol=1e-9, atol=1e-12)
+
+
+# --------------------------------------------------------------------- #
+# Config validation
+# --------------------------------------------------------------------- #
+def test_config_validates_multilevel_fields():
+    """GD has no multilevel V-cycle, so GDConfig refuses its knobs like
+    any unknown field, from keywords and from serialized dicts alike."""
+    for name, value in (("multilevel", True), ("coarsest_size", 256),
+                        ("refinement_iterations", 6)):
+        with pytest.raises(TypeError, match=name):
+            GDConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            GDConfig.from_dict({name: value})

@@ -2,8 +2,8 @@
 
 Covers the edge cases — d ≥ 3 regions, near-tight ``lower == upper``
 bands, regions narrowed by fixed vertices — the warm/cold agreement
-property, and the exact projector's logged alternating-projection
-fallback.
+property, the cache on/off determinism contract, and the exact
+projector's logged alternating-projection fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import GDConfig, gd_bisect
+from repro.core import PROJECTION_METHODS, GDConfig, gd_bisect
+from repro.core.gd import BisectionStepper
 from repro.core.projection import (
     DykstraProjector,
     ExactProjector,
@@ -239,6 +240,28 @@ class TestFallbackAccounting:
 
 
 class TestGDDeterminism:
+    @pytest.mark.parametrize("method", PROJECTION_METHODS)
+    def test_cache_toggle_bit_identical_partitions(self, method):
+        """A cold engine (``cache=False``) in place of the stepper's cached
+        one gives bit-identical partitions on the d = 2 benchmark graph for
+        a fixed seed.  The one-shot sweep runs fused outside the engine,
+        so for it the check is that no engine state reaches the fused
+        pass."""
+        graph = livejournal_like(scale=0.25, seed=0)
+        weights = standard_weights(graph, 2)
+        config = GDConfig(iterations=25, seed=0, projection_method=method)
+        results = []
+        for cache in (True, False):
+            stepper = BisectionStepper(graph, weights, 0.05, config)
+            stepper.engine = ProjectionEngine(method, stepper.region, cache=cache,
+                                              backend=stepper.backend)
+            for iteration in range(config.iterations):
+                stepper.step(iteration)
+            results.append(stepper.result())
+        on, off = results
+        assert np.array_equal(on.partition.assignment, off.partition.assignment)
+        assert np.array_equal(on.fractional, off.fractional)
+
     def test_stats_reported_on_result(self):
         graph = livejournal_like(scale=0.1, seed=0)
         weights = standard_weights(graph, 2)
