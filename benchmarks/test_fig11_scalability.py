@@ -2,7 +2,7 @@
 
 Paper shape to reproduce: near-linear dependence of the partitioning time
 on the number of edges.  The measured-parallel companion exercises the
-frontier scheduler's process backend against the serial reference.
+frontier scheduler's shm backend against the serial reference.
 """
 
 import multiprocessing
@@ -45,8 +45,8 @@ def test_fig11_measured_parallel(benchmark):
                 fig11_scalability.format_parallel_timings(result))
 
     rows = result["rows"]
-    # Hard guarantee regardless of core count: every backend/worker-count
-    # combination reproduces the serial partition bit for bit.
+    # Hard guarantee regardless of core count: every worker count
+    # reproduces the serial partition bit for bit.
     assert all(row["identical"] for row in rows)
     # Wall-clock claims only make sense with real hardware parallelism AND a
     # cheap pool start: under the spawn start method (macOS/Windows default)

@@ -5,6 +5,7 @@ improves over Hash, while one-dimensional partitioning is inconsistent and
 can regress.
 """
 
+from repro.core import ExecutionConfig
 from repro.experiments import fig7_speedup
 
 import pytest
@@ -16,12 +17,13 @@ pytestmark = pytest.mark.slow
 
 
 def test_fig7_measured_parallel(benchmark):
-    """Measured-parallel fig7 mode: the thread backend must reproduce the
+    """Measured-parallel fig7 mode: the shm backend must reproduce the
     serial placements (and hence every cost-model number) bit for bit, per
     the deterministic-seeding contract; the nightly multi-core CI lane is
-    where its ``partition_seconds`` column shows an actual speedup."""
+    where its ``partition_seconds`` column is timed on more cores."""
+    execution = ExecutionConfig(parallelism="shm", max_workers=2)
     rows_parallel = run_once(benchmark, lambda: fig7_speedup.run(
-        scale=BENCH_SCALE, gd_iterations=30, parallelism="thread", max_workers=4))
+        scale=BENCH_SCALE, gd_iterations=30, execution=execution))
     rows_serial = fig7_speedup.run(scale=BENCH_SCALE, gd_iterations=30)
     assert ([row["speedup_pct"] for row in rows_parallel]
             == [row["speedup_pct"] for row in rows_serial])

@@ -68,7 +68,7 @@ from .store import PartitionStore
 # The single source of the package version: pyproject.toml declares
 # ``version`` as dynamic and reads this attribute; the CLI's ``--version``
 # flag prints it.
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "baselines",
@@ -106,26 +106,3 @@ __all__ = [
     "InjectedFault",
     "__version__",
 ]
-
-# Deprecated top-level aliases: the solver entry points moved behind the
-# curated surface (use repro.partition_graph, or reach into repro.core
-# explicitly).  They keep working for one release with a warning.
-_DEPRECATED_ALIASES = {
-    "gd_bisect": "repro.core.gd_bisect",
-    "recursive_bisection": "repro.core.recursive_bisection",
-}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import warnings
-
-    warnings.warn(
-        f"repro.{name} is deprecated; import {target} instead "
-        f"(or use repro.partition_graph)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(core, name)

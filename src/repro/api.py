@@ -68,8 +68,8 @@ class RunResult:
     executor's retry/timeout/pool-rebuild counters and, under
     ``parallelism="shm"``, the per-wave shared-memory stats
     (``executor_stats.shm``: attach counts, bytes shared versus the
-    pickled bytes the process backend would have shipped), next to the
-    kernel counters the 2-way path reports.
+    bytes a pickling pool would have shipped), next to the kernel
+    counters the 2-way path reports.
     """
 
     partition: Partition
@@ -97,7 +97,7 @@ def run(graph: Graph, num_parts: int = 2, *,
     execution:
         Execution parameters (:class:`~repro.core.ExecutionConfig`) —
         parallelism backend, worker count, timeout/retry budgets, shm
-        knobs.  Overrides ``gd.execution`` when given.  The partition is
+        segment prefix.  Overrides ``gd.execution`` when given.  The partition is
         bit-identical across execution configs for a fixed ``gd.seed``.
     """
     config = gd if gd is not None else GDConfig()
@@ -114,7 +114,7 @@ def run(graph: Graph, num_parts: int = 2, *,
                          execution=config.execution,
                          elapsed_seconds=time.perf_counter() - start,
                          bisection=result)
-    with BisectionExecutor.from_execution(config.execution) as executor:
+    with BisectionExecutor(config.execution) as executor:
         partition = recursive_bisection(graph, weights, num_parts, epsilon,
                                         config, executor=executor)
         stats = executor.stats

@@ -115,33 +115,27 @@ def build_parser() -> argparse.ArgumentParser:
                            default="alternating_oneshot",
                            help="projection method of the GD inner loop (Table 1)")
     partition.add_argument("--parallelism", choices=PARALLELISM_MODES, default="serial",
-                           help="execution backend for recursive k-way GD: serial, "
-                                "thread/process pools, or shm (a process pool fed "
+                           help="execution backend for recursive k-way GD: serial "
+                                "(in process) or shm (a process pool fed "
                                 "through zero-copy shared-memory wave arenas); "
                                 "bit-identical output across backends for a "
                                 "fixed seed")
     partition.add_argument("--workers", type=int, default=None, metavar="N",
-                           help="worker count for --parallelism thread/process/shm "
+                           help="worker count for --parallelism shm "
                                 "(default: let the pool decide; ignored by "
                                 "serial — a warning is printed)")
-    partition.add_argument("--shm-min-wave-tasks", type=int, default=None,
-                           metavar="N",
-                           help="smallest frontier the shm backend packs into a "
-                                "shared-memory arena; smaller waves run through "
-                                "the ordinary task path (default from "
-                                "ExecutionConfig)")
     partition.add_argument("--task-timeout", dest="task_timeout", type=float,
                            default=None, metavar="SECONDS",
                            help="per-bisection-task wall-clock budget for "
-                                "--parallelism thread/process; a task that "
-                                "exceeds it is retried (hung pool workers are "
-                                "replaced). Default: no timeout")
+                                "--parallelism shm; a task that exceeds it is "
+                                "retried (hung pool workers are replaced). "
+                                "Default: no timeout")
     partition.add_argument("--task-retries", type=int, default=None, metavar="N",
                            help="re-runs allowed per failed/timed-out "
                                 "bisection task before the run aborts "
                                 "(retries re-derive the task seed, so the "
                                 "result stays bit-identical; default from "
-                                "GDConfig)")
+                                "ExecutionConfig)")
     partition.add_argument("--checkpoint-store", default=None, metavar="FILE",
                            help="persist frontier checkpoints into this "
                                 "partition store (created if absent) so a "
@@ -211,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "recompute fallback (bit-identical output "
                                   "across backends)")
     repartition.add_argument("--workers", type=int, default=None, metavar="N",
-                             help="worker count for --parallelism thread/process")
+                             help="worker count for --parallelism shm")
     repartition.add_argument("--seed", type=int, default=0)
     repartition.add_argument("--output",
                              help="write the repaired part-per-line assignment")
@@ -361,24 +355,24 @@ def _run_partition(args: argparse.Namespace) -> int:
             return _fail(str(error))
 
     try:
+        if args.algorithm == "gd":
+            # Every GDConfig-shaped flag (iterations, seed, projection
+            # method, ...) flows through the shared from_args convention;
+            # the execution flags (parallelism, workers, task timeout/retry
+            # budget) build the nested ExecutionConfig the same way.  Absent
+            # optional flags fall back to the field defaults; out-of-range
+            # values are bad input like a malformed file.
+            config = GDConfig.from_args(args,
+                                        execution=ExecutionConfig.from_args(args))
+            partitioner = GDPartitioner(epsilon=args.epsilon, config=config)
+            _warn_ignored_workers(args)
+        else:
+            partitioner = (_ALGORITHMS[args.algorithm](seed=args.seed)
+                           if args.algorithm != "hash" else HashPartitioner(salt=args.seed))
         graph = read_edge_list(args.graph)
         weights = weight_matrix(graph, args.weights)
     except (OSError, ValueError) as error:
         return _fail(str(error))
-    if args.algorithm == "gd":
-        # Every GDConfig-shaped flag (iterations, seed, projection method,
-        # ...) flows through the shared from_args convention; the
-        # execution flags (parallelism, workers,
-        # task timeout/retry budget, shm knobs) build the nested
-        # ExecutionConfig the same way.  Absent optional flags fall back
-        # to the field defaults.
-        _warn_ignored_workers(args)
-        config = GDConfig.from_args(args,
-                                    execution=ExecutionConfig.from_args(args))
-        partitioner = GDPartitioner(epsilon=args.epsilon, config=config)
-    else:
-        partitioner = (_ALGORITHMS[args.algorithm](seed=args.seed)
-                       if args.algorithm != "hash" else HashPartitioner(salt=args.seed))
     try:
         with guard:
             if checkpointing:
@@ -432,7 +426,7 @@ def _warn_ignored_workers(args: argparse.Namespace) -> None:
     parallelism = getattr(args, "parallelism", "serial")
     if workers is not None and parallelism == "serial":
         print(f"warning: --workers {workers} is ignored with --parallelism "
-              f"{parallelism} (worker pools exist only for thread/process/shm)",
+              f"{parallelism} (a worker pool exists only for shm)",
               file=sys.stderr)
 
 
@@ -474,6 +468,11 @@ def _run_repartition(args: argparse.Namespace) -> int:
     from .dynamic import DynamicGraph, IncrementalRepartitioner, read_update_batches
 
     try:
+        # --hops/--damage-threshold/--repair-iterations map onto the
+        # repartition_* fields via GDConfig._ARG_ALIASES; --parallelism and
+        # --workers build the nested ExecutionConfig.
+        config = GDConfig.from_args(args,
+                                    execution=ExecutionConfig.from_args(args))
         graph = read_edge_list(args.graph)
         weights = weight_matrix(graph, args.weights)
         assignment = read_partition(args.assignment)
@@ -492,12 +491,7 @@ def _run_repartition(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         return _fail(str(error))
 
-    # --hops/--damage-threshold/--repair-iterations map onto the
-    # repartition_* fields via GDConfig._ARG_ALIASES; --parallelism and
-    # --workers build the nested ExecutionConfig.
     _warn_ignored_workers(args)
-    config = GDConfig.from_args(args,
-                                execution=ExecutionConfig.from_args(args))
     dynamic = DynamicGraph(graph, weights)
     repartitioner = IncrementalRepartitioner(dynamic, assignment, num_parts,
                                              epsilon=args.epsilon, config=config)
@@ -615,8 +609,8 @@ def _run_serve(args: argparse.Namespace) -> int:
                 arm(FaultPlan.from_file(args.fault_plan))
             except ValueError as error:
                 return _fail(str(error))
-        serve_config = ServeConfig.from_args(args)
         try:
+            serve_config = ServeConfig.from_args(args)
             service = PartitionService.from_store(
                 args.store, args.graph, args.assignment,
                 weight_names=tuple(args.weights),

@@ -6,8 +6,6 @@ from .config import (
     GDConfig,
     PARALLELISM_MODES,
     PROJECTION_METHODS,
-    install_move_shims,
-    install_rename_shims,
 )
 from .checkpoint import CheckpointMismatch, FrontierCheckpoint, TaskState
 from .executor import BisectionExecutor, ExecutorStats, ExecutorTaskError, task_seed
@@ -45,8 +43,6 @@ __all__ = [
     "GDConfig",
     "PARALLELISM_MODES",
     "PROJECTION_METHODS",
-    "install_move_shims",
-    "install_rename_shims",
     "BisectionExecutor",
     "ExecutorStats",
     "ExecutorTaskError",

@@ -4,12 +4,12 @@ The ``⌈log₂ k⌉``-level recursion tree of :func:`repro.core.recursive_bisec
 contains, at every level, a frontier of bisection subproblems that touch
 disjoint vertex sets and are therefore fully independent.
 :class:`BisectionExecutor` is the small abstraction that runs one such
-frontier: serially, on a thread pool (the numpy/scipy kernels inside GD
-release the GIL during mat-vecs and sorts, so threads already overlap),
-or on a process pool for full CPU parallelism — pickling each subgraph
-to its worker (``"process"``) or sharing the whole wave zero-copy
-through one :mod:`multiprocessing.shared_memory` arena with only task
-coordinates crossing the pipe (``"shm"``, see :mod:`repro.core.shm`).
+frontier, on one of two backends chosen by
+:attr:`ExecutionConfig.parallelism`: ``"serial"`` runs every task in the
+coordinating process; ``"shm"`` runs them on a process pool, sharing the
+whole wave zero-copy through one :mod:`multiprocessing.shared_memory`
+arena so that only task coordinates cross the pipe (see
+:mod:`repro.core.shm`).
 
 Two properties the scheduler relies on:
 
@@ -18,7 +18,7 @@ Two properties the scheduler relies on:
   zip results back onto its task list.
 * **Determinism** — the executor never injects randomness; combined with
   per-task seeds derived from the task's *position in the recursion tree*
-  (see :func:`task_seed`), every backend produces bit-identical partitions
+  (see :func:`task_seed`), both backends produce bit-identical partitions
   for a fixed :attr:`GDConfig.seed`.
 
 Failure handling
@@ -31,15 +31,11 @@ a pure function of its recursion-tree coordinate, a retry replays
 bit-identical work — results are the same whether or not failures
 occurred.  Specifics per backend:
 
-* **process** — a timed-out or crashed worker breaks the whole pool
+* **shm** — a timed-out or crashed worker breaks the whole pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`, or a hang we
   can only resolve by killing the worker).  The executor kills the
   remaining workers, rebuilds the pool, and resubmits every unfinished
   task; each re-execution counts as one more attempt for all of them.
-* **thread** — a raised task is resubmitted; a hung thread cannot be
-  killed, so on timeout the task is resubmitted alongside it and the
-  hung thread is left to unwind on its own (best effort — enough hung
-  threads can clog the pool and exhaust retries).
 * **serial / single-task waves** — run in the coordinating
   process: exceptions are retried inline, but timeouts are not enforced
   (we cannot interrupt our own thread).
@@ -50,8 +46,7 @@ the task's label and its retry attempt
 hang one specific task of one specific wave and the default
 ``attempt=0`` keying makes the retry succeed.
 
-The process backend pickles each task's induced subgraph and weight slice to
-the workers.  Worker processes must be able to import :mod:`repro`; when the
+Worker processes must be able to import :mod:`repro`; when the
 multiprocessing start method is ``spawn`` (the default on macOS/Windows) this
 means ``src`` has to be on ``PYTHONPATH`` — on Linux the default ``fork``
 start method inherits the parent's ``sys.path``.
@@ -62,27 +57,23 @@ Internal module: not part of the stable public API (see ``repro.__all__``); its 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from ..faults import attempt_scope, fault_site
-from .config import PARALLELISM_MODES
-from .shm import ShmStats
-
-if TYPE_CHECKING:
-    from .config import ExecutionConfig
+from .config import ExecutionConfig
+from .shm import ShmStats, solve_frontier_shm, wave_is_shm_packable
 
 __all__ = [
     "BisectionExecutor",
     "ExecutorStats",
     "ExecutorTaskError",
     "task_seed",
-    "resolve_parallelism",
 ]
 
 _T = TypeVar("_T")
@@ -100,9 +91,9 @@ class ExecutorStats:
     """Counters of the resilience machinery (one executor's lifetime).
 
     ``shm`` aggregates the shared-memory backend's per-wave counters —
-    segments created, worker attaches, bytes shared versus the pickled
-    bytes the process backend would have shipped (see
-    :class:`~repro.core.shm.ShmStats`).  Empty for the other backends.
+    segments created, worker attaches, bytes shared versus the bytes a
+    pickling pool would have shipped (see
+    :class:`~repro.core.shm.ShmStats`).  Empty for the serial backend.
     """
 
     retries: int = 0
@@ -122,23 +113,15 @@ def task_seed(base_seed: int, depth: int, first_part: int) -> int:
 
     * statistically independent across sibling subproblems, and
     * a pure function of the task's identity, never of scheduling order —
-      which is what makes serial, thread and process execution agree bit
-      for bit, and retried tasks replay bit-identical work.
+      which is what makes serial and shm execution agree bit for bit,
+      and retried tasks replay bit-identical work.
     """
     sequence = np.random.SeedSequence(base_seed, spawn_key=(depth, first_part))
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
-def resolve_parallelism(parallelism: str) -> str:
-    """Validate a parallelism mode string and return it."""
-    if parallelism not in PARALLELISM_MODES:
-        raise ValueError(f"parallelism must be one of {PARALLELISM_MODES}, "
-                         f"got {parallelism!r}")
-    return parallelism
-
-
 def _invoke(function, task, attempt, label):
-    """One task execution (runs in the worker for pool backends).
+    """One task execution (runs in the worker on the shm pool).
 
     Module-level for picklability.  Marks the retry attempt for the
     fault registry and enters the ``executor.task`` site, so fault plans
@@ -154,58 +137,25 @@ class BisectionExecutor:
 
     Parameters
     ----------
-    parallelism:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"shm"``.
-        ``"shm"`` is a process pool whose frontier waves
-        travel through shared-memory arenas instead of pickles (see
-        :mod:`repro.core.shm`); its generic :meth:`map` path and
-        too-small waves fall back to the ordinary pickling pool.
-    max_workers:
-        Pool size for the thread/process/shm backends; ``None`` uses the
-        :mod:`concurrent.futures` default.  Ignored by the serial
-        backend.
-    task_timeout_seconds:
-        Per-task wall-clock budget on the pool backends; ``None`` waits
-        forever.  See the module docs for per-backend semantics.
-    task_retries:
-        Re-executions allowed per failed/timed-out task before
-        :class:`ExecutorTaskError`.
+    execution:
+        The :class:`~repro.core.ExecutionConfig` to run on (backend,
+        worker count, per-task timeout and retry budget, shm segment
+        prefix); ``None`` uses the default, serial one.  The config
+        checked every field when it was built, so the executor does not
+        check them again.
 
-    Usable as a context manager; the underlying pool (if any) is created
-    lazily on the first :meth:`map` call and shut down on exit, so the pool
-    is reused across the recursion levels of one ``recursive_bisection``
-    call instead of being respawned per level.  :attr:`stats` counts
-    retries, timeouts and pool rebuilds over the executor's lifetime.
+    Usable as a context manager; the process pool of the ``"shm"``
+    backend is created lazily on the first pooled wave and shut down on
+    exit, so it is reused across the recursion levels of one
+    ``recursive_bisection`` call instead of being respawned per level.
+    :attr:`stats` counts retries, timeouts, pool rebuilds and the
+    shared-memory traffic over the executor's lifetime.
     """
 
-    def __init__(self, parallelism: str = "serial", max_workers: int | None = None,
-                 task_timeout_seconds: float | None = None, task_retries: int = 2,
-                 shm_min_wave_tasks: int = 2, shm_segment_prefix: str = "repro-shm"):
-        self.parallelism = resolve_parallelism(parallelism)
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1 when given")
-        if task_timeout_seconds is not None and task_timeout_seconds <= 0:
-            raise ValueError("task_timeout_seconds must be positive when given")
-        if task_retries < 0:
-            raise ValueError("task_retries must be non-negative")
-        if shm_min_wave_tasks < 1:
-            raise ValueError("shm_min_wave_tasks must be at least 1")
-        self.max_workers = max_workers
-        self.task_timeout_seconds = task_timeout_seconds
-        self.task_retries = task_retries
-        self.shm_min_wave_tasks = shm_min_wave_tasks
-        self.shm_segment_prefix = shm_segment_prefix
+    def __init__(self, execution: ExecutionConfig | None = None):
+        self.execution = execution if execution is not None else ExecutionConfig()
         self.stats = ExecutorStats()
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-
-    @classmethod
-    def from_execution(cls, execution: "ExecutionConfig") -> "BisectionExecutor":
-        """Build an executor from an :class:`~repro.core.ExecutionConfig`."""
-        return cls(execution.parallelism, execution.max_workers,
-                   task_timeout_seconds=execution.task_timeout_seconds,
-                   task_retries=execution.task_retries,
-                   shm_min_wave_tasks=execution.shm_min_wave_tasks,
-                   shm_segment_prefix=execution.shm_segment_prefix)
+        self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -217,17 +167,14 @@ class BisectionExecutor:
         self.shutdown()
 
     def shutdown(self) -> None:
-        """Shut down the worker pool (no-op for the serial backend)."""
+        """Shut down the worker pool (no-op if none was started)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _ensure_pool(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.parallelism == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.execution.max_workers)
         return self._pool
 
     def _rebuild_pool(self) -> None:
@@ -253,7 +200,7 @@ class BisectionExecutor:
     # ------------------------------------------------------------------ #
     def _note_failure(self, label: str, attempt: int, error: BaseException) -> None:
         """Record one failed execution; raise if the budget is spent."""
-        if attempt >= self.task_retries:
+        if attempt >= self.execution.task_retries:
             raise ExecutorTaskError(
                 f"task {label} failed after {attempt + 1} attempt(s): "
                 f"{error}") from error
@@ -282,11 +229,9 @@ class BisectionExecutor:
         else:
             labels = [label if label is not None else f"#{index}"
                       for index, label in enumerate(labels)]
-        if self.parallelism == "serial" or len(tasks) <= 1:
+        if self.execution.parallelism == "serial" or len(tasks) <= 1:
             return [self._run_inline(function, task, label)
                     for task, label in zip(tasks, labels)]
-        if self.parallelism == "thread":
-            return self._map_threads(function, tasks, labels)
         return self._map_processes(function, tasks, labels)
 
     def _run_inline(self, function, task, label):
@@ -303,43 +248,8 @@ class BisectionExecutor:
                 self._note_failure(label, attempt, error)
                 attempt += 1
 
-    def _map_threads(self, function, tasks, labels):
-        pool = self._ensure_pool()
-        timeout = self.task_timeout_seconds
-        futures = [pool.submit(_invoke, function, task, 0, label)
-                   for task, label in zip(tasks, labels)]
-        attempts = [0] * len(tasks)
-        results: list = [None] * len(tasks)
-        for index in range(len(tasks)):
-            while True:
-                try:
-                    results[index] = futures[index].result(timeout)
-                    break
-                except _FuturesTimeout as error:
-                    # The hung thread cannot be killed; abandon it (it
-                    # unwinds on its own) and race a fresh execution.
-                    futures[index].cancel()
-                    self.stats.timeouts += 1
-                    self._note_failure(
-                        labels[index], attempts[index],
-                        TimeoutError(f"timed out after {timeout}s") if not
-                        str(error) else error)
-                    attempts[index] += 1
-                    futures[index] = pool.submit(_invoke, function,
-                                                 tasks[index],
-                                                 attempts[index],
-                                                 labels[index])
-                except Exception as error:  # noqa: BLE001 — task raised
-                    self._note_failure(labels[index], attempts[index], error)
-                    attempts[index] += 1
-                    futures[index] = pool.submit(_invoke, function,
-                                                 tasks[index],
-                                                 attempts[index],
-                                                 labels[index])
-        return results
-
     def _map_processes(self, function, tasks, labels):
-        timeout = self.task_timeout_seconds
+        timeout = self.execution.task_timeout_seconds
         attempts = [0] * len(tasks)
         results: list = [None] * len(tasks)
         done = [False] * len(tasks)
@@ -394,27 +304,20 @@ class BisectionExecutor:
 
         ``subproblems`` are records with ``subgraph``, ``weights``,
         ``epsilon``, ``config`` and ``target_fraction`` fields.  The shm
-        backend packs the wave into one shared-memory arena and
-        drives the process pool with task coordinates only
+        backend packs a wave of two or more tasks into one shared-memory
+        arena and drives the process pool with task coordinates only
         (:func:`~repro.core.shm.solve_frontier_shm` — the retry/timeout/
         pool-rebuild machinery of :meth:`_map_processes` applies
-        unchanged); the other backends map ``run_one`` over the tasks.
+        unchanged).  A single task (the root of the recursion tree) and
+        the serial backend map ``run_one`` over the tasks in process.
         Either way the per-task local assignments come back in task
         order and are bit-identical across backends (the
         deterministic-seeding contract).
         """
         subproblems = list(subproblems)
-        if not subproblems:
-            return []
-        if self.parallelism == "shm":
-            from .shm import solve_frontier_shm, wave_is_shm_packable
-
-            if (len(subproblems) >= self.shm_min_wave_tasks
-                    and wave_is_shm_packable(subproblems)):
-                if labels is None:
-                    labels = [f"#{index}" for index in range(len(subproblems))]
-                return solve_frontier_shm(self, subproblems, labels)
-            # Tiny waves (typically the root task) and tasks carrying
-            # solver state fall through to the ordinary task path below
-            # — same results, no arena overhead.
+        if (self.execution.parallelism == "shm" and len(subproblems) > 1
+                and wave_is_shm_packable(subproblems)):
+            if labels is None:
+                labels = [f"#{index}" for index in range(len(subproblems))]
+            return solve_frontier_shm(self, subproblems, labels)
         return self.map(run_one, subproblems, labels=labels)

@@ -439,25 +439,16 @@ class GDPartitioner:
         partitioner = GDPartitioner(epsilon=0.05, config=GDConfig(iterations=100))
         partition = partitioner.partition(graph, weights, num_parts=8)
 
-    ``parallelism`` / ``max_workers`` override the corresponding
-    :class:`GDConfig` fields and select the execution backend of the
-    recursive k-way scheduler (see :mod:`repro.core.executor`); they do not
-    affect a plain 2-way :meth:`bisect`.
+    ``config.execution`` selects the execution backend of the recursive
+    k-way scheduler (see :mod:`repro.core.executor`); it does not affect
+    a plain 2-way :meth:`bisect`.
     """
 
     name = "GD"
 
-    def __init__(self, epsilon: float = 0.05, config: GDConfig | None = None,
-                 *, parallelism: str | None = None, max_workers: int | None = None):
+    def __init__(self, epsilon: float = 0.05, config: GDConfig | None = None):
         self.epsilon = validate_epsilon(epsilon)
         self.config = config if config is not None else GDConfig()
-        if parallelism is not None or max_workers is not None:
-            execution = self.config.execution
-            if parallelism is not None:
-                execution = execution.with_updates(parallelism=parallelism)
-            if max_workers is not None:
-                execution = execution.with_updates(max_workers=max_workers)
-            self.config = self.config.with_updates(execution=execution)
 
     def bisect(self, graph: Graph, weights: np.ndarray,
                target_fraction: float = 0.5) -> BisectionResult:

@@ -11,7 +11,7 @@ kernel can change without touching the solver.
 Determinism contract
 --------------------
 A backend must preserve the per-kernel summation orders, so outputs are
-bit-identical across the serial/thread/process/shm executors.
+bit-identical across the serial and shm executors.
 :class:`~repro.core.kernels.NumpyBackend` is the reference: each method
 is the plain numpy expression for its kernel.
 

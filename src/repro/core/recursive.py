@@ -17,15 +17,15 @@ Instead of depth-first recursion, the recursion tree is processed as a
 disjoint vertex sets: the coordinating process materializes the whole
 wave's induced subgraphs in one pass (:meth:`Graph.subgraphs`) and hands
 the wave to :meth:`~repro.core.executor.BisectionExecutor.solve_frontier`
-— serially, on a thread pool, or on a process pool (pickled subgraphs,
-or the wave shared zero-copy through one shared-memory arena with
-``parallelism="shm"``; see :mod:`repro.core.shm`), selected by
-:attr:`GDConfig.execution` (an :class:`~repro.core.ExecutionConfig`).
+— serially in process, or on a process pool that shares the wave
+zero-copy through one shared-memory arena (``parallelism="shm"``; see
+:mod:`repro.core.shm`), as :attr:`GDConfig.execution` (an
+:class:`~repro.core.ExecutionConfig`) or a caller-owned executor says.
 
 Each worker's ``gd_bisect`` call constructs its own
 :class:`~repro.core.projection.ProjectionEngine` for its subproblem's
 feasible region, so the projection caches and warm-start state are local
-to the worker — nothing stateful crosses the pickle boundary, and the
+to the worker — nothing stateful crosses the process boundary, and the
 engine's results are independent of the execution backend.
 
 Deterministic-seeding contract
@@ -35,8 +35,8 @@ in the recursion tree — ``task_seed(config.seed, depth, first_part)`` keyed
 through :class:`numpy.random.SeedSequence` ``spawn_key`` s — never of
 execution order or of the chosen backend.  Consequently
 ``recursive_bisection(graph, w, k, eps, config)`` returns **bit-identical**
-assignments for ``parallelism`` in ``{"serial", "thread", "process",
-"shm"}`` and any ``max_workers``, given a fixed ``config.seed``.  Code
+assignments for ``parallelism`` in ``{"serial", "shm"}`` and any
+``max_workers``, given a fixed ``config.seed``.  Code
 that changes the task identity (the ``(depth, first_part)`` coordinate)
 changes the sampled partitions and must be treated as a behavioural change.
 """
@@ -54,7 +54,7 @@ from ..graphs.graph import Graph
 from ..partition.partition import Partition
 from ..partition.validation import validate_epsilon, validate_num_parts, validate_weights
 from .checkpoint import FrontierCheckpoint, TaskState
-from .config import ExecutionConfig, GDConfig
+from .config import GDConfig
 from .executor import BisectionExecutor, task_seed
 from .gd import gd_bisect
 
@@ -99,7 +99,7 @@ class _Subproblem:
 def _run_subproblem(subproblem: _Subproblem) -> np.ndarray:
     """Worker entry point: bisect one subproblem, return the local sides.
 
-    Module-level so the process backend can pickle it by reference; only the
+    Module-level so a process pool can pickle it by reference; only the
     assignment vector travels back to the coordinator.
     """
     result = gd_bisect(subproblem.subgraph, subproblem.weights, subproblem.epsilon,
@@ -114,8 +114,8 @@ def _prepare_wave(graph: Graph, weights: np.ndarray, tasks: list[_Task],
 
     The tasks of a wave cover disjoint vertex sets, so their induced
     subgraphs are materialized in a single :meth:`Graph.subgraphs` pass —
-    shared by every execution backend (the pool backends ship the
-    subproblems to workers).
+    shared by both execution backends (shm packs the subproblems into
+    the wave's arena).
     """
     extracted = graph.subgraphs([task.vertex_ids for task in tasks])
     prepared: list[tuple[_Subproblem, np.ndarray]] = []
@@ -149,10 +149,7 @@ def _expand(task: _Task, mapping: np.ndarray, local_assignment: np.ndarray) -> I
 
 def recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
                         epsilon: float = 0.05, config: GDConfig | None = None,
-                        *, parallelism: str | None = None,
-                        max_workers: int | None = None,
-                        execution: ExecutionConfig | None = None,
-                        executor: BisectionExecutor | None = None,
+                        *, executor: BisectionExecutor | None = None,
                         checkpoint_sink: Callable[[FrontierCheckpoint], None] | None = None,
                         checkpoint_every: int = 1,
                         resume_from: FrontierCheckpoint | None = None) -> Partition:
@@ -163,12 +160,8 @@ def recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
     graph, weights, num_parts, epsilon:
         As in :func:`repro.core.gd_bisect`, but for ``num_parts >= 2``.
     config:
-        Algorithm parameters; defaults to :class:`GDConfig()`.
-    parallelism, max_workers, execution:
-        Optional overrides of ``config.execution`` — convenient when the
-        caller holds a shared config but wants to pick the execution
-        backend per call (``execution`` replaces the whole sub-config;
-        the two scalar overrides patch individual fields on top).  The
+        Algorithm parameters; defaults to :class:`GDConfig()`.  Its
+        ``execution`` field picks the backend the waves run on; the
         output is bit-identical across backends for a fixed
         ``config.seed`` (see the module docstring).
     executor:
@@ -194,14 +187,6 @@ def recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
         bit-identical to the uninterrupted run's.
     """
     config = config if config is not None else GDConfig()
-    if execution is not None:
-        config = config.with_updates(execution=execution)
-    if parallelism is not None:
-        config = config.with_updates(
-            execution=config.execution.with_updates(parallelism=parallelism))
-    if max_workers is not None:
-        config = config.with_updates(
-            execution=config.execution.with_updates(max_workers=max_workers))
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
     epsilon = validate_epsilon(epsilon)
@@ -235,7 +220,7 @@ def recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
 
     owns_executor = executor is None
     if owns_executor:
-        executor = BisectionExecutor.from_execution(config.execution)
+        executor = BisectionExecutor(config.execution)
     try:
         while frontier:
             if checkpoint_sink is not None and level > 0 and level % checkpoint_every == 0:

@@ -1,6 +1,6 @@
 """Zero-copy shared-memory execution of bisection frontiers.
 
-The process backend pays for its parallelism twice per task: the
+A plain process pool pays for its parallelism twice per task: the
 coordinator pickles the task's induced subgraph and weight slice into the
 pipe, and the worker unpickles them into fresh heap copies.  For the
 wave-at-a-time scheduler of :func:`repro.core.recursive_bisection` that
@@ -26,8 +26,8 @@ recursion-coordinate seeds (derived upstream by
 ``task_seed(config.seed, depth, first_part)``), the per-task weight
 blocks are stored C-contiguously — the layout the stepper gives every
 weight matrix on the serial path too — and the worker runs the identical
-``gd_bisect`` code, so ``"shm"`` output is bit-identical to the
-serial/thread/process backends.
+``gd_bisect`` code, so ``"shm"`` output is bit-identical to the serial
+backend's.
 
 Lifecycle: segments are refcounted per process; the creating process
 records every owned segment in a registry that is drained by an
@@ -452,7 +452,7 @@ class ShmWaveStats:
     segment_bytes: int
     #: Pickled bytes that actually crossed the pipe (all task refs).
     payload_bytes: int
-    #: Pickled bytes the process backend would have shipped instead.
+    #: Pickled bytes a plain process pool would have shipped instead.
     pickled_bytes_avoided: int
     #: Fresh segment attaches reported by the workers.
     attaches: int
@@ -516,7 +516,7 @@ def solve_frontier_shm(executor, subproblems: Sequence,
     output buffer first — so a raising wave never leaks its segment.
     """
     tasks = list(subproblems)
-    arena, vertex_offsets = pack_wave(tasks, prefix=executor.shm_segment_prefix)
+    arena, vertex_offsets = pack_wave(tasks, prefix=executor.execution.shm_segment_prefix)
     try:
         refs = [ShmTaskRef(segment=arena.name, index=index)
                 for index in range(len(tasks))]

@@ -35,8 +35,8 @@ Repair waves run through the same
 :class:`~repro.core.executor.BisectionExecutor` as the one-shot
 scheduler, with per-task seeds keyed by the node's recursion-tree
 coordinate, so repaired assignments are **bit-identical** across the
-``serial`` / ``thread`` / ``process`` / ``shm`` backends (repair tasks
-carry warm-start state, so ``shm`` runs them on its pickling path).
+``serial`` and ``shm`` backends (repair tasks carry warm-start state, so
+``shm`` pickles them to its process pool instead of packing an arena).
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ class _RepairOutcome:
 
 
 def _run_repair_task(task: _RepairTask) -> _RepairOutcome:
-    """Worker entry point (module-level so the process backend can pickle
-    it by reference): one warm-started bisection repair."""
+    """Worker entry point (module-level so the shm pool can pickle it by
+    reference): one warm-started bisection repair."""
     stepper = BisectionStepper(task.subgraph, task.weights, task.epsilon,
                                task.config, task.target_fraction,
                                initial_x=task.initial_x,
@@ -370,7 +370,7 @@ class IncrementalRepartitioner:
 
         frontier = [_TreeNode(vertex_ids=np.arange(snapshot.num_vertices),
                               num_parts=self.num_parts, first_part=0, depth=0)]
-        with BisectionExecutor.from_execution(config.execution) as executor:
+        with BisectionExecutor(config.execution) as executor:
             while frontier:
                 pending: list[_TreeNode] = []
                 for node in frontier:

@@ -107,15 +107,15 @@ def make_gd(epsilon: float = 0.05, iterations: int = 60, seed: int = 0,
 
 def partition_by_mode(graph: Graph, mode: str, num_parts: int,
                       epsilon: float = 0.05, iterations: int = 60,
-                      seed: int = 0, parallelism: str = "serial",
-                      max_workers: int | None = None) -> Partition:
+                      seed: int = 0,
+                      execution: ExecutionConfig = ExecutionConfig()) -> Partition:
     """Partition with GD balancing the dimensions selected by ``mode``.
 
     ``"vertex"`` balances vertex counts only, ``"edge"`` balances edge
     (degree) counts only, and ``"vertex-edge"`` balances both — the three
-    strategies compared in Figures 1 and 7.  ``parallelism`` /
-    ``max_workers`` pick the recursive-bisection execution backend; the
-    produced partition is bit-identical across backends for a fixed seed.
+    strategies compared in Figures 1 and 7.  ``execution`` picks the
+    recursive-bisection execution backend; the produced partition is
+    bit-identical across backends for a fixed seed.
     """
     if mode == "vertex":
         weights = unit_weights(graph)[None, :]
@@ -127,8 +127,7 @@ def partition_by_mode(graph: Graph, mode: str, num_parts: int,
         raise ValueError(f"unknown partitioning mode {mode!r}; "
                          f"available: {PARTITIONING_MODES}")
     partitioner = make_gd(epsilon=epsilon, iterations=iterations, seed=seed,
-                          execution=ExecutionConfig(parallelism=parallelism,
-                                                    max_workers=max_workers))
+                          execution=execution)
     return partitioner.partition(graph, weights, num_parts)
 
 

@@ -9,9 +9,9 @@ through the origin.
 
 Besides the cost-model-style sweep (:func:`run`), :func:`run_parallel`
 measures the *actual* wall-clock behaviour of the parallel recursive
-bisection scheduler: one k-way partitioning per worker count, each
-checked bit for bit against the serial reference (the deterministic-seeding
-contract of :mod:`repro.core.recursive`).
+bisection scheduler: one k-way partitioning on the ``"shm"`` backend per
+worker count, each checked bit for bit against the serial reference (the
+deterministic-seeding contract of :mod:`repro.core.recursive`).
 
 The ``format_*`` helpers keep the measured times apart from the rest:
 :func:`format_result` / :func:`format_parallel_result` render what a run
@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from ..core import GDConfig, gd_bisect, recursive_bisection
+from ..core import ExecutionConfig, GDConfig, gd_bisect, recursive_bisection
 from ..graphs import fb_like, standard_weights
 from .reporting import format_table
 
@@ -84,19 +84,17 @@ def run(scales: tuple[float, ...] = DEFAULT_SCALES, seed: int = 0,
 
 def run_parallel(scale: float = 4.0, num_parts: int = 8,
                  worker_counts: tuple[int, ...] = DEFAULT_WORKER_COUNTS,
-                 parallelism: str = "process", seed: int = 0,
-                 iterations: int = 30, epsilon: float = 0.05) -> dict:
+                 seed: int = 0, iterations: int = 30,
+                 epsilon: float = 0.05) -> dict:
     """Measured-parallel mode: k-way partitioning time vs worker count.
 
-    Runs the serial scheduler once as the reference, then the ``parallelism``
+    Runs the serial scheduler once as the reference, then the ``"shm"``
     backend for every entry of ``worker_counts``, recording wall-clock time,
     speedup over serial, and whether the assignment matched the serial
     reference exactly (it must, by the deterministic-seeding contract).
     Speedups > 1 require actual hardware parallelism — on a single-core
-    machine the pool backends degrade gracefully to roughly serial time
-    plus pool overhead (``"shm"`` additionally removes the per-task
-    subgraph pickling, so it dominates ``"process"`` whenever tasks are
-    large).
+    machine the pool degrades gracefully to roughly serial time plus pool
+    overhead.
     """
     graph = fb_like(80, scale=scale, seed=seed)
     weights = standard_weights(graph, 2)
@@ -109,12 +107,13 @@ def run_parallel(scale: float = 4.0, num_parts: int = 8,
     rows = [{"backend": "serial", "workers": 1, "seconds": serial_seconds,
              "speedup": 1.0, "identical": True}]
     for workers in worker_counts:
+        execution = ExecutionConfig(parallelism="shm", max_workers=workers)
         start = time.perf_counter()
-        partition = recursive_bisection(graph, weights, num_parts, epsilon, config,
-                                        parallelism=parallelism, max_workers=workers)
+        partition = recursive_bisection(graph, weights, num_parts, epsilon,
+                                        config.with_updates(execution=execution))
         seconds = time.perf_counter() - start
         rows.append({
-            "backend": parallelism,
+            "backend": "shm",
             "workers": workers,
             "seconds": seconds,
             "speedup": serial_seconds / max(seconds, 1e-9),

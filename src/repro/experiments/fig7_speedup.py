@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 
+from ..core import ExecutionConfig
 from ..distributed import (
     ConnectedComponents,
     GiraphCluster,
@@ -43,17 +44,17 @@ CONFIGURATIONS = (
 
 def run(scale: float = DEFAULT_SCALE, seed: int = 0, gd_iterations: int = 40,
         applications: tuple[str, ...] = ("PR", "CC", "MF", "HC"),
-        configurations=CONFIGURATIONS, parallelism: str = "serial",
-        max_workers: int | None = None) -> list[dict]:
+        configurations=CONFIGURATIONS,
+        execution: ExecutionConfig = ExecutionConfig()) -> list[dict]:
     """One row per (application, configuration, partitioning mode).
 
     The job speedups come from the simulated cluster's cost model; next to
     them every row carries ``partition_seconds`` — the *measured* wall-clock
-    time GD spent producing that placement.  ``parallelism`` /
-    ``max_workers`` select the recursive-bisection backend — including
-    ``"shm"``, the zero-copy shared-memory process pool — so the column
-    doubles as the experiment's parallel mode (the placements, and hence
-    the cost-model numbers, are backend-independent by the
+    time GD spent producing that placement.  ``execution`` selects the
+    recursive-bisection backend — ``ExecutionConfig(parallelism="shm")``
+    is the zero-copy shared-memory process pool — so the column doubles
+    as the experiment's parallel mode (the placements, and hence the
+    cost-model numbers, are backend-independent by the
     deterministic-seeding contract).
     """
     rows: list[dict] = []
@@ -67,7 +68,7 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0, gd_iterations: int = 40,
             start = time.perf_counter()
             placements[mode] = partition_by_mode(
                 graph, mode, num_workers, iterations=gd_iterations, seed=seed,
-                parallelism=parallelism, max_workers=max_workers)
+                execution=execution)
             partition_seconds[mode] = time.perf_counter() - start
         for app_name in applications:
             program = APPLICATIONS[app_name]()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core.config import ConfigIO, install_rename_shims
+from ..core.config import ConfigIO
 
 __all__ = ["ServeConfig"]
 
@@ -38,9 +38,7 @@ class ServeConfig(ConfigIO):
         stacks whose dimensions are not degrees.
     drain_seconds:
         How long a graceful shutdown waits for the repair worker to
-        drain pending churn batches before abandoning them.  (Renamed
-        from ``shutdown_drain_seconds``, which keeps working with a
-        :class:`DeprecationWarning`.)
+        drain pending churn batches before abandoning them.
     client_timeout_seconds:
         Default per-request timeout of :class:`~repro.serve.ServiceClient`
         — a hung or half-dead server surfaces as a clean
@@ -81,8 +79,6 @@ class ServeConfig(ConfigIO):
     escalation_threshold: int = 3
     degraded_lag_batches: int = 8
 
-    _RENAMED_FIELDS = {"shutdown_drain_seconds": "drain_seconds"}
-
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0..65535")
@@ -115,6 +111,3 @@ class ServeConfig(ConfigIO):
     def with_updates(self, **changes) -> "ServeConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-
-install_rename_shims(ServeConfig, {"shutdown_drain_seconds": "drain_seconds"})

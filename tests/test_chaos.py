@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CheckpointMismatch,
+    ExecutionConfig,
     FrontierCheckpoint,
     GDConfig,
     recursive_bisection,
@@ -82,31 +83,21 @@ class TestBitIdenticalUnderFaults:
                   kind="crash"),
         FaultSpec(site="executor.task", at=None, label="depth=1/part=2",
                   kind="hang", duration=30.0),
-    ], ids=["worker-crash", "worker-hang"])
+        FaultSpec(site="executor.task", at=None, label="depth=1/part=0"),
+    ], ids=["worker-crash", "worker-hang", "worker-raise"])
     def test_process_pool_recovers_bit_identically(self, spec):
-        """Crash or hang one specific task of wave 1; the rebuilt pool's
-        retries must reproduce the clean run's bits."""
+        """Crash, hang or raise in one specific task of wave 1; the shm
+        pool's retries (after a rebuild, for a dead or hung worker) must
+        reproduce the clean run's bits."""
         graph = _ring_graph()
         weights = standard_weights(graph, 2)
-        config = GDConfig(iterations=8, seed=13, task_retries=3,
-                          task_timeout_seconds=2.0)
+        config = GDConfig(iterations=8, seed=13)
         reference = recursive_bisection(graph, weights, 4, 0.05, config)
+        execution = ExecutionConfig(parallelism="shm", max_workers=2,
+                                    task_retries=3, task_timeout_seconds=2.0)
         with inject(FaultPlan(faults=(spec,))):
-            survived = recursive_bisection(graph, weights, 4, 0.05, config,
-                                           parallelism="process",
-                                           max_workers=2)
-        assert np.array_equal(survived.assignment, reference.assignment)
-
-    def test_thread_retry_is_bit_identical(self):
-        graph = _ring_graph()
-        weights = standard_weights(graph, 2)
-        config = GDConfig(iterations=8, seed=5, task_retries=2)
-        reference = recursive_bisection(graph, weights, 4, 0.05, config)
-        plan = FaultPlan(faults=(FaultSpec(site="executor.task", at=None,
-                                           label="depth=1/part=0"),))
-        with inject(plan):
-            survived = recursive_bisection(graph, weights, 4, 0.05, config,
-                                           parallelism="thread", max_workers=2)
+            survived = recursive_bisection(
+                graph, weights, 4, 0.05, config.with_updates(execution=execution))
         assert np.array_equal(survived.assignment, reference.assignment)
 
 

@@ -49,10 +49,24 @@ class TestParser:
 
     def test_parallelism_accepts_shm(self):
         args = build_parser().parse_args(
-            ["partition", "g.txt", "--parallelism", "shm",
-             "--shm-min-wave-tasks", "4"])
+            ["partition", "g.txt", "--parallelism", "shm"])
         assert args.parallelism == "shm"
-        assert args.shm_min_wave_tasks == 4
+        assert not hasattr(args, "shm_min_wave_tasks")
+
+    def test_removed_backend_flags_are_rejected(self, capsys):
+        # Two backends, serial and shm; the others and the shm wave-size
+        # knob are usage errors on every command that took them.
+        for argv in (["partition", "g.txt", "--parallelism", "thread"],
+                     ["partition", "g.txt", "--parallelism", "process"],
+                     ["repartition", "g.txt", "a.txt", "u.txt",
+                      "--parallelism", "thread"],
+                     ["repartition", "g.txt", "a.txt", "u.txt",
+                      "--parallelism", "process"],
+                     ["partition", "g.txt", "--shm-min-wave-tasks", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_partition_defaults(self):
         args = build_parser().parse_args(["partition", "g.txt"])
@@ -129,7 +143,7 @@ class TestPartitionCommand:
     def test_workers_with_pool_backend_does_not_warn(self, graph_file, capsys):
         code = main(["partition", str(graph_file), "--parts", "2",
                      "--iterations", "10", "--workers", "2",
-                     "--parallelism", "thread"])
+                     "--parallelism", "shm"])
         assert code == 0
         assert "ignored" not in capsys.readouterr().err
 
@@ -157,6 +171,16 @@ class TestPartitionCommand:
                   "--compaction"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --multilevel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "max_workers must be at least 1 when given"),
+        (["--iterations", "0"], "iterations must be at least 1"),
+    ])
+    def test_out_of_range_flag_is_a_one_line_error(self, graph_file, flags,
+                                                   message, capsys):
+        assert main(["partition", str(graph_file), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("algorithm", ["hash", "blp", "fennel", "ldg"])
     def test_baseline_algorithms(self, graph_file, algorithm, capsys):
@@ -312,6 +336,14 @@ class TestRepartitionBadInput:
                      str(updates)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_out_of_range_flag(self, graph_file, parts_file, tmp_path, capsys):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("+ 0 1\n")
+        assert main(["repartition", str(graph_file), str(parts_file),
+                     str(updates), "--hops", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: repartition_hops must be non-negative\n")
+
     def test_missing_updates_file(self, graph_file, parts_file, tmp_path,
                                   capsys):
         assert main(["repartition", str(graph_file), str(parts_file),
@@ -425,6 +457,11 @@ class TestServeCommand:
         assert main(["serve", "run", str(tmp_path / "db.sqlite"), "g", "a",
                      "--fault-plan", str(plan)]) == 2
         assert "cannot load fault plan" in capsys.readouterr().err
+
+    def test_serve_run_rejects_out_of_range_flag(self, tmp_path, capsys):
+        assert main(["serve", "run", str(tmp_path / "db.sqlite"), "g", "a",
+                     "--port", "70000"]) == 2
+        assert capsys.readouterr().err == "error: port must be in 0..65535\n"
 
     def test_store_get_absent_assignment_fails_cleanly(self, graph_file,
                                                        tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import GDConfig, GDPartitioner, recursive_bisection
+from repro.core import ExecutionConfig, GDConfig, GDPartitioner, recursive_bisection
 from repro.dynamic import (
     DynamicGraph,
     IncrementalMetrics,
@@ -243,15 +243,16 @@ def _replay(graph, weights, partition, config, trace, **config_updates):
 
 class TestIncrementalRepartitioner:
     def test_repair_is_deterministic_across_backends(self, churn_setup):
-        """The ISSUE 5 determinism bar: the repaired assignment after every
-        batch is bit-identical across serial/thread/process/shm."""
+        """The determinism bar: the repaired assignment after every batch
+        is bit-identical across serial and shm."""
         graph, weights, partition, config, trace = churn_setup
         assignments = {}
-        for backend in ("serial", "thread", "process", "shm"):
+        for backend in ("serial", "shm"):
             repartitioner, reports = _replay(
                 graph, weights, partition, config, trace,
-                parallelism=backend,
-                max_workers=2 if backend != "serial" else None)
+                execution=ExecutionConfig(
+                    parallelism=backend,
+                    max_workers=2 if backend != "serial" else None))
             assert any(report.mode == "repair" for report in reports)
             assignments[backend] = repartitioner.assignment
         reference = assignments["serial"]

@@ -12,6 +12,7 @@ import pytest
 
 from reference_gd import reference_bisect
 from repro.core import (
+    ExecutionConfig,
     FreeVertexSystem,
     GDConfig,
     PARALLELISM_MODES,
@@ -33,10 +34,10 @@ from repro.partition import edge_locality, imbalance
 def test_compaction_bit_identical_across_backends(social_graph, social_weights,
                                                   parallelism):
     config = GDConfig(iterations=15, seed=4)
-    reference = recursive_bisection(social_graph, social_weights, 4, 0.05,
-                                    config, parallelism="serial")
-    run = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
-                              parallelism=parallelism, max_workers=2)
+    reference = recursive_bisection(social_graph, social_weights, 4, 0.05, config)
+    execution = ExecutionConfig(parallelism=parallelism, max_workers=2)
+    run = recursive_bisection(social_graph, social_weights, 4, 0.05,
+                              config.with_updates(execution=execution))
     assert np.array_equal(run.assignment, reference.assignment)
 
 

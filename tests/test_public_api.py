@@ -3,8 +3,9 @@
 Covers: every name in ``repro.__all__`` resolves; the one-call
 ``partition_graph`` / ``evaluate`` veneer; the ``to_dict`` / ``from_dict``
 / ``from_args`` round-trip shared by :class:`GDConfig` and
-:class:`ServeConfig`; and the deprecation shims (renamed fields and moved
-top-level entry points keep working with a :class:`DeprecationWarning`).
+:class:`ServeConfig`; and the names removed in 2.0 (renamed fields, flat
+execution fields, top-level solver aliases) failing like any unknown
+name.
 """
 
 from __future__ import annotations
@@ -60,15 +61,15 @@ class TestPublicSurface:
 
 
 class TestDeprecatedAliases:
-    def test_top_level_gd_bisect_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.gd_bisect is deprecated"):
-            fn = repro.gd_bisect
-        assert fn is repro.core.gd_bisect
+    """The top-level solver aliases of 1.x are gone: ``repro.core`` holds
+    the solver entry points, ``repro.partition_graph`` / ``repro.run``
+    front them."""
 
-    def test_top_level_recursive_bisection_warns(self):
-        with pytest.warns(DeprecationWarning, match="recursive_bisection"):
-            fn = repro.recursive_bisection
-        assert fn is repro.core.recursive_bisection
+    def test_top_level_solver_aliases_are_refused(self):
+        for name in ("gd_bisect", "recursive_bisection"):
+            with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+                getattr(repro, name)
+            assert callable(getattr(repro.core, name))
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
@@ -79,35 +80,57 @@ class TestDeprecatedAliases:
         assert "recursive_bisection" not in repro.__all__
 
 
-class TestRenameShims:
-    def test_gdconfig_old_keyword_remaps(self):
-        with pytest.warns(DeprecationWarning, match="'projection' was renamed"):
-            config = GDConfig(projection="exact")
-        assert config.projection_method == "exact"
+class TestRemovedNames:
+    """Renamed and moved config names fail like any unknown name."""
 
-    def test_gdconfig_old_attribute_forwards(self):
-        config = GDConfig(projection_method="dykstra")
-        with pytest.warns(DeprecationWarning, match="renamed to projection_method"):
-            assert config.projection == "dykstra"
+    def test_gdconfig_refuses_removed_keywords(self):
+        for name, value in (("projection", "exact"), ("parallelism", "shm"),
+                            ("max_workers", 2), ("task_timeout_seconds", 1.0),
+                            ("task_retries", 1)):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                GDConfig(**{name: value})
 
-    def test_gdconfig_both_names_is_error(self):
-        with pytest.raises(TypeError, match="both 'projection'"):
-            GDConfig(projection="exact", projection_method="exact")
+    def test_with_updates_refuses_removed_names(self):
+        with pytest.raises(TypeError, match="max_workers"):
+            GDConfig().with_updates(max_workers=2)
+        with pytest.raises(TypeError, match="projection"):
+            GDConfig().with_updates(projection="exact")
+        with pytest.raises(TypeError, match="shm_min_wave_tasks"):
+            ExecutionConfig().with_updates(shm_min_wave_tasks=2)
 
-    def test_gdconfig_with_updates_accepts_old_name(self):
-        with pytest.warns(DeprecationWarning):
-            config = GDConfig().with_updates(projection="exact")
-        assert config.projection_method == "exact"
+    def test_removed_attributes_are_gone(self):
+        config = GDConfig()
+        for name in ("projection", "parallelism", "max_workers",
+                     "task_timeout_seconds", "task_retries"):
+            assert not hasattr(config, name), name
+        assert not hasattr(ExecutionConfig(), "shm_min_wave_tasks")
+        assert not hasattr(ServeConfig(), "shutdown_drain_seconds")
 
-    def test_serveconfig_old_keyword_remaps(self):
-        with pytest.warns(DeprecationWarning, match="shutdown_drain_seconds"):
-            config = ServeConfig(shutdown_drain_seconds=5.0)
-        assert config.drain_seconds == 5.0
+    def test_serveconfig_refuses_old_drain_name(self):
+        with pytest.raises(TypeError, match="shutdown_drain_seconds"):
+            ServeConfig(shutdown_drain_seconds=5.0)
 
-    def test_serveconfig_old_attribute_forwards(self):
-        config = ServeConfig(drain_seconds=2.5)
-        with pytest.warns(DeprecationWarning):
-            assert config.shutdown_drain_seconds == 2.5
+    def test_from_dict_refuses_removed_keys(self):
+        for key, value in (("projection", "exact"), ("parallelism", "shm"),
+                           ("task_retries", 1)):
+            with pytest.raises(ValueError, match=f"unknown GDConfig fields: {key}"):
+                GDConfig.from_dict({key: value, "seed": 4})
+        with pytest.raises(ValueError, match="unknown ServeConfig fields"):
+            ServeConfig.from_dict({"shutdown_drain_seconds": 3.0})
+        with pytest.raises(ValueError, match="unknown ExecutionConfig fields"):
+            ExecutionConfig.from_dict({"shm_min_wave_tasks": 2})
+
+    def test_execution_refuses_removed_backends(self):
+        for backend in ("thread", "process"):
+            with pytest.raises(ValueError, match="parallelism must be one of"):
+                ExecutionConfig(parallelism=backend)
+        with pytest.raises(TypeError, match="shm_min_wave_tasks"):
+            ExecutionConfig(shm_min_wave_tasks=2)
+
+    def test_shim_installers_are_gone(self):
+        for name in ("install_rename_shims", "install_move_shims"):
+            assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name)
 
 
 class TestConfigRoundTrip:
@@ -129,15 +152,6 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown GDConfig fields: iteration"):
             GDConfig.from_dict({"iteration": 5})
 
-    def test_from_dict_accepts_renamed_field_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="'projection' was renamed"):
-            config = GDConfig.from_dict({"projection": "exact", "seed": 4})
-        assert config.projection_method == "exact"
-        assert config.seed == 4
-        with pytest.warns(DeprecationWarning, match="shutdown_drain_seconds"):
-            serve = ServeConfig.from_dict({"shutdown_drain_seconds": 3.0})
-        assert serve.drain_seconds == 3.0
-
     def test_from_args_takes_matching_dests(self):
         namespace = argparse.Namespace(
             iterations=7, seed=2, projection_method="exact",
@@ -151,7 +165,9 @@ class TestConfigRoundTrip:
             repair_iterations=6)
         config = GDConfig.from_args(namespace)
         assert config.iterations == GDConfig().iterations  # None → default
-        assert config.max_workers == 3
+        # --workers belongs to the nested ExecutionConfig, built on its own.
+        assert config.execution == ExecutionConfig()
+        assert ExecutionConfig.from_args(namespace).max_workers == 3
         assert config.repartition_hops == 4
         assert config.repartition_damage_threshold == 0.5
         assert config.repartition_iterations == 6
@@ -169,15 +185,14 @@ class TestConfigRoundTrip:
 
     def test_from_args_with_execution_override_owns_the_routing(self):
         # The CLI pattern: execution built separately from the same
-        # namespace; from_args must not also collect the moved names
-        # (that would trip the both-names TypeError), and no
-        # deprecation warning fires on this modern path.
-        namespace = argparse.Namespace(iterations=7, workers=3, parallelism="thread")
+        # namespace and passed in as an override; no warning fires.
+        namespace = argparse.Namespace(iterations=7, workers=3, parallelism="shm")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             config = GDConfig.from_args(
                 namespace, execution=ExecutionConfig.from_args(namespace))
-        assert config.execution.parallelism == "thread"
+        assert config.iterations == 7
+        assert config.execution.parallelism == "shm"
         assert config.execution.max_workers == 3
 
 
@@ -185,7 +200,7 @@ class TestExecutionConfig:
     def test_defaults_and_round_trip(self):
         config = ExecutionConfig(parallelism="shm", max_workers=4,
                                  task_timeout_seconds=30.0, task_retries=1,
-                                 shm_min_wave_tasks=3, shm_segment_prefix="t-shm")
+                                 shm_segment_prefix="t-shm")
         assert ExecutionConfig.from_dict(config.to_dict()) == config
         json.dumps(config.to_dict())
 
@@ -194,8 +209,6 @@ class TestExecutionConfig:
             ExecutionConfig(parallelism="fork-bomb")
         with pytest.raises(ValueError, match="max_workers"):
             ExecutionConfig(max_workers=0)
-        with pytest.raises(ValueError, match="shm_min_wave_tasks"):
-            ExecutionConfig(shm_min_wave_tasks=0)
         with pytest.raises(ValueError, match="shm_segment_prefix"):
             ExecutionConfig(shm_segment_prefix="")
 
@@ -208,48 +221,9 @@ class TestExecutionConfig:
         assert restored == config
         assert isinstance(restored.execution, ExecutionConfig)
 
-
-class TestMoveShims:
-    """The PR's ``install_move_shims`` deprecation machinery on GDConfig."""
-
-    def test_flat_name_warns_and_lands_in_execution(self):
-        with pytest.warns(DeprecationWarning, match="moved to GDConfig.execution"):
-            config = GDConfig(parallelism="thread", max_workers=2)
-        assert config.execution.parallelism == "thread"
-        assert config.execution.max_workers == 2
-
-    def test_flat_attribute_access_warns_and_forwards(self):
-        config = GDConfig(execution=ExecutionConfig(parallelism="process",
-                                                    task_retries=5))
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert config.parallelism == "process"
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert config.task_retries == 5
-
-    def test_both_names_is_a_type_error(self):
-        with pytest.raises(TypeError, match="both"):
-            GDConfig(parallelism="thread",
-                     execution=ExecutionConfig(parallelism="process"))
-
-    def test_with_updates_remaps_flat_names(self):
-        config = GDConfig(execution=ExecutionConfig(max_workers=8))
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            updated = config.with_updates(parallelism="shm")
-        assert updated.execution.parallelism == "shm"
-        assert updated.execution.max_workers == 8  # untouched sibling field
-
-    def test_from_dict_accepts_old_flat_keys(self):
-        # Pre-redesign serialized configs keep loading.
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            config = GDConfig.from_dict({"seed": 7, "parallelism": "shm",
-                                         "task_retries": 1})
-        assert config.seed == 7
-        assert config.execution.parallelism == "shm"
-        assert config.execution.task_retries == 1
-
     def test_execution_dict_is_coerced(self):
         # from_dict of a nested mapping (the JSON round-trip path).
-        config = GDConfig(execution={"parallelism": "thread", "max_workers": 2})
+        config = GDConfig(execution={"parallelism": "shm", "max_workers": 2})
         assert isinstance(config.execution, ExecutionConfig)
         assert config.execution.max_workers == 2
 
@@ -282,10 +256,10 @@ class TestRunFacade:
     def test_run_execution_override_wins(self, two_cliques_graph):
         gd = GDConfig(iterations=15, seed=3)
         result = repro.run(two_cliques_graph, 4, epsilon=0.1, gd=gd,
-                           execution=ExecutionConfig(parallelism="thread",
+                           execution=ExecutionConfig(parallelism="shm",
                                                      max_workers=2))
-        assert result.execution.parallelism == "thread"
-        assert result.gd.execution.parallelism == "thread"
+        assert result.execution.parallelism == "shm"
+        assert result.gd.execution.parallelism == "shm"
         reference = repro.run(two_cliques_graph, 4, epsilon=0.1, gd=gd)
         assert np.array_equal(result.partition.assignment,
                               reference.partition.assignment)

@@ -9,8 +9,7 @@ Three load-bearing properties:
 * **O(coordinates) dispatch** — the only pickled payload per task is a
   :class:`~repro.core.shm.ShmTaskRef`; the per-wave stats must show the
   pipe traffic collapsing to a few dozen bytes while the subgraph bytes
-  the process backend would have shipped stay orders of magnitude
-  larger.
+  a pickling pool would have shipped stay orders of magnitude larger.
 * **No leaked segments** — every arena is unlinked by the end of a run,
   including runs where an injected worker crash forces a pool rebuild
   mid-wave (the PR-9 ``executor.task`` fault site applies to shm
@@ -163,24 +162,23 @@ def test_shm_backend_bit_identical_with_stats(social_graph, social_weights):
     config = GDConfig(iterations=15, seed=11,
                       execution=ExecutionConfig(shm_segment_prefix="t-shm"))
     reference = recursive_bisection(social_graph, social_weights, 8, 0.05, config)
-    with BisectionExecutor.from_execution(
-            config.execution.with_updates(parallelism="shm",
-                                          max_workers=2)) as executor:
+    with BisectionExecutor(config.execution.with_updates(parallelism="shm",
+                                                         max_workers=2)) as executor:
         partition = recursive_bisection(social_graph, social_weights, 8, 0.05,
                                         config, executor=executor)
         stats = executor.stats.shm
     assert np.array_equal(partition.assignment, reference.assignment)
 
-    # k=8 → waves of 2 and 4 tasks clear the default min-wave floor
-    # (the root wave of one task takes the plain path).
+    # k=8 → waves of 2 and 4 tasks go through arenas (the root wave of
+    # one task runs in process).
     assert stats.waves >= 2
     assert stats.tasks >= 6
     assert stats.segments_created == stats.waves
     assert stats.attaches >= 1
 
     # The O(coordinates) acceptance claim: per-task pipe traffic is a
-    # pickled ShmTaskRef (tens of bytes), while the bytes the process
-    # backend would have pickled per task are the task's whole subgraph.
+    # pickled ShmTaskRef (tens of bytes), while the bytes a pickling pool
+    # would have shipped per task are the task's whole subgraph.
     assert stats.payload_bytes_per_task < 200
     assert stats.pickled_bytes_avoided > 100 * stats.payload_bytes
     assert stats.bytes_shared > 0
@@ -192,17 +190,17 @@ def test_shm_backend_bit_identical_with_stats(social_graph, social_weights):
 
 
 def test_small_waves_fall_back_to_plain_dispatch(social_graph, social_weights):
-    # A min-wave floor above every wave size keeps the shm path dormant;
-    # results still match and no segment is ever created.
+    # k=3 splits 2:1, so every wave holds a single task: each runs in
+    # process, results still match and no segment is ever created.
     execution = ExecutionConfig(parallelism="shm", max_workers=2,
-                                shm_min_wave_tasks=64,
                                 shm_segment_prefix="t-shm")
     config = GDConfig(iterations=12, seed=5)
-    reference = recursive_bisection(social_graph, social_weights, 4, 0.05, config)
-    with BisectionExecutor.from_execution(execution) as executor:
-        partition = recursive_bisection(social_graph, social_weights, 4, 0.05,
+    reference = recursive_bisection(social_graph, social_weights, 3, 0.05, config)
+    with BisectionExecutor(execution) as executor:
+        partition = recursive_bisection(social_graph, social_weights, 3, 0.05,
                                         config, executor=executor)
         assert executor.stats.shm.waves == 0
+        assert executor._pool is None
     assert np.array_equal(partition.assignment, reference.assignment)
     assert not _leftover_segments("t-shm")
 
@@ -219,8 +217,9 @@ def test_shm_matches_serial_for_any_seed(seed, num_parts, workers):
     weights = standard_weights(graph, 2)
     config = GDConfig(iterations=8, seed=seed)
     serial = recursive_bisection(graph, weights, num_parts, 0.05, config)
-    shm = recursive_bisection(graph, weights, num_parts, 0.05, config,
-                              parallelism="shm", max_workers=workers)
+    execution = ExecutionConfig(parallelism="shm", max_workers=workers)
+    shm = recursive_bisection(graph, weights, num_parts, 0.05,
+                              config.with_updates(execution=execution))
     assert np.array_equal(serial.assignment, shm.assignment)
 
 
@@ -240,7 +239,7 @@ def test_worker_crash_rebuilds_pool_and_leaks_nothing(social_graph, social_weigh
     execution = ExecutionConfig(parallelism="shm", max_workers=2,
                                 task_retries=3, shm_segment_prefix="t-shm")
     with inject(plan):
-        with BisectionExecutor.from_execution(execution) as executor:
+        with BisectionExecutor(execution) as executor:
             partition = recursive_bisection(social_graph, social_weights, 8,
                                             0.05, config, executor=executor)
             assert executor.stats.pool_rebuilds >= 1
@@ -262,23 +261,11 @@ def test_raising_wave_unlinks_its_segment(social_graph, social_weights):
                                 task_retries=1, shm_segment_prefix="t-shm")
     config = GDConfig(iterations=10, seed=3)
     with inject(plan):
-        with BisectionExecutor.from_execution(execution) as executor:
+        with BisectionExecutor(execution) as executor:
             with pytest.raises(ExecutorTaskError, match="depth=1/part=0"):
                 recursive_bisection(social_graph, social_weights, 8, 0.05,
                                     config, executor=executor)
     assert not _leftover_segments("t-shm")
-
-
-@pytest.mark.slow
-def test_shm_backend_bit_identical_on_large_graph():
-    """Acceptance-criteria scenario at scale: >= 100k edges, k=8."""
-    graph = fb_like(80, scale=4.0, seed=0)
-    weights = standard_weights(graph, 2)
-    config = GDConfig(iterations=30, seed=42)
-    serial = recursive_bisection(graph, weights, 8, 0.05, config)
-    shm = recursive_bisection(graph, weights, 8, 0.05, config,
-                              parallelism="shm", max_workers=4)
-    assert np.array_equal(serial.assignment, shm.assignment)
 
 
 @pytest.mark.slow
@@ -291,6 +278,7 @@ def test_shm_matches_serial_on_the_canonical_graph():
     weights = standard_weights(graph, 2)
     config = GDConfig(iterations=100, seed=6)
     serial = recursive_bisection(graph, weights, 16, 0.05, config)
-    shm = recursive_bisection(graph, weights, 16, 0.05, config,
-                              parallelism="shm", max_workers=2)
+    execution = ExecutionConfig(parallelism="shm", max_workers=2)
+    shm = recursive_bisection(graph, weights, 16, 0.05,
+                              config.with_updates(execution=execution))
     assert np.array_equal(serial.assignment, shm.assignment)
