@@ -45,6 +45,15 @@ driver's JSON report alongside the microbenchmark medians::
 
     python benchmarks/perf_guard.py record serve_report.json \
         --label serve --keys lookups_per_sec p50_ms p99_ms repair_lag_batches
+
+It also reads the end-to-end benchmark's report (the last line
+``perfbench/run.py`` prints), whose ``metrics`` object maps each name to
+``{"value", "unit"}``; the values are recorded under their metric names::
+
+    python3 perfbench/run.py --workload kway_serial --seed 1 --seconds 10 \
+        --trace 0 | tail -n 1 > perfbench.json
+    python benchmarks/perf_guard.py record perfbench.json \
+        --label perfbench --keys solve_s setup_s peak_rss_mb
 """
 
 from __future__ import annotations
@@ -227,6 +236,22 @@ def append_history(distilled: dict, rows: list[dict],
     return path
 
 
+def flatten_report(report: dict) -> dict:
+    """The report's fields with a perfbench ``metrics`` object flattened.
+
+    ``{"failed": 0, "metrics": {"solve_s": {"value": 0.5, "unit": "s"}}}``
+    becomes ``{"failed": 0, "solve_s": 0.5}``; a report without such an
+    object is returned unchanged.
+    """
+    metrics = report.get("metrics")
+    if not isinstance(metrics, dict) or not all(
+            isinstance(entry, dict) and "value" in entry for entry in metrics.values()):
+        return report
+    flat = {key: value for key, value in report.items() if key != "metrics"}
+    flat.update((name, entry["value"]) for name, entry in metrics.items())
+    return flat
+
+
 def record_metrics(values: dict, label: str = "",
                    path: Path = HISTORY_PATH) -> Path:
     """Append one line of named scalar metrics to the perf trajectory.
@@ -358,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         "record", help="append named metrics from a JSON report to the history")
     record.add_argument("metrics_json", type=Path,
                         help="JSON object of metric name -> numeric value "
-                             "(e.g. `repro serve bench --json` output)")
+                             "(e.g. `repro serve bench --json` output), or a "
+                             "perfbench report")
     record.add_argument("--label", default="",
                         help="prefix recorded names as <label>:<name>")
     record.add_argument("--keys", nargs="+", default=None,
@@ -373,6 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(values, dict):
             print("error: metrics JSON must be an object", file=sys.stderr)
             return 2
+        values = flatten_report(values)
         if args.keys is not None:
             missing = [key for key in args.keys if key not in values]
             if missing:

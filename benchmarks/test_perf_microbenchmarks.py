@@ -161,11 +161,22 @@ def test_perf_gd_bisection_20_iterations(benchmark):
 
 
 def test_perf_subgraph_extraction(benchmark):
-    """Induced-subgraph extraction — the per-task setup cost of the parallel
-    recursive-bisection scheduler."""
+    """Induced subgraph of a random half of the vertices: a row filter that
+    keeps about a quarter of the edges, unlike any recursion wave (see
+    :func:`test_perf_wave_extraction`)."""
     rng = np.random.default_rng(3)
     half = rng.permutation(GRAPH.num_vertices)[:GRAPH.num_vertices // 2]
     benchmark(lambda: GRAPH.subgraph(half))
+
+
+def test_perf_wave_extraction(benchmark):
+    """One recursion wave's extraction: both sides of a 20-iteration GD
+    bisection taken by a single :meth:`Graph.subgraphs` call, as the
+    scheduler does at depth 1."""
+    assignment = gd_bisect(GRAPH, WEIGHTS, 0.05, GDConfig(iterations=20, seed=0)
+                           ).partition.assignment
+    sides = [np.flatnonzero(assignment == 0), np.flatnonzero(assignment == 1)]
+    benchmark(lambda: GRAPH.subgraphs(sides))
 
 
 def test_perf_recursive_bisection_k8_serial(benchmark):

@@ -14,10 +14,12 @@ Scheduling
 ----------
 Instead of depth-first recursion, the recursion tree is processed as a
 *frontier* of tasks, one wave per level.  All subproblems in a wave touch
-disjoint vertex sets: the coordinating process materializes the whole
-wave's induced subgraphs in one pass (:meth:`Graph.subgraphs`) and hands
-the wave to :meth:`~repro.core.executor.BisectionExecutor.solve_frontier`
-— serially in process, or on a process pool that shares the wave
+disjoint, sorted vertex sets: the coordinating process materializes the
+whole wave's induced subgraphs with one :meth:`Graph.subgraphs` call —
+each a row filter of the input graph's CSR, and the root task's the input
+graph itself, uncopied — and hands the wave to
+:meth:`~repro.core.executor.BisectionExecutor.solve_frontier` — serially
+in process, or on a process pool that shares the wave
 zero-copy through one shared-memory arena (``parallelism="shm"``; see
 :mod:`repro.core.shm`), as :attr:`GDConfig.execution` (an
 :class:`~repro.core.ExecutionConfig`) or a caller-owned executor says.
@@ -112,10 +114,11 @@ def _prepare_wave(graph: Graph, weights: np.ndarray, tasks: list[_Task],
                   config: GDConfig) -> list[tuple[_Subproblem, np.ndarray]]:
     """Extract one wave's subproblems and derive their seeded configs.
 
-    The tasks of a wave cover disjoint vertex sets, so their induced
-    subgraphs are materialized in a single :meth:`Graph.subgraphs` pass —
-    shared by both execution backends (shm packs the subproblems into
-    the wave's arena).
+    The tasks of a wave cover disjoint vertex sets, sorted ascending (the
+    root's is every vertex; :func:`_expand` keeps its parent's order), so
+    their induced subgraphs are row filters of ``graph`` taken by one
+    :meth:`Graph.subgraphs` call — shared by both execution backends (shm
+    packs the subproblems into the wave's arena).
     """
     extracted = graph.subgraphs([task.vertex_ids for task in tasks])
     prepared: list[tuple[_Subproblem, np.ndarray]] = []

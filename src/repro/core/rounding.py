@@ -39,17 +39,6 @@ def deterministic_round(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _move_gains(graph: Graph, sides: np.ndarray) -> np.ndarray:
-    """Cut-size *decrease* obtained by flipping each vertex.
-
-    gain(i) = (# neighbors on the other side) − (# neighbors on own side);
-    positive gains mean flipping the vertex reduces the cut.
-    """
-    adjacency = graph.adjacency_matrix()
-    same_side_score = sides * (adjacency @ sides)  # deg_same − deg_other
-    return -same_side_score
-
-
 def _normalized_violation(sums: np.ndarray, slack: np.ndarray, totals: np.ndarray) -> float:
     """Total constraint violation of the side sums, normalized per dimension."""
     excess = np.maximum(np.abs(sums) - slack, 0.0)
@@ -96,8 +85,12 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
     slack = epsilon * totals
     center = np.zeros_like(totals) if center is None else np.asarray(center, dtype=np.float64)
     sums = weights @ sides - center
-    gains = _move_gains(graph, sides)
-    adjacency = graph.adjacency_matrix()
+    # neighbor_sums[i] = Σ_{j ~ i} sides[j], so sides[i] · neighbor_sums[i]
+    # = deg_same − deg_other and gains[i] = −sides[i] · neighbor_sums[i] is
+    # the cut *decrease* of flipping vertex i.  Both hold small integers in
+    # float64, so updating them per flip is exact.
+    neighbor_sums = graph.adjacency_matrix() @ sides
+    gains = -(sides * neighbor_sums)
 
     for _ in range(max_moves):
         current_violation = _normalized_violation(sums, slack, totals)
@@ -130,6 +123,8 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
         # the flipped vertex and its neighbors (only they are affected).
         sides[best] = -donor_side
         sums -= 2.0 * donor_side * weights[:, best]
-        touched = np.append(graph.neighbors(best), best)
-        gains[touched] = -(sides[touched] * (adjacency[touched] @ sides))
+        neighbors = graph.neighbors(best)
+        neighbor_sums[neighbors] -= 2.0 * donor_side
+        touched = np.append(neighbors, best)
+        gains[touched] = -(sides[touched] * neighbor_sums[touched])
     return sides

@@ -22,11 +22,12 @@ Snapshot parity contract
 ------------------------
 :meth:`DynamicGraph.snapshot` returns a :class:`Graph` that is
 **bit-identical** to ``Graph.from_edges(n, current_edge_set)`` — the same
-canonical edge array and the exact CSR layout ``_build_csr`` would
-produce.  (Canonical edges are sorted by ``lo * n + hi``, which makes row
-``r``'s CSR neighbors "all neighbors > r ascending, then all neighbors
-< r ascending"; the incremental row rebuild reproduces that order from
-the updated neighbor set.)  Everything downstream — metrics, GD repair,
+canonical edge array and the exact CSR layout ``from_edges`` would
+produce: the row order stated in the :class:`~repro.graphs.graph.Graph`
+docstring (all neighbors > r ascending, then all neighbors < r
+ascending), which the incremental row rebuild reproduces from the updated
+neighbor set and on which wave extraction (:meth:`Graph.subgraphs`)
+relies.  Everything downstream — metrics, GD repair,
 full recompute — therefore behaves as if the graph had been rebuilt from
 scratch, which is what makes the incremental path testable against the
 from-scratch one.

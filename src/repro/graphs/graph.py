@@ -65,6 +65,12 @@ class Graph:
     indptr, indices:
         CSR adjacency structure: the neighbors of vertex ``v`` are
         ``indices[indptr[v]:indptr[v + 1]]``.
+
+    Every graph this package builds keeps one CSR row order — row ``r``
+    lists its neighbors > ``r`` ascending, then its neighbors < ``r``
+    ascending — the order :meth:`from_edges` gives, that
+    :meth:`repro.dynamic.DynamicGraph.snapshot` reproduces, and that
+    :meth:`subgraphs` relies on and keeps.
     """
 
     num_vertices: int
@@ -101,9 +107,9 @@ class Graph:
         views into a shared segment (read-only views included — no
         algorithm in this package writes into a graph's arrays) and are
         stored as-is.  The caller guarantees the arrays form a valid
-        canonical CSR graph (as produced by :meth:`from_edges` /
-        :meth:`subgraph`); only cheap shape/dtype invariants are checked
-        here.
+        canonical CSR graph in the class's row order (as produced by
+        :meth:`from_edges` / :meth:`subgraphs`); only cheap shape/dtype
+        invariants are checked here.
         """
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
@@ -179,80 +185,66 @@ class Graph:
         """Induced subgraph on ``vertices``, as a remapped CSR graph.
 
         Returns the subgraph and an array mapping new vertex ids to the
-        original ids (``original_id = mapping[new_id]``).  The mapping is
-        sorted ascending, so the relabelling is monotone: the stored edges
-        are already canonical (unique, ``u < v``) and remain so after
-        remapping, which lets the CSR structure be rebuilt directly without
-        re-deduplicating.  This is the hot path of the parallel recursive
-        bisection scheduler, which extracts one induced subgraph per node of
-        the recursion tree.
+        original ids (``original_id = mapping[new_id]``); the mapping is
+        the sorted set of ``vertices``.  Shorthand for
+        ``self.subgraphs([vertices])[0]``.
         """
-        vertex_ids = np.unique(np.asarray(vertices, dtype=np.int64))
-        if vertex_ids.size and (vertex_ids[0] < 0 or vertex_ids[-1] >= self.num_vertices):
-            raise ValueError("vertex id out of range")
-        new_id = np.full(self.num_vertices, -1, dtype=np.int64)
-        new_id[vertex_ids] = np.arange(vertex_ids.size)
-        if self.num_edges:
-            src_new = new_id[self.edges[:, 0]]
-            dst_new = new_id[self.edges[:, 1]]
-            keep = (src_new >= 0) & (dst_new >= 0)
-            sub_edges = np.column_stack([src_new[keep], dst_new[keep]])
-        else:
-            sub_edges = np.empty((0, 2), dtype=np.int64)
-        indptr, indices = self._build_csr(vertex_ids.size, sub_edges)
-        sub = Graph(num_vertices=int(vertex_ids.size), edges=sub_edges,
-                    indptr=indptr, indices=indices)
-        return sub, vertex_ids
+        return self.subgraphs([vertices])[0]
 
     def subgraphs(self, vertex_sets: Sequence[np.ndarray | Sequence[int]]
                   ) -> list[tuple["Graph", np.ndarray]]:
         """Induced subgraphs of several pairwise-disjoint vertex sets.
 
-        Equivalent to ``[self.subgraph(s) for s in vertex_sets]`` — the same
-        graphs and the same sorted mappings — but the edge list is scanned
-        once for the whole collection instead of once per set.  This is the
-        wave-extraction path of the recursive-bisection scheduler: every
-        level of the recursion tree is a frontier of tasks on disjoint
-        vertex sets, and all of their subgraphs are materialized here in one
-        pass regardless of the execution backend.
+        Returns one ``(subgraph, mapping)`` pair per set, as :meth:`subgraph`
+        does; this is the wave extraction of the recursive-bisection
+        scheduler.  A mapping is its sorted set (a strictly increasing input
+        is used as is), so the relabelling is monotone and a subgraph's CSR
+        is a *row filter* of this graph's in the row order of the class
+        docstring: the set's rows, keeping the entries whose target is in
+        the set.  Its edges are the kept entries with target > row, in CSR
+        order.  No sort runs, and the arrays equal :meth:`from_edges` on the
+        induced edges.  A set of every vertex returns this graph itself.
 
         Raises :class:`ValueError` if the sets overlap or contain invalid
         vertex ids.
         """
-        mappings = [np.unique(np.asarray(ids, dtype=np.int64)) for ids in vertex_sets]
-        owner = np.full(self.num_vertices, -1, dtype=np.int64)
-        local_id = np.zeros(self.num_vertices, dtype=np.int64)
-        for index, mapping in enumerate(mappings):
-            if mapping.size and (mapping[0] < 0 or mapping[-1] >= self.num_vertices):
-                raise ValueError("vertex id out of range")
-            if np.any(owner[mapping] != -1):
-                raise ValueError("vertex sets must be pairwise disjoint")
-            owner[mapping] = index
-            local_id[mapping] = np.arange(mapping.size)
-
-        per_set_edges: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)
-                                           for _ in mappings]
-        if self.num_edges and mappings:
-            src_owner = owner[self.edges[:, 0]]
-            # An edge is induced iff both endpoints share a (non-negative)
-            # owner; sets are disjoint, so comparing owners suffices.
-            keep = (src_owner >= 0) & (src_owner == owner[self.edges[:, 1]])
-            kept_owner = src_owner[keep]
-            kept_edges = np.column_stack([local_id[self.edges[keep, 0]],
-                                          local_id[self.edges[keep, 1]]])
-            # Stable grouping preserves each set's original edge order, so
-            # the per-set edge arrays match what Graph.subgraph would build.
-            order = np.argsort(kept_owner, kind="stable")
-            kept_owner, kept_edges = kept_owner[order], kept_edges[order]
-            boundaries = np.searchsorted(kept_owner, np.arange(len(mappings) + 1))
-            for index in range(len(mappings)):
-                per_set_edges[index] = kept_edges[boundaries[index]:boundaries[index + 1]]
-
+        n = self.num_vertices
+        # int32 set ids halve the bytes the per-entry owner gather moves.
+        owner = np.full(n, -1, dtype=np.int32)
+        local_id = np.zeros(n, dtype=np.int64)
         results: list[tuple[Graph, np.ndarray]] = []
-        for mapping, sub_edges in zip(mappings, per_set_edges):
-            indptr, indices = self._build_csr(mapping.size, sub_edges)
-            results.append((Graph(num_vertices=int(mapping.size), edges=sub_edges,
-                                  indptr=indptr, indices=indices), mapping))
+        for index, ids in enumerate(vertex_sets):
+            ids = np.asarray(ids, dtype=np.int64).ravel()
+            if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
+                ids = np.unique(ids)
+            if ids.size and (ids[0] < 0 or ids[-1] >= n):
+                raise ValueError("vertex id out of range")
+            if np.any(owner[ids] != -1):
+                raise ValueError("vertex sets must be pairwise disjoint")
+            owner[ids] = index
+            local_id[ids] = np.arange(ids.size)
+            if ids.size == n:
+                # Sorted, in range and n long: every vertex, so no copy.
+                results.append((self, ids))
+                continue
+            # The CSR entries of the set's rows: ``bounds`` delimits each
+            # row's entries, ``positions`` locates them in ``self.indices``.
+            starts = self.indptr[ids]
+            lengths = self.indptr[ids + 1] - starts
+            bounds = np.zeros(ids.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=bounds[1:])
+            positions = np.repeat(starts - bounds[:-1], lengths)
+            positions += np.arange(positions.size)
+            targets = self.indices[positions]
+            # Keep the entries whose target is in the set and relabel them.
+            kept = np.flatnonzero(owner[targets] == index)
+            indices = local_id[targets[kept]]
+            indptr = np.searchsorted(kept, bounds)
+            local_rows = np.repeat(np.arange(ids.size), np.diff(indptr))
+            upper = np.flatnonzero(indices > local_rows)
+            edges = np.column_stack([local_rows[upper], indices[upper]])
+            results.append((Graph(num_vertices=int(ids.size), edges=edges,
+                                  indptr=indptr, indices=indices), ids))
         return results
 
     def to_networkx(self):

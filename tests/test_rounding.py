@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import balance_repair, deterministic_round, randomized_round
 from repro.graphs import Graph, unit_weights
@@ -127,3 +129,70 @@ class TestBalanceRepair:
         repaired = balance_repair(graph, sides, weights, epsilon=0.05)
         partition = Partition.from_sides(graph, repaired)
         assert is_epsilon_balanced(partition, weights, epsilon=0.05)
+
+
+def _reference_balance_repair(graph, sides, weights, epsilon, center=None,
+                              movable=None):
+    """:func:`balance_repair` transcribed plainly: every vertex's cut gain
+    is recomputed from the whole adjacency before each move."""
+    sides = np.asarray(sides, dtype=np.float64).copy()
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    adjacency = graph.adjacency_matrix()
+    totals = weights.sum(axis=1)
+    slack = epsilon * totals
+    center = np.zeros_like(totals) if center is None else center
+    sums = weights @ sides - center
+    for _ in range(graph.num_vertices):
+        excess = np.maximum(np.abs(sums) - slack, 0.0) / np.maximum(totals, 1e-12)
+        current_violation = float(excess.sum())
+        if current_violation <= 1e-12:
+            break
+        worst_dim = int(np.argmax(excess))
+        donor_side = 1.0 if sums[worst_dim] > 0 else -1.0
+        on_donor_side = sides == donor_side
+        if movable is not None:
+            on_donor_side &= movable
+        candidates = np.flatnonzero(on_donor_side)
+        if candidates.size == 0:
+            break
+        new_sums = sums[:, None] - 2.0 * donor_side * weights[:, candidates]
+        new_excess = np.maximum(np.abs(new_sums) - slack[:, None], 0.0)
+        new_violation = (new_excess / np.maximum(totals[:, None], 1e-12)).sum(axis=0)
+        best_violation = new_violation.min()
+        if best_violation >= current_violation - 1e-15:
+            break
+        near_best = candidates[new_violation <= best_violation + 1e-12]
+        gains = -(sides * (adjacency @ sides))
+        best = near_best[np.argmax(gains[near_best])]
+        sides[best] = -donor_side
+        sums -= 2.0 * donor_side * weights[:, best]
+    return sides
+
+
+@st.composite
+def _repair_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=120))
+    dimensions = draw(st.integers(min_value=1, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 3.0, size=(dimensions, n))
+    sides = np.where(rng.random(n) < draw(st.floats(0.5, 1.0)), 1.0, -1.0)
+    movable = draw(st.none() | st.just(rng.random(n) < 0.7))
+    # An uneven split (odd part counts) shifts the balance center.
+    center = draw(st.none() | st.just(rng.uniform(-0.3, 0.3, dimensions)
+                                      * weights.sum(axis=1)))
+    epsilon = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    return Graph.from_edges(n, edges), sides, weights, epsilon, center, movable
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_repair_inputs())
+def test_incremental_gains_match_full_recompute(inputs):
+    graph, sides, weights, epsilon, center, movable = inputs
+    repaired = balance_repair(graph, sides, weights, epsilon, center=center,
+                              movable=movable)
+    expected = _reference_balance_repair(graph, sides, weights, epsilon,
+                                         center=center, movable=movable)
+    np.testing.assert_array_equal(repaired, expected)
