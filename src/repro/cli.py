@@ -488,13 +488,13 @@ def _run_repartition(args: argparse.Namespace) -> int:
                      f"{int(assignment.max(initial=0))})")
     try:
         batches = read_update_batches(args.updates, num_dimensions=weights.shape[0])
+        repartitioner = IncrementalRepartitioner(DynamicGraph(graph, weights), assignment,
+                                                 num_parts, epsilon=args.epsilon,
+                                                 config=config)
     except (OSError, ValueError) as error:
         return _fail(str(error))
 
     _warn_ignored_workers(args)
-    dynamic = DynamicGraph(graph, weights)
-    repartitioner = IncrementalRepartitioner(dynamic, assignment, num_parts,
-                                             epsilon=args.epsilon, config=config)
     for index, batch in enumerate(batches):
         try:
             report = repartitioner.apply(batch)

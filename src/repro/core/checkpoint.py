@@ -36,12 +36,23 @@ class CheckpointMismatch(ValueError):
 
 @dataclass(frozen=True)
 class TaskState:
-    """One pending recursion-tree task, as stored in a checkpoint."""
+    """One node of the recursion tree: split ``vertex_ids`` into
+    ``num_parts`` parts numbered from ``first_part``.
+
+    The frontier scheduler's work item (a wave is a list of them) and,
+    unchanged, a checkpoint's record of a pending task.  ``vertex_ids``
+    is coerced to int64, so a frontier loaded from any checkpoint indexes
+    like one the scheduler built.
+    """
 
     vertex_ids: np.ndarray
     num_parts: int
     first_part: int
     depth: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertex_ids",
+                           np.asarray(self.vertex_ids, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ import numpy as np
 
 from ..faults import attempt_scope, fault_site
 from .config import ExecutionConfig
-from .shm import ShmStats, solve_frontier_shm, wave_is_shm_packable
+from .shm import ShmStats, solve_frontier_shm
 
 __all__ = [
     "BisectionExecutor",
@@ -298,25 +298,28 @@ class BisectionExecutor:
         return results
 
     def solve_frontier(self, subproblems: Sequence[_T],
-                       run_one: Callable[[_T], np.ndarray],
-                       labels: Sequence[str] | None = None) -> list[np.ndarray]:
+                       run_one: Callable[[_T], tuple[np.ndarray, dict | None]],
+                       labels: Sequence[str] | None = None
+                       ) -> list[tuple[np.ndarray, dict | None]]:
         """Solve one wave of bisection subproblems on the configured backend.
 
         ``subproblems`` are records with ``subgraph``, ``weights``,
-        ``epsilon``, ``config`` and ``target_fraction`` fields.  The shm
-        backend packs a wave of two or more tasks into one shared-memory
-        arena and drives the process pool with task coordinates only
-        (:func:`~repro.core.shm.solve_frontier_shm` — the retry/timeout/
-        pool-rebuild machinery of :meth:`_map_processes` applies
-        unchanged).  A single task (the root of the recursion tree) and
-        the serial backend map ``run_one`` over the tasks in process.
-        Either way the per-task local assignments come back in task
-        order and are bit-identical across backends (the
-        deterministic-seeding contract).
+        ``epsilon``, ``config``, ``target_fraction`` and the warm-start
+        fields ``initial_x``, ``initial_fixed`` and ``warm_lambdas``
+        (``None`` in a full solve's waves, set in a repair's).  The shm
+        backend packs every wave of two or more tasks, cold or warm, into
+        one shared-memory arena and drives the process pool with task
+        coordinates only (:func:`~repro.core.shm.solve_frontier_shm` —
+        the retry/timeout/pool-rebuild machinery of
+        :meth:`_map_processes` applies unchanged).  A single task (the
+        root of the recursion tree) and the serial backend map
+        ``run_one`` over the tasks in process.  Either way each task's
+        ``(local assignment, exported multipliers)`` comes back in task
+        order, bit-identical across backends (the deterministic-seeding
+        contract).
         """
         subproblems = list(subproblems)
-        if (self.execution.parallelism == "shm" and len(subproblems) > 1
-                and wave_is_shm_packable(subproblems)):
+        if self.execution.parallelism == "shm" and len(subproblems) > 1:
             if labels is None:
                 labels = [f"#{index}" for index in range(len(subproblems))]
             return solve_frontier_shm(self, subproblems, labels)

@@ -33,10 +33,10 @@ Structure
 ---------
 :class:`BisectionStepper` owns one bisection's mutable state and advances
 it one iteration at a time; :func:`bisection_regions` and
-:func:`finalize_bisection` are its construction and finalization halves,
-the latter shared with the incremental repartitioner.  :func:`gd_bisect`
-is the driver: build a stepper, step it ``config.iterations`` times,
-finalize.
+:func:`finalize_bisection` are its construction and finalization halves.
+:func:`gd_bisect` is the driver: build a stepper (cold, or warm-started
+by the incremental repartitioner's repair tasks), step it
+``config.iterations`` times, finalize.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ..partition.partition import Partition
 from ..partition.validation import validate_epsilon, validate_weights
 from .compaction import FreeVertexSystem
 from .config import GDConfig
-from .kernels import FusedBackend, KernelBackend
+from .kernels import FusedBackend
 from .noise import NoiseSchedule
 from .projection import (
     AlternatingProjector,
@@ -156,9 +156,8 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
                        epsilon: float, final_region: FeasibleRegion,
                        center: np.ndarray, x: np.ndarray, fixed: np.ndarray,
                        rng: np.random.Generator,
-                       movable: np.ndarray | None = None,
-                       backend: KernelBackend | None = None) -> np.ndarray:
-    """Shared tail of one bisection: clean-up projection, rounding, repair.
+                       movable: np.ndarray | None = None) -> np.ndarray:
+    """The tail of one bisection: clean-up projection, rounding, repair.
 
     One-shot alternating projections accumulate a residual imbalance; run
     convergent sweeps on the free vertices to remove it, then round the
@@ -167,10 +166,10 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
     side vector.
 
     ``movable`` restricts the greedy balance repair to a subset of
-    vertices (see :func:`repro.core.rounding.balance_repair`); the
-    incremental repartitioner passes the vertices its freeze rule
-    released so frozen vertices provably keep their side.  ``None`` (the
-    default, used by every full solve) lets every vertex move.
+    vertices (see :func:`repro.core.rounding.balance_repair`):
+    :meth:`BisectionStepper.result` passes the vertices a warm start left
+    free, so the vertices it fixed provably keep their side.  ``None``
+    (every cold start) lets every vertex move.
     """
     if config.final_projection_rounds > 0:
         free = ~fixed
@@ -184,7 +183,7 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
     sides = randomized_round(x, rng)
     if config.balance_repair:
         sides = balance_repair(graph, sides, weights, epsilon, center=center,
-                               movable=movable, backend=backend)
+                               movable=movable)
     return sides
 
 
@@ -211,7 +210,8 @@ class BisectionStepper:
     incremental repartitioner's repair passes start this way from the
     previous assignment.  The step-length target is derived from the
     *free* vertex count: the distance left to travel is ``O(√free)``,
-    not ``O(√n)``.
+    not ``O(√n)``, and the final balance repair may flip only the
+    vertices that started free.
     """
 
     def __init__(self, graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
@@ -266,6 +266,9 @@ class BisectionStepper:
         else:
             self.fixed = np.zeros(n, dtype=bool)
 
+        # Only the vertices that start free may move in the final balance
+        # repair (an all-free start needs no mask).
+        self._movable = ~self.fixed if self.fixed.any() else None
         # Step target over the vertices that can still move: √n for a cold
         # start, √free for a warm start.
         free_count = int(n - self.fixed.sum())
@@ -369,7 +372,7 @@ class BisectionStepper:
         config = self.config
         sides = finalize_bisection(self.graph, self.weights, config, self.epsilon,
                                    self.final_region, self.center, self.x,
-                                   self.fixed, self.rng, backend=self.backend)
+                                   self.fixed, self.rng, movable=self._movable)
         partition = Partition.from_sides(self.graph, sides)
 
         if config.record_history:
@@ -393,7 +396,10 @@ class BisectionStepper:
 
 def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
               config: GDConfig | None = None,
-              target_fraction: float = 0.5) -> BisectionResult:
+              target_fraction: float = 0.5, *,
+              initial_x: np.ndarray | None = None,
+              initial_fixed: np.ndarray | None = None,
+              warm_lambdas: dict[int, float] | None = None) -> BisectionResult:
     """Partition ``graph`` into two parts balanced along every weight row.
 
     Parameters
@@ -411,6 +417,8 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
         Fraction of each weight dimension that part ``V₁`` should receive
         (0.5 for an even split).  Used by recursive partitioning into a
         number of parts that is not a power of two.
+    initial_x, initial_fixed, warm_lambdas:
+        A warm start, as in :class:`BisectionStepper`.
     """
     config = config if config is not None else GDConfig()
     epsilon = validate_epsilon(epsilon)
@@ -425,7 +433,9 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
                                epsilon=epsilon, config=config,
                                elapsed_seconds=time.perf_counter() - start_time)
 
-    stepper = BisectionStepper(graph, weights, epsilon, config, target_fraction)
+    stepper = BisectionStepper(graph, weights, epsilon, config, target_fraction,
+                               initial_x=initial_x, initial_fixed=initial_fixed,
+                               warm_lambdas=warm_lambdas)
     for iteration in range(config.iterations):
         stepper.step(iteration)
     return stepper.result()

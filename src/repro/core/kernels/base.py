@@ -4,7 +4,7 @@ Every per-iteration cost of the partitioner reduces to a small set of
 array kernels — the CSR mat-vec of the gradient, the axpy of the step
 update, the noise mix-in, the projection sweep's hyperplane updates, the
 breakpoint sweep of the exact 1-D projection, the free-vertex
-gather/scatter, and the masked argmax of the rounding repair.
+gather/scatter, and vertex fixing.
 :class:`KernelBackend` names each of them once, so the arithmetic of one
 kernel can change without touching the solver.
 
@@ -175,7 +175,7 @@ class KernelBackend(ABC):
         """``target[index] = values`` in place."""
 
     # ------------------------------------------------------------------ #
-    # Vertex fixing and rounding
+    # Vertex fixing
     # ------------------------------------------------------------------ #
     @abstractmethod
     def fixing_mask(self, x: np.ndarray, threshold: float) -> np.ndarray:
@@ -184,11 +184,6 @@ class KernelBackend(ABC):
     @abstractmethod
     def snap(self, v: np.ndarray) -> np.ndarray:
         """Snap to sides: ``+1`` where ``v >= 0``, else ``-1``."""
-
-    @abstractmethod
-    def masked_argmax(self, scores: np.ndarray, candidates: np.ndarray):
-        """The candidate id with the largest score (rounding repair's
-        pick among the near-best balance moves)."""
 
     # ------------------------------------------------------------------ #
     # Fused iteration

@@ -77,7 +77,7 @@ class NumpyBackend(KernelBackend):
         target[index] = values
 
     # ------------------------------------------------------------------ #
-    # Vertex fixing and rounding
+    # Vertex fixing
     # ------------------------------------------------------------------ #
     @kernel
     def fixing_mask(self, x: np.ndarray, threshold: float) -> np.ndarray:
@@ -86,7 +86,3 @@ class NumpyBackend(KernelBackend):
     @kernel
     def snap(self, v: np.ndarray) -> np.ndarray:
         return np.where(v >= 0.0, 1.0, -1.0)
-
-    @kernel
-    def masked_argmax(self, scores: np.ndarray, candidates: np.ndarray):
-        return candidates[np.argmax(scores[candidates])]

@@ -13,21 +13,30 @@ partition meets the user-requested ``ε``.
 Scheduling
 ----------
 Instead of depth-first recursion, the recursion tree is processed as a
-*frontier* of tasks, one wave per level.  All subproblems in a wave touch
-disjoint, sorted vertex sets: the coordinating process materializes the
-whole wave's induced subgraphs with one :meth:`Graph.subgraphs` call —
-each a row filter of the input graph's CSR, and the root task's the input
-graph itself, uncopied — and hands the wave to
+*frontier* of tasks (:class:`~repro.core.checkpoint.TaskState` records),
+one wave per level.  All subproblems in a wave touch disjoint, sorted
+vertex sets: the coordinating process materializes the whole wave's
+induced subgraphs with one :meth:`Graph.subgraphs` call — each a row
+filter of the input graph's CSR, and the root task's the input graph
+itself, uncopied — and hands the wave to
 :meth:`~repro.core.executor.BisectionExecutor.solve_frontier` — serially
 in process, or on a process pool that shares the wave
 zero-copy through one shared-memory arena (``parallelism="shm"``; see
 :mod:`repro.core.shm`), as :attr:`GDConfig.execution` (an
 :class:`~repro.core.ExecutionConfig`) or a caller-owned executor says.
 
+The same walk (:func:`walk_tree`) serves the incremental repartitioner
+(:mod:`repro.dynamic.repartition`): given a mask of released vertices it
+warm-starts every task from the current assignment's sides with the
+other vertices fixed, skips the subtrees that hold no released vertex,
+and seeds each task's projection engine with the multipliers the last
+solve of the same tree node exported.  A full solve is the walk with
+nothing fixed and nothing warm.
+
 Each worker's ``gd_bisect`` call constructs its own
 :class:`~repro.core.projection.ProjectionEngine` for its subproblem's
 feasible region, so the projection caches and warm-start state are local
-to the worker — nothing stateful crosses the process boundary, and the
+to the worker — only the exported multipliers travel back — and the
 engine's results are independent of the execution backend.
 
 Deterministic-seeding contract
@@ -78,76 +87,116 @@ def per_level_epsilon(num_parts: int, epsilon: float) -> tuple[int, float]:
 
 
 @dataclass(frozen=True)
-class _Task:
-    """One node of the recursion tree: split ``vertex_ids`` into ``num_parts``."""
-
-    vertex_ids: np.ndarray
-    num_parts: int
-    first_part: int
-    depth: int
-
-
-@dataclass(frozen=True)
 class _Subproblem:
-    """A self-contained bisection shipped to a worker (picklable)."""
+    """A self-contained bisection shipped to a worker (picklable).
+
+    ``initial_x``, ``initial_fixed`` and ``warm_lambdas`` warm-start a
+    repair task (see :class:`~repro.core.gd.BisectionStepper`); a full
+    solve's tasks leave them ``None``.
+    """
 
     subgraph: Graph
     weights: np.ndarray
     epsilon: float
     config: GDConfig
     target_fraction: float
+    initial_x: np.ndarray | None = None
+    initial_fixed: np.ndarray | None = None
+    warm_lambdas: dict[int, float] | None = None
 
 
-def _run_subproblem(subproblem: _Subproblem) -> np.ndarray:
-    """Worker entry point: bisect one subproblem, return the local sides.
+def _run_subproblem(subproblem: _Subproblem) -> tuple[np.ndarray, dict[int, float] | None]:
+    """Worker entry point: bisect one subproblem, return the local sides
+    and the projection multipliers the solve exported.
 
-    Module-level so a process pool can pickle it by reference; only the
-    assignment vector travels back to the coordinator.
+    Module-level so a process pool can pickle it by reference.
     """
     result = gd_bisect(subproblem.subgraph, subproblem.weights, subproblem.epsilon,
-                       subproblem.config, target_fraction=subproblem.target_fraction)
-    return result.partition.assignment
+                       subproblem.config, target_fraction=subproblem.target_fraction,
+                       initial_x=subproblem.initial_x,
+                       initial_fixed=subproblem.initial_fixed,
+                       warm_lambdas=subproblem.warm_lambdas)
+    return result.partition.assignment, result.warm_lambdas
 
 
-def _prepare_wave(graph: Graph, weights: np.ndarray, tasks: list[_Task],
-                  epsilon_per_level: float,
-                  config: GDConfig) -> list[tuple[_Subproblem, np.ndarray]]:
-    """Extract one wave's subproblems and derive their seeded configs.
-
-    The tasks of a wave cover disjoint vertex sets, sorted ascending (the
-    root's is every vertex; :func:`_expand` keeps its parent's order), so
-    their induced subgraphs are row filters of ``graph`` taken by one
-    :meth:`Graph.subgraphs` call — shared by both execution backends (shm
-    packs the subproblems into the wave's arena).
-    """
-    extracted = graph.subgraphs([task.vertex_ids for task in tasks])
-    prepared: list[tuple[_Subproblem, np.ndarray]] = []
-    for task, (subgraph, mapping) in zip(tasks, extracted):
-        # Seed by recursion-tree coordinate (see the deterministic-seeding
-        # contract in the module docstring); force workers to run their inner
-        # bisection serially — the frontier is the unit of parallelism.
-        sub_config = config.with_updates(
-            seed=task_seed(config.seed, task.depth, task.first_part),
-            record_history=False,
-            execution=config.execution.with_updates(parallelism="serial",
-                                                    max_workers=None))
-        target_fraction = ((task.num_parts + 1) // 2) / task.num_parts
-        prepared.append((_Subproblem(subgraph=subgraph, weights=weights[:, mapping],
-                                     epsilon=epsilon_per_level, config=sub_config,
-                                     target_fraction=target_fraction), mapping))
-    return prepared
-
-
-def _expand(task: _Task, mapping: np.ndarray, local_assignment: np.ndarray) -> Iterable[_Task]:
+def _expand(task: TaskState, mapping: np.ndarray,
+            local_assignment: np.ndarray) -> Iterable[TaskState]:
     """Turn a finished bisection into the two child tasks of the next level."""
     left_parts = (task.num_parts + 1) // 2
     right_parts = task.num_parts - left_parts
     left_ids = mapping[np.flatnonzero(local_assignment == 0)]
     right_ids = mapping[np.flatnonzero(local_assignment == 1)]
-    yield _Task(vertex_ids=left_ids, num_parts=left_parts,
-                first_part=task.first_part, depth=task.depth + 1)
-    yield _Task(vertex_ids=right_ids, num_parts=right_parts,
-                first_part=task.first_part + left_parts, depth=task.depth + 1)
+    yield TaskState(vertex_ids=left_ids, num_parts=left_parts,
+                    first_part=task.first_part, depth=task.depth + 1)
+    yield TaskState(vertex_ids=right_ids, num_parts=right_parts,
+                    first_part=task.first_part + left_parts, depth=task.depth + 1)
+
+
+def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
+              frontier: list[TaskState], epsilon_per_level: float, config: GDConfig,
+              executor: BisectionExecutor, *, free: np.ndarray | None = None,
+              warm: dict[tuple[int, int], dict[int, float]] | None = None,
+              on_wave: Callable[[list[TaskState]], None] | None = None) -> int:
+    """Solve the recursion tree below ``frontier``, one wave per level.
+
+    Leaves write their part into ``assignment``; empty tasks are skipped.
+    Each wave's subgraphs come from one :meth:`Graph.subgraphs` call and
+    every task is seeded by ``task_seed(config.seed, depth, first_part)``.
+
+    ``free`` turns the solve into a repair: each task starts from
+    ``assignment``'s current sides with the vertices outside ``free``
+    fixed, and a task holding no free vertex keeps its parts.  ``warm``
+    maps ``(depth, first_part)`` to the multipliers seeded into that
+    node's projection engine, and is updated from every task's export.
+    ``on_wave`` is called with the frontier at the top of every wave.
+
+    Returns the number of bisections run.
+    """
+    # Workers bisect serially: the frontier is the unit of parallelism.
+    config = config.with_updates(
+        record_history=False,
+        execution=config.execution.with_updates(parallelism="serial", max_workers=None))
+    bisections = 0
+    while frontier:
+        if on_wave is not None:
+            on_wave(frontier)
+        pending: list[TaskState] = []
+        for task in frontier:
+            if task.num_parts == 1:
+                assignment[task.vertex_ids] = task.first_part
+            elif task.vertex_ids.size and (free is None or free[task.vertex_ids].any()):
+                pending.append(task)
+
+        extracted = graph.subgraphs([task.vertex_ids for task in pending])
+        subproblems = []
+        for task, (subgraph, mapping) in zip(pending, extracted):
+            left_parts = (task.num_parts + 1) // 2
+            warm_start = {}
+            if free is not None:
+                warm_start = {
+                    "initial_x": np.where(assignment[mapping] < task.first_part + left_parts,
+                                          1.0, -1.0),
+                    "initial_fixed": ~free[mapping],
+                    "warm_lambdas": (warm.get((task.depth, task.first_part))
+                                     if warm is not None else None)}
+            subproblems.append(_Subproblem(
+                subgraph=subgraph, weights=weights[:, mapping], epsilon=epsilon_per_level,
+                # Seed by recursion-tree coordinate (see the
+                # deterministic-seeding contract in the module docstring).
+                config=config.with_updates(
+                    seed=task_seed(config.seed, task.depth, task.first_part)),
+                target_fraction=left_parts / task.num_parts, **warm_start))
+        results = executor.solve_frontier(
+            subproblems, _run_subproblem,
+            labels=[f"depth={task.depth}/part={task.first_part}" for task in pending])
+
+        frontier = []
+        for task, (_, mapping), (local, lambdas) in zip(pending, extracted, results):
+            if warm is not None and lambdas:
+                warm[(task.depth, task.first_part)] = lambdas
+            frontier.extend(_expand(task, mapping, local))
+        bisections += len(pending)
+    return bisections
 
 
 def recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
@@ -207,55 +256,34 @@ def recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
             num_parts=num_parts, epsilon=epsilon, seed=config.seed)
         level = resume_from.level
         assignment = np.array(resume_from.assignment, dtype=np.int64, copy=True)
-        frontier = [_Task(vertex_ids=np.asarray(task.vertex_ids, dtype=np.int64),
-                          num_parts=task.num_parts, first_part=task.first_part,
-                          depth=task.depth)
-                    for task in resume_from.tasks]
+        frontier = list(resume_from.tasks)
     else:
         level = 0
         assignment = np.zeros(graph.num_vertices, dtype=np.int64)
-        frontier = [_Task(vertex_ids=np.arange(graph.num_vertices), num_parts=num_parts,
-                          first_part=0, depth=0)]
+        frontier = [TaskState(vertex_ids=np.arange(graph.num_vertices), num_parts=num_parts,
+                              first_part=0, depth=0)]
 
     checkpoint_meta = {"num_vertices": graph.num_vertices,
                        "num_edges": graph.num_edges, "num_parts": num_parts,
                        "epsilon": epsilon, "seed": config.seed}
 
+    def on_wave(wave: list[TaskState]) -> None:
+        nonlocal level
+        if checkpoint_sink is not None and level > 0 and level % checkpoint_every == 0:
+            checkpoint_sink(FrontierCheckpoint(level=level, assignment=assignment.copy(),
+                                               tasks=tuple(wave),
+                                               meta=dict(checkpoint_meta)))
+        # Chaos hook: lets kill-and-resume tests die right after (or
+        # right before) a checkpoint, keyed by wave level.
+        fault_site("recursive.wave", label=f"level={level}")
+        level += 1
+
     owns_executor = executor is None
     if owns_executor:
         executor = BisectionExecutor(config.execution)
     try:
-        while frontier:
-            if checkpoint_sink is not None and level > 0 and level % checkpoint_every == 0:
-                checkpoint_sink(FrontierCheckpoint(
-                    level=level, assignment=assignment.copy(),
-                    tasks=tuple(TaskState(vertex_ids=task.vertex_ids,
-                                          num_parts=task.num_parts,
-                                          first_part=task.first_part,
-                                          depth=task.depth)
-                                for task in frontier),
-                    meta=dict(checkpoint_meta)))
-            # Chaos hook: lets kill-and-resume tests die right after (or
-            # right before) a checkpoint, keyed by wave level.
-            fault_site("recursive.wave", label=f"level={level}")
-
-            pending: list[_Task] = []
-            for task in frontier:
-                if task.num_parts == 1 or task.vertex_ids.size == 0:
-                    assignment[task.vertex_ids] = task.first_part
-                else:
-                    pending.append(task)
-
-            prepared = _prepare_wave(graph, weights, pending, epsilon_per_level, config)
-            local_assignments = executor.solve_frontier(
-                [subproblem for subproblem, _ in prepared], _run_subproblem,
-                labels=[f"depth={task.depth}/part={task.first_part}"
-                        for task in pending])
-
-            frontier = [child
-                        for task, (_, mapping), local in zip(pending, prepared, local_assignments)
-                        for child in _expand(task, mapping, local)]
-            level += 1
+        walk_tree(graph, weights, assignment, frontier, epsilon_per_level, config, executor,
+                  on_wave=on_wave)
     finally:
         if owns_executor:
             executor.shutdown()

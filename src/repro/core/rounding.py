@@ -48,8 +48,7 @@ def _normalized_violation(sums: np.ndarray, slack: np.ndarray, totals: np.ndarra
 def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
                    epsilon: float, center: np.ndarray | None = None,
                    max_moves: int | None = None,
-                   movable: np.ndarray | None = None,
-                   backend=None) -> np.ndarray:
+                   movable: np.ndarray | None = None) -> np.ndarray:
     """Greedily flip vertices until every dimension satisfies ε-balance.
 
     The balance constraint is ``|⟨w^(j), sides⟩ − center_j| ≤ ε Σ_i w^(j)_i``
@@ -64,9 +63,8 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
     oscillate; it stops when the partition is ε-balanced, when no improving
     move exists, or after ``max_moves`` moves (default ``n``).
 
-    ``movable`` optionally masks the vertices the repair may flip — the
-    incremental repartitioner confines moves to the vertices its freeze
-    rule released.  ``None`` (the default) leaves every vertex movable,
+    ``movable`` optionally masks the vertices the repair may flip — a
+    warm-started bisection confines moves to the vertices it left free.  ``None`` (the default) leaves every vertex movable,
     which is bit-identical to the historical behaviour.
     """
     sides = np.asarray(sides, dtype=np.float64).copy()
@@ -116,8 +114,7 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
 
         # Among the (near-)best balance improvements pick the cheapest cut-wise.
         near_best = candidates[new_violation <= best_violation + 1e-12]
-        best = (backend.masked_argmax(gains, near_best) if backend is not None
-                else near_best[np.argmax(gains[near_best])])
+        best = near_best[np.argmax(gains[near_best])]
 
         # Flip the vertex, then refresh the weighted sums and the gains of
         # the flipped vertex and its neighbors (only they are affected).

@@ -3,23 +3,26 @@
 A plain process pool pays for its parallelism twice per task: the
 coordinator pickles the task's induced subgraph and weight slice into the
 pipe, and the worker unpickles them into fresh heap copies.  For the
-wave-at-a-time scheduler of :func:`repro.core.recursive_bisection` that
-cost is pure overhead — every task of a wave is already materialized in
-the coordinator, and the workers only ever *read* the graph data.
+wave-at-a-time scheduler (:func:`repro.core.recursive.walk_tree`, which
+runs full solves and churn repairs alike) that cost is pure overhead —
+every task of a wave is already materialized in the coordinator, and the
+workers only ever *read* the graph data.
 
 The ``"shm"`` backend removes the copies.  Per wave the coordinator packs
 one :class:`multiprocessing.shared_memory` segment — a
 :class:`SharedGraphArena` — holding the concatenated CSR structure
 (``indptr``/``indices``), edge lists, weight matrices and an output
-buffer of every task, plus a pickled header with the per-task offsets,
-epsilons, target fractions and seeded configs.  Workers attach the
-segment once per wave (cached across tasks; the previous wave's segment
-is released on the first task of the next), rebuild each task's
-:class:`~repro.graphs.Graph` as read-only views into the segment, run
-byte-for-byte the serial ``gd_bisect`` path, and write the local sides
-into the shared output buffer.  The only things crossing the pipe are a
-:class:`ShmTaskRef` — segment name + task index, O(coordinates) — and a
-tiny completion token.
+buffer of every task — and, for a repair's warm wave, every task's
+initial sides and fixed mask — plus a pickled header with the per-task
+offsets, epsilons, target fractions, seeded configs and warm
+multipliers.  Workers attach the segment once per wave (cached across
+tasks; the previous wave's segment is released on the first task of the
+next), rebuild each task's :class:`~repro.graphs.Graph` as read-only
+views into the segment, run byte-for-byte the serial ``gd_bisect`` path,
+and write the local sides into the shared output buffer.  The only
+things crossing the pipe are a :class:`ShmTaskRef` — segment name + task
+index, O(coordinates) — and a small completion token carrying the task's
+exported multipliers.
 
 Determinism: the configs packed into the header already carry their
 recursion-coordinate seeds (derived upstream by
@@ -67,7 +70,6 @@ __all__ = [
     "ShmWaveStats",
     "pack_wave",
     "solve_frontier_shm",
-    "wave_is_shm_packable",
 ]
 
 _ALIGNMENT = 64
@@ -283,30 +285,6 @@ class ShmTaskRef:
     index: int
 
 
-def wave_is_shm_packable(subproblems: Sequence) -> bool:
-    """Whether a wave consists of plain ``gd_bisect`` subproblems.
-
-    The shm worker replays exactly ``gd_bisect(subgraph, weights,
-    epsilon, config, target_fraction)``; anything carrying extra solver
-    state (warm starts, initial iterates — the dynamic repartitioner's
-    repair tasks do) must keep using the generic pickling path.
-    """
-    required = ("subgraph", "weights", "epsilon", "config", "target_fraction")
-    for task in subproblems:
-        if any(not hasattr(task, name) for name in required):
-            return False
-        if hasattr(task, "initial_x") or hasattr(task, "initial_fixed"):
-            return False
-        if not isinstance(task.subgraph, Graph):
-            return False
-        weights = task.weights
-        if not isinstance(weights, np.ndarray) or weights.ndim != 2:
-            return False
-        if weights.dtype != np.float64:
-            return False
-    return True
-
-
 def pack_wave(subproblems: Sequence, *,
               prefix: str = "repro-shm") -> tuple[SharedGraphArena, np.ndarray]:
     """Pack one wave of subproblems into a fresh shared arena.
@@ -329,12 +307,21 @@ def pack_wave(subproblems: Sequence, *,
     ``out``
         One int8 slot per vertex of the wave; workers write their local
         0/1 sides here.
+    ``initial_x`` / ``initial_fixed``
+        Warm waves only (a repair's, see
+        :func:`~repro.core.recursive.walk_tree`): every task's initial
+        sides (float64) and fixed mask, one entry per vertex of the wave.
 
     The header's ``meta`` carries the per-task epsilons, target
-    fractions and (already seeded) configs, so nothing per-task needs to
-    be pickled again at dispatch time.
+    fractions and (already seeded) configs — and a warm wave's per-task
+    multipliers (``warm_lambdas``) — so nothing per-task needs to be
+    pickled again at dispatch time.  A wave is either all cold or all
+    warm.
     """
     tasks = list(subproblems)
+    warm = [task.initial_x is not None for task in tasks]
+    if any(warm) and not all(warm):
+        raise ValueError("a wave must be either all cold or all warm")
     counts = np.array([task.subgraph.num_vertices for task in tasks], dtype=np.int64)
     vertex_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
     np.cumsum(counts, out=vertex_offsets[1:])
@@ -381,6 +368,10 @@ def pack_wave(subproblems: Sequence, *,
         # recursion coordinate; the configs ship them into the workers.
         "configs": [task.config for task in tasks],
     }
+    if any(warm):
+        arrays["initial_x"] = _concat([task.initial_x for task in tasks], np.float64)
+        arrays["initial_fixed"] = _concat([task.initial_fixed for task in tasks], np.bool_)
+        meta["warm_lambdas"] = [task.warm_lambdas for task in tasks]
     arena = SharedGraphArena.create(arrays, meta, prefix=prefix)
     return arena, vertex_offsets
 
@@ -408,14 +399,16 @@ def _readonly(view: np.ndarray) -> np.ndarray:
     return view
 
 
-def _run_shm_task(ref: ShmTaskRef) -> tuple[int, bool]:
+def _run_shm_task(ref: ShmTaskRef) -> tuple[int, bool, dict[int, float] | None]:
     """Worker entry point: solve one task of the wave entirely in place.
 
-    Rebuilds the task's graph and weights as read-only zero-copy views
-    into the shared segment, runs the serial ``gd_bisect`` path, and
-    writes the local sides into the shared output buffer.  Idempotent:
-    a retried task (pool rebuild, injected crash) recomputes the same
-    deterministic values and overwrites its own slice.
+    Rebuilds the task's graph, weights and (warm waves) initial sides and
+    fixed mask as read-only zero-copy views into the shared segment, runs
+    the serial ``gd_bisect`` path, and writes the local sides into the
+    shared output buffer; the exported multipliers ride back in the
+    token.  Idempotent: a retried task (pool rebuild, injected crash)
+    recomputes the same deterministic values and overwrites its own
+    slice.
     """
     arena, attached = _attach_wave(ref.segment)
     meta = arena.meta
@@ -434,11 +427,16 @@ def _run_shm_task(ref: ShmTaskRef) -> tuple[int, bool]:
     edges = _readonly(arena.array("edges")[eo:int(meta["edge_offsets"][i + 1])])
     weights = _readonly(arena.array("weights")[wo:wo + d * n].reshape(d, n))
     graph = Graph.from_csr(n, edges, indptr, indices)
+    warm_start = {}
+    if "warm_lambdas" in meta:
+        warm_start = {"initial_x": _readonly(arena.array("initial_x")[vo:vo + n]),
+                      "initial_fixed": _readonly(arena.array("initial_fixed")[vo:vo + n]),
+                      "warm_lambdas": meta["warm_lambdas"][i]}
 
     result = gd_bisect(graph, weights, meta["epsilons"][i], meta["configs"][i],
-                       target_fraction=meta["target_fractions"][i])
+                       target_fraction=meta["target_fractions"][i], **warm_start)
     arena.array("out")[vo:vo + n] = result.partition.assignment.astype(np.int8)
-    return i, attached
+    return i, attached, result.warm_lambdas
 
 
 # ---------------------------------------------------------------------- #
@@ -504,9 +502,12 @@ class ShmStats:
 # ---------------------------------------------------------------------- #
 # Frontier driver (coordinator side)
 # ---------------------------------------------------------------------- #
-def solve_frontier_shm(executor, subproblems: Sequence,
-                       labels: Sequence[str]) -> list[np.ndarray]:
+def solve_frontier_shm(executor, subproblems: Sequence, labels: Sequence[str]
+                       ) -> list[tuple[np.ndarray, dict[int, float] | None]]:
     """Solve one wave through a shared arena on ``executor``'s process pool.
+
+    Returns each task's ``(local assignment, exported multipliers)`` in
+    task order.
 
     Reuses the executor's ``_map_processes`` machinery wholesale, so
     per-task timeouts, bounded retries, pool rebuilds and the
@@ -526,14 +527,15 @@ def solve_frontier_shm(executor, subproblems: Sequence,
                                     for task in tasks)
         tokens = executor._map_processes(_run_shm_task, refs, labels)
         out = arena.array("out")
-        results = [out[int(vertex_offsets[i]):int(vertex_offsets[i + 1])]
-                   .astype(np.int64) for i in range(len(tasks))]
+        results = [(out[int(vertex_offsets[i]):int(vertex_offsets[i + 1])]
+                    .astype(np.int64), lambdas)
+                   for i, (_, _, lambdas) in enumerate(tokens)]
         del out  # release the view so unlink() can unmap cleanly
         executor.stats.shm.record_wave(ShmWaveStats(
             tasks=len(tasks), segment_bytes=arena.nbytes,
             payload_bytes=payload_bytes,
             pickled_bytes_avoided=pickled_bytes_avoided,
-            attaches=sum(1 for _, attached in tokens if attached)))
+            attaches=sum(1 for _, attached, _ in tokens if attached)))
         return results
     finally:
         arena.unlink()

@@ -13,45 +13,45 @@ full recursive GD after every update batch costs
 2. **Repair locally when the damage is small.**  Freeze every vertex
    farther than :attr:`GDConfig.repartition_hops` hops from a touched
    edge/vertex, then walk the recursion tree *implied by the previous
-   assignment* (the same ⌈log₂ k⌉-level shape as
-   :func:`repro.core.recursive_bisection`, groups split
-   ``⌈k'/2⌉ / ⌊k'/2⌋`` by part id).  Subtrees containing no released
-   vertex are skipped outright; each remaining node runs a short GD pass
-   on its free vertices (:mod:`repro.core.compaction`) warm-started
-   from the previous sides — the released vertices start at their old
-   ±1 values, the frozen ones enter as the free-vertex system's boundary
-   term, and the projection engine is seeded with the multipliers the
-   previous solve of the same tree node exported
-   (:attr:`BisectionResult.warm_lambdas`).  Finalization reuses the
-   shared clean-up/rounding tail with the greedy balance repair confined
-   to the released vertices, so frozen vertices provably keep their
-   part.
+   assignment* with the wave scheduler of
+   :func:`repro.core.recursive_bisection` itself
+   (:func:`repro.core.recursive.walk_tree`: the same ⌈log₂ k⌉-level
+   shape, groups split ``⌈k'/2⌉ / ⌊k'/2⌋`` by part id).  Subtrees
+   containing no released vertex are skipped outright; each remaining
+   node runs a short GD pass on its free vertices
+   (:mod:`repro.core.compaction`) warm-started from the previous sides
+   — the released vertices start at their old ±1 values, the frozen ones
+   enter as the free-vertex system's boundary term, and the projection
+   engine is seeded with the multipliers the previous solve of the same
+   tree node exported (:attr:`BisectionResult.warm_lambdas`).  The
+   bisection's greedy balance repair is confined to the released
+   vertices, so frozen vertices provably keep their part.
 3. **Fall back to full recursive GD** when the damage exceeds
    :attr:`GDConfig.repartition_damage_threshold` — heavy churn
    invalidates the locality structure the warm start relies on, and the
    full solve is the quality anchor.
 
-Repair waves run through the same
-:class:`~repro.core.executor.BisectionExecutor` as the one-shot
-scheduler, with per-task seeds keyed by the node's recursion-tree
-coordinate, so repaired assignments are **bit-identical** across the
-``serial`` and ``shm`` backends (repair tasks carry warm-start state, so
-``shm`` pickles them to its process pool instead of packing an arena).
+Repair waves are the one-shot scheduler's waves: the same task record,
+worker and :class:`~repro.core.executor.BisectionExecutor` path (on
+``shm``, one shared-memory arena per wave that also carries the initial
+sides, fixed masks and multipliers), with per-task seeds keyed by the
+node's recursion-tree coordinate, so repaired assignments are
+**bit-identical** across the ``serial`` and ``shm`` backends.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.checkpoint import TaskState
 from ..core.config import GDConfig
-from ..core.executor import BisectionExecutor, task_seed
-from ..core.gd import BisectionStepper, finalize_bisection
-from ..core.recursive import per_level_epsilon, recursive_bisection
-from ..graphs.graph import Graph
+from ..core.executor import BisectionExecutor
+from ..core.recursive import per_level_epsilon, recursive_bisection, walk_tree
 from ..partition.partition import Partition
+from ..partition.validation import validate_epsilon, validate_num_parts
 from .graph import DynamicGraph, UpdateBatch
 from .metrics import IncrementalMetrics
 
@@ -114,66 +114,7 @@ def repair_config(config: GDConfig) -> GDConfig:
     integral)."""
     return config.with_updates(iterations=config.repartition_iterations,
                                noise_std=0.0,
-                               fixing_start_fraction=0.0,
-                               record_history=False,
-                               execution=config.execution.with_updates(
-                                   parallelism="serial", max_workers=None))
-
-
-@dataclass(frozen=True)
-class _RepairTask:
-    """One node of the implied recursion tree, shipped to a worker."""
-
-    subgraph: Graph
-    weights: np.ndarray = field(repr=False)
-    epsilon: float = 0.05
-    config: GDConfig = None
-    target_fraction: float = 0.5
-    initial_x: np.ndarray = field(default=None, repr=False)
-    initial_fixed: np.ndarray = field(default=None, repr=False)
-    warm_lambdas: dict = None
-
-
-@dataclass(frozen=True)
-class _RepairOutcome:
-    """What travels back from a worker: the node's repaired local sides,
-    the iteration count, and the engine's exported multipliers."""
-
-    sides: np.ndarray = field(repr=False)
-    iterations: int = 0
-    warm_lambdas: dict | None = None
-
-
-def _run_repair_task(task: _RepairTask) -> _RepairOutcome:
-    """Worker entry point (module-level so the shm pool can pickle it by
-    reference): one warm-started bisection repair."""
-    stepper = BisectionStepper(task.subgraph, task.weights, task.epsilon,
-                               task.config, task.target_fraction,
-                               initial_x=task.initial_x,
-                               initial_fixed=task.initial_fixed,
-                               warm_lambdas=task.warm_lambdas)
-    iterations = 0
-    if not stepper.converged:
-        for iteration in range(task.config.iterations):
-            stepper.step(iteration)
-            iterations += 1
-    movable = ~np.asarray(task.initial_fixed, dtype=bool)
-    sides = finalize_bisection(task.subgraph, stepper.weights, task.config,
-                               task.epsilon, stepper.final_region, stepper.center,
-                               stepper.x, stepper.fixed, stepper.rng,
-                               movable=movable)
-    return _RepairOutcome(sides=sides, iterations=iterations,
-                          warm_lambdas=stepper.engine.export_warm_lambdas())
-
-
-@dataclass(frozen=True)
-class _TreeNode:
-    """A node of the implied recursion tree during a repair walk."""
-
-    vertex_ids: np.ndarray
-    num_parts: int
-    first_part: int
-    depth: int
+                               fixing_start_fraction=0.0)
 
 
 def expand_hops(indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray,
@@ -212,8 +153,9 @@ class IncrementalRepartitioner:
         :class:`~repro.core.gd.GDPartitioner` run).
     num_parts, epsilon:
         The partitioning problem; ``epsilon`` is the end-to-end balance
-        tolerance, split across recursion levels exactly as the one-shot
-        scheduler splits it.
+        tolerance in (0, 1], split across recursion levels exactly as the
+        one-shot scheduler splits it.  Both are checked here, before any
+        batch is absorbed.
     config:
         GD parameters.  ``repartition_hops`` /
         ``repartition_damage_threshold`` / ``repartition_iterations``
@@ -227,8 +169,8 @@ class IncrementalRepartitioner:
                  config: GDConfig | None = None):
         self.dynamic = dynamic
         self.config = config if config is not None else GDConfig()
-        self.epsilon = float(epsilon)
-        self.num_parts = int(num_parts)
+        self.epsilon = validate_epsilon(epsilon)
+        self.num_parts = validate_num_parts(num_parts, dynamic.num_vertices)
         self.metrics = IncrementalMetrics(dynamic, assignment, num_parts)
         # Warm projection multipliers per recursion-tree coordinate
         # (depth, first_part), exported by the most recent solve of that
@@ -351,84 +293,25 @@ class IncrementalRepartitioner:
                 start: float) -> RepairReport:
         config = self.config
         snapshot = self.dynamic.snapshot()
-        weights = self.dynamic.weights
-        free_mask = expand_hops(self.dynamic.indptr, self.dynamic.indices,
-                                canonical.touched_vertices(),
-                                config.repartition_hops, snapshot.num_vertices)
-        freed = int(np.count_nonzero(free_mask))
+        free = expand_hops(self.dynamic.indptr, self.dynamic.indices,
+                           canonical.touched_vertices(), config.repartition_hops,
+                           snapshot.num_vertices)
+        freed = int(np.count_nonzero(free))
         if freed == 0:
             return self._report("noop", damage, 0, 0, 0, 0, start)
 
         # The identical split recursive_bisection applies, so repaired and
         # recomputed partitions answer to the same per-level bands.
         _, eps_level = per_level_epsilon(self.num_parts, self.epsilon)
-        node_config = repair_config(config)
         previous = self.metrics.assignment
         working = previous.copy()
-        total_iterations = 0
-        tasks_run = 0
-
-        frontier = [_TreeNode(vertex_ids=np.arange(snapshot.num_vertices),
-                              num_parts=self.num_parts, first_part=0, depth=0)]
+        root = TaskState(vertex_ids=np.arange(snapshot.num_vertices),
+                         num_parts=self.num_parts, first_part=0, depth=0)
         with BisectionExecutor(config.execution) as executor:
-            while frontier:
-                pending: list[_TreeNode] = []
-                for node in frontier:
-                    if node.vertex_ids.size == 0:
-                        continue
-                    if node.num_parts == 1:
-                        working[node.vertex_ids] = node.first_part
-                        continue
-                    if not free_mask[node.vertex_ids].any():
-                        # No released vertex anywhere below this node:
-                        # the whole subtree keeps its previous parts.
-                        continue
-                    pending.append(node)
-                if not pending:
-                    break
-
-                extracted = snapshot.subgraphs(
-                    [node.vertex_ids for node in pending])
-                tasks = []
-                for node, (subgraph, mapping) in zip(pending, extracted):
-                    left_parts = (node.num_parts + 1) // 2
-                    sides = np.where(
-                        working[mapping] < node.first_part + left_parts, 1.0, -1.0)
-                    tasks.append(_RepairTask(
-                        subgraph=subgraph,
-                        weights=weights[:, mapping],
-                        epsilon=eps_level,
-                        config=node_config.with_updates(
-                            seed=task_seed(config.seed, node.depth,
-                                           node.first_part)),
-                        target_fraction=left_parts / node.num_parts,
-                        initial_x=sides,
-                        initial_fixed=~free_mask[mapping],
-                        warm_lambdas=self._warm.get(
-                            (node.depth, node.first_part)),
-                    ))
-                outcomes = executor.map(_run_repair_task, tasks)
-
-                children: list[_TreeNode] = []
-                for node, (_, mapping), outcome in zip(pending, extracted,
-                                                       outcomes):
-                    total_iterations += outcome.iterations
-                    tasks_run += 1
-                    if outcome.warm_lambdas:
-                        coordinate = (node.depth, node.first_part)
-                        self._warm[coordinate] = outcome.warm_lambdas
-                    left_parts = (node.num_parts + 1) // 2
-                    children.append(_TreeNode(
-                        vertex_ids=mapping[outcome.sides > 0],
-                        num_parts=left_parts,
-                        first_part=node.first_part,
-                        depth=node.depth + 1))
-                    children.append(_TreeNode(
-                        vertex_ids=mapping[outcome.sides < 0],
-                        num_parts=node.num_parts - left_parts,
-                        first_part=node.first_part + left_parts,
-                        depth=node.depth + 1))
-                frontier = children
+            tasks = walk_tree(snapshot, self.dynamic.weights, working, [root], eps_level,
+                              repair_config(config), executor, free=free, warm=self._warm)
+        # Every task that runs holds a free vertex, so it uses its whole budget.
+        iterations = tasks * config.repartition_iterations
 
         moved_ids = np.flatnonzero(working != previous)
         if moved_ids.size:
@@ -440,6 +323,6 @@ class IncrementalRepartitioner:
             # batch's damage feedback), escalate to the full solve now;
             # its iterations are charged on top of the wasted repair.
             return self._recompute(damage, start, mode="escalated",
-                                   extra_iterations=total_iterations)
-        return self._report("repair", damage, total_iterations, freed,
-                            tasks_run, int(moved_ids.size), start)
+                                   extra_iterations=iterations)
+        return self._report("repair", damage, iterations, freed, tasks,
+                            int(moved_ids.size), start)

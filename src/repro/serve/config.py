@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.config import ConfigIO
+from ..partition.validation import validate_epsilon
 
 __all__ = ["ServeConfig"]
 
@@ -21,7 +22,8 @@ class ServeConfig(ConfigIO):
         ephemeral port (the tests' mode; the bound port is reported by
         :attr:`PartitionServer.port` and in the ready log line).
     epsilon:
-        Balance tolerance handed to the incremental repartitioner.
+        Balance tolerance in (0, 1] handed to the incremental
+        repartitioner.
     max_queue:
         Backpressure bound on the churn queue: ``update``/``churn``
         requests beyond this many pending batches are rejected with an
@@ -82,8 +84,7 @@ class ServeConfig(ConfigIO):
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0..65535")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        validate_epsilon(self.epsilon)
         if self.max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         if self.lookup_chunk < 1:

@@ -11,13 +11,19 @@ library's ``randomized_round`` and ``balance_repair``.
 Its runs are not bit-comparable to the solver's; tests compare outcomes:
 feasibility, ε-balance in every dimension, and locality within a stated
 margin.
+
+:func:`reference_recursive_bisection` is the k-way variant: the
+recursion of §3.3 written depth-first, one library ``gd_bisect`` per
+tree node.  It shares the solver's bisections, so the wave scheduler
+must match it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import balance_repair, randomized_round
+from repro.core import GDConfig, balance_repair, gd_bisect, randomized_round, task_seed
+from repro.core.recursive import per_level_epsilon
 from repro.graphs import Graph
 from repro.partition import Partition
 
@@ -68,3 +74,33 @@ def reference_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
 
     sides = balance_repair(graph, randomized_round(x, rng), weights, epsilon)
     return Partition.from_sides(graph, sides)
+
+
+def reference_recursive_bisection(graph: Graph, weights: np.ndarray, num_parts: int,
+                                  epsilon: float, config: GDConfig) -> np.ndarray:
+    """Split ``graph`` into ``num_parts`` parts by plain recursion (§3.3).
+
+    Each node bisects its vertex set with target fraction ⌈k'/2⌉/k' and
+    the per-level ε, seeded by its recursion-tree coordinate, then
+    recurses into the left side (the first ⌈k'/2⌉ parts) and the right.
+    """
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    _, level_epsilon = per_level_epsilon(num_parts, epsilon)
+    assignment = np.zeros(graph.num_vertices, dtype=np.int64)
+
+    def split(ids: np.ndarray, parts: int, first_part: int, depth: int) -> None:
+        if parts == 1:
+            assignment[ids] = first_part
+            return
+        if ids.size == 0:
+            return
+        subgraph, mapping = graph.subgraphs([ids])[0]
+        left = (parts + 1) // 2
+        sides = gd_bisect(subgraph, weights[:, mapping], level_epsilon,
+                          config.with_updates(seed=task_seed(config.seed, depth, first_part)),
+                          target_fraction=left / parts).partition.assignment
+        split(mapping[sides == 0], left, first_part, depth + 1)
+        split(mapping[sides == 1], parts - left, first_part + left, depth + 1)
+
+    split(np.arange(graph.num_vertices), num_parts, 0, 0)
+    return assignment

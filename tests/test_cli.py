@@ -344,6 +344,19 @@ class TestRepartitionBadInput:
         assert capsys.readouterr().err == (
             "error: repartition_hops must be non-negative\n")
 
+    def test_out_of_range_epsilon(self, graph_file, parts_file, tmp_path, capsys):
+        """ε is checked when the repartitioner is built, before any batch
+        reaches the live graph."""
+        graph = read_edge_list(graph_file)
+        u, v = (int(x) for x in graph.edges[0])
+        updates = tmp_path / "updates.txt"
+        updates.write_text(f"- {u} {v}\n")
+        assert main(["repartition", str(graph_file), str(parts_file),
+                     str(updates), "--epsilon", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilon must be in (0, 1], got 0.0\n"
+        assert "batch" not in captured.out
+
     def test_missing_updates_file(self, graph_file, parts_file, tmp_path,
                                   capsys):
         assert main(["repartition", str(graph_file), str(parts_file),

@@ -260,6 +260,76 @@ class TestIncrementalRepartitioner:
             np.testing.assert_array_equal(assignment, reference,
                                           err_msg=f"backend {backend}")
 
+    def test_exact_repair_is_deterministic_across_backends(self, churn_setup):
+        """The same bar for the ``exact`` projection, the one method that
+        exports multipliers: its repairs send warm multipliers through
+        the shm arena and back."""
+        graph, weights, partition, config, trace = churn_setup
+        assignments = {}
+        for backend in ("serial", "shm"):
+            repartitioner, reports = _replay(
+                graph, weights, partition, config, trace,
+                projection_method="exact",
+                execution=ExecutionConfig(
+                    parallelism=backend,
+                    max_workers=2 if backend != "serial" else None))
+            assert any(report.mode == "repair" for report in reports)
+            assert repartitioner._warm
+            assignments[backend] = repartitioner.assignment
+        reference = assignments["serial"]
+        for backend, assignment in assignments.items():
+            np.testing.assert_array_equal(assignment, reference,
+                                          err_msg=f"backend {backend}")
+
+    def test_repair_waves_pack_into_arenas_on_shm(self, churn_setup, monkeypatch):
+        """On shm a repair's multi-task waves go through the shared-memory
+        arena — initial sides and fixed masks included — not through a
+        pickling pool, and still match serial bit for bit."""
+        from repro.core import shm
+
+        graph, weights, partition, config, trace = churn_setup
+        packed = []
+        pack_wave = shm.pack_wave
+
+        def recording_pack_wave(subproblems, **kwargs):
+            packed.append(list(subproblems))
+            return pack_wave(subproblems, **kwargs)
+
+        monkeypatch.setattr(shm, "pack_wave", recording_pack_wave)
+        assignments = {}
+        for backend in ("serial", "shm"):
+            # Zero hops release only the touched vertices, so the waves
+            # carry frozen vertices too.
+            repartitioner, reports = _replay(
+                graph, weights, partition, config, trace, repartition_hops=0,
+                execution=ExecutionConfig(
+                    parallelism=backend,
+                    max_workers=2 if backend != "serial" else None))
+            assert any(report.mode == "repair" for report in reports)
+            assignments[backend] = repartitioner.assignment
+        warm = [wave for wave in packed if wave[0].initial_x is not None]
+        assert warm and all(len(wave) >= 2 for wave in warm)
+        assert any(task.initial_fixed.any() and not task.initial_fixed.all()
+                   for wave in warm for task in wave)
+        np.testing.assert_array_equal(assignments["shm"], assignments["serial"])
+
+    def test_repair_skips_subtrees_without_released_vertices(self, churn_setup):
+        """A node holding no released vertex is not solved: one cut edge
+        inside the first half of a 4-way partition repairs the root and
+        that half only."""
+        graph, weights, partition, config, _ = churn_setup
+        dynamic = DynamicGraph(graph, weights)
+        repartitioner = IncrementalRepartitioner(
+            dynamic, partition.assignment, partition.num_parts, epsilon=0.05,
+            config=config.with_updates(repartition_hops=0))
+        u = int(np.flatnonzero(partition.assignment == 0)[0])
+        v = next(int(w) for w in np.flatnonzero(partition.assignment == 1)
+                 if not dynamic.has_edge(min(u, int(w)), max(u, int(w))))
+        report = repartitioner.apply(UpdateBatch(insertions=[(min(u, v), max(u, v))]))
+        assert report.mode == "repair"
+        assert report.repair_tasks == 2
+        assert report.gd_iterations == 2 * config.repartition_iterations
+
     def test_repair_is_reproducible(self, churn_setup):
         graph, weights, partition, config, trace = churn_setup
         first, _ = _replay(graph, weights, partition, config, trace)
@@ -353,6 +423,18 @@ class TestIncrementalRepartitioner:
         assert derived.iterations == 7
         assert derived.noise_std == 0.0
         assert derived.fixing_start_fraction == 0.0
+
+    @pytest.mark.parametrize("epsilon, num_parts", [
+        (0.0, 4), (-0.1, 4), (1.5, 4), (float("nan"), 4), (0.05, 0), (0.05, "n+1")])
+    def test_constructor_checks_epsilon_and_parts(self, small_dynamic, epsilon,
+                                                  num_parts):
+        """Bad ε or k fails when the repartitioner is built, before any
+        batch reaches the live graph."""
+        n = small_dynamic.num_vertices
+        num_parts = n + 1 if num_parts == "n+1" else num_parts
+        with pytest.raises(ValueError, match="epsilon|num_parts|cannot split"):
+            IncrementalRepartitioner(small_dynamic, np.zeros(n, dtype=np.int64),
+                                     num_parts, epsilon=epsilon)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="repartition_hops"):

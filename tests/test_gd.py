@@ -67,6 +67,16 @@ class TestBisectBasics:
         with pytest.raises(ValueError):
             gd_bisect(social_graph, social_weights, 0.05, _config(), target_fraction=1.0)
 
+    def test_warm_start_keeps_fixed_vertices_on_their_side(self, social_graph,
+                                                           social_weights):
+        """The final balance repair flips only the vertices a warm start
+        left free, even when the fixed ones hold the split out of band."""
+        n = social_graph.num_vertices
+        fixed = np.arange(n) < 3 * n // 4
+        result = gd_bisect(social_graph, social_weights, 0.05, _config(iterations=10),
+                           initial_x=np.ones(n), initial_fixed=fixed)
+        assert np.all(result.partition.assignment[fixed] == 0)
+
     def test_elapsed_time_recorded(self, social_graph, social_weights):
         result = gd_bisect(social_graph, social_weights, 0.05, _config(iterations=5))
         assert result.elapsed_seconds > 0

@@ -127,10 +127,6 @@ class TestPrimitiveKernels:
         assert np.array_equal(backend.fixing_mask(values, 0.5), np.abs(values) >= 0.5)
         snapped = backend.snap(values)
         assert set(np.unique(snapped)) <= {-1.0, 1.0}
-        scores = rng.standard_normal(10)
-        candidates = np.array([2, 5, 8])
-        assert backend.masked_argmax(scores, candidates) == \
-            candidates[np.argmax(scores[candidates])]
 
     def test_empty_free_set(self, backend_cls):
         # Zero-length arrays flow through every elementwise kernel; the

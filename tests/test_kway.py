@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_gd import reference_recursive_bisection
 from repro.core import GDConfig, gd_multiway, project_rows_to_simplex, recursive_bisection
-from repro.graphs import ring_of_cliques, standard_weights
+from repro.graphs import fb_like, ring_of_cliques, standard_weights
+from repro.graphs.generators import power_law_cluster_graph
 from repro.partition import edge_locality, max_imbalance
 
 
@@ -59,6 +61,25 @@ class TestRecursiveBisection:
         weights = standard_weights(triangle_graph, 1)
         with pytest.raises(ValueError):
             recursive_bisection(triangle_graph, weights, 10, 0.05, _config())
+
+
+_ORACLE_GRAPHS = {"fb_like": lambda: fb_like(80, scale=0.25),
+                  "power_law": lambda: power_law_cluster_graph(300, 6, 8.0, seed=2)}
+
+
+@pytest.mark.parametrize("graph_name", sorted(_ORACLE_GRAPHS))
+@pytest.mark.parametrize("num_parts", [2, 3, 5, 7, 8, 13])
+def test_wave_scheduler_matches_plain_recursion(graph_name, num_parts):
+    """The frontier scheduler is the paper's depth-first recursion,
+    reordered: the same assignment, bit for bit."""
+    graph = _ORACLE_GRAPHS[graph_name]()
+    weights = standard_weights(graph, 2)
+    for seed in range(3):
+        config = _config(iterations=30, seed=seed)
+        expected = reference_recursive_bisection(graph, weights, num_parts, 0.05, config)
+        partition = recursive_bisection(graph, weights, num_parts, 0.05, config)
+        np.testing.assert_array_equal(partition.assignment, expected,
+                                      err_msg=f"seed {seed}")
 
 
 class TestSimplexProjection:

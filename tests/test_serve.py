@@ -296,6 +296,8 @@ class TestZipfSampling:
             ServeConfig(max_queue=0)
         with pytest.raises(ValueError):
             ServeConfig(epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            ServeConfig(epsilon=1.5)
         assert ServeConfig().with_updates(port=0).port == 0
 
     def test_resilience_config_validation(self):

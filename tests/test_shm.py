@@ -37,7 +37,6 @@ from repro.core.shm import (
     ShmTaskRef,
     _OWNED,
     pack_wave,
-    wave_is_shm_packable,
 )
 from repro.faults import FaultPlan, FaultSpec, inject
 from repro.graphs import Graph, fb_like, standard_weights
@@ -107,6 +106,9 @@ class _FakeTask:
         self.epsilon = epsilon
         self.config = config if config is not None else GDConfig(iterations=5)
         self.target_fraction = target_fraction
+        self.initial_x = None
+        self.initial_fixed = None
+        self.warm_lambdas = None
 
 
 def _fake_wave(num_tasks=3, seed=0):
@@ -141,11 +143,49 @@ def test_pack_wave_concatenates_with_correct_offsets():
         arena.unlink()
 
 
-def test_wave_packability_rejects_stateful_tasks():
-    tasks = _fake_wave(num_tasks=2)
-    assert wave_is_shm_packable(tasks)
-    tasks[1].initial_x = np.zeros(30)  # a warm-started repair task
-    assert not wave_is_shm_packable(tasks)
+def test_pack_wave_stores_a_warm_wave(monkeypatch):
+    """A repair's wave carries each task's initial sides, fixed mask and
+    multipliers through the arena into the worker's ``gd_bisect`` call;
+    a wave is all cold or all warm."""
+    from repro.core import shm
+
+    tasks = _fake_wave(num_tasks=3, seed=4)
+    rng = np.random.default_rng(4)
+    for index, task in enumerate(tasks):
+        n = task.subgraph.num_vertices
+        task.initial_x = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        task.initial_fixed = rng.random(n) < 0.7
+        task.warm_lambdas = {0: 0.25 * index, 1: -1.5} if index != 1 else None
+    calls = []
+    gd_bisect = shm.gd_bisect
+
+    def recording_gd_bisect(*args, **kwargs):
+        # Copies: views would pin the segment's mapping past unlink().
+        calls.append((kwargs["initial_x"].copy(), kwargs["initial_fixed"].copy(),
+                      kwargs["warm_lambdas"]))
+        return gd_bisect(*args, **kwargs)
+
+    monkeypatch.setattr(shm, "gd_bisect", recording_gd_bisect)
+    monkeypatch.setattr(shm, "_WORKER_ARENA", None)
+    arena, _ = pack_wave(tasks, prefix="t-shm")
+    try:
+        assert arena.array("initial_x").dtype == np.float64
+        # Run the worker entry point in process, one task at a time.
+        for index in range(len(tasks)):
+            shm._run_shm_task(ShmTaskRef(segment=arena.name, index=index))
+        shm._WORKER_ARENA.close()
+    finally:
+        arena.unlink()
+    assert len(calls) == len(tasks)
+    for task, (initial_x, initial_fixed, warm_lambdas) in zip(tasks, calls):
+        np.testing.assert_array_equal(initial_x, task.initial_x)
+        np.testing.assert_array_equal(initial_fixed, task.initial_fixed)
+        assert warm_lambdas == task.warm_lambdas
+
+    tasks[0].initial_x = None
+    with pytest.raises(ValueError, match="all cold or all warm"):
+        pack_wave(tasks, prefix="t-shm")
+    assert not _leftover_segments("t-shm")
 
 
 def test_task_ref_payload_is_tiny():
