@@ -15,6 +15,7 @@ import pytest
 from repro.core import (
     GDConfig,
     QuadraticRelaxation,
+    balance_repair,
     gd_bisect,
     recursive_bisection,
     task_seed,
@@ -177,6 +178,36 @@ def test_perf_wave_extraction(benchmark):
                            ).partition.assignment
     sides = [np.flatnonzero(assignment == 0), np.flatnonzero(assignment == 1)]
     benchmark(lambda: GRAPH.subgraphs(sides))
+
+
+@functools.lru_cache(maxsize=1)
+def _repair_workload():
+    """fb-80 at scale 2 (n = 8,000, the ``kway_k64`` input) and a seeded
+    60/40 start, which the repair needs ~750 moves to bring within
+    ε = 0.02."""
+    graph = fb_like(80, scale=2)
+    sides = np.where(np.random.default_rng(0).random(graph.num_vertices) < 0.6, 1.0, -1.0)
+    return graph, sides
+
+
+def test_perf_balance_repair_classes(benchmark):
+    """Balance repair over the unit and degree rows: 163 weight classes
+    among 8,000 vertices, so the repair groups the vertices by weight
+    column and each move computes one violation per class."""
+    graph, sides = _repair_workload()
+    weights = standard_weights(graph, 2)
+    benchmark.pedantic(lambda: balance_repair(graph, sides, weights, 0.02),
+                       rounds=5, iterations=1, warmup_rounds=1)
+
+
+def test_perf_balance_repair_distinct_columns(benchmark):
+    """The same plus a real-valued third row: all 8,000 columns are
+    distinct, so the repair keeps the per-vertex scan."""
+    graph, sides = _repair_workload()
+    weights = np.vstack([standard_weights(graph, 2),
+                         np.random.default_rng(1).uniform(0.5, 2.0, graph.num_vertices)])
+    benchmark.pedantic(lambda: balance_repair(graph, sides, weights, 0.02),
+                       rounds=5, iterations=1, warmup_rounds=1)
 
 
 def test_perf_recursive_bisection_k8_serial(benchmark):

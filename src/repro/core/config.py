@@ -200,8 +200,10 @@ class GDConfig(ConfigIO):
         Number of full alternating-projection sweeps applied after the last
         iteration to clean up accumulated imbalance (§3.1).
     balance_repair:
-        Run a greedy repair pass after randomized rounding so the integral
-        solution satisfies the requested epsilon balance.
+        Run a greedy repair pass after randomized rounding that flips
+        vertices towards the requested epsilon balance.  The pass stops
+        when no single flip lowers the total violation, so the integral
+        solution can still end outside epsilon.
     record_history:
         Record per-iteration edge locality and imbalance (used by the
         convergence figures 8--10 and 15--17).

@@ -6,8 +6,10 @@ probability ``(x_i + 1) / 2``.  The expected number of uncut edges equals
 the relaxed objective, and concentration keeps the balance constraints
 approximately satisfied with high probability.  Because "approximately" can
 still exceed the user's ``ε`` on small graphs, an optional greedy repair
-pass moves the cheapest vertices between parts until every dimension is
-within tolerance.
+pass flips the cheapest vertices between parts while a single flip lowers
+the total balance violation.  It stops when no single flip does, so it can
+end outside ``ε``, for instance when one dimension is within its band and
+another is not.
 
 Internal module: not part of the stable public API (see ``repro.__all__``); its contents may change between releases.
 """
@@ -39,17 +41,52 @@ def deterministic_round(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _normalized_violation(sums: np.ndarray, slack: np.ndarray, totals: np.ndarray) -> float:
-    """Total constraint violation of the side sums, normalized per dimension."""
-    excess = np.maximum(np.abs(sums) - slack, 0.0)
-    return float((excess / np.maximum(totals, 1e-12)).sum())
+#: The repair groups the movable vertices by weight column only when there
+#: are at most this many classes per movable vertex; otherwise each move
+#: scans the vertices.  Measured in CPU time on fb_like(80, 2) and (80, 8)
+#: from a 60/40 start at ε = 0.02, a third integer row setting the class
+#: count, over 5 moves, 50 moves and the whole repair (750 / 2,900 moves),
+#: the grouped repair takes 0.3–0.8× the scan's time at ~0.2 classes per
+#: vertex, 0.7–1.1× at ~0.45, 0.9–1.1× at 0.62–0.77 and 0.9–1.3× with every
+#: column distinct; the cut-off sits below the break-even.  Per repair
+#: call, the paper's weight stacks have 0.01–0.09 classes per vertex at
+#: d = 2 (unit, degree), 0.74–0.98 at d = 3 (+ neighbour-degree sum) and
+#: 1.0 at d = 4 (+ PageRank).
+_MAX_CLASSES_PER_VERTEX = 0.5
+
+
+def _weight_classes(weights: np.ndarray, sides: np.ndarray, movable_ids: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Group ``movable_ids`` by weight column, or ``None`` when there are
+    too many classes for the grouping to pay.
+
+    Returns the class of every vertex (the vertices that may not move are
+    in an extra class, one past the last), the ``(d, classes)`` weight
+    column of each class, and the ``(2, classes)`` count of movable
+    vertices per (side, class), side 0 being −1 and side 1 being +1.
+    """
+    columns = weights if movable_ids.size == sides.size else weights[:, movable_ids]
+    order = np.lexsort(columns[::-1])
+    columns = columns[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    num_classes = int(np.count_nonzero(starts))
+    if num_classes > _MAX_CLASSES_PER_VERTEX * order.size:
+        return None
+    vertex_class = np.full(sides.size, num_classes, dtype=np.int64)
+    vertex_class[movable_ids[order]] = np.cumsum(starts) - 1
+    sizes = np.diff(np.append(np.flatnonzero(starts), order.size))
+    plus = np.bincount(vertex_class[movable_ids[sides[movable_ids] > 0]],
+                       minlength=num_classes)
+    return (vertex_class, np.ascontiguousarray(columns[:, starts]),
+            np.stack([sizes - plus, plus]))
 
 
 def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
                    epsilon: float, center: np.ndarray | None = None,
                    max_moves: int | None = None,
                    movable: np.ndarray | None = None) -> np.ndarray:
-    """Greedily flip vertices until every dimension satisfies ε-balance.
+    """Greedily flip vertices while a single flip lowers the balance violation.
 
     The balance constraint is ``|⟨w^(j), sides⟩ − center_j| ≤ ε Σ_i w^(j)_i``
     (``center`` defaults to zero, i.e. an even split; recursive partitioning
@@ -58,14 +95,27 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
     Each move flips one vertex from the overloaded side of the most
     violated dimension.  Among the vertices that most reduce the *total*
     normalized violation across all dimensions, the one that hurts edge
-    locality the least (highest cut gain) is chosen.  Because every
-    accepted move strictly decreases the total violation, the pass cannot
-    oscillate; it stops when the partition is ε-balanced, when no improving
-    move exists, or after ``max_moves`` moves (default ``n``).
+    locality the least (highest cut gain, then lowest id) is chosen.
+    Because every accepted move strictly decreases the total violation,
+    the pass cannot oscillate.  It stops when the partition is ε-balanced,
+    when no single flip lowers the total violation (so it can end outside
+    ε), or after ``max_moves`` moves (default ``n``).
 
     ``movable`` optionally masks the vertices the repair may flip — a
     warm-started bisection confines moves to the vertices it left free.  ``None`` (the default) leaves every vertex movable,
     which is bit-identical to the historical behaviour.
+
+    Cost.  Sides that already meet ε are returned before the adjacency is
+    built.  Otherwise the movable vertices are grouped by weight column
+    (one ``np.lexsort`` over the d rows).  A flip changes the balance by the
+    flipped vertex's column only, so a move computes the violation once per
+    class present on the donor side, then takes the highest-gain donor-side
+    vertex of the near-best classes.  When there are more than half as many
+    classes as movable vertices (real-valued rows; the d = 3 and d = 4
+    standard weights) the grouping does not pay, and each move computes the
+    violation of every donor-side vertex instead.  Both paths compute the
+    same violations and pick the same vertex, so the output does not depend
+    on which one ran.
     """
     sides = np.asarray(sides, dtype=np.float64).copy()
     weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
@@ -76,44 +126,62 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
         movable = np.asarray(movable, dtype=bool)
         if movable.shape != (n,):
             raise ValueError("movable must have one entry per vertex")
-    if max_moves is None:
-        max_moves = n
 
     totals = weights.sum(axis=1)
     slack = epsilon * totals
+    scale = np.maximum(totals, 1e-12)
     center = np.zeros_like(totals) if center is None else np.asarray(center, dtype=np.float64)
     sums = weights @ sides - center
+    excess = np.maximum(np.abs(sums) - slack, 0.0) / scale
+    if float(excess.sum()) <= 1e-12:
+        return sides
+    if max_moves is None:
+        max_moves = n
+
     # neighbor_sums[i] = Σ_{j ~ i} sides[j], so sides[i] · neighbor_sums[i]
     # = deg_same − deg_other and gains[i] = −sides[i] · neighbor_sums[i] is
     # the cut *decrease* of flipping vertex i.  Both hold small integers in
     # float64, so updating them per flip is exact.
     neighbor_sums = graph.adjacency_matrix() @ sides
     gains = -(sides * neighbor_sums)
+    movable_ids = np.arange(n) if movable is None else np.flatnonzero(movable)
+    classes = _weight_classes(weights, sides, movable_ids)
+    if classes is not None:
+        vertex_class, class_columns, counts = classes
 
     for _ in range(max_moves):
-        current_violation = _normalized_violation(sums, slack, totals)
+        current_violation = float(excess.sum())
         if current_violation <= 1e-12:
             break
-        excess = np.maximum(np.abs(sums) - slack, 0.0) / np.maximum(totals, 1e-12)
-        worst_dim = int(np.argmax(excess))
-        donor_side = 1.0 if sums[worst_dim] > 0 else -1.0
-        on_donor_side = sides == donor_side
-        if movable is not None:
-            on_donor_side &= movable
-        candidates = np.flatnonzero(on_donor_side)
+        donor_side = 1.0 if sums[int(np.argmax(excess))] > 0 else -1.0
+        donor = int(donor_side > 0)
+        if classes is None:
+            on_donor_side = sides == donor_side
+            if movable is not None:
+                on_donor_side &= movable
+            candidates = np.flatnonzero(on_donor_side)
+            columns = weights[:, candidates]
+        else:
+            candidates = np.flatnonzero(counts[donor])
+            columns = class_columns[:, candidates]
         if candidates.size == 0:
             break
 
         # Violation after flipping each candidate (vectorized over candidates).
-        new_sums = sums[:, None] - 2.0 * donor_side * weights[:, candidates]
+        new_sums = sums[:, None] - 2.0 * donor_side * columns
         new_excess = np.maximum(np.abs(new_sums) - slack[:, None], 0.0)
-        new_violation = (new_excess / np.maximum(totals[:, None], 1e-12)).sum(axis=0)
+        new_violation = (new_excess / scale[:, None]).sum(axis=0)
         best_violation = new_violation.min()
         if best_violation >= current_violation - 1e-15:
             break  # no single flip improves the balance any further
 
         # Among the (near-)best balance improvements pick the cheapest cut-wise.
         near_best = candidates[new_violation <= best_violation + 1e-12]
+        if classes is not None:
+            # The donor-side vertices of the near-best classes, ascending.
+            in_near_best = np.zeros(counts.shape[1] + 1, dtype=bool)
+            in_near_best[near_best] = True
+            near_best = np.flatnonzero(in_near_best[vertex_class] & (sides == donor_side))
         best = near_best[np.argmax(gains[near_best])]
 
         # Flip the vertex, then refresh the weighted sums and the gains of
@@ -122,6 +190,10 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
         sums -= 2.0 * donor_side * weights[:, best]
         neighbors = graph.neighbors(best)
         neighbor_sums[neighbors] -= 2.0 * donor_side
-        touched = np.append(neighbors, best)
-        gains[touched] = -(sides[touched] * neighbor_sums[touched])
+        gains[neighbors] = -(sides[neighbors] * neighbor_sums[neighbors])
+        gains[best] = -(sides[best] * neighbor_sums[best])
+        if classes is not None:
+            counts[donor, vertex_class[best]] -= 1
+            counts[1 - donor, vertex_class[best]] += 1
+        excess = np.maximum(np.abs(sums) - slack, 0.0) / scale
     return sides

@@ -6,7 +6,9 @@ no free-vertex system, no fused kernels.  Each iteration adds noise (first
 iteration only), takes a gradient step whose length adapts to the target
 ``2 √n / I``, and projects with convergent alternating projections onto
 the balance bands and the box.  The fractional result goes through the
-library's ``randomized_round`` and ``balance_repair``.
+library's ``randomized_round`` and this module's
+:func:`reference_balance_repair`, so the reference shares no repair code
+with the solver.
 
 Its runs are not bit-comparable to the solver's; tests compare outcomes:
 feasibility, ε-balance in every dimension, and locality within a stated
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import GDConfig, balance_repair, gd_bisect, randomized_round, task_seed
+from repro.core import GDConfig, gd_bisect, randomized_round, task_seed
 from repro.core.recursive import per_level_epsilon
 from repro.graphs import Graph
 from repro.partition import Partition
@@ -45,6 +47,47 @@ def project(point: np.ndarray, weights: np.ndarray, lower: np.ndarray,
         if np.all(sums >= lower - tolerance) and np.all(sums <= upper + tolerance):
             break
     return x
+
+
+def reference_balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
+                             epsilon: float, center: np.ndarray | None = None,
+                             movable: np.ndarray | None = None,
+                             max_moves: int | None = None) -> np.ndarray:
+    """The library's ``balance_repair`` transcribed plainly: every vertex's
+    cut gain is recomputed from the whole adjacency before each move, and
+    every move scans every movable donor-side vertex."""
+    sides = np.asarray(sides, dtype=np.float64).copy()
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    adjacency = graph.adjacency_matrix()
+    totals = weights.sum(axis=1)
+    slack = epsilon * totals
+    center = np.zeros_like(totals) if center is None else center
+    sums = weights @ sides - center
+    for _ in range(graph.num_vertices if max_moves is None else max_moves):
+        excess = np.maximum(np.abs(sums) - slack, 0.0) / np.maximum(totals, 1e-12)
+        current_violation = float(excess.sum())
+        if current_violation <= 1e-12:
+            break
+        worst_dim = int(np.argmax(excess))
+        donor_side = 1.0 if sums[worst_dim] > 0 else -1.0
+        on_donor_side = sides == donor_side
+        if movable is not None:
+            on_donor_side &= movable
+        candidates = np.flatnonzero(on_donor_side)
+        if candidates.size == 0:
+            break
+        new_sums = sums[:, None] - 2.0 * donor_side * weights[:, candidates]
+        new_excess = np.maximum(np.abs(new_sums) - slack[:, None], 0.0)
+        new_violation = (new_excess / np.maximum(totals[:, None], 1e-12)).sum(axis=0)
+        best_violation = new_violation.min()
+        if best_violation >= current_violation - 1e-15:
+            break
+        near_best = candidates[new_violation <= best_violation + 1e-12]
+        gains = -(sides * (adjacency @ sides))
+        best = near_best[np.argmax(gains[near_best])]
+        sides[best] = -donor_side
+        sums -= 2.0 * donor_side * weights[:, best]
+    return sides
 
 
 def reference_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
@@ -72,7 +115,7 @@ def reference_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
         gamma *= float(np.clip(target / step, 0.5, 2.0)) if step > 0 else 2.0
         x = new_x
 
-    sides = balance_repair(graph, randomized_round(x, rng), weights, epsilon)
+    sides = reference_balance_repair(graph, randomized_round(x, rng), weights, epsilon)
     return Partition.from_sides(graph, sides)
 
 

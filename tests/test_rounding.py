@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import balance_repair, deterministic_round, randomized_round
+from reference_gd import reference_balance_repair
+from repro.core import balance_repair, deterministic_round, randomized_round, rounding
 from repro.graphs import Graph, unit_weights
 from repro.partition import Partition, is_epsilon_balanced
 
@@ -67,7 +70,10 @@ class TestBalanceRepair:
         graph = clique_ring
         weights = unit_weights(graph)[None, :]
         sides = np.where(np.arange(graph.num_vertices) % 2 == 0, 1.0, -1.0)
-        repaired = balance_repair(graph, sides, weights, epsilon=0.1)
+        # Sides already within ε come back before the adjacency is built.
+        with mock.patch.object(Graph, "adjacency_matrix") as adjacency:
+            repaired = balance_repair(graph, sides, weights, epsilon=0.1)
+        adjacency.assert_not_called()
         assert np.array_equal(repaired, sides)
 
     def test_never_increases_total_violation(self, social_graph, social_weights):
@@ -116,9 +122,11 @@ class TestBalanceRepair:
     def test_movable_shape_validated(self, clique_ring):
         graph = clique_ring
         weights = unit_weights(graph)[None, :]
-        with pytest.raises(ValueError, match="movable"):
-            balance_repair(graph, np.ones(graph.num_vertices), weights,
-                           epsilon=0.05, movable=np.ones(3, dtype=bool))
+        balanced = np.where(np.arange(graph.num_vertices) % 2 == 0, 1.0, -1.0)
+        for sides in (np.ones(graph.num_vertices), balanced):
+            with pytest.raises(ValueError, match="movable"):
+                balance_repair(graph, sides, weights,
+                               epsilon=0.05, movable=np.ones(3, dtype=bool))
 
     def test_prefers_low_damage_moves(self, two_cliques_graph):
         # Starting from everything in one part, the repair must end balanced;
@@ -129,44 +137,6 @@ class TestBalanceRepair:
         repaired = balance_repair(graph, sides, weights, epsilon=0.05)
         partition = Partition.from_sides(graph, repaired)
         assert is_epsilon_balanced(partition, weights, epsilon=0.05)
-
-
-def _reference_balance_repair(graph, sides, weights, epsilon, center=None,
-                              movable=None):
-    """:func:`balance_repair` transcribed plainly: every vertex's cut gain
-    is recomputed from the whole adjacency before each move."""
-    sides = np.asarray(sides, dtype=np.float64).copy()
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    adjacency = graph.adjacency_matrix()
-    totals = weights.sum(axis=1)
-    slack = epsilon * totals
-    center = np.zeros_like(totals) if center is None else center
-    sums = weights @ sides - center
-    for _ in range(graph.num_vertices):
-        excess = np.maximum(np.abs(sums) - slack, 0.0) / np.maximum(totals, 1e-12)
-        current_violation = float(excess.sum())
-        if current_violation <= 1e-12:
-            break
-        worst_dim = int(np.argmax(excess))
-        donor_side = 1.0 if sums[worst_dim] > 0 else -1.0
-        on_donor_side = sides == donor_side
-        if movable is not None:
-            on_donor_side &= movable
-        candidates = np.flatnonzero(on_donor_side)
-        if candidates.size == 0:
-            break
-        new_sums = sums[:, None] - 2.0 * donor_side * weights[:, candidates]
-        new_excess = np.maximum(np.abs(new_sums) - slack[:, None], 0.0)
-        new_violation = (new_excess / np.maximum(totals[:, None], 1e-12)).sum(axis=0)
-        best_violation = new_violation.min()
-        if best_violation >= current_violation - 1e-15:
-            break
-        near_best = candidates[new_violation <= best_violation + 1e-12]
-        gains = -(sides * (adjacency @ sides))
-        best = near_best[np.argmax(gains[near_best])]
-        sides[best] = -donor_side
-        sums -= 2.0 * donor_side * weights[:, best]
-    return sides
 
 
 @st.composite
@@ -193,6 +163,60 @@ def test_incremental_gains_match_full_recompute(inputs):
     graph, sides, weights, epsilon, center, movable = inputs
     repaired = balance_repair(graph, sides, weights, epsilon, center=center,
                               movable=movable)
-    expected = _reference_balance_repair(graph, sides, weights, epsilon,
-                                         center=center, movable=movable)
+    expected = reference_balance_repair(graph, sides, weights, epsilon,
+                                        center=center, movable=movable)
     np.testing.assert_array_equal(repaired, expected)
+
+
+@st.composite
+def _class_repair_inputs(draw):
+    """Inputs for both repair paths: weight rows with repeated columns
+    (unit, small-integer, degree) or a real-valued row that makes every
+    column distinct, from starts mostly on one side."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges = rng.integers(0, n, size=(draw(st.integers(0, 4 * n)), 2))
+    graph = Graph.from_edges(n, edges)
+    rows = {"unit": lambda: np.ones(n),
+            "small": lambda: rng.integers(1, 4, n).astype(np.float64),
+            "degree": lambda: graph.degrees,
+            "real": lambda: rng.uniform(0.5, 2.0, n)}
+    kinds = draw(st.lists(st.sampled_from(sorted(rows)), min_size=1, max_size=3))
+    weights = np.array([rows[kind]() for kind in kinds])
+    plus = draw(st.floats(0.7, 1.0))
+    sides = np.where(rng.random(n) < plus, 1.0, -1.0) * draw(st.sampled_from([1.0, -1.0]))
+    movable = draw(st.none() | st.just(rng.random(n) < draw(st.floats(0.3, 0.9))))
+    center = draw(st.none() | st.just(rng.uniform(-0.3, 0.3, len(kinds))
+                                      * weights.sum(axis=1)))
+    epsilon = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    max_moves = draw(st.none() | st.integers(0, n))
+    return graph, sides, weights, epsilon, center, movable, max_moves
+
+
+def test_both_repair_paths_match_the_reference():
+    """The class path and the scan are bit-identical to the oracle.  A spy
+    on the class builder shows that both paths ran: some examples grouped
+    the vertices by weight column, and some kept the scan over
+    all-distinct columns."""
+    built = []
+    build = rounding._weight_classes
+
+    def spy(*args):
+        classes = build(*args)
+        built.append(classes is not None)
+        return classes
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_class_repair_inputs())
+    def check(inputs):
+        graph, sides, weights, epsilon, center, movable, max_moves = inputs
+        repaired = balance_repair(graph, sides, weights, epsilon, center=center,
+                                  max_moves=max_moves, movable=movable)
+        expected = reference_balance_repair(graph, sides, weights, epsilon, center=center,
+                                            movable=movable, max_moves=max_moves)
+        np.testing.assert_array_equal(repaired, expected)
+
+    with mock.patch.object(rounding, "_weight_classes", spy):
+        check()
+    assert True in built, "no example took the class path"
+    assert False in built, "no example kept the scan"
