@@ -57,48 +57,55 @@ def _projection_workload(d: int, count: int = 32):
     return region, points
 
 
-def _bench_projection(benchmark, d: int, cache: bool, rounds: int):
+def _bench_projection(benchmark, d: int, warm: bool, rounds: int):
+    """Exact projections of the workload's points: through one engine
+    (warm-started from the previous call), or each with a fresh projector
+    (a cold start)."""
     region, points = _projection_workload(d)
-    engine = ProjectionEngine("exact", region, cache=cache)
-    if cache:
+    if warm:
+        engine = ProjectionEngine("exact", region)
         for point in points[:4]:
-            engine.project(point)  # prime caches / warm state
+            engine.project(point)  # prime the warm state
+        project = engine.project
+    else:
+        def project(point):
+            return ExactProjector(region).project(point)
     cycle = itertools.cycle(points)
-    benchmark.pedantic(lambda: engine.project(next(cycle)),
+    benchmark.pedantic(lambda: project(next(cycle)),
                        rounds=rounds, iterations=1, warmup_rounds=1)
 
 
 def test_perf_projection_cold_d1(benchmark):
-    """Cold exact projection (no cache, no warm start), d = 1."""
-    _bench_projection(benchmark, d=1, cache=False, rounds=30)
+    """Cold exact projection (a fresh projector, no warm start), d = 1."""
+    _bench_projection(benchmark, d=1, warm=False, rounds=30)
 
 
 def test_perf_projection_warm_d1(benchmark):
-    """Cached + warm-started exact projection, d = 1."""
-    _bench_projection(benchmark, d=1, cache=True, rounds=60)
+    """Warm-started exact projection, d = 1."""
+    _bench_projection(benchmark, d=1, warm=True, rounds=60)
 
 
 def test_perf_projection_cold_d2(benchmark):
     """Cold exact projection, d = 2 — the nested-bisection hot path."""
-    _bench_projection(benchmark, d=2, cache=False, rounds=10)
+    _bench_projection(benchmark, d=2, warm=False, rounds=10)
 
 
 def test_perf_projection_warm_d2(benchmark):
-    """Cached + warm-started exact projection, d = 2.
+    """Warm-started exact projection, d = 2.
 
     The acceptance bar of ISSUE 2: this must run >= 2x faster than
     test_perf_projection_cold_d2 (see test_projection_warm_speedup)."""
-    _bench_projection(benchmark, d=2, cache=True, rounds=60)
+    _bench_projection(benchmark, d=2, warm=True, rounds=60)
 
 
 def test_perf_projection_cold_d3(benchmark):
     """Cold exact projection, d = 3 — doubly nested bisection."""
-    _bench_projection(benchmark, d=3, cache=False, rounds=3)
+    _bench_projection(benchmark, d=3, warm=False, rounds=3)
 
 
 def test_perf_projection_warm_d3(benchmark):
-    """Cached + warm-started exact projection, d = 3."""
-    _bench_projection(benchmark, d=3, cache=True, rounds=60)
+    """Warm-started exact projection, d = 3."""
+    _bench_projection(benchmark, d=3, warm=True, rounds=60)
 
 
 def test_projection_warm_speedup():
@@ -113,12 +120,13 @@ def test_projection_warm_speedup():
     region, points = _projection_workload(2)
     timings = {}
     results = {}
-    for label, cache in (("warm", True), ("cold", False)):
-        engine = ProjectionEngine("exact", region, cache=cache)
-        for point in points[:4]:
-            engine.project(point)
+    engine = ProjectionEngine("exact", region)
+    for point in points[:4]:
+        engine.project(point)
+    for label, project in (("warm", engine.project),
+                           ("cold", lambda point: ExactProjector(region).project(point))):
         start = time.perf_counter()
-        results[label] = [engine.project(point) for point in points[4:]]
+        results[label] = [project(point) for point in points[4:]]
         timings[label] = time.perf_counter() - start
     # Identical outputs (the warm start changes the path, not the answer) ...
     for warm_x, cold_x in zip(results["warm"], results["cold"]):

@@ -10,7 +10,7 @@ from .config import (
 from .checkpoint import CheckpointMismatch, FrontierCheckpoint, TaskState
 from .executor import BisectionExecutor, ExecutorStats, ExecutorTaskError, task_seed
 from .shm import SharedGraphArena, ShmStats, ShmWaveStats
-from .kernels import FusedBackend, KernelBackend, KernelStats, NumpyBackend
+from .kernels import KernelBackend, KernelStats, NumpyBackend
 from .relaxation import QuadraticRelaxation
 from .noise import NoiseSchedule
 from .step import StepSizeController, target_step_length
@@ -30,10 +30,10 @@ from .projection import (
     DykstraProjector,
     ExactProjector,
     FeasibleRegion,
+    OneShotProjector,
     ProjectionEngine,
     ProjectionStats,
     Projector,
-    RegionCache,
     make_projector,
 )
 
@@ -53,7 +53,6 @@ __all__ = [
     "CheckpointMismatch",
     "FrontierCheckpoint",
     "TaskState",
-    "FusedBackend",
     "KernelBackend",
     "KernelStats",
     "NumpyBackend",
@@ -78,9 +77,9 @@ __all__ = [
     "DykstraProjector",
     "ExactProjector",
     "FeasibleRegion",
+    "OneShotProjector",
     "ProjectionEngine",
     "ProjectionStats",
     "Projector",
-    "RegionCache",
     "make_projector",
 ]

@@ -16,11 +16,13 @@ For the free vertex set ``F`` and fixed set ``C``,
 
 so one iteration's gradient over the free coordinates is
 ``A_FF @ z_F + boundary`` — O(edges among free vertices) instead of
-O(all edges).  Each fixing event *restricts the restriction*: the current
-``A_FF`` is sliced down to the surviving free vertices and the newly
-fixed columns' contribution is folded into the boundary, so an event
-costs O(nnz of the current free system), never O(nnz of the full graph),
-and the total restriction work over a run is bounded by a geometric sum.
+O(all edges), computed by the stepper's
+:class:`~repro.core.kernels.KernelBackend` for its per-kernel counters.
+A fixing event costs O(newly fixed) bookkeeping, an integer live count
+included; only once most of the current system has been fixed is it
+*restricted again* — sliced down to the surviving free vertices, with the
+fixed columns' contribution folded into the boundary — so the total
+restriction work over a run is bounded by a geometric sum.
 
 Internal module: not part of the stable public API (see ``repro.__all__``); its contents may change between releases.
 """
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+
+from .kernels import KernelBackend
 
 __all__ = ["FreeVertexSystem"]
 
@@ -60,9 +64,8 @@ class FreeVertexSystem:
     values:
         Full iterate; only the entries at fixed positions are read.
     backend:
-        Optional :class:`~repro.core.kernels.KernelBackend` the gradient
-        mat-vec routes through, for per-kernel counters.  ``None`` keeps
-        the direct scipy call.
+        The :class:`~repro.core.kernels.KernelBackend` the gradient
+        mat-vec routes through, for per-kernel counters.
     """
 
     #: Live fraction below which the epoch matrix is re-sliced.  Dead
@@ -72,7 +75,7 @@ class FreeVertexSystem:
     _RESLICE_FRACTION = 0.25
 
     def __init__(self, adjacency: sparse.csr_matrix, fixed: np.ndarray,
-                 values: np.ndarray, backend=None):
+                 values: np.ndarray, backend: KernelBackend):
         fixed = np.asarray(fixed, dtype=bool)
         if fixed.shape[0] != adjacency.shape[0]:
             raise ValueError("fixed mask must have one entry per vertex")
@@ -92,6 +95,7 @@ class FreeVertexSystem:
                 epoch_rows[:, fixed_ids] @ values[fixed_ids]).ravel()
         self._epoch_ids = free_ids           # global ids of epoch coords
         self._live = np.ones(free_ids.size, dtype=bool)
+        self._live_count = free_ids.size     # = live.sum(), an exact int
         self._frozen = np.zeros(free_ids.size)  # values of dead epoch coords
         self._live_ids = free_ids            # = epoch_ids[live], cached
 
@@ -120,16 +124,12 @@ class FreeVertexSystem:
         """``∇f`` over the free coordinates: ``(A z)_F`` with fixed
         contributions from the boundary term and the frozen buffer."""
         backend = self._backend
-        if self._live.all():
-            if backend is not None:
-                return backend.free_gradient(self._matrix, self._boundary, z_free)
-            return self._matrix @ z_free + self._boundary
+        if self._live_count == self._epoch_ids.size:
+            return backend.free_gradient(self._matrix, self._boundary, z_free)
         z_epoch = self._frozen.copy()
         z_epoch[self._live] = z_free
-        if backend is not None:
-            full = backend.free_gradient(self._matrix, self._boundary, z_epoch)
-            return backend.gather(full, self._live)
-        return (self._matrix @ z_epoch + self._boundary)[self._live]
+        full = backend.free_gradient(self._matrix, self._boundary, z_epoch)
+        return backend.gather(full, self._live)
 
     def fix(self, newly_fixed: np.ndarray, values: np.ndarray) -> None:
         """Freeze vertices at their snapped values.
@@ -147,8 +147,9 @@ class FreeVertexSystem:
         dying = np.flatnonzero(self._live)[newly_fixed]
         self._frozen[dying] = np.asarray(values, dtype=np.float64)
         self._live[dying] = False
+        self._live_count -= dying.size
         self._live_ids = self._epoch_ids[self._live]
-        if self._live_ids.size and (self._live.mean() < self._RESLICE_FRACTION):
+        if self._live_count and self._live_count < self._RESLICE_FRACTION * self._epoch_ids.size:
             self._reslice()
 
     def _reslice(self) -> None:

@@ -19,15 +19,12 @@ rounding with an optional greedy balance repair.
 Every iteration runs on the free (not yet fixed) vertices only: a fixed
 vertex never moves again, so the gradient is the mat-vec of the free
 system ``A_FF z + A_FC x_C`` (:class:`~repro.core.compaction.FreeVertexSystem`)
-and the projection region is the band induced on the free vertices.  For
-the default one-shot alternating projection the gradient step and the
-sweep run as one in-place pass
-(:meth:`~repro.core.kernels.FusedBackend.fused_update`); the other
-projection methods are served by one
+and the projection region is the band induced on the free vertices.
+Every projection method is served by one
 :class:`~repro.core.projection.ProjectionEngine` per bisection, which
-caches the region's weight invariants, narrows the region as vertices are
-fixed, and warm-starts each projection from the previous iterate's
-solution.
+projects each gradient step (the default one-shot sweep folds the step
+into its in-place pass), narrows the region as vertices are fixed, and
+warm-starts each projection from the previous iterate's solution.
 
 Structure
 ---------
@@ -52,7 +49,7 @@ from ..partition.partition import Partition
 from ..partition.validation import validate_epsilon, validate_weights
 from .compaction import FreeVertexSystem
 from .config import GDConfig
-from .kernels import FusedBackend
+from .kernels import NumpyBackend
 from .noise import NoiseSchedule
 from .projection import (
     AlternatingProjector,
@@ -175,8 +172,7 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
         free = ~fixed
         if free.any():
             sub_region = final_region.restrict(free, x[fixed]) if fixed.any() else final_region
-            cleaner = AlternatingProjector(sub_region, one_shot=False,
-                                           use_band_center=False,
+            cleaner = AlternatingProjector(sub_region,
                                            max_rounds=config.final_projection_rounds)
             x[free] = cleaner.project_to_feasibility(x[free])
 
@@ -194,11 +190,9 @@ class BisectionStepper:
     calls :meth:`result`.  Every iteration runs noise → free-vertex
     gradient → projection → fixing on the free-vertex system built at
     construction (with nothing fixed, that system is the adjacency
-    itself).  Only the projection depends on the method: the default
-    ``alternating_oneshot`` sweep is fused with the gradient step into
-    :meth:`~repro.core.kernels.FusedBackend.fused_update`, over sweep
-    invariants narrowed here as vertices fix; every other method projects
-    through :attr:`engine`, whose region narrows the same way.
+    itself).  Only the projection depends on the method, and every method
+    projects through :attr:`engine`, whose region narrows as vertices
+    fix.
 
     Requires a non-empty graph (``gd_bisect`` short-circuits ``n == 0``).
 
@@ -278,29 +272,19 @@ class BisectionStepper:
 
         self.fixing_start = int(config.fixing_start_fraction * config.iterations)
         # One backend and one engine per stepper: kernels and projections
-        # carry per-run stats (and the engine its cache and warm state);
-        # worker processes construct their own, so no state crosses the
-        # pickle boundary.
-        self.backend = FusedBackend()
-        self.engine = ProjectionEngine(config.projection_method, self.region,
-                                       backend=self.backend)
+        # carry per-run stats (and the engine its warm state); worker
+        # processes construct their own, so no state crosses the pickle
+        # boundary.  A warm start's engine is built on the region of its
+        # free vertices, not narrowed from the full region: the one-shot
+        # sweep's band centers then come from the restricted bounds.
+        self.backend = NumpyBackend()
+        free_region = (self.region.restrict(~self.fixed, self.x[self.fixed])
+                       if self.fixed.any() else self.region)
+        self.engine = ProjectionEngine(config.projection_method, free_region)
         if warm_lambdas:
             self.engine.seed_warm_lambdas(warm_lambdas)
         self.system = FreeVertexSystem(self.relaxation.adjacency, self.fixed, self.x,
-                                       backend=self.backend)
-
-        self._fused = config.projection_method == "alternating_oneshot"
-        if self._fused:
-            region = (self.region.restrict(~self.fixed, self.x[self.fixed])
-                      if self.fixed.any() else self.region)
-            # Contiguous copy: the fused pass dots every row per iteration,
-            # and the contiguous dot kernel is the fast one.
-            self._sweep_weights = np.ascontiguousarray(region.weights)
-            self._sweep_centers = 0.5 * (region.lower + region.upper)
-            self._sweep_norms = np.einsum("ij,ij->i", self._sweep_weights,
-                                          self._sweep_weights)
-        elif self.fixed.any():
-            self.engine.narrow_restricted(~self.fixed, self.x[self.fixed])
+                                       self.backend)
 
     @property
     def converged(self) -> bool:
@@ -334,12 +318,7 @@ class BisectionStepper:
             z = x_free
         gradient = system.gradient(z)
         gamma = self.controller.step_size(gradient)
-        if self._fused:
-            new_free = backend.fused_update(z, gamma, gradient, self._sweep_weights,
-                                            self._sweep_centers, self._sweep_norms)
-            self.engine.count_external_projection()
-        else:
-            new_free = self.engine.project(backend.axpy(gamma, gradient, z))
+        new_free = self.engine.project_step(z, gamma, gradient)
 
         realized = backend.step_norm(new_free, x_free)
         self.controller.update(realized)
@@ -353,18 +332,7 @@ class BisectionStepper:
                 backend.scatter(self.x, dying_ids, snapped)
                 self.fixed[dying_ids] = True
                 system.fix(newly_fixed, snapped)
-                surviving = ~newly_fixed
-                if self._fused:
-                    # The dropped columns' (constant) contribution shifts
-                    # the band centers, as FeasibleRegion.restrict would.
-                    self._sweep_centers = (self._sweep_centers
-                                           - self._sweep_weights[:, newly_fixed] @ snapped)
-                    self._sweep_weights = np.ascontiguousarray(
-                        self._sweep_weights[:, surviving])
-                    self._sweep_norms = np.einsum("ij,ij->i", self._sweep_weights,
-                                                  self._sweep_weights)
-                else:
-                    self.engine.narrow_restricted(surviving, snapped)
+                self.engine.narrow_restricted(~newly_fixed, snapped)
         return realized
 
     def result(self) -> BisectionResult:

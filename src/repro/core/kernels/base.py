@@ -1,12 +1,12 @@
-"""The kernel-backend protocol: the GD hot loop as ~a dozen named kernels.
+"""The kernel-backend protocol: the GD iteration's non-projection kernels.
 
-Every per-iteration cost of the partitioner reduces to a small set of
-array kernels — the CSR mat-vec of the gradient, the axpy of the step
-update, the noise mix-in, the projection sweep's hyperplane updates, the
-breakpoint sweep of the exact 1-D projection, the free-vertex
-gather/scatter, and vertex fixing.
-:class:`KernelBackend` names each of them once, so the arithmetic of one
-kernel can change without touching the solver.
+Outside the projection step (which :class:`~repro.core.projection.\
+ProjectionEngine` runs for every method), the per-iteration cost of the
+partitioner reduces to a small set of array kernels — the CSR mat-vec of
+the gradient, the noise mix-in, the realized step length, the free-vertex
+gather/scatter, and vertex fixing.  :class:`KernelBackend` names each of
+them once, so the arithmetic of one kernel can change without touching
+the solver.
 
 Determinism contract
 --------------------
@@ -106,8 +106,8 @@ class KernelBackend(ABC):
     weight rows are zero-copy views into a shared-memory segment with
     ``writeable=False``.  Kernels must never write into an input unless
     the kernel is documented as in-place on a named *output* argument
-    (:meth:`scatter`, ``clip_box(..., out=)``); those outputs are always
-    solver-allocated scratch, never the shared inputs.
+    (:meth:`scatter`); those outputs are always solver-allocated scratch,
+    never the shared inputs.
     """
 
     def __init__(self) -> None:
@@ -125,42 +125,15 @@ class KernelBackend(ABC):
         """Compacted gradient ``A_FF @ z + boundary`` over the free set."""
 
     # ------------------------------------------------------------------ #
-    # Iterate-update kernels
+    # Iterate kernels
     # ------------------------------------------------------------------ #
-    @abstractmethod
-    def axpy(self, a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``y + a * x`` with scalar or per-element ``a`` (the GD step)."""
-
     @abstractmethod
     def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Noise mix-in ``x + noise``."""
 
-    # ------------------------------------------------------------------ #
-    # Reductions
-    # ------------------------------------------------------------------ #
     @abstractmethod
     def step_norm(self, new: np.ndarray, old: np.ndarray) -> float:
         """Realized step length ``||new - old||``."""
-
-    # ------------------------------------------------------------------ #
-    # Projection kernels
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def hyperplane_project(self, point: np.ndarray, weights: np.ndarray,
-                           target: float, norm_squared: float | None = None
-                           ) -> np.ndarray:
-        """Euclidean projection onto ``{x : ⟨w, x⟩ = target}``."""
-
-    @abstractmethod
-    def clip_box(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Projection onto the cube: ``clip(x, -1, 1)``."""
-
-    @abstractmethod
-    def breakpoint_sweep(self, y: np.ndarray, weights: np.ndarray, target: float,
-                         *, total: float | None = None,
-                         weights_squared: np.ndarray | None = None) -> float:
-        """Exact 1-D projection multiplier: solve ``Σ w_i [y_i − λ w_i] =
-        target`` by the sorted-breakpoint prefix-sum sweep."""
 
     # ------------------------------------------------------------------ #
     # Free-vertex gather/scatter
@@ -184,28 +157,3 @@ class KernelBackend(ABC):
     @abstractmethod
     def snap(self, v: np.ndarray) -> np.ndarray:
         """Snap to sides: ``+1`` where ``v >= 0``, else ``-1``."""
-
-    # ------------------------------------------------------------------ #
-    # Fused iteration
-    # ------------------------------------------------------------------ #
-    def fused_update(self, z: np.ndarray, gamma: float, gradient: np.ndarray,
-                     weight_rows: np.ndarray, centers: np.ndarray,
-                     norms_squared: np.ndarray) -> np.ndarray:
-        """One gradient-step + one-shot-projection pass over the free set.
-
-        Semantically ``clip_box(sweep(z + gamma * gradient))`` where the
-        sweep projects onto each balance dimension's band-center
-        hyperplane in turn (``weight_rows`` is the ``(d, free)`` restricted
-        weight matrix, ``centers``/``norms_squared`` its per-dimension
-        invariants).  The base implementation composes the primitive
-        kernels; :class:`~repro.core.kernels.FusedBackend` overrides it
-        with a single in-place pass.
-        """
-        y = self.axpy(gamma, gradient, z)
-        for j in range(weight_rows.shape[0]):
-            norm_squared = float(norms_squared[j])
-            if norm_squared == 0.0:
-                continue
-            y = self.hyperplane_project(y, weight_rows[j], float(centers[j]),
-                                        norm_squared)
-        return self.clip_box(y)

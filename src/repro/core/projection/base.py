@@ -10,12 +10,20 @@ band ``[-ε W_j, +ε W_j]`` with ``W_j = Σ_i w^(j)_i``; we store per-dimension
 lower/upper bounds so that the *same* machinery also handles the reduced
 problems that arise when vertices are fixed to ±1 (their contribution
 shifts the interval of the remaining free vertices).
+
+A region also carries the weight-derived invariants the projectors read
+on every call — per-row sums, squared norms, elementwise squares,
+tolerance scales and band centers.  Each is computed the first time it is
+read and then kept for the region's lifetime; a region never changes, so
+within one GD bisection each invariant is computed once per fixing event
+at most, not once per iteration.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +76,31 @@ class FeasibleRegion:
     def num_vertices(self) -> int:
         return int(self.weights.shape[1])
 
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """``Σ_i w^(j)_i`` per row: ``⟨w^(j), x⟩`` ranges over ``±totals[j]``."""
+        return np.array([float(w.sum()) for w in self.weights])
+
+    @cached_property
+    def norms_squared(self) -> np.ndarray:
+        """``⟨w^(j), w^(j)⟩`` per row: the hyperplane-projection denominators."""
+        return np.array([float(w @ w) for w in self.weights])
+
+    @cached_property
+    def weights_squared(self) -> np.ndarray:
+        """``w_i²`` elementwise: the slopes of the 1-D breakpoint sweep."""
+        return self.weights * self.weights
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """``max(Σ_i |w^(j)_i|, 1)`` per row: the band tolerance scales."""
+        return np.maximum(np.abs(self.weights).sum(axis=1), 1.0)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """``(lower + upper) / 2`` per row: the band-center hyperplanes."""
+        return 0.5 * (self.lower + self.upper)
+
     def weighted_sums(self, x: np.ndarray) -> np.ndarray:
         """``⟨w^(j), x⟩`` for every dimension ``j``."""
         return self.weights @ x
@@ -85,23 +118,18 @@ class FeasibleRegion:
         band_violation = float(np.maximum(below, above).max(initial=0.0))
         return max(box_violation, band_violation)
 
-    def contains(self, x: np.ndarray, tolerance: float = 1e-7,
-                 *, scale: np.ndarray | None = None) -> bool:
+    def contains(self, x: np.ndarray, tolerance: float = 1e-7) -> bool:
         """Whether ``x`` satisfies every constraint up to ``tolerance``.
 
-        The band tolerance is scaled by the weight magnitude so the check is
-        meaningful for weight functions of very different scales.  ``scale``
-        may supply the precomputed per-dimension scale (see
-        :class:`~repro.core.projection.cache.RegionCache`), saving one pass
-        over the weight matrix per call.
+        The band tolerance is scaled by the weight magnitude (:attr:`scales`)
+        so the check is meaningful for weight functions of very different
+        scales.
         """
         if np.any(np.abs(x) > 1.0 + tolerance):
             return False
         sums = self.weighted_sums(x)
-        if scale is None:
-            scale = np.maximum(np.abs(self.weights).sum(axis=1), 1.0)
-        below = (self.lower - sums) / scale
-        above = (sums - self.upper) / scale
+        below = (self.lower - sums) / self.scales
+        above = (sums - self.upper) / self.scales
         return bool(np.all(below <= tolerance) and np.all(above <= tolerance))
 
     def restrict(self, free: np.ndarray, fixed_values: np.ndarray) -> "FeasibleRegion":
@@ -123,7 +151,9 @@ class FeasibleRegion:
 
 
 class Projector(ABC):
-    """Interface of all projection-step implementations (Table 1)."""
+    """Interface of the projectors that hold their region: every method of
+    Table 1 but the one-shot sweep
+    (:class:`~repro.core.projection.alternating.OneShotProjector`)."""
 
     def __init__(self, region: FeasibleRegion):
         self._region = region
@@ -135,6 +165,3 @@ class Projector(ABC):
     @abstractmethod
     def project(self, point: np.ndarray) -> np.ndarray:
         """Return a feasible point; exact projectors return argmin ||point − x||."""
-
-    def __call__(self, point: np.ndarray) -> np.ndarray:
-        return self.project(point)

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["project_onto_box", "truncate"]
-
-
-def project_onto_box(point: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto ``[-radius, radius]ⁿ`` (coordinate clipping)."""
-    return np.clip(point, -radius, radius)
+__all__ = ["truncate"]
 
 
 def truncate(values: np.ndarray) -> np.ndarray:
-    """The truncated linear function ``[z] = min(1, max(-1, z))`` from §2.2."""
+    """The truncated linear function ``[z] = min(1, max(-1, z))`` from §2.2,
+    which is also the Euclidean projection onto ``B∞`` (coordinate
+    clipping)."""
     return np.clip(values, -1.0, 1.0)

@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import FeasibleRegion, Projector
-from .box import project_onto_box
-from .cache import RegionCache
+from .box import truncate
 from .halfspace import project_onto_band
 
 __all__ = ["DykstraProjector"]
@@ -32,17 +31,14 @@ class DykstraProjector(Projector):
     """Dykstra's alternating projection with correction terms."""
 
     def __init__(self, region: FeasibleRegion, max_rounds: int = 500,
-                 tolerance: float = 1e-10, cache: RegionCache | None = None):
+                 tolerance: float = 1e-10):
         super().__init__(region)
         if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if cache is not None and cache.region is not region:
-            raise ValueError("cache was built for a different region")
         self._max_rounds = max_rounds
         self._tolerance = tolerance
-        self._cache = cache
         #: Correction (dual) vectors of the most recent call, exposed so the
         #: projection engine can warm-start the next call.
         self.last_corrections: list[np.ndarray] | None = None
@@ -77,24 +73,17 @@ class DykstraProjector(Projector):
             for set_index in range(num_sets):
                 shifted = x + corrections[set_index]
                 if set_index < region.num_dimensions:
-                    norm_squared = (self._cache.dimensions[set_index].norm_squared
-                                    if self._cache is not None else None)
                     projected = project_onto_band(
                         shifted, region.weights[set_index],
                         region.lower[set_index], region.upper[set_index],
-                        norm_squared)
+                        region.norms_squared[set_index])
                 else:
-                    projected = project_onto_box(shifted)
+                    projected = truncate(shifted)
                 corrections[set_index] = shifted - projected
                 x = projected
             change = float(np.linalg.norm(x - previous))
-            if change <= self._tolerance * scale and self._contains(x, 1e-7):
+            if change <= self._tolerance * scale and region.contains(x, 1e-7):
                 break
         self.last_corrections = corrections
         self.last_rounds = rounds
         return x
-
-    def _contains(self, x: np.ndarray, tolerance: float) -> bool:
-        if self._cache is not None:
-            return self._cache.contains(x, tolerance)
-        return self.region.contains(x, tolerance)

@@ -31,8 +31,7 @@ import logging
 import numpy as np
 
 from .base import FeasibleRegion, Projector
-from .box import project_onto_box, truncate
-from .cache import RegionCache
+from .box import truncate
 from .exact_1d import solve_lambda_1d
 from .exact_2d import solve_lambda_2d
 from .halfspace import project_onto_band
@@ -63,22 +62,14 @@ class ExactProjector(Projector):
     """
 
     def __init__(self, region: FeasibleRegion, tolerance: float = 1e-9,
-                 cache: RegionCache | None = None,
-                 max_active_set_iterations: int | None = None,
-                 backend=None):
+                 max_active_set_iterations: int | None = None):
         super().__init__(region)
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if cache is not None and cache.region is not region:
-            raise ValueError("cache was built for a different region")
         if max_active_set_iterations is not None and max_active_set_iterations < 0:
             raise ValueError("max_active_set_iterations must be non-negative")
         self._tolerance = tolerance
-        self._cache = cache
         self._max_iterations = max_active_set_iterations
-        # Optional KernelBackend: routes the d=1 breakpoint sweep through a
-        # counted kernel (same function, same bits).
-        self._backend = backend
         #: Number of calls that exhausted the active-set budget and fell back
         #: to convergent alternating projections.
         self.fallback_count = 0
@@ -122,7 +113,7 @@ class ExactProjector(Projector):
                     active[j] = "upper" if lam >= 0.0 else "lower"
             warm_guess = {j: lam for j, lam in warm_lambdas.items() if j in active}
 
-        x = project_onto_box(point)
+        x = truncate(point)
         lambdas = np.empty(0)
         max_iterations = (self._max_iterations if self._max_iterations is not None
                           else 3 ** region.num_dimensions + region.num_dimensions + 2)
@@ -135,13 +126,13 @@ class ExactProjector(Projector):
                 if self._drop_wrong_sign(active, lambdas):
                     continue  # re-solve with the reduced active set
             else:
-                x = project_onto_box(point)
+                x = truncate(point)
             # KKT check: the active constraints are tight with correctly
             # signed multipliers; if no inactive constraint is violated the
             # current point is the projection.  One weighted-sums pass
             # serves both the violation scan and the tightness check.
             sums = region.weighted_sums(x)
-            scale = self._scales()
+            scale = region.scales
             if not self._update_active_set(active, sums, scale):
                 loose = self._least_tight_active(active, sums, scale)
                 if loose is None:
@@ -175,11 +166,6 @@ class ExactProjector(Projector):
         return self._alternating_fallback(x)
 
     # ------------------------------------------------------------------ #
-    def _scales(self) -> np.ndarray:
-        if self._cache is not None:
-            return self._cache.scales
-        return np.maximum(np.abs(self.region.weights).sum(axis=1), 1.0)
-
     def _update_active_set(self, active: dict[int, str], sums: np.ndarray,
                            scale: np.ndarray) -> bool:
         """Add violated constraints to the active set; return True if changed."""
@@ -244,14 +230,10 @@ class ExactProjector(Projector):
                 return lambdas, truncate(point - weights.T @ lambdas)
 
         if len(dims) == 1:
-            dim_cache = self._cache.dimensions[dims[0]] if self._cache is not None else None
-            sweep = (self._backend.breakpoint_sweep if self._backend is not None
-                     else solve_lambda_1d)
-            lambdas = np.array([sweep(
-                point, weights[0], targets[0],
-                total=dim_cache.total if dim_cache is not None else None,
-                weights_squared=(dim_cache.weights_squared
-                                 if dim_cache is not None else None))])
+            j = dims[0]
+            lambdas = np.array([solve_lambda_1d(
+                point, weights[0], targets[0], total=region.totals[j],
+                weights_squared=region.weights_squared[j])])
         elif len(dims) == 2:
             lambdas = solve_lambda_2d(point, weights, targets, initial_guess=guess)
         else:
@@ -290,9 +272,7 @@ class ExactProjector(Projector):
             if region.contains(x, self._tolerance):
                 return x
             for j in range(region.num_dimensions):
-                norm_squared = (self._cache.dimensions[j].norm_squared
-                                if self._cache is not None else None)
                 x = project_onto_band(x, region.weights[j], region.lower[j],
-                                      region.upper[j], norm_squared)
-            x = project_onto_box(x)
+                                      region.upper[j], region.norms_squared[j])
+            x = truncate(x)
         return x

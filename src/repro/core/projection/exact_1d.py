@@ -17,9 +17,10 @@ a binary search calling the O(n) evaluator per probe; the sweep replaces
 those ~log(2n) full passes with three ``cumsum`` s.
 
 The per-region constants (``Σ w_i`` and ``w_i²``) never change within a
-bisection, so callers holding a
-:class:`~repro.core.projection.cache.DimensionCache` pass them in instead
-of recomputing them per call.
+bisection, so callers holding a region pass its
+:attr:`~repro.core.projection.base.FeasibleRegion.totals` and
+:attr:`~repro.core.projection.base.FeasibleRegion.weights_squared` in
+instead of recomputing them per call.
 """
 
 from __future__ import annotations

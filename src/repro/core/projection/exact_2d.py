@@ -45,12 +45,12 @@ def solve_lambda_2d(y: np.ndarray, weights: np.ndarray, targets: np.ndarray,
     # Polish: solve the linear system of the region containing the current
     # estimate.  If the refined multipliers stay in the same region they are
     # exact; otherwise the nested-search estimate is already the best we have.
-    matrix, offset = region_linear_system(y, weights, lambdas)
+    matrix, offset = region_linear_system(y, weights, y - weights.T @ lambdas)
     try:
         refined = np.linalg.solve(matrix, offset - targets)
     except np.linalg.LinAlgError:
         return lambdas
-    refined_matrix, _ = region_linear_system(y, weights, refined)
+    refined_matrix, _ = region_linear_system(y, weights, y - weights.T @ refined)
     if np.allclose(refined_matrix, matrix):
         return refined
     return lambdas

@@ -6,8 +6,8 @@ slab (intersection of two half-spaces), and the paper's "project on S^j_0"
 variant projects onto the central hyperplane ``⟨w, x⟩ = c``.
 
 Both primitives accept the precomputed ``⟨w, w⟩`` (a region invariant, see
-:class:`~repro.core.projection.cache.DimensionCache`) so the iterative
-projectors do not recompute it on every sweep of every call.
+:attr:`~repro.core.projection.base.FeasibleRegion.norms_squared`) so the
+iterative projectors do not recompute it on every sweep of every call.
 """
 
 from __future__ import annotations

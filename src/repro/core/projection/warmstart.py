@@ -21,7 +21,7 @@ iteration does not settle the caller falls back to the cold solvers.
 
 The verified fast path reproduces the cold solvers' arithmetic exactly
 for d ∈ {1, 2} (same masks, same dot products, same division), which is
-what makes the cache on/off outputs bit-identical there; for d ≥ 3 the
+what makes warm and cold outputs bit-identical there; for d ≥ 3 the
 cold path is itself an iterative approximation, so warm results may
 differ from cold ones by the cold solver's own tolerance (~1e-12).
 """
@@ -46,14 +46,14 @@ def classify_pattern(z: np.ndarray) -> np.ndarray:
 
 
 def region_linear_system(y: np.ndarray, weights: np.ndarray,
-                         lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the d×d linear system valid in λ's region.
+                         z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the d×d linear system valid in the region of
+    ``z = y − Σ_j λ_j w^(j)``.
 
     Within a region the saturated set is constant, so
     ``h^(j)(λ) = saturated_j + Σ_{i interior} w^(j)_i (y_i − λ·w_i)`` is
     affine in λ.  Returns ``(M, b)`` with ``h(λ) = b − M λ``.
     """
-    z = y - weights.T @ lambdas
     interior = np.abs(z) < 1.0
     signs = np.sign(z)
     d = weights.shape[0]
@@ -66,13 +66,14 @@ def region_linear_system(y: np.ndarray, weights: np.ndarray,
 
 
 def _solve_for_pattern(y: np.ndarray, weights: np.ndarray, targets: np.ndarray,
-                       z: np.ndarray, pattern: np.ndarray) -> np.ndarray | None:
-    """Multipliers of the affine system valid for ``pattern`` (None if singular)."""
+                       z: np.ndarray) -> np.ndarray | None:
+    """Multipliers of the affine system valid in ``z``'s region (None if
+    singular)."""
     if weights.shape[0] == 1:
         # Mirror the d = 1 cold tail (exact_1d) operation for operation so an
         # accepted warm solve is bit-identical to the cold answer.
         w = weights[0]
-        interior = pattern == 0
+        interior = np.abs(z) < 1.0
         saturated_sum = (float(w[~interior] @ np.sign(z[~interior]))
                          if (~interior).any() else 0.0)
         a = saturated_sum + float(w[interior] @ y[interior])
@@ -81,13 +82,7 @@ def _solve_for_pattern(y: np.ndarray, weights: np.ndarray, targets: np.ndarray,
             return None
         return np.array([(a - targets[0]) / b])
 
-    interior = pattern == 0
-    d = weights.shape[0]
-    saturated = (weights[:, ~interior] @ np.sign(z[~interior])
-                 if (~interior).any() else np.zeros(d))
-    interior_weights = weights[:, interior]
-    offset = saturated + interior_weights @ y[interior]
-    matrix = interior_weights @ interior_weights.T
+    matrix, offset = region_linear_system(y, weights, z)
     try:
         lambdas = np.linalg.solve(matrix, offset - targets)
     except np.linalg.LinAlgError:
@@ -118,7 +113,7 @@ def try_warm_equality_solve(y: np.ndarray, weights: np.ndarray, targets: np.ndar
     pattern = classify_pattern(z)
 
     for _ in range(max_iterations):
-        lambdas = _solve_for_pattern(y, weights, targets, z, pattern)
+        lambdas = _solve_for_pattern(y, weights, targets, z)
         if lambdas is None or not np.all(np.isfinite(lambdas)):
             return None
         z_new = y - weights.T @ lambdas

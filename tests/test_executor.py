@@ -35,9 +35,9 @@ ALL_BACKENDS = PARALLELISM_MODES
 #: Two shm workers: the pooled side of every bit-identity check.
 SHM = ExecutionConfig(parallelism="shm", max_workers=2)
 
-#: The GD iteration's two kernel paths, with the projection methods that
-#: take each: the one-shot sweep runs fused with the gradient step; every
-#: other method composes the numpy kernels with the projection engine.
+#: The GD iteration's two step paths, with the projection methods that
+#: take each: the one-shot sweep fuses the gradient step into its in-place
+#: pass; every other method projects the composed step with its projector.
 KERNEL_PATHS = {"fused": ("alternating_oneshot",),
                 "numpy": ("exact", "alternating", "dykstra")}
 
@@ -266,7 +266,7 @@ def test_determinism_contract_all_backends(social_graph, social_weights,
 @pytest.mark.parametrize("kernel_path", KERNEL_PATHS)
 def test_kernel_backends_bit_identical_across_executors(social_graph, social_weights,
                                                         kernel_path):
-    """Within each kernel path of the GD iteration both executors return
+    """Within each step path of the GD iteration both executors return
     the same bits, so the contract holds for every projection method,
     not only the default one-shot sweep."""
     for method in KERNEL_PATHS[kernel_path]:

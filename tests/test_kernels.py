@@ -1,10 +1,12 @@
-"""Tests of the kernel-backend layer (:mod:`repro.core.kernels`).
+"""Tests of the kernel-backend layer (:mod:`repro.core.kernels`) and of
+the one-shot step.
 
-Property-based agreement checks between the reference :class:`NumpyBackend`
-and :class:`FusedBackend`'s single pass, plus the edge cases the solver
-actually hits (empty free sets, single-vertex systems), the per-kernel
-counters, and the solver's quality against the reference transcription of
-Algorithm 1 (``tests/reference_gd.py``).
+Property-based agreement of the one-shot sweep's in-place step
+(:meth:`ProjectionEngine.project_step`) with a plain composition of the
+projection primitives, the edge cases the solver actually hits (empty
+free sets, single-vertex systems), the per-kernel counters, and the
+solver's quality against the reference transcription of Algorithm 1
+(``tests/reference_gd.py``).
 """
 
 from __future__ import annotations
@@ -16,15 +18,21 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from reference_gd import reference_bisect
-from repro.core import GDConfig, GDPartitioner, gd_bisect
-from repro.core.kernels import FusedBackend, KernelStats, NumpyBackend
+from repro.core import GDConfig, GDPartitioner, PROJECTION_METHODS, gd_bisect
+from repro.core.gd import BisectionStepper
+from repro.core.kernels import KernelStats, NumpyBackend
+from repro.core.projection import (
+    FeasibleRegion,
+    ProjectionEngine,
+    project_onto_hyperplane,
+)
 from repro.graphs import load_dataset, standard_weights
 from repro.partition import edge_locality, imbalance
 
-#: The GD iteration's two kernel paths, with the projection methods that
-#: take each: the one-shot sweep runs fused with the gradient step
-#: (``FusedBackend.fused_update``); every other method composes the
-#: reference numpy kernels with the projection engine.
+#: The GD iteration's two step paths, with the projection methods that
+#: take each: the one-shot sweep fuses the gradient step into its
+#: in-place pass (``OneShotProjector.project_step``); every other method
+#: projects the composed step ``z + γ·g`` with its projector.
 KERNEL_PATHS = {"fused": ("alternating_oneshot",),
                 "numpy": ("exact", "alternating", "dykstra")}
 
@@ -45,74 +53,98 @@ def _random_csr(n, seed):
     return sparse.csr_matrix(adjacency)
 
 
+def _band(rows):
+    """A region over ``rows`` with off-center bands (centers ≠ 0)."""
+    totals = rows.sum(axis=1)
+    return FeasibleRegion(weights=rows, lower=0.1 * totals, upper=0.4 * totals)
+
+
+def _composed_step(z, gamma, gradient, rows, centers):
+    """The one-shot step written out: the GD step, one hyperplane
+    projection per row (squared norms by einsum), the box clip."""
+    y = z + gamma * gradient
+    norms = np.einsum("ij,ij->i", rows, rows)
+    for row, center, norm_squared in zip(rows, centers, norms):
+        y = project_onto_hyperplane(y, row, center, norm_squared)
+    return np.clip(y, -1.0, 1.0)
+
+
 class TestFusedAgreement:
-    """FusedBackend's single-pass update is bit-identical to the composed
-    float64 kernels (same operations, same order)."""
+    """The one-shot step's in-place pass is bit-identical to the plain
+    composition of the step, the hyperplane projections and the clip."""
 
     @settings(max_examples=50)
     @given(z=_vectors(17, -1.0, 1.0), gradient=_vectors(17),
-           rows=_weight_rows(2, 17), gamma=st.floats(1e-4, 2.0))
+           rows=st.integers(1, 3).flatmap(lambda d: _weight_rows(d, 17)),
+           gamma=st.floats(1e-4, 2.0))
     def test_fused_update_matches_composition(self, z, gradient, rows, gamma):
-        centers = rows.sum(axis=1) * 0.25
-        norms = np.einsum("ij,ij->i", rows, rows)
-        reference = NumpyBackend().fused_update(z, gamma, gradient, rows, centers, norms)
-        fused = FusedBackend().fused_update(z, gamma, gradient, rows, centers, norms)
-        assert np.array_equal(reference, fused)
+        region = _band(rows)
+        step = ProjectionEngine("alternating_oneshot", region).project_step(z, gamma, gradient)
+        assert np.array_equal(step, _composed_step(z, gamma, gradient, rows, region.centers))
+
+    @settings(max_examples=30)
+    @given(z=_vectors(17, -1.0, 1.0), gradient=_vectors(17), rows=_weight_rows(2, 17),
+           gamma=st.floats(1e-4, 2.0), dropped=hnp.arrays(bool, 17),
+           sides=hnp.arrays(bool, 17))
+    def test_narrowed_step_matches_composition(self, z, gradient, rows, gamma,
+                                               dropped, sides):
+        # Narrowing shifts the centers by the dropped columns' constant
+        # contribution and slices the columns out, as the stepper's
+        # fixing events do.
+        region = _band(rows)
+        values = np.where(sides[dropped], 1.0, -1.0)
+        engine = ProjectionEngine("alternating_oneshot", region)
+        engine.narrow_restricted(~dropped, values)
+        kept = ~dropped
+        centers = region.centers - rows[:, dropped] @ values
+        step = engine.project_step(z[kept], gamma, gradient[kept])
+        assert np.array_equal(step, _composed_step(z[kept], gamma, gradient[kept],
+                                                   np.ascontiguousarray(rows[:, kept]),
+                                                   centers))
 
     @settings(max_examples=30)
     @given(z=_vectors(11, -1.0, 1.0), gradient=_vectors(11), gamma=st.floats(1e-4, 2.0))
     def test_degenerate_hyperplane_skipped(self, z, gradient, gamma):
-        # A zero weight row has an undefined hyperplane; both paths must
+        # A zero weight row has an undefined hyperplane; the step must
         # leave the point untouched by that dimension.
-        rows = np.zeros((1, 11))
-        centers, norms = np.zeros(1), np.zeros(1)
-        reference = NumpyBackend().fused_update(z, gamma, gradient, rows, centers, norms)
-        fused = FusedBackend().fused_update(z, gamma, gradient, rows, centers, norms)
-        assert np.array_equal(reference, fused)
-        assert np.array_equal(reference, np.clip(z + gamma * gradient, -1.0, 1.0))
+        region = _band(np.zeros((1, 11)))
+        step = ProjectionEngine("alternating_oneshot", region).project_step(z, gamma, gradient)
+        assert np.array_equal(step, np.clip(z + gamma * gradient, -1.0, 1.0))
 
     def test_fused_update_does_not_mutate_inputs(self):
         rng = np.random.default_rng(0)
         z, gradient = rng.standard_normal(9), rng.standard_normal(9)
         rows = rng.random((2, 9))
         z0, g0, r0 = z.copy(), gradient.copy(), rows.copy()
-        FusedBackend().fused_update(z, 0.3, gradient, rows, rows.sum(axis=1) * 0.1,
-                                    np.einsum("ij,ij->i", rows, rows))
+        engine = ProjectionEngine("alternating_oneshot", _band(rows))
+        engine.project_step(z, 0.3, gradient)
         assert np.array_equal(z, z0)
         assert np.array_equal(gradient, g0)
         assert np.array_equal(rows, r0)
 
 
-ALL_BACKENDS = [NumpyBackend, FusedBackend]
+ALL_BACKENDS = [NumpyBackend]
 
 
 @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
 class TestPrimitiveKernels:
-    """The primitive kernels match their defining numpy expressions on
-    every backend (fused backends inherit them unchanged)."""
+    """The primitive kernels match their defining numpy expressions."""
 
     def test_axpy_and_mix_noise(self, backend_cls, rng):
+        # The GD step ``z + γ·g`` that every projection method starts
+        # from (the exact projection of an interior point is the point
+        # itself), and the noise mix-in.
         backend = backend_cls()
-        x, y, noise = rng.random(8), rng.random(8), rng.random(8)
-        assert np.array_equal(backend.axpy(0.7, x, y), y + 0.7 * x)
-        per_element = rng.random(8)
-        assert np.array_equal(backend.axpy(per_element, x, y), y + per_element * x)
+        x, y, noise = rng.random(8) - 0.5, rng.random(8) - 0.5, rng.random(8)
+        wide = FeasibleRegion.balanced(np.ones((1, 8)), 1.0)
+        assert np.array_equal(ProjectionEngine("exact", wide).project_step(y, 0.7, x),
+                              y + 0.7 * x)
         assert np.array_equal(backend.mix_noise(x, noise), x + noise)
 
     def test_reductions(self, backend_cls, rng):
         backend = backend_cls()
         v, w = rng.standard_normal(9), rng.random(9)
         assert backend.step_norm(v, w) == float(np.linalg.norm(v - w))
-
-    def test_projection_kernels(self, backend_cls, rng):
-        backend = backend_cls()
-        point, weights = rng.standard_normal(7), rng.random(7) + 0.1
-        projected = backend.hyperplane_project(point, weights, 0.5)
-        assert abs(float(weights @ projected) - 0.5) < 1e-9
-        clipped = backend.clip_box(point * 3.0)
-        assert np.array_equal(clipped, np.clip(point * 3.0, -1.0, 1.0))
-        lam = backend.breakpoint_sweep(point, weights, 0.1)
-        assert np.isfinite(lam)
 
     def test_gather_scatter_fixing(self, backend_cls, rng):
         backend = backend_cls()
@@ -129,25 +161,28 @@ class TestPrimitiveKernels:
         assert set(np.unique(snapped)) <= {-1.0, 1.0}
 
     def test_empty_free_set(self, backend_cls):
-        # Zero-length arrays flow through every elementwise kernel; the
-        # stepper hits this when the last vertex fixes.
+        # Zero-length arrays flow through every elementwise kernel and
+        # every projection method's step; the stepper hits this when the
+        # last vertex fixes.
         backend = backend_cls()
         empty = np.empty(0)
-        assert backend.axpy(1.0, empty, empty).size == 0
         assert backend.mix_noise(empty, empty).size == 0
         assert backend.step_norm(empty, empty) == 0.0
-        assert backend.clip_box(empty).size == 0
-        out = backend.fused_update(empty, 0.5, empty, np.empty((2, 0)),
-                                   np.zeros(2), np.zeros(2))
-        assert out.size == 0
+        region = FeasibleRegion(weights=np.empty((2, 0)), lower=np.zeros(2),
+                                upper=np.zeros(2))
+        for method in PROJECTION_METHODS:
+            out = ProjectionEngine(method, region).project_step(empty, 0.5, empty)
+            assert out.size == 0, method
 
     def test_single_vertex_region(self, backend_cls):
         # d = 1 hyperplane on one coordinate: projection lands exactly on
         # the target, then the box clip applies.
         backend = backend_cls()
         z = np.array([0.3])
-        out = backend.fused_update(z, 1.0, np.array([5.0]), np.array([[2.0]]),
-                                   np.array([0.5]), np.array([4.0]))
+        region = FeasibleRegion(weights=np.array([[2.0]]), lower=np.array([0.25]),
+                                upper=np.array([0.75]))
+        out = ProjectionEngine("alternating_oneshot", region).project_step(
+            z, 1.0, np.array([5.0]))
         assert out.shape == (1,)
         assert out[0] == 0.25  # hyperplane 2x = 0.5, inside the box
         matrix = sparse.csr_matrix(np.zeros((1, 1)))
@@ -167,16 +202,16 @@ class TestKernelStats:
 
     def test_merge_accepts_both_forms(self):
         left, right = KernelStats(), KernelStats()
-        left.record("axpy", 5)
-        right.record("axpy", 7)
+        left.record("gather", 5)
+        right.record("gather", 7)
         right.record("snap", 1)
         left.merge(right)
         left.merge({"snap": {"calls": 2, "ns": 4}})
-        assert left.as_dict() == {"axpy": {"calls": 2, "ns": 12},
+        assert left.as_dict() == {"gather": {"calls": 2, "ns": 12},
                                   "snap": {"calls": 3, "ns": 5}}
 
     def test_instances_have_fresh_stats(self):
-        first, second = FusedBackend(), FusedBackend()
+        first, second = NumpyBackend(), NumpyBackend()
         first.step_norm(np.ones(3), np.zeros(3))
         assert second.stats.total_calls() == 0
 
@@ -200,20 +235,26 @@ class TestSolverIntegration:
             assert stats, "kernel counters missing from BisectionResult"
             for entry in stats.values():
                 assert entry["calls"] > 0 and entry["ns"] >= 0
-            # The fused pass replaces the separate gradient step.
-            assert ("fused_update" in stats) == (path == "fused"), method
-            assert ("axpy" in stats) == (path == "numpy"), method
+            # The step and the projection run in the engine, for every
+            # method, not as kernels: one projection per gradient.
+            assert not {"fused_update", "axpy"} & set(stats), method
+            assert result.projection_stats.calls == stats["free_gradient"]["calls"], method
             # The gradient's mat-vec runs through the counted spmv kernel.
             assert stats["spmv"]["calls"] == stats["free_gradient"]["calls"]
 
     def test_fused_backends_fall_back_off_oneshot(self, two_cliques_graph):
-        # The fused pass is the one-shot sweep; other projection methods
-        # project through the engine instead.
+        # The fused step is the one-shot sweep's; off it, every step
+        # projects the composed point through the engine's warm path.
         weights = standard_weights(two_cliques_graph, 2)
         config = GDConfig(iterations=15, seed=1, projection_method="exact")
-        result = gd_bisect(two_cliques_graph, weights, 0.1, config)
-        assert "fused_update" not in result.kernel_stats
-        assert result.partition.num_parts == 2
+        stepper = BisectionStepper(two_cliques_graph, weights, 0.1, config)
+        projected = []
+        warm_project = stepper.engine.project
+        stepper.engine.project = lambda point: projected.append(point) or warm_project(point)
+        for iteration in range(config.iterations):
+            stepper.step(iteration)
+        assert len(projected) == stepper.engine.stats.calls > 0
+        assert stepper.result().partition.num_parts == 2
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     def test_solver_accepts_read_only_input_buffers(self, two_cliques_graph, path):

@@ -22,6 +22,7 @@ from repro.core import (
     recursive_bisection,
 )
 from repro.core.gd import BisectionStepper
+from repro.core.kernels import NumpyBackend
 from repro.core.projection import FeasibleRegion
 from repro.graphs import fb_like, standard_weights
 from repro.partition import edge_locality, imbalance
@@ -118,7 +119,7 @@ def test_free_vertex_system_matches_masked_gradient(social_graph):
     x = rng.uniform(-1, 1, n)
     fixed = rng.random(n) < 0.4
     x[fixed] = np.sign(x[fixed] + 1e-9)
-    system = FreeVertexSystem(adjacency, fixed, x)
+    system = FreeVertexSystem(adjacency, fixed, x, NumpyBackend())
     z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
     full = x.copy()
     full[system.free_ids] = z
@@ -138,7 +139,7 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
     fixed = np.zeros(n, dtype=bool)
     fixed[:10] = True
     x[fixed] = 1.0
-    system = FreeVertexSystem(adjacency, fixed, x)
+    system = FreeVertexSystem(adjacency, fixed, x, NumpyBackend())
     for _ in range(6):
         if system.num_free < 8:
             break
@@ -158,10 +159,10 @@ def test_free_vertex_system_validates_inputs(social_graph):
     adjacency = social_graph.adjacency_matrix()
     n = social_graph.num_vertices
     with pytest.raises(ValueError, match="fixed mask"):
-        FreeVertexSystem(adjacency, np.zeros(3, dtype=bool), np.zeros(3))
+        FreeVertexSystem(adjacency, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend())
     fixed = np.zeros(n, dtype=bool)
     fixed[0] = True
-    system = FreeVertexSystem(adjacency, fixed, np.zeros(n))
+    system = FreeVertexSystem(adjacency, fixed, np.zeros(n), NumpyBackend())
     with pytest.raises(ValueError, match="newly_fixed"):
         system.fix(np.zeros(3, dtype=bool), np.zeros(0))
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.projection import (
+    AlternatingProjector,
     DykstraProjector,
     ExactProjector,
     FeasibleRegion,
+    OneShotProjector,
     make_projector,
     project_equality,
     project_exact_1d,
@@ -220,5 +222,5 @@ class TestProjectorFactory:
 
     def test_oneshot_flag(self):
         region = FeasibleRegion.balanced(np.ones((1, 4)), epsilon=0.1)
-        assert make_projector("alternating_oneshot", region).one_shot
-        assert not make_projector("alternating", region).one_shot
+        assert isinstance(make_projector("alternating_oneshot", region), OneShotProjector)
+        assert isinstance(make_projector("alternating", region), AlternatingProjector)

@@ -10,6 +10,7 @@ from repro.core.projection import (
     DykstraProjector,
     ExactProjector,
     FeasibleRegion,
+    OneShotProjector,
 )
 
 
@@ -21,7 +22,7 @@ def _random_region(rng, n=30, d=2, epsilon=0.05) -> FeasibleRegion:
 class TestAlternatingProjector:
     def test_convergent_mode_reaches_feasibility(self, rng):
         region = _random_region(rng)
-        projector = AlternatingProjector(region, one_shot=False)
+        projector = AlternatingProjector(region)
         point = rng.normal(size=region.num_vertices) * 3
         x = projector.project(point)
         assert region.contains(x, tolerance=1e-6)
@@ -31,30 +32,31 @@ class TestAlternatingProjector:
         # cleaned up at the end of GD), but the box constraint always holds
         # because the cube is the last set projected onto.
         region = _random_region(rng)
-        projector = AlternatingProjector(region, one_shot=True)
+        projector = OneShotProjector(region)
         point = rng.normal(size=region.num_vertices) * 3
         x = projector.project(point)
         assert np.all(np.abs(x) <= 1.0 + 1e-12)
 
     def test_one_shot_band_projection_feasible_for_single_constraint(self, rng):
         # With one balance band and a point well inside the cube, a single
-        # band projection followed by clipping is already feasible.
+        # projection onto the band's center followed by clipping is
+        # already feasible.
         region = _random_region(rng, d=1)
-        projector = AlternatingProjector(region, one_shot=True, use_band_center=False)
+        projector = OneShotProjector(region)
         point = rng.uniform(-0.3, 0.3, size=region.num_vertices)
         x = projector.project(point)
         assert region.contains(x, tolerance=1e-6)
 
     def test_project_to_feasibility_always_feasible(self, rng):
         region = _random_region(rng, d=3)
-        projector = AlternatingProjector(region, one_shot=True)
+        projector = AlternatingProjector(region)
         point = rng.normal(size=region.num_vertices) * 5
         x = projector.project_to_feasibility(point)
         assert region.contains(x, tolerance=1e-6)
 
     def test_feasible_point_stays_feasible(self, rng):
         region = _random_region(rng)
-        projector = AlternatingProjector(region, one_shot=False)
+        projector = AlternatingProjector(region)
         x = projector.project(np.zeros(region.num_vertices))
         assert region.contains(x, tolerance=1e-9)
 
@@ -62,7 +64,7 @@ class TestAlternatingProjector:
         n = 20
         weights = np.ones((1, n))
         region = FeasibleRegion.balanced(weights, epsilon=0.3)
-        projector = AlternatingProjector(region, one_shot=True, use_band_center=True)
+        projector = OneShotProjector(region)
         point = rng.normal(size=n) * 0.3 + 0.2   # interior of the box
         x = projector.project(point)
         # Projection onto the central hyperplane => weighted sum ~ 0 when the
@@ -80,6 +82,8 @@ class TestAlternatingProjector:
         region = _random_region(rng)
         with pytest.raises(ValueError):
             AlternatingProjector(region).project(np.zeros(5))
+        with pytest.raises(ValueError):
+            OneShotProjector(region).project(np.zeros(5))
 
 
 class TestDykstraProjector:
@@ -109,8 +113,7 @@ class TestDykstraProjector:
         region = _random_region(rng, n=25, epsilon=0.05)
         point = rng.normal(size=25) * 2
         dykstra = DykstraProjector(region, max_rounds=3000).project(point)
-        alternating = AlternatingProjector(region, one_shot=False,
-                                           use_band_center=False).project(point)
+        alternating = AlternatingProjector(region).project_to_feasibility(point)
         assert (np.linalg.norm(point - dykstra)
                 <= np.linalg.norm(point - alternating) + 1e-6)
 

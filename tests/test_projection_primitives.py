@@ -8,7 +8,6 @@ import pytest
 from repro.core.projection import (
     FeasibleRegion,
     project_onto_band,
-    project_onto_box,
     project_onto_hyperplane,
     truncate,
 )
@@ -17,15 +16,11 @@ from repro.core.projection import (
 class TestBox:
     def test_inside_unchanged(self):
         point = np.array([0.5, -0.3, 0.0])
-        assert np.array_equal(project_onto_box(point), point)
+        assert np.array_equal(truncate(point), point)
 
     def test_clipping(self):
-        assert np.array_equal(project_onto_box(np.array([2.0, -3.0, 0.5])),
+        assert np.array_equal(truncate(np.array([2.0, -3.0, 0.5])),
                               [1.0, -1.0, 0.5])
-
-    def test_custom_radius(self):
-        assert np.array_equal(project_onto_box(np.array([2.0, -2.0]), radius=0.5),
-                              [0.5, -0.5])
 
     def test_truncate_alias(self):
         assert np.array_equal(truncate(np.array([1.5, -1.5, 0.2])), [1.0, -1.0, 0.2])

@@ -16,7 +16,6 @@ from repro.core.projection import (
     ExactProjector,
     FeasibleRegion,
     project_onto_band,
-    project_onto_box,
     solve_lambda_1d,
     truncate,
     weighted_truncated_sum,
@@ -36,16 +35,16 @@ def _weights(n):
 class TestBoxProperties:
     @given(point=_points(25))
     def test_projection_inside_box(self, point):
-        assert np.all(np.abs(project_onto_box(point)) <= 1.0)
+        assert np.all(np.abs(truncate(point)) <= 1.0)
 
     @given(point=_points(25))
     def test_idempotent(self, point):
-        once = project_onto_box(point)
-        assert np.array_equal(project_onto_box(once), once)
+        once = truncate(point)
+        assert np.array_equal(truncate(once), once)
 
     @given(point=_points(25))
     def test_never_moves_interior_coordinates(self, point):
-        projected = project_onto_box(point)
+        projected = truncate(point)
         interior = np.abs(point) <= 1.0
         assert np.array_equal(projected[interior], point[interior])
 
