@@ -5,8 +5,9 @@ Times one fixed k-way recursive bisection (fb-80 preset) through the
 against the serial reference.  Every parallel run is checked *bit for
 bit* against the serial assignment (the determinism contract; a
 mismatch exits non-zero), and the executor's shared-memory counters —
-bytes shared per wave, pickled bytes avoided, payload bytes per
-dispatched task — land in the JSON report next to the speedups.
+pooled waves and tasks, bytes shared (one arena per walk), payload
+bytes per dispatched task — land in the JSON report next to the
+speedups.
 
 The serial reference times each frontier wave.  ``serial_fraction`` is
 the share of its wall time spent outside waves of two or more tasks —
@@ -21,8 +22,7 @@ What the CI ``multicore-perf`` lane runs::
         --workers 1 2 4
     python benchmarks/perf_guard.py record multicore.json --label multicore \
         --keys speedup_w2 speedup_w4 efficiency_w2 serial_seconds \
-               serial_fraction amdahl_bound_w2 \
-               shm_payload_bytes_per_task shm_pickled_bytes_avoided
+               serial_fraction amdahl_bound_w2 shm_payload_bytes_per_task
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class WaveTimer(BisectionExecutor):
         super().__init__()
         self.waves: list[tuple[int, float]] = []
 
-    def solve_frontier(self, subproblems, run_one, labels=None):
+    def solve_frontier(self, walk, tasks, warm_lambdas):
         start = time.perf_counter()
-        results = super().solve_frontier(subproblems, run_one, labels)
+        results = super().solve_frontier(walk, tasks, warm_lambdas)
         self.waves.append((len(results), time.perf_counter() - start))
         return results
 
@@ -65,7 +65,7 @@ def run_sweep(scale: float = 2.0, num_parts: int = 16, iterations: int = 40,
     ``num_parts=16`` gives the scheduler frontier waves of up to 8
     independent tasks, enough to keep 4 workers busy; ``scale=2.0``
     makes each task heavy enough (hundreds of milliseconds) that the
-    per-wave arena setup is noise.
+    per-walk arena setup is noise.
     """
     graph = fb_like(80, scale=scale, seed=seed)
     weights = standard_weights(graph, 2)
@@ -123,10 +123,9 @@ def run_sweep(scale: float = 2.0, num_parts: int = 16, iterations: int = 40,
         report["shm_tasks"] = float(shm_stats.tasks)
         report["shm_bytes_shared"] = float(shm_stats.bytes_shared)
         report["shm_payload_bytes_per_task"] = shm_stats.payload_bytes_per_task
-        report["shm_pickled_bytes_avoided"] = float(shm_stats.pickled_bytes_avoided)
         print(f"shm: {shm_stats.waves} waves, {shm_stats.tasks} tasks, "
               f"{shm_stats.payload_bytes_per_task:.0f} B/task over the pipe, "
-              f"{shm_stats.pickled_bytes_avoided / 1e6:.1f} MB of pickling avoided")
+              f"{shm_stats.bytes_shared / 1e6:.1f} MB shared")
     return report
 
 

@@ -66,10 +66,10 @@ class RunResult:
     :class:`~repro.core.BisectionResult` with history, projection and
     kernel counters); ``executor_stats`` for recursive k-way runs — the
     executor's retry/timeout/pool-rebuild counters and, under
-    ``parallelism="shm"``, the per-wave shared-memory stats
-    (``executor_stats.shm``: attach counts, bytes shared versus the
-    bytes a pickling pool would have shipped), next to the kernel
-    counters the 2-way path reports.
+    ``parallelism="shm"``, the shared-memory stats
+    (``executor_stats.shm``: pooled waves and tasks, segments created,
+    one per walk, attach counts, bytes shared and the pickled bytes per
+    task), next to the kernel counters the 2-way path reports.
     """
 
     partition: Partition

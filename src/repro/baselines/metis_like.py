@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..graphs import coarsening
-from ..graphs.coarsening import CoarseLevel, CoarseningHierarchy
+from ..graphs.coarsening import CoarseLevel, coarsen
 from ..graphs.graph import Graph
 from ..partition.partition import Partition
 from .base import Partitioner
@@ -109,29 +108,11 @@ class MetisLikePartitioner(Partitioner):
 
     def _coarsen(self, adjacency: sparse.csr_matrix, weights: np.ndarray,
                  rng: np.random.Generator) -> list[CoarseLevel]:
-        # The shared hierarchy builder reproduces this class's historical
-        # private loop exactly — same sequential matching (and hence the
-        # same rng consumption), same stall rule, same contraction
-        # numbering — so baseline outputs stay bit-stable per seed.
-        hierarchy = CoarseningHierarchy.build(
-            adjacency, weights, coarsest_size=self._coarsest_size, rng=rng,
-            matching="sequential")
-        return hierarchy.levels
-
-    @staticmethod
-    def _heavy_edge_matching(adjacency: sparse.csr_matrix,
-                             rng: np.random.Generator) -> np.ndarray:
-        """Return for every vertex its match (possibly itself).
-
-        Thin wrapper over :func:`repro.graphs.coarsening.heavy_edge_matching`
-        (the historical private implementation, promoted verbatim).
-        """
-        return coarsening.heavy_edge_matching(adjacency, rng)
-
-    @staticmethod
-    def _contract(level: CoarseLevel, matching: np.ndarray) -> CoarseLevel:
-        """Thin wrapper over :func:`repro.graphs.coarsening.contract`."""
-        return coarsening.contract(level.adjacency, level.vertex_weights, matching)
+        # The shared coarsening reproduces this class's historical private
+        # loop exactly — same sequential matching (and hence the same rng
+        # consumption), same stall rule, same contraction numbering — so
+        # baseline outputs stay bit-stable per seed.
+        return coarsen(adjacency, weights, coarsest_size=self._coarsest_size, rng=rng)
 
     # ------------------------------------------------------------------ #
     # Initial partitioning and refinement

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--parallelism", choices=PARALLELISM_MODES, default="serial",
                            help="execution backend for recursive k-way GD: serial "
                                 "(in process) or shm (a process pool fed "
-                                "through zero-copy shared-memory wave arenas); "
+                                "through one zero-copy shared-memory arena per walk); "
                                 "bit-identical output across backends for a "
                                 "fixed seed")
     partition.add_argument("--workers", type=int, default=None, metavar="N",

@@ -9,7 +9,7 @@ from .config import (
 )
 from .checkpoint import CheckpointMismatch, FrontierCheckpoint, TaskState
 from .executor import BisectionExecutor, ExecutorStats, ExecutorTaskError, task_seed
-from .shm import SharedGraphArena, ShmStats, ShmWaveStats
+from .shm import SharedGraphArena, ShmStats
 from .kernels import KernelBackend, KernelStats, NumpyBackend
 from .relaxation import QuadraticRelaxation
 from .noise import NoiseSchedule
@@ -49,7 +49,6 @@ __all__ = [
     "task_seed",
     "SharedGraphArena",
     "ShmStats",
-    "ShmWaveStats",
     "CheckpointMismatch",
     "FrontierCheckpoint",
     "TaskState",

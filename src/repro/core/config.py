@@ -91,8 +91,8 @@ class ExecutionConfig(ConfigIO):
         Execution backend used by :func:`repro.core.recursive_bisection`
         to run independent sub-bisections of the recursion tree:
         ``"serial"`` (in-process, the default) or ``"shm"`` (a process
-        pool fed through :mod:`multiprocessing.shared_memory`: every
-        wave's CSR, weights and output buffers live in one shared segment
+        pool fed through :mod:`multiprocessing.shared_memory`: a walk's
+        input graph, weights and output buffer live in one shared segment
         that workers attach zero-copy, so only task coordinates cross the
         pipe — see :mod:`repro.core.shm`).  Both backends produce
         bit-identical partitions for a fixed ``GDConfig.seed``.
@@ -116,7 +116,7 @@ class ExecutionConfig(ConfigIO):
         bit-identical work.
     shm_segment_prefix:
         Name prefix of the shared-memory segments (suffixed with the
-        coordinator pid and a per-wave counter).  Keep it short: POSIX
+        coordinator pid and a per-walk counter).  Keep it short: POSIX
         caps shared-memory names at 31 characters on some platforms.
     """
 

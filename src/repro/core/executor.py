@@ -1,15 +1,15 @@
 """Execution backends for the recursive-bisection scheduler.
 
 The ``⌈log₂ k⌉``-level recursion tree of :func:`repro.core.recursive_bisection`
-contains, at every level, a frontier of bisection subproblems that touch
+contains, at every level, a frontier of bisection tasks that touch
 disjoint vertex sets and are therefore fully independent.
 :class:`BisectionExecutor` is the small abstraction that runs one such
 frontier, on one of two backends chosen by
-:attr:`ExecutionConfig.parallelism`: ``"serial"`` runs every task in the
-coordinating process; ``"shm"`` runs them on a process pool, sharing the
-whole wave zero-copy through one :mod:`multiprocessing.shared_memory`
-arena so that only task coordinates cross the pipe (see
-:mod:`repro.core.shm`).
+:attr:`ExecutionConfig.parallelism`.  Both run the same task function,
+:func:`repro.core.recursive.solve_task`: ``"serial"`` in the coordinating
+process; ``"shm"`` on a process pool, sharing the whole walk zero-copy
+through one :mod:`multiprocessing.shared_memory` arena so that only task
+coordinates cross the pipe (see :mod:`repro.core.shm`).
 
 Two properties the scheduler relies on:
 
@@ -61,13 +61,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from ..faults import attempt_scope, fault_site
+from .checkpoint import TaskState
 from .config import ExecutionConfig
-from .shm import ShmStats, solve_frontier_shm
+from .shm import ShmStats, WalkArena
+
+if TYPE_CHECKING:
+    from .recursive import Walk
 
 __all__ = [
     "BisectionExecutor",
@@ -90,9 +94,9 @@ class ExecutorTaskError(RuntimeError):
 class ExecutorStats:
     """Counters of the resilience machinery (one executor's lifetime).
 
-    ``shm`` aggregates the shared-memory backend's per-wave counters —
-    segments created, worker attaches, bytes shared versus the bytes a
-    pickling pool would have shipped (see
+    ``shm`` aggregates the shared-memory backend's counters: pooled waves
+    and tasks, segments created (one per walk), worker attaches, bytes
+    shared and the pickled bytes per task (see
     :class:`~repro.core.shm.ShmStats`).  Empty for the serial backend.
     """
 
@@ -146,16 +150,19 @@ class BisectionExecutor:
 
     Usable as a context manager; the process pool of the ``"shm"``
     backend is created lazily on the first pooled wave and shut down on
-    exit, so it is reused across the recursion levels of one
-    ``recursive_bisection`` call instead of being respawned per level.
-    :attr:`stats` counts retries, timeouts, pool rebuilds and the
-    shared-memory traffic over the executor's lifetime.
+    exit, so it is reused across the recursion levels of a walk (and
+    across the walks of a caller-owned executor) instead of being
+    respawned per level.  Each walk with a pooled wave gets one arena,
+    released by :meth:`end_walk`.  :attr:`stats` counts retries,
+    timeouts, pool rebuilds and the shared-memory traffic over the
+    executor's lifetime.
     """
 
     def __init__(self, execution: ExecutionConfig | None = None):
         self.execution = execution if execution is not None else ExecutionConfig()
         self.stats = ExecutorStats()
         self._pool: ProcessPoolExecutor | None = None
+        self._arena: WalkArena | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -167,7 +174,9 @@ class BisectionExecutor:
         self.shutdown()
 
     def shutdown(self) -> None:
-        """Shut down the worker pool (no-op if none was started)."""
+        """Release the walk's arena and shut down the worker pool (no-op
+        if neither exists)."""
+        self.end_walk()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -297,30 +306,37 @@ class BisectionExecutor:
                                              attempts[index], labels[index])
         return results
 
-    def solve_frontier(self, subproblems: Sequence[_T],
-                       run_one: Callable[[_T], tuple[np.ndarray, dict | None]],
-                       labels: Sequence[str] | None = None
-                       ) -> list[tuple[np.ndarray, dict | None]]:
-        """Solve one wave of bisection subproblems on the configured backend.
+    def solve_frontier(self, walk: Walk, tasks: Sequence[TaskState],
+                       warm_lambdas: Sequence[dict[int, float] | None]
+                       ) -> list[tuple[np.ndarray, dict[int, float] | None]]:
+        """Solve one wave of a walk of the recursion tree.
 
-        ``subproblems`` are records with ``subgraph``, ``weights``,
-        ``epsilon``, ``config``, ``target_fraction`` and the warm-start
-        fields ``initial_x``, ``initial_fixed`` and ``warm_lambdas``
-        (``None`` in a full solve's waves, set in a repair's).  The shm
-        backend packs every wave of two or more tasks, cold or warm, into
-        one shared-memory arena and drives the process pool with task
-        coordinates only (:func:`~repro.core.shm.solve_frontier_shm` —
-        the retry/timeout/pool-rebuild machinery of
-        :meth:`_map_processes` applies unchanged).  A single task (the
-        root of the recursion tree) and the serial backend map
-        ``run_one`` over the tasks in process.  Either way each task's
-        ``(local assignment, exported multipliers)`` comes back in task
+        Every task runs :func:`~repro.core.recursive.solve_task` on
+        ``walk`` with its entry of ``warm_lambdas``.  On the shm backend
+        a wave of two or more tasks runs on the process pool: the walk is
+        packed into one shared-memory arena on its first such wave and
+        only each task's coordinates cross the pipe
+        (:class:`~repro.core.shm.WalkArena`; the retry/timeout/pool-rebuild
+        machinery of :meth:`_map_processes` applies unchanged).  A single
+        task and the serial backend run in process.  Either way each
+        task's ``(sides, exported multipliers)`` comes back in task
         order, bit-identical across backends (the deterministic-seeding
-        contract).
+        contract).  :meth:`end_walk` releases the arena.
         """
-        subproblems = list(subproblems)
-        if self.execution.parallelism == "shm" and len(subproblems) > 1:
-            if labels is None:
-                labels = [f"#{index}" for index in range(len(subproblems))]
-            return solve_frontier_shm(self, subproblems, labels)
-        return self.map(run_one, subproblems, labels=labels)
+        # recursive.py imports this module, so the task function is bound late.
+        from .recursive import solve_task
+
+        labels = [f"depth={task.depth}/part={task.first_part}" for task in tasks]
+        if self.execution.parallelism == "shm" and len(tasks) > 1:
+            if self._arena is None or self._arena.walk is not walk:
+                self.end_walk()
+                self._arena = WalkArena(walk, self)
+            return self._arena.solve_wave(self, tasks, warm_lambdas, labels)
+        return self.map(lambda pair: solve_task(walk, *pair),
+                        list(zip(tasks, warm_lambdas)), labels=labels)
+
+    def end_walk(self) -> None:
+        """Unlink the current walk's shared-memory arena (no-op if none)."""
+        arena, self._arena = self._arena, None
+        if arena is not None:
+            arena.unlink()

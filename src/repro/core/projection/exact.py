@@ -30,11 +30,11 @@ import logging
 
 import numpy as np
 
+from .alternating import AlternatingProjector
 from .base import FeasibleRegion, Projector
 from .box import truncate
 from .exact_1d import solve_lambda_1d
 from .exact_2d import solve_lambda_2d
-from .halfspace import project_onto_band
 from .nested import solve_equality_system
 from .warmstart import try_warm_equality_solve
 
@@ -163,7 +163,7 @@ class ExactProjector(Projector):
             "alternating-projection fallback (engagement #%d)",
             max_iterations, region.num_dimensions, region.num_vertices,
             self.fallback_count)
-        return self._alternating_fallback(x)
+        return AlternatingProjector(region, tolerance=self._tolerance).project_to_feasibility(x)
 
     # ------------------------------------------------------------------ #
     def _update_active_set(self, active: dict[int, str], sums: np.ndarray,
@@ -264,15 +264,3 @@ class ExactProjector(Projector):
             return False
         del active[worst_dim]
         return True
-
-    def _alternating_fallback(self, x: np.ndarray, max_rounds: int = 1000) -> np.ndarray:
-        """Convergent alternating projections used only as a safety net."""
-        region = self.region
-        for _ in range(max_rounds):
-            if region.contains(x, self._tolerance):
-                return x
-            for j in range(region.num_dimensions):
-                x = project_onto_band(x, region.weights[j], region.lower[j],
-                                      region.upper[j], region.norms_squared[j])
-            x = truncate(x)
-        return x

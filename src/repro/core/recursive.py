@@ -13,19 +13,22 @@ partition meets the user-requested ``ε``.
 Scheduling
 ----------
 Instead of depth-first recursion, the recursion tree is processed as a
-*frontier* of tasks (:class:`~repro.core.checkpoint.TaskState` records),
-one wave per level.  All subproblems in a wave touch disjoint, sorted
-vertex sets: the coordinating process materializes the whole wave's
-induced subgraphs with one :meth:`Graph.subgraphs` call — each a row
-filter of the input graph's CSR, and the root task's the input graph
-itself, uncopied — and hands the wave to
-:meth:`~repro.core.executor.BisectionExecutor.solve_frontier` — serially
-in process, or on a process pool that shares the wave
-zero-copy through one shared-memory arena (``parallelism="shm"``; see
-:mod:`repro.core.shm`), as :attr:`GDConfig.execution` (an
-:class:`~repro.core.ExecutionConfig`) or a caller-owned executor says.
+*frontier* of tasks (:class:`~repro.core.checkpoint.TaskState` records,
+each a node's vertex set and tree coordinate), one wave per level.  All
+tasks in a wave touch disjoint, sorted vertex sets.  :func:`walk_tree`
+hands each wave, with one :class:`Walk` record of what every task reads
+(input graph, weights, per-level ε, config), to
+:meth:`~repro.core.executor.BisectionExecutor.solve_frontier`, and every
+task runs :func:`solve_task`: it extracts the node's induced subgraph
+(:meth:`Graph.subgraphs`, a row filter of the input graph's CSR; the
+root task's is the input graph itself, uncopied) and bisects it.  The
+task runs serially in process, or on a process pool that shares the
+whole walk zero-copy through one shared-memory arena
+(``parallelism="shm"``; see :mod:`repro.core.shm`), as
+:attr:`GDConfig.execution` (an :class:`~repro.core.ExecutionConfig`) or
+a caller-owned executor says.
 
-The same walk (:func:`walk_tree`) serves the incremental repartitioner
+The same walk serves the incremental repartitioner
 (:mod:`repro.dynamic.repartition`): given a mask of released vertices it
 warm-starts every task from the current assignment's sides with the
 other vertices fixed, skips the subtrees that hold no released vertex,
@@ -33,7 +36,7 @@ and seeds each task's projection engine with the multipliers the last
 solve of the same tree node exported.  A full solve is the walk with
 nothing fixed and nothing warm.
 
-Each worker's ``gd_bisect`` call constructs its own
+Each task's ``gd_bisect`` call constructs its own
 :class:`~repro.core.projection.ProjectionEngine` for its subproblem's
 feasible region, so the projection caches and warm-start state are local
 to the worker — only the exported multipliers travel back — and the
@@ -87,48 +90,63 @@ def per_level_epsilon(num_parts: int, epsilon: float) -> tuple[int, float]:
 
 
 @dataclass(frozen=True)
-class _Subproblem:
-    """A self-contained bisection shipped to a worker (picklable).
+class Walk:
+    """What every task of one walk of the recursion tree reads.
 
-    ``initial_x``, ``initial_fixed`` and ``warm_lambdas`` warm-start a
-    repair task (see :class:`~repro.core.gd.BisectionStepper`); a full
-    solve's tasks leave them ``None``.
+    ``epsilon`` is the per-level imbalance budget and ``config`` the
+    workers' config (serial, no history).  A repair walk also carries
+    ``assignment``, whose labels warm-start each task, and the ``free``
+    mask of the vertices it may move; a full solve leaves both ``None``.
+    A leaf writes only its own vertices, so every pending task's vertices
+    hold the walk's starting labels whenever that task runs: one
+    assignment serves the whole walk, in process or shared with a pool.
     """
 
-    subgraph: Graph
+    graph: Graph
     weights: np.ndarray
     epsilon: float
     config: GDConfig
-    target_fraction: float
-    initial_x: np.ndarray | None = None
-    initial_fixed: np.ndarray | None = None
-    warm_lambdas: dict[int, float] | None = None
+    assignment: np.ndarray | None = None
+    free: np.ndarray | None = None
 
 
-def _run_subproblem(subproblem: _Subproblem) -> tuple[np.ndarray, dict[int, float] | None]:
-    """Worker entry point: bisect one subproblem, return the local sides
-    and the projection multipliers the solve exported.
+def solve_task(walk: Walk, task: TaskState,
+               warm_lambdas: dict[int, float] | None = None
+               ) -> tuple[np.ndarray, dict[int, float] | None]:
+    """Bisect one node of the recursion tree.
 
-    Module-level so a process pool can pickle it by reference.
+    Extracts the node's induced subgraph, seeds the solve by the node's
+    coordinate (the deterministic-seeding contract), warm-starts a
+    repair's node from the walk's labels with the vertices outside
+    ``walk.free`` fixed and its projection engine seeded with
+    ``warm_lambdas``, and runs :func:`gd_bisect`.  Returns the sides of
+    ``task.vertex_ids`` (sorted, as every task of a walk is) and the
+    multipliers the solve exported.  The one task function of both
+    execution backends: it runs in process and in the ``shm`` workers.
     """
-    result = gd_bisect(subproblem.subgraph, subproblem.weights, subproblem.epsilon,
-                       subproblem.config, target_fraction=subproblem.target_fraction,
-                       initial_x=subproblem.initial_x,
-                       initial_fixed=subproblem.initial_fixed,
-                       warm_lambdas=subproblem.warm_lambdas)
+    ((subgraph, mapping),) = walk.graph.subgraphs([task.vertex_ids])
+    left_parts = (task.num_parts + 1) // 2
+    warm_start = {}
+    if walk.free is not None:
+        warm_start = {
+            "initial_x": np.where(walk.assignment[mapping] < task.first_part + left_parts,
+                                  1.0, -1.0),
+            "initial_fixed": ~walk.free[mapping],
+            "warm_lambdas": warm_lambdas}
+    config = walk.config.with_updates(
+        seed=task_seed(walk.config.seed, task.depth, task.first_part))
+    result = gd_bisect(subgraph, walk.weights[:, mapping], walk.epsilon, config,
+                       target_fraction=left_parts / task.num_parts, **warm_start)
     return result.partition.assignment, result.warm_lambdas
 
 
-def _expand(task: TaskState, mapping: np.ndarray,
-            local_assignment: np.ndarray) -> Iterable[TaskState]:
+def _expand(task: TaskState, sides: np.ndarray) -> Iterable[TaskState]:
     """Turn a finished bisection into the two child tasks of the next level."""
     left_parts = (task.num_parts + 1) // 2
     right_parts = task.num_parts - left_parts
-    left_ids = mapping[np.flatnonzero(local_assignment == 0)]
-    right_ids = mapping[np.flatnonzero(local_assignment == 1)]
-    yield TaskState(vertex_ids=left_ids, num_parts=left_parts,
+    yield TaskState(vertex_ids=task.vertex_ids[sides == 0], num_parts=left_parts,
                     first_part=task.first_part, depth=task.depth + 1)
-    yield TaskState(vertex_ids=right_ids, num_parts=right_parts,
+    yield TaskState(vertex_ids=task.vertex_ids[sides == 1], num_parts=right_parts,
                     first_part=task.first_part + left_parts, depth=task.depth + 1)
 
 
@@ -140,8 +158,8 @@ def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
     """Solve the recursion tree below ``frontier``, one wave per level.
 
     Leaves write their part into ``assignment``; empty tasks are skipped.
-    Each wave's subgraphs come from one :meth:`Graph.subgraphs` call and
-    every task is seeded by ``task_seed(config.seed, depth, first_part)``.
+    Each wave's tasks go to ``executor.solve_frontier`` with one
+    :class:`Walk` record, and every task runs :func:`solve_task`.
 
     ``free`` turns the solve into a repair: each task starts from
     ``assignment``'s current sides with the vertices outside ``free``
@@ -149,53 +167,42 @@ def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
     maps ``(depth, first_part)`` to the multipliers seeded into that
     node's projection engine, and is updated from every task's export.
     ``on_wave`` is called with the frontier at the top of every wave.
+    The executor's walk state (the ``shm`` arena) is released when the
+    walk returns or raises.
 
     Returns the number of bisections run.
     """
     # Workers bisect serially: the frontier is the unit of parallelism.
-    config = config.with_updates(
-        record_history=False,
-        execution=config.execution.with_updates(parallelism="serial", max_workers=None))
-    bisections = 0
-    while frontier:
-        if on_wave is not None:
-            on_wave(frontier)
-        pending: list[TaskState] = []
-        for task in frontier:
-            if task.num_parts == 1:
-                assignment[task.vertex_ids] = task.first_part
-            elif task.vertex_ids.size and (free is None or free[task.vertex_ids].any()):
-                pending.append(task)
-
-        extracted = graph.subgraphs([task.vertex_ids for task in pending])
-        subproblems = []
-        for task, (subgraph, mapping) in zip(pending, extracted):
-            left_parts = (task.num_parts + 1) // 2
-            warm_start = {}
-            if free is not None:
-                warm_start = {
-                    "initial_x": np.where(assignment[mapping] < task.first_part + left_parts,
-                                          1.0, -1.0),
-                    "initial_fixed": ~free[mapping],
-                    "warm_lambdas": (warm.get((task.depth, task.first_part))
-                                     if warm is not None else None)}
-            subproblems.append(_Subproblem(
-                subgraph=subgraph, weights=weights[:, mapping], epsilon=epsilon_per_level,
-                # Seed by recursion-tree coordinate (see the
-                # deterministic-seeding contract in the module docstring).
+    walk = Walk(graph=graph, weights=weights, epsilon=epsilon_per_level,
                 config=config.with_updates(
-                    seed=task_seed(config.seed, task.depth, task.first_part)),
-                target_fraction=left_parts / task.num_parts, **warm_start))
-        results = executor.solve_frontier(
-            subproblems, _run_subproblem,
-            labels=[f"depth={task.depth}/part={task.first_part}" for task in pending])
+                    record_history=False,
+                    execution=config.execution.with_updates(parallelism="serial",
+                                                            max_workers=None)),
+                assignment=assignment if free is not None else None, free=free)
+    warm = {} if warm is None else warm
+    bisections = 0
+    try:
+        while frontier:
+            if on_wave is not None:
+                on_wave(frontier)
+            pending: list[TaskState] = []
+            for task in frontier:
+                if task.num_parts == 1:
+                    assignment[task.vertex_ids] = task.first_part
+                elif task.vertex_ids.size and (free is None or free[task.vertex_ids].any()):
+                    pending.append(task)
 
-        frontier = []
-        for task, (_, mapping), (local, lambdas) in zip(pending, extracted, results):
-            if warm is not None and lambdas:
-                warm[(task.depth, task.first_part)] = lambdas
-            frontier.extend(_expand(task, mapping, local))
-        bisections += len(pending)
+            results = executor.solve_frontier(
+                walk, pending, [warm.get((task.depth, task.first_part)) for task in pending])
+
+            frontier = []
+            for task, (sides, lambdas) in zip(pending, results):
+                if lambdas:
+                    warm[(task.depth, task.first_part)] = lambdas
+                frontier.extend(_expand(task, sides))
+            bisections += len(pending)
+    finally:
+        executor.end_walk()
     return bisections
 
 

@@ -1,43 +1,43 @@
-"""Zero-copy shared-memory execution of bisection frontiers.
+"""Zero-copy shared-memory execution of recursion-tree walks.
 
 A plain process pool pays for its parallelism twice per task: the
 coordinator pickles the task's induced subgraph and weight slice into the
 pipe, and the worker unpickles them into fresh heap copies.  For the
 wave-at-a-time scheduler (:func:`repro.core.recursive.walk_tree`, which
-runs full solves and churn repairs alike) that cost is pure overhead —
-every task of a wave is already materialized in the coordinator, and the
-workers only ever *read* the graph data.
+runs full solves and churn repairs alike) that cost is pure overhead:
+every task of a walk reads the same input graph and weights, and a task
+is fully named by its vertex set and its recursion-tree coordinate.
 
-The ``"shm"`` backend removes the copies.  Per wave the coordinator packs
-one :class:`multiprocessing.shared_memory` segment — a
-:class:`SharedGraphArena` — holding the concatenated CSR structure
-(``indptr``/``indices``), edge lists, weight matrices and an output
-buffer of every task — and, for a repair's warm wave, every task's
-initial sides and fixed mask — plus a pickled header with the per-task
-offsets, epsilons, target fractions, seeded configs and warm
-multipliers.  Workers attach the segment once per wave (cached across
-tasks; the previous wave's segment is released on the first task of the
-next), rebuild each task's :class:`~repro.graphs.Graph` as read-only
-views into the segment, run byte-for-byte the serial ``gd_bisect`` path,
-and write the local sides into the shared output buffer.  The only
-things crossing the pipe are a :class:`ShmTaskRef` — segment name + task
-index, O(coordinates) — and a small completion token carrying the task's
-exported multipliers.
+The ``"shm"`` backend shares the walk instead.  On a walk's first wave
+of two or more tasks the coordinator packs one
+:class:`multiprocessing.shared_memory` segment (a
+:class:`SharedGraphArena`, see :func:`pack_walk`) holding the input
+graph's CSR and edge list, the weight matrix, a per-vertex id buffer and
+a per-vertex output buffer, plus a repair walk's starting assignment and
+free mask; the pickled header carries the per-level epsilon and the
+workers' config.  Per wave the coordinator refills only the id buffer
+with the tasks' vertex sets, back to back.  What crosses the pipe per
+task is a :class:`ShmTaskRef` (segment name, id range, tree coordinate
+and warm multipliers) and a small completion token carrying the task's
+exported multipliers.  Workers attach the segment once per walk, rebuild
+the walk on read-only views into it, run
+:func:`~repro.core.recursive.solve_task` (the task function the serial
+backend runs in process) and write each task's sides into the output
+buffer at the task's own vertex ids.
 
-Determinism: the configs packed into the header already carry their
-recursion-coordinate seeds (derived upstream by
-``task_seed(config.seed, depth, first_part)``), the per-task weight
-blocks are stored C-contiguously — the layout the stepper gives every
-weight matrix on the serial path too — and the worker runs the identical
-``gd_bisect`` code, so ``"shm"`` output is bit-identical to the serial
+Determinism: the worker runs the same task function on the same bits
+(the arena's weight matrix is C-contiguous, the layout the stepper gives
+every weight matrix anyway), and every task is seeded by its recursion
+coordinate, so ``"shm"`` output is bit-identical to the serial
 backend's.
 
-Lifecycle: segments are refcounted per process; the creating process
-records every owned segment in a registry that is drained by an
-``atexit`` hook and a chained ``SIGTERM`` handler (installed only when
-no handler is set), so segments never outlive the run — including after
-worker crashes and pool rebuilds, because only the coordinator ever
-unlinks.  Workers attach without resource-tracker registration (the
+Lifecycle: a walk's segment is unlinked when the walk returns or raises
+(:meth:`~repro.core.executor.BisectionExecutor.end_walk`).  The creating
+process also records every owned segment in a registry that is drained
+by an ``atexit`` hook and a chained ``SIGTERM`` handler (installed only
+when no handler is set), so segments never outlive the run, including
+after worker crashes and pool rebuilds, because only the coordinator
+ever unlinks.  Workers attach without resource-tracker registration (the
 tracker would otherwise unlink the segment when a crashed worker is
 reaped out from under the coordinator).
 
@@ -54,22 +54,24 @@ import signal
 import struct
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from ..graphs.graph import Graph
-from .gd import gd_bisect
+from .checkpoint import TaskState
+
+if TYPE_CHECKING:
+    from .recursive import Walk
 
 __all__ = [
     "SharedGraphArena",
     "ShmStats",
     "ShmTaskRef",
-    "ShmWaveStats",
-    "pack_wave",
-    "solve_frontier_shm",
+    "WalkArena",
+    "pack_walk",
 ]
 
 _ALIGNMENT = 64
@@ -82,10 +84,11 @@ _OWNED_LOCK = threading.Lock()
 _CLEANUP_INSTALLED = False
 _SEGMENT_COUNTER = itertools.count()
 
-#: The one wave segment this *worker* process is attached to (workers
-#: process many tasks of the same wave; attaching once per wave is the
-#: whole point).  Replaced when a task of a newer wave arrives.
-_WORKER_ARENA: "SharedGraphArena | None" = None
+#: The walk segment this *worker* process is attached to and the walk
+#: rebuilt on it (workers run many tasks of the same walk; attaching once
+#: per walk is the whole point).  Replaced when a task of a newer walk
+#: arrives.
+_WORKER_WALK: "tuple[SharedGraphArena, Walk] | None" = None
 
 
 def _align(offset: int) -> int:
@@ -127,23 +130,22 @@ def _install_cleanup() -> None:
 
 
 def _next_segment_name(prefix: str) -> str:
-    # Pid + counter keeps concurrent runs and successive waves apart while
+    # Pid + counter keeps concurrent runs and successive walks apart while
     # staying far below the 31-character POSIX name floor.
     return f"{prefix}-{os.getpid()}-{next(_SEGMENT_COUNTER)}"
 
 
 class SharedGraphArena:
-    """One refcounted shared-memory segment of named numpy arrays.
+    """One shared-memory segment of named numpy arrays.
 
     Layout: an 8-byte header length, the pickled header (array offsets,
     dtypes, shapes and an arbitrary ``meta`` dict), then the 64-byte
     aligned array data.  The owner builds it with :meth:`create`; workers
     :meth:`attach` by name and read the same physical pages.
 
-    Reference counting is per process: :meth:`acquire` / :meth:`close`
-    bracket users of the mapping, and the segment is closed when the
-    count reaches zero.  Only the owner may :meth:`unlink`; doing so also
-    deregisters the arena from the process-wide cleanup registry.
+    :meth:`close` unmaps the segment in this process.  Only the owner may
+    :meth:`unlink`; doing so also deregisters the arena from the
+    process-wide cleanup registry.
     """
 
     def __init__(self, segment: shared_memory.SharedMemory, *, owner: bool,
@@ -152,7 +154,6 @@ class SharedGraphArena:
         self._owner = owner
         self._header = header
         self._data_start = data_start
-        self._refs = 1
         self._creator_pid = os.getpid() if owner else None
         self._closed = False
 
@@ -237,15 +238,9 @@ class SharedGraphArena:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def acquire(self) -> "SharedGraphArena":
-        """Take one more reference to the mapping."""
-        self._refs += 1
-        return self
-
     def close(self) -> None:
-        """Drop one reference; unmaps the segment at zero."""
-        self._refs -= 1
-        if self._refs > 0 or self._closed:
+        """Unmap the segment in this process (no-op once closed)."""
+        if self._closed:
             return
         self._closed = True
         try:
@@ -266,7 +261,6 @@ class SharedGraphArena:
             return
         with _OWNED_LOCK:
             _OWNED.pop(self.name, None)
-        self._refs = min(self._refs, 1)
         self.close()
         try:
             self._segment.unlink()
@@ -275,190 +269,117 @@ class SharedGraphArena:
 
 
 # ---------------------------------------------------------------------- #
-# Wave packing (coordinator side)
+# Walk packing (coordinator side)
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShmTaskRef:
-    """What actually crosses the pipe per task: a coordinate, not data."""
+class ShmTaskRef(NamedTuple):
+    """What crosses the pipe per task: coordinates, not data.
+
+    ``start:stop`` is the task's range of the arena's vertex-id buffer;
+    ``num_parts``, ``first_part`` and ``depth`` are its recursion-tree
+    coordinate and ``warm_lambdas`` the multipliers seeded into its
+    projection engine.
+    """
 
     segment: str
-    index: int
+    start: int
+    stop: int
+    num_parts: int
+    first_part: int
+    depth: int
+    warm_lambdas: dict[int, float] | None = None
 
 
-def pack_wave(subproblems: Sequence, *,
-              prefix: str = "repro-shm") -> tuple[SharedGraphArena, np.ndarray]:
-    """Pack one wave of subproblems into a fresh shared arena.
+def pack_walk(walk: "Walk", *, prefix: str = "repro-shm") -> SharedGraphArena:
+    """Pack one walk into a fresh shared arena.
 
-    Returns the owned arena and the per-task vertex offsets into the
-    concatenated buffers.  Array layout (all 64-byte aligned within the
-    segment):
-
-    ``indptr``
-        Every task's CSR ``indptr`` back to back (task ``i`` spans
-        ``indptr_offsets[i] : indptr_offsets[i] + n_i + 1``).
-    ``indices`` / ``edges``
-        Concatenated adjacency lists and canonical edge arrays.
-    ``weights``
-        Per-task ``(d_i, n_i)`` blocks flattened C-contiguously — the
-        layout :class:`~repro.core.gd.BisectionStepper` gives every
-        weight matrix it takes (the serial path's ``weights[:, mapping]``
-        slices are Fortran-ordered and copied to C order there), which
-        keeps reductions bit-identical.
-    ``out``
-        One int8 slot per vertex of the wave; workers write their local
-        0/1 sides here.
-    ``initial_x`` / ``initial_fixed``
-        Warm waves only (a repair's, see
-        :func:`~repro.core.recursive.walk_tree`): every task's initial
-        sides (float64) and fixed mask, one entry per vertex of the wave.
-
-    The header's ``meta`` carries the per-task epsilons, target
-    fractions and (already seeded) configs — and a warm wave's per-task
-    multipliers (``warm_lambdas``) — so nothing per-task needs to be
-    pickled again at dispatch time.  A wave is either all cold or all
-    warm.
+    Arrays (all 64-byte aligned within the segment): the input graph's
+    ``indptr``, ``indices`` and ``edges``; ``weights``, C-contiguous;
+    ``vertex_ids``, one int64 slot per vertex, which every wave refills
+    with its tasks' vertex sets back to back; ``out``, one int8 slot per
+    vertex, where each task writes its sides at its own vertex ids; and
+    for a repair walk ``assignment`` and ``free``.  The header's ``meta``
+    carries the per-level ``epsilon`` and the workers' ``config``.
     """
-    tasks = list(subproblems)
-    warm = [task.initial_x is not None for task in tasks]
-    if any(warm) and not all(warm):
-        raise ValueError("a wave must be either all cold or all warm")
-    counts = np.array([task.subgraph.num_vertices for task in tasks], dtype=np.int64)
-    vertex_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(counts, out=vertex_offsets[1:])
-    indptr_lengths = counts + 1
-    indptr_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(indptr_lengths, out=indptr_offsets[1:])
-    adjacency_lengths = np.array([task.subgraph.indices.shape[0] for task in tasks],
-                                 dtype=np.int64)
-    adjacency_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(adjacency_lengths, out=adjacency_offsets[1:])
-    edge_counts = np.array([task.subgraph.num_edges for task in tasks], dtype=np.int64)
-    edge_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(edge_counts, out=edge_offsets[1:])
-    weight_lengths = np.array([task.weights.size for task in tasks], dtype=np.int64)
-    weight_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(weight_lengths, out=weight_offsets[1:])
-
-    def _concat(parts, dtype, width=None):
-        if not parts:
-            shape = (0,) if width is None else (0, width)
-            return np.empty(shape, dtype=dtype)
-        return np.concatenate([np.asarray(part, dtype=dtype) for part in parts])
-
-    arrays = {
-        "indptr": _concat([task.subgraph.indptr for task in tasks], np.int64),
-        "indices": _concat([task.subgraph.indices for task in tasks], np.int64),
-        "edges": _concat([task.subgraph.edges for task in tasks], np.int64, width=2),
-        "weights": _concat([np.ascontiguousarray(task.weights).ravel()
-                            for task in tasks], np.float64),
-        "out": np.zeros(int(vertex_offsets[-1]), dtype=np.int8),
-    }
-    meta = {
-        "num_tasks": len(tasks),
-        "counts": counts,
-        "dims": np.array([task.weights.shape[0] for task in tasks], dtype=np.int64),
-        "vertex_offsets": vertex_offsets,
-        "indptr_offsets": indptr_offsets,
-        "adjacency_offsets": adjacency_offsets,
-        "edge_offsets": edge_offsets,
-        "weight_offsets": weight_offsets,
-        "epsilons": [float(task.epsilon) for task in tasks],
-        "target_fractions": [float(task.target_fraction) for task in tasks],
-        # Seeds were derived upstream from each task's (depth, part)
-        # recursion coordinate; the configs ship them into the workers.
-        "configs": [task.config for task in tasks],
-    }
-    if any(warm):
-        arrays["initial_x"] = _concat([task.initial_x for task in tasks], np.float64)
-        arrays["initial_fixed"] = _concat([task.initial_fixed for task in tasks], np.bool_)
-        meta["warm_lambdas"] = [task.warm_lambdas for task in tasks]
-    arena = SharedGraphArena.create(arrays, meta, prefix=prefix)
-    return arena, vertex_offsets
+    graph = walk.graph
+    arrays = {"indptr": graph.indptr, "indices": graph.indices, "edges": graph.edges,
+              "weights": walk.weights,
+              "vertex_ids": np.zeros(graph.num_vertices, dtype=np.int64),
+              "out": np.zeros(graph.num_vertices, dtype=np.int8)}
+    if walk.free is not None:
+        arrays["assignment"] = walk.assignment
+        arrays["free"] = walk.free
+    meta = {"epsilon": walk.epsilon, "config": walk.config, "repair": walk.free is not None}
+    return SharedGraphArena.create(arrays, meta, prefix=prefix)
 
 
 # ---------------------------------------------------------------------- #
 # Worker side
 # ---------------------------------------------------------------------- #
-def _attach_wave(name: str) -> tuple[SharedGraphArena, bool]:
-    """Attach (or reuse) the wave segment in this worker process.
-
-    Returns the arena and whether this call attached a fresh segment —
-    the token workers send back so the coordinator can count attaches.
-    """
-    global _WORKER_ARENA
-    if _WORKER_ARENA is not None and _WORKER_ARENA.name == name:
-        return _WORKER_ARENA, False
-    if _WORKER_ARENA is not None:
-        _WORKER_ARENA.close()
-    _WORKER_ARENA = SharedGraphArena.attach(name)
-    return _WORKER_ARENA, True
-
-
 def _readonly(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
 
 
-def _run_shm_task(ref: ShmTaskRef) -> tuple[int, bool, dict[int, float] | None]:
-    """Worker entry point: solve one task of the wave entirely in place.
+def _attach_walk(name: str) -> tuple[SharedGraphArena, "Walk", bool]:
+    """Attach (or reuse) the walk segment in this worker process.
 
-    Rebuilds the task's graph, weights and (warm waves) initial sides and
-    fixed mask as read-only zero-copy views into the shared segment, runs
-    the serial ``gd_bisect`` path, and writes the local sides into the
-    shared output buffer; the exported multipliers ride back in the
-    token.  Idempotent: a retried task (pool rebuild, injected crash)
-    recomputes the same deterministic values and overwrites its own
-    slice.
+    Returns the arena, the walk rebuilt on read-only views into it, and
+    whether this call attached a fresh segment (the token workers send
+    back so the coordinator can count attaches).
     """
-    arena, attached = _attach_wave(ref.segment)
+    # recursive.py imports this module through the executor.
+    from .recursive import Walk
+
+    global _WORKER_WALK
+    if _WORKER_WALK is not None and _WORKER_WALK[0].name == name:
+        return (*_WORKER_WALK, False)
+    if _WORKER_WALK is not None:
+        previous, _WORKER_WALK = _WORKER_WALK[0], None
+        previous.close()
+    arena = SharedGraphArena.attach(name)
+    indptr, indices, edges, weights = (_readonly(arena.array(key))
+                                       for key in ("indptr", "indices", "edges", "weights"))
     meta = arena.meta
-    i = ref.index
-    n = int(meta["counts"][i])
-    d = int(meta["dims"][i])
-    vo = int(meta["vertex_offsets"][i])
-    io = int(meta["indptr_offsets"][i])
-    ao = int(meta["adjacency_offsets"][i])
-    eo = int(meta["edge_offsets"][i])
-    wo = int(meta["weight_offsets"][i])
+    walk = Walk(graph=Graph.from_csr(indptr.shape[0] - 1, edges, indptr, indices),
+                weights=weights, epsilon=meta["epsilon"], config=meta["config"],
+                assignment=_readonly(arena.array("assignment")) if meta["repair"] else None,
+                free=_readonly(arena.array("free")) if meta["repair"] else None)
+    _WORKER_WALK = (arena, walk)
+    return arena, walk, True
 
-    indptr = _readonly(arena.array("indptr")[io:io + n + 1])
-    adjacency_end = ao + int(indptr[-1]) if n else ao
-    indices = _readonly(arena.array("indices")[ao:adjacency_end])
-    edges = _readonly(arena.array("edges")[eo:int(meta["edge_offsets"][i + 1])])
-    weights = _readonly(arena.array("weights")[wo:wo + d * n].reshape(d, n))
-    graph = Graph.from_csr(n, edges, indptr, indices)
-    warm_start = {}
-    if "warm_lambdas" in meta:
-        warm_start = {"initial_x": _readonly(arena.array("initial_x")[vo:vo + n]),
-                      "initial_fixed": _readonly(arena.array("initial_fixed")[vo:vo + n]),
-                      "warm_lambdas": meta["warm_lambdas"][i]}
 
-    result = gd_bisect(graph, weights, meta["epsilons"][i], meta["configs"][i],
-                       target_fraction=meta["target_fractions"][i], **warm_start)
-    arena.array("out")[vo:vo + n] = result.partition.assignment.astype(np.int8)
-    return i, attached, result.warm_lambdas
+def _run_walk_task(ref: ShmTaskRef) -> tuple[bool, dict[int, float] | None]:
+    """Worker entry point: solve one task of the walk in place.
+
+    Rebuilds the task from its id range and coordinate, runs
+    :func:`~repro.core.recursive.solve_task` on the attached walk and
+    writes the sides into the shared output buffer at the task's vertex
+    ids; the exported multipliers ride back in the token.  Idempotent: a
+    retried task (pool rebuild, injected crash) recomputes the same
+    deterministic values and overwrites its own slots.
+    """
+    from .recursive import solve_task
+
+    arena, walk, attached = _attach_walk(ref.segment)
+    task = TaskState(vertex_ids=_readonly(arena.array("vertex_ids")[ref.start:ref.stop]),
+                     num_parts=ref.num_parts, first_part=ref.first_part, depth=ref.depth)
+    sides, lambdas = solve_task(walk, task, ref.warm_lambdas)
+    arena.array("out")[task.vertex_ids] = sides
+    return attached, lambdas
 
 
 # ---------------------------------------------------------------------- #
 # Stats
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShmWaveStats:
-    """What one wave shipped through shared memory instead of the pipe."""
-
-    tasks: int
-    segment_bytes: int
-    #: Pickled bytes that actually crossed the pipe (all task refs).
-    payload_bytes: int
-    #: Pickled bytes a plain process pool would have shipped instead.
-    pickled_bytes_avoided: int
-    #: Fresh segment attaches reported by the workers.
-    attaches: int
-
-
 @dataclass
 class ShmStats:
-    """Aggregated shared-memory counters of one executor's lifetime."""
+    """Shared-memory counters of one executor's lifetime.
+
+    ``segments_created`` counts the walks that had a pooled wave (one
+    segment each), ``bytes_shared`` their segments' sizes, ``waves`` and
+    ``tasks`` the pooled waves and their tasks, and ``payload_bytes`` the
+    pickled task refs that crossed the pipe.
+    """
 
     waves: int = 0
     tasks: int = 0
@@ -466,18 +387,6 @@ class ShmStats:
     attaches: int = 0
     bytes_shared: int = 0
     payload_bytes: int = 0
-    pickled_bytes_avoided: int = 0
-    per_wave: list[ShmWaveStats] = field(default_factory=list)
-
-    def record_wave(self, wave: ShmWaveStats) -> None:
-        self.waves += 1
-        self.tasks += wave.tasks
-        self.segments_created += 1
-        self.attaches += wave.attaches
-        self.bytes_shared += wave.segment_bytes
-        self.payload_bytes += wave.payload_bytes
-        self.pickled_bytes_avoided += wave.pickled_bytes_avoided
-        self.per_wave.append(wave)
 
     @property
     def payload_bytes_per_task(self) -> float:
@@ -485,7 +394,7 @@ class ShmStats:
         return self.payload_bytes / self.tasks if self.tasks else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-friendly summary (per-wave detail included)."""
+        """JSON-friendly summary."""
         return {
             "waves": self.waves,
             "tasks": self.tasks,
@@ -494,48 +403,53 @@ class ShmStats:
             "bytes_shared": self.bytes_shared,
             "payload_bytes": self.payload_bytes,
             "payload_bytes_per_task": self.payload_bytes_per_task,
-            "pickled_bytes_avoided": self.pickled_bytes_avoided,
-            "per_wave": [vars(wave) for wave in self.per_wave],
         }
 
 
 # ---------------------------------------------------------------------- #
-# Frontier driver (coordinator side)
+# Wave driver (coordinator side)
 # ---------------------------------------------------------------------- #
-def solve_frontier_shm(executor, subproblems: Sequence, labels: Sequence[str]
-                       ) -> list[tuple[np.ndarray, dict[int, float] | None]]:
-    """Solve one wave through a shared arena on ``executor``'s process pool.
+class WalkArena:
+    """A walk packed into its arena on ``executor``'s first pooled wave of it."""
 
-    Returns each task's ``(local assignment, exported multipliers)`` in
-    task order.
+    def __init__(self, walk: "Walk", executor):
+        self.walk = walk
+        self.arena = pack_walk(walk, prefix=executor.execution.shm_segment_prefix)
+        executor.stats.shm.segments_created += 1
+        executor.stats.shm.bytes_shared += self.arena.nbytes
 
-    Reuses the executor's ``_map_processes`` machinery wholesale, so
-    per-task timeouts, bounded retries, pool rebuilds and the
-    ``executor.task`` fault site all apply to shm workers unchanged
-    (rebuilt workers simply re-attach the wave segment).  The arena is
-    unlinked before returning — results are copied out of the shared
-    output buffer first — so a raising wave never leaks its segment.
-    """
-    tasks = list(subproblems)
-    arena, vertex_offsets = pack_wave(tasks, prefix=executor.execution.shm_segment_prefix)
-    try:
-        refs = [ShmTaskRef(segment=arena.name, index=index)
-                for index in range(len(tasks))]
-        payload_bytes = sum(len(pickle.dumps(ref, protocol=_PICKLE))
-                            for ref in refs)
-        pickled_bytes_avoided = sum(len(pickle.dumps(task, protocol=_PICKLE))
-                                    for task in tasks)
-        tokens = executor._map_processes(_run_shm_task, refs, labels)
-        out = arena.array("out")
-        results = [(out[int(vertex_offsets[i]):int(vertex_offsets[i + 1])]
-                    .astype(np.int64), lambdas)
-                   for i, (_, _, lambdas) in enumerate(tokens)]
-        del out  # release the view so unlink() can unmap cleanly
-        executor.stats.shm.record_wave(ShmWaveStats(
-            tasks=len(tasks), segment_bytes=arena.nbytes,
-            payload_bytes=payload_bytes,
-            pickled_bytes_avoided=pickled_bytes_avoided,
-            attaches=sum(1 for _, attached, _ in tokens if attached)))
+    def solve_wave(self, executor, tasks: Sequence[TaskState],
+                   warm_lambdas: Sequence[dict[int, float] | None],
+                   labels: Sequence[str]) -> list[tuple[np.ndarray, dict[int, float] | None]]:
+        """Solve one wave on ``executor``'s process pool.
+
+        Returns each task's ``(sides, exported multipliers)`` in task
+        order.  Reuses the executor's ``_map_processes`` machinery
+        wholesale, so per-task timeouts, bounded retries, pool rebuilds
+        and the ``executor.task`` fault site all apply to shm workers
+        unchanged (rebuilt workers simply re-attach the walk segment).
+        """
+        ids = self.arena.array("vertex_ids")
+        refs = []
+        start = 0
+        for task, lambdas in zip(tasks, warm_lambdas):
+            stop = start + task.vertex_ids.size
+            ids[start:stop] = task.vertex_ids
+            refs.append(ShmTaskRef(self.arena.name, start, stop, task.num_parts,
+                                   task.first_part, task.depth, lambdas))
+            start = stop
+        del ids  # release the view so unlink() can unmap cleanly
+        tokens = executor._map_processes(_run_walk_task, refs, labels)
+        out = self.arena.array("out")
+        results = [(out[task.vertex_ids].astype(np.int64), lambdas)
+                   for task, (_, lambdas) in zip(tasks, tokens)]
+        del out
+        stats = executor.stats.shm
+        stats.waves += 1
+        stats.tasks += len(tasks)
+        stats.attaches += sum(attached for attached, _ in tokens)
+        stats.payload_bytes += sum(len(pickle.dumps(ref, protocol=_PICKLE)) for ref in refs)
         return results
-    finally:
-        arena.unlink()
+
+    def unlink(self) -> None:
+        self.arena.unlink()

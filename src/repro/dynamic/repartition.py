@@ -32,11 +32,13 @@ full recursive GD after every update batch costs
    full solve is the quality anchor.
 
 Repair waves are the one-shot scheduler's waves: the same task record,
-worker and :class:`~repro.core.executor.BisectionExecutor` path (on
-``shm``, one shared-memory arena per wave that also carries the initial
-sides, fixed masks and multipliers), with per-task seeds keyed by the
-node's recursion-tree coordinate, so repaired assignments are
-**bit-identical** across the ``serial`` and ``shm`` backends.
+task function (:func:`~repro.core.recursive.solve_task`) and
+:class:`~repro.core.executor.BisectionExecutor` path (on ``shm``, one
+shared-memory arena per repair walk that also carries the starting
+assignment and the free mask; each task's warm multipliers ride in its
+task reference), with per-task seeds keyed by the node's recursion-tree
+coordinate, so repaired assignments are **bit-identical** across the
+``serial`` and ``shm`` backends.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Heavy-edge-matching coarsening of the METIS-like baseline.
 
-A *coarsening hierarchy* is the classic multilevel construction: starting
+Coarsening (:func:`coarsen`) is the classic multilevel construction: starting
 from the input graph, repeatedly match vertices along heavy edges and
 contract each matched pair into one coarse vertex, summing vertex weight
 vectors per balance dimension and accumulating the edge weights of
@@ -23,16 +23,13 @@ baseline through it is output-neutral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .graph import Graph
-
 __all__ = [
     "CoarseLevel",
-    "CoarseningHierarchy",
+    "coarsen",
     "contract",
     "heavy_edge_matching",
 ]
@@ -40,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoarseLevel:
-    """One level of a coarsening hierarchy.
+    """One level of a coarsening (see :func:`coarsen`).
 
     Attributes
     ----------
@@ -139,132 +136,37 @@ def contract(adjacency: sparse.csr_matrix, vertex_weights: np.ndarray,
                        fine_to_coarse=fine_to_coarse)
 
 
-#: Matching strategies accepted by :meth:`CoarseningHierarchy.build`.
-MATCHINGS: dict[str, Callable[[sparse.csr_matrix, np.random.Generator], np.ndarray]] = {
-    "sequential": heavy_edge_matching,
-}
+#: Coarsening stops when a contraction keeps at least this share of the
+#: vertices (stars and other matching-hostile shapes).
+_STALL_FRACTION = 0.95
 
 
-class CoarseningHierarchy:
-    """A stack of coarsened graphs plus the mappings between them.
+def coarsen(adjacency: sparse.csr_matrix, vertex_weights: np.ndarray, *,
+            coarsest_size: int, rng: np.random.Generator) -> list[CoarseLevel]:
+    """Coarsen until at most ``coarsest_size`` vertices remain.
 
-    Level 0 is the input graph; level ``num_levels - 1`` is the coarsest.
-    Built by :meth:`build`; the levels are immutable :class:`CoarseLevel`
-    records.  Construction is a pure function of the inputs and the RNG
-    state, so a fixed seed yields a bit-identical hierarchy.
+    Returns the levels, finest (the input) first.  ``adjacency`` is a
+    weighted symmetric CSR matrix.  Each level is a
+    :func:`heavy_edge_matching` contracted by :func:`contract`.
+    Coarsening stops early when a contraction removes less than 5 % of
+    the vertices; the stalled contraction is still run (and discarded),
+    so ``rng`` advances as the METIS-like baseline has always advanced
+    it.  A pure function of the inputs and the RNG state.
     """
+    if coarsest_size < 1:
+        raise ValueError("coarsest_size must be at least 1")
+    adjacency = adjacency.tocsr()
+    vertex_weights = np.atleast_2d(np.asarray(vertex_weights, dtype=np.float64))
+    if vertex_weights.shape[1] != adjacency.shape[0]:
+        raise ValueError("vertex_weights must have one column per vertex")
 
-    def __init__(self, levels: Sequence[CoarseLevel], graph: Graph | None = None):
-        self.levels = list(levels)
-        if not self.levels:
-            raise ValueError("a hierarchy needs at least one level")
-        self._finest_graph = graph
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def build(cls, graph_or_adjacency: Graph | sparse.csr_matrix,
-              vertex_weights: np.ndarray, *, coarsest_size: int = 128,
-              rng: np.random.Generator | int | None = None,
-              matching: str = "sequential",
-              stall_fraction: float = 0.95) -> "CoarseningHierarchy":
-        """Coarsen until at most ``coarsest_size`` vertices remain.
-
-        ``graph_or_adjacency`` may be a :class:`Graph` (whose unit-weight
-        adjacency seeds the edge weights) or a weighted symmetric scipy
-        CSR matrix.  ``matching`` names the per-level pair matching (see
-        :data:`MATCHINGS`).  Coarsening stops early when a contraction
-        removes less than ``1 - stall_fraction`` of the vertices (stars
-        and other matching-hostile shapes), mirroring the METIS-like
-        baseline's stall rule — including running (and discarding) the
-        stalled contraction, so a shared RNG advances identically.
-        """
-        if coarsest_size < 1:
-            raise ValueError("coarsest_size must be at least 1")
-        if matching not in MATCHINGS:
-            raise ValueError(f"matching must be one of {sorted(MATCHINGS)}, "
-                             f"got {matching!r}")
-        if isinstance(graph_or_adjacency, Graph):
-            finest_graph: Graph | None = graph_or_adjacency
-            adjacency = graph_or_adjacency.adjacency_matrix()
-        else:
-            finest_graph = None
-            adjacency = graph_or_adjacency.tocsr()
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        vertex_weights = np.atleast_2d(np.asarray(vertex_weights, dtype=np.float64))
-        if vertex_weights.shape[1] != adjacency.shape[0]:
-            raise ValueError("vertex_weights must have one column per vertex")
-
-        levels = [CoarseLevel(adjacency=adjacency, vertex_weights=vertex_weights,
-                              fine_to_coarse=None)]
-        while levels[-1].num_vertices > coarsest_size:
-            current = levels[-1]
-            pairing = MATCHINGS[matching](current.adjacency, rng)
-            coarse = contract(current.adjacency, current.vertex_weights, pairing)
-            if coarse.num_vertices >= stall_fraction * current.num_vertices:
-                break  # coarsening stalled (e.g. star graphs)
-            levels.append(coarse)
-        return cls(levels, graph=finest_graph)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
-    def sizes(self) -> list[int]:
-        """Vertex count of every level, finest first."""
-        return [level.num_vertices for level in self.levels]
-
-    def graph_at(self, level: int) -> Graph:
-        """The level's graph as an (unweighted) CSR :class:`Graph`.
-
-        The finest level returns the original input graph when the
-        hierarchy was built from one; coarser levels materialize the
-        adjacency *pattern* (collapsed edge weights live on
-        ``levels[level].adjacency``).
-        """
-        if level == 0 and self._finest_graph is not None:
-            return self._finest_graph
-        adjacency = self.levels[level].adjacency
-        upper = sparse.triu(adjacency, k=1).tocoo()
-        edges = np.column_stack([upper.row, upper.col]).astype(np.int64)
-        return Graph.from_edges(int(adjacency.shape[0]), edges)
-
-    def weights_at(self, level: int) -> np.ndarray:
-        return self.levels[level].vertex_weights
-
-    def adjacency_at(self, level: int) -> sparse.csr_matrix:
-        return self.levels[level].adjacency
-
-    # ------------------------------------------------------------------ #
-    def prolongate(self, values: np.ndarray, coarse_level: int) -> np.ndarray:
-        """Map per-vertex ``values`` from ``coarse_level`` one level finer.
-
-        Each fine vertex receives its coarse parent's value:
-        ``fine_values = values[fine_to_coarse]``.  Works for fractional
-        iterates, boolean masks, and partition labels alike; weighted
-        sums ``⟨w, x⟩`` are preserved because the parent's weight is the
-        sum of its children's.
-        """
-        if coarse_level < 1 or coarse_level >= self.num_levels:
-            raise ValueError("coarse_level must index a non-finest level")
-        mapping = self.levels[coarse_level].fine_to_coarse
-        return np.asarray(values)[mapping]
-
-    def restrict(self, values: np.ndarray, fine_level: int) -> np.ndarray:
-        """Map per-vertex ``values`` from ``fine_level`` one level coarser.
-
-        Each coarse vertex takes the value of its first (lowest-id) fine
-        member.  For values that are constant within every matched pair —
-        partition labels produced by :meth:`prolongate`, in particular —
-        this inverts prolongation exactly:
-        ``restrict(prolongate(x, l), l - 1) == x``.
-        """
-        if fine_level < 0 or fine_level >= self.num_levels - 1:
-            raise ValueError("fine_level must index a non-coarsest level")
-        mapping = self.levels[fine_level + 1].fine_to_coarse
-        num_coarse = self.levels[fine_level + 1].num_vertices
-        representatives = np.zeros(num_coarse, dtype=np.int64)
-        representatives[mapping[::-1]] = np.arange(mapping.size - 1, -1, -1)
-        return np.asarray(values)[representatives]
+    levels = [CoarseLevel(adjacency=adjacency, vertex_weights=vertex_weights,
+                          fine_to_coarse=None)]
+    while levels[-1].num_vertices > coarsest_size:
+        current = levels[-1]
+        pairing = heavy_edge_matching(current.adjacency, rng)
+        coarse = contract(current.adjacency, current.vertex_weights, pairing)
+        if coarse.num_vertices >= _STALL_FRACTION * current.num_vertices:
+            break  # coarsening stalled (e.g. star graphs)
+        levels.append(coarse)
+    return levels

@@ -2,26 +2,25 @@
 
 Covers the invariants the METIS-like baseline relies on: per-dimension
 vertex-weight conservation, edge-weight accounting across contraction,
-exact prolongate/restrict round trips, determinism of the seeded
-matching, and the baseline's delegation to the shared implementation.
+determinism of the seeded matching, the stall rule, and the baseline's
+delegation to the shared implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.baselines.metis_like import MetisLikePartitioner
 from repro.graphs import (
-    CoarseningHierarchy,
     Graph,
+    coarsen,
     contract,
+    heavy_edge_matching,
     standard_weights,
 )
-from repro.graphs.coarsening import MATCHINGS
 
 
 # --------------------------------------------------------------------- #
@@ -45,6 +44,11 @@ def _total_edge_weight(adjacency: sparse.csr_matrix) -> float:
     return float(adjacency.sum()) / 2.0
 
 
+def _coarsen(graph: Graph, weights: np.ndarray, coarsest_size: int, seed: int):
+    return coarsen(graph.adjacency_matrix(), weights, coarsest_size=coarsest_size,
+                   rng=np.random.default_rng(seed))
+
+
 # --------------------------------------------------------------------- #
 # Contraction invariants
 # --------------------------------------------------------------------- #
@@ -53,10 +57,8 @@ def _total_edge_weight(adjacency: sparse.csr_matrix) -> float:
 def test_contraction_conserves_vertex_weight_totals(data):
     """Σ per-dimension vertex weight is identical at every level."""
     graph, weights, seed = data
-    hierarchy = CoarseningHierarchy.build(graph, weights, coarsest_size=4,
-                                          rng=seed, matching="sequential")
     totals = weights.sum(axis=1)
-    for level in hierarchy.levels:
+    for level in _coarsen(graph, weights, 4, seed):
         np.testing.assert_allclose(level.vertex_weights.sum(axis=1), totals,
                                    rtol=1e-12)
 
@@ -67,33 +69,14 @@ def test_contraction_accounts_for_every_edge_weight(data):
     """Coarse edge weight plus collapsed intra-cluster weight equals the
     fine total — no weight is created or silently dropped."""
     graph, weights, seed = data
-    hierarchy = CoarseningHierarchy.build(graph, weights, coarsest_size=4,
-                                          rng=seed, matching="sequential")
-    for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
+    levels = _coarsen(graph, weights, 4, seed)
+    for fine, coarse in zip(levels, levels[1:]):
         mapping = coarse.fine_to_coarse
         upper = sparse.triu(fine.adjacency, k=1).tocoo()
         collapsed = float(upper.data[mapping[upper.row] == mapping[upper.col]].sum())
         np.testing.assert_allclose(
             _total_edge_weight(coarse.adjacency) + collapsed,
             _total_edge_weight(fine.adjacency), rtol=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_weighted_graphs())
-def test_prolongate_restrict_round_trips_labels_exactly(data):
-    """restrict(prolongate(x)) is the identity for coarse label vectors,
-    and prolongated labels are constant within every cluster."""
-    graph, weights, seed = data
-    hierarchy = CoarseningHierarchy.build(graph, weights, coarsest_size=4,
-                                          rng=seed, matching="sequential")
-    rng = np.random.default_rng(seed)
-    for level in range(1, hierarchy.num_levels):
-        labels = rng.integers(0, 2, size=hierarchy.levels[level].num_vertices)
-        fine = hierarchy.prolongate(labels, level)
-        assert np.array_equal(hierarchy.restrict(fine, level - 1), labels)
-        mapping = hierarchy.levels[level].fine_to_coarse
-        # Constant within clusters: every fine member carries its parent's label.
-        assert np.array_equal(fine, labels[mapping])
 
 
 def test_contract_matches_brute_force_on_a_known_graph():
@@ -117,10 +100,9 @@ def test_contract_matches_brute_force_on_a_known_graph():
 # --------------------------------------------------------------------- #
 # Matchings
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("matcher", list(MATCHINGS.values()))
-def test_matchings_are_involutions(matcher, social_graph):
+def test_heavy_edge_matching_is_an_involution(social_graph):
     adjacency = social_graph.adjacency_matrix()
-    match = matcher(adjacency, np.random.default_rng(3))
+    match = heavy_edge_matching(adjacency, np.random.default_rng(3))
     vertices = np.arange(social_graph.num_vertices)
     # match is an involution: partner's partner is the vertex itself.
     assert np.array_equal(match[match], vertices)
@@ -130,15 +112,12 @@ def test_matchings_are_involutions(matcher, social_graph):
         assert match[vertex] in social_graph.neighbors(vertex)
 
 
-@pytest.mark.parametrize("matching", sorted(MATCHINGS))
-def test_hierarchy_build_is_seed_deterministic(matching, social_graph):
+def test_coarsening_is_seed_deterministic(social_graph):
     weights = standard_weights(social_graph, 2)
-    a = CoarseningHierarchy.build(social_graph, weights, coarsest_size=32,
-                                  rng=11, matching=matching)
-    b = CoarseningHierarchy.build(social_graph, weights, coarsest_size=32,
-                                  rng=11, matching=matching)
-    assert a.sizes == b.sizes
-    for la, lb in zip(a.levels, b.levels):
+    a = _coarsen(social_graph, weights, 32, 11)
+    b = _coarsen(social_graph, weights, 32, 11)
+    assert len(a) == len(b) > 1
+    for la, lb in zip(a, b):
         assert (la.adjacency != lb.adjacency).nnz == 0
         np.testing.assert_array_equal(la.vertex_weights, lb.vertex_weights)
         if la.fine_to_coarse is not None:
@@ -146,42 +125,24 @@ def test_hierarchy_build_is_seed_deterministic(matching, social_graph):
 
 
 def test_hierarchy_stalls_gracefully_on_a_star(small_star):
-    """Star graphs are matching-hostile: the hierarchy must stop, not spin."""
+    """Star graphs are matching-hostile: coarsening must stop, not spin."""
     weights = standard_weights(small_star, 1)
-    hierarchy = CoarseningHierarchy.build(small_star, weights, coarsest_size=4,
-                                          rng=0, matching="sequential")
-    assert hierarchy.num_levels >= 1
-    assert hierarchy.sizes[0] == small_star.num_vertices
-
-
-def test_graph_at_reconstructs_the_pattern(social_graph):
-    weights = standard_weights(social_graph, 1)
-    hierarchy = CoarseningHierarchy.build(social_graph, weights,
-                                          coarsest_size=64, rng=5,
-                                          matching="sequential")
-    assert hierarchy.graph_at(0) is social_graph
-    level = hierarchy.num_levels - 1
-    coarse_graph = hierarchy.graph_at(level)
-    adjacency = hierarchy.adjacency_at(level)
-    assert coarse_graph.num_vertices == adjacency.shape[0]
-    pattern = adjacency.copy()
-    pattern.data[:] = 1.0
-    assert (coarse_graph.adjacency_matrix() != pattern).nnz == 0
+    levels = _coarsen(small_star, weights, 4, 0)
+    assert len(levels) >= 1
+    assert levels[0].num_vertices == small_star.num_vertices
 
 
 # --------------------------------------------------------------------- #
 # METIS-like delegation (the deduplication satellite)
 # --------------------------------------------------------------------- #
 def test_metis_coarsen_delegates_to_shared_hierarchy(social_graph):
-    """The baseline's _coarsen is a thin wrapper over the shared builder:
-    identical levels for an identically-seeded RNG."""
+    """The baseline's _coarsen is a thin wrapper over the shared
+    coarsening: identical levels for an identically-seeded RNG."""
     weights = standard_weights(social_graph, 2)
     adjacency = social_graph.adjacency_matrix()
     partitioner = MetisLikePartitioner(seed=0, coarsest_size=32)
     levels = partitioner._coarsen(adjacency, weights, np.random.default_rng(4))
-    reference = CoarseningHierarchy.build(adjacency, weights, coarsest_size=32,
-                                          rng=np.random.default_rng(4),
-                                          matching="sequential").levels
+    reference = _coarsen(social_graph, weights, 32, 4)
     assert len(levels) == len(reference)
     for ours, theirs in zip(levels, reference):
         assert (ours.adjacency != theirs.adjacency).nnz == 0
@@ -193,20 +154,3 @@ def test_metis_output_is_seed_stable(social_graph, social_weights):
     a = MetisLikePartitioner(seed=3).partition(social_graph, social_weights, 4)
     b = MetisLikePartitioner(seed=3).partition(social_graph, social_weights, 4)
     assert np.array_equal(a.assignment, b.assignment)
-
-
-def test_build_rejects_unknown_matching(social_graph):
-    weights = standard_weights(social_graph, 1)
-    with pytest.raises(ValueError, match="matching"):
-        CoarseningHierarchy.build(social_graph, weights, matching="magnetic")
-
-
-def test_prolongate_restrict_validate_levels(social_graph):
-    weights = standard_weights(social_graph, 1)
-    hierarchy = CoarseningHierarchy.build(social_graph, weights,
-                                          coarsest_size=64, rng=1,
-                                          matching="sequential")
-    with pytest.raises(ValueError):
-        hierarchy.prolongate(np.zeros(3), 0)
-    with pytest.raises(ValueError):
-        hierarchy.restrict(np.zeros(3), hierarchy.num_levels - 1)

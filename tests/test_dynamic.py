@@ -282,20 +282,28 @@ class TestIncrementalRepartitioner:
                                           err_msg=f"backend {backend}")
 
     def test_repair_waves_pack_into_arenas_on_shm(self, churn_setup, monkeypatch):
-        """On shm a repair's multi-task waves go through the shared-memory
-        arena — initial sides and fixed masks included — not through a
-        pickling pool, and still match serial bit for bit."""
+        """On shm a repair walk goes through the shared-memory arena —
+        starting assignment and free mask included — not through a
+        pickling pool, its pooled waves hold partly frozen tasks, and it
+        still matches serial bit for bit."""
         from repro.core import shm
 
         graph, weights, partition, config, trace = churn_setup
         packed = []
-        pack_wave = shm.pack_wave
+        pooled = []
+        pack_walk = shm.pack_walk
+        solve_wave = shm.WalkArena.solve_wave
 
-        def recording_pack_wave(subproblems, **kwargs):
-            packed.append(list(subproblems))
-            return pack_wave(subproblems, **kwargs)
+        def recording_pack_walk(walk, **kwargs):
+            packed.append(walk)
+            return pack_walk(walk, **kwargs)
 
-        monkeypatch.setattr(shm, "pack_wave", recording_pack_wave)
+        def recording_solve_wave(self, executor, tasks, *args):
+            pooled.append((self.walk, list(tasks)))
+            return solve_wave(self, executor, tasks, *args)
+
+        monkeypatch.setattr(shm, "pack_walk", recording_pack_walk)
+        monkeypatch.setattr(shm.WalkArena, "solve_wave", recording_solve_wave)
         assignments = {}
         for backend in ("serial", "shm"):
             # Zero hops release only the touched vertices, so the waves
@@ -307,10 +315,12 @@ class TestIncrementalRepartitioner:
                     max_workers=2 if backend != "serial" else None))
             assert any(report.mode == "repair" for report in reports)
             assignments[backend] = repartitioner.assignment
-        warm = [wave for wave in packed if wave[0].initial_x is not None]
-        assert warm and all(len(wave) >= 2 for wave in warm)
-        assert any(task.initial_fixed.any() and not task.initial_fixed.all()
-                   for wave in warm for task in wave)
+        repairs = [walk for walk in packed if walk.free is not None]
+        assert repairs and all(walk.assignment is not None for walk in repairs)
+        waves = [tasks for walk, tasks in pooled if walk.free is not None]
+        assert waves and all(len(tasks) >= 2 for tasks in waves)
+        assert any(walk.free[task.vertex_ids].any() and not walk.free[task.vertex_ids].all()
+                   for walk, tasks in pooled if walk.free is not None for task in tasks)
         np.testing.assert_array_equal(assignments["shm"], assignments["serial"])
 
     def test_repair_skips_subtrees_without_released_vertices(self, churn_setup):

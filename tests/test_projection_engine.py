@@ -21,12 +21,14 @@ from hypothesis.extra import numpy as hnp
 from repro.core import PROJECTION_METHODS, GDConfig, gd_bisect
 from repro.core.gd import BisectionStepper
 from repro.core.projection import (
+    AlternatingProjector,
     DykstraProjector,
     ExactProjector,
     FeasibleRegion,
     OneShotProjector,
     ProjectionEngine,
     make_projector,
+    truncate,
     try_warm_equality_solve,
 )
 from repro.graphs import livejournal_like, standard_weights
@@ -246,8 +248,11 @@ class TestFallbackAccounting:
             x = projector.project(point)
         assert projector.fallback_count == 1
         assert any("fallback" in record.message for record in caplog.records)
-        # The safety net still returns a feasible point.
+        # The safety net still returns a feasible point: the alternating
+        # projector's convergent sweep from the truncated input, bit for bit.
         assert region.contains(x, tolerance=1e-6)
+        np.testing.assert_array_equal(
+            x, AlternatingProjector(region).project_to_feasibility(truncate(point)))
         assert projector.last_active is None and projector.last_lambdas is None
 
     def test_engine_aggregates_fallbacks(self, rng):

@@ -7,13 +7,14 @@ Three load-bearing properties:
   :mod:`repro.core.recursive` extended to shared-segment workers),
   across part counts, seeds and worker counts.
 * **O(coordinates) dispatch** — the only pickled payload per task is a
-  :class:`~repro.core.shm.ShmTaskRef`; the per-wave stats must show the
-  pipe traffic collapsing to a few dozen bytes while the subgraph bytes
-  a pickling pool would have shipped stay orders of magnitude larger.
-* **No leaked segments** — every arena is unlinked by the end of a run,
+  :class:`~repro.core.shm.ShmTaskRef` (an id range, a tree coordinate
+  and the warm multipliers); the stats must show the pipe traffic per
+  task staying under 200 bytes.
+* **One segment per walk, never leaked** — a walk's arena is made on its
+  first pooled wave and unlinked when the walk returns or raises,
   including runs where an injected worker crash forces a pool rebuild
-  mid-wave (the PR-9 ``executor.task`` fault site applies to shm
-  workers unchanged).
+  mid-wave (the ``executor.task`` fault site applies to shm workers
+  unchanged).
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from repro.core import (
     ExecutionConfig,
     GDConfig,
     SharedGraphArena,
+    TaskState,
     recursive_bisection,
 )
+from repro.core.recursive import Walk, solve_task
 from repro.core.shm import (
     ShmTaskRef,
     _OWNED,
-    pack_wave,
+    pack_walk,
 )
 from repro.faults import FaultPlan, FaultSpec, inject
 from repro.graphs import Graph, fb_like, standard_weights
@@ -70,6 +73,7 @@ def test_arena_round_trips_arrays_and_meta():
                 assert address % 64 == 0
         finally:
             attached.close()
+        attached.close()  # closing a closed arena is a no-op
     finally:
         arena.unlink()
     assert arena.name not in _OWNED
@@ -96,103 +100,104 @@ def test_arena_attach_may_not_unlink():
 
 
 # --------------------------------------------------------------------- #
-# Wave packing
+# Walk packing
 # --------------------------------------------------------------------- #
-class _FakeTask:
-    def __init__(self, graph, weights, epsilon=0.05, config=None,
-                 target_fraction=0.5):
-        self.subgraph = graph
-        self.weights = weights
-        self.epsilon = epsilon
-        self.config = config if config is not None else GDConfig(iterations=5)
-        self.target_fraction = target_fraction
-        self.initial_x = None
-        self.initial_fixed = None
-        self.warm_lambdas = None
+def _repair_walk(graph, weights, seed=0):
+    """A repair walk over a 4-way partition with about a third of the
+    vertices free, and its depth-1 wave: two tasks, both partly frozen."""
+    config = GDConfig(iterations=20, seed=seed, projection_method="exact")
+    assignment = recursive_bisection(graph, weights, 4, 0.05, config).assignment
+    free = np.random.default_rng(seed).random(graph.num_vertices) < 0.35
+    # A tight band keeps the balance constraints active, so the exact
+    # projection exports multipliers.
+    walk = Walk(graph=graph, weights=weights, epsilon=0.01, config=config,
+                assignment=assignment, free=free)
+    wave = [TaskState(vertex_ids=np.flatnonzero(assignment < 2), num_parts=2,
+                      first_part=0, depth=1),
+            TaskState(vertex_ids=np.flatnonzero(assignment >= 2), num_parts=2,
+                      first_part=2, depth=1)]
+    return walk, wave
 
 
-def _fake_wave(num_tasks=3, seed=0):
-    rng = np.random.default_rng(seed)
-    tasks = []
-    for index in range(num_tasks):
-        n = 20 + 10 * index
-        edges = [(i, (i + 1) % n) for i in range(n)]
-        graph = Graph.from_edges(n, edges)
-        tasks.append(_FakeTask(graph, rng.random((2, n))))
-    return tasks
+def test_pack_walk_round_trips_the_walk(social_graph, social_weights):
+    """The arena holds the input graph's CSR and edges and the weights,
+    C-contiguous; a repair walk also carries its assignment and free mask."""
+    walk, _ = _repair_walk(social_graph, np.asfortranarray(social_weights))
+    for repair in (False, True):
+        packed = walk if repair else Walk(graph=walk.graph, weights=walk.weights,
+                                          epsilon=walk.epsilon, config=walk.config)
+        arena = pack_walk(packed, prefix="t-shm")
+        try:
+            np.testing.assert_array_equal(arena.array("indptr"), social_graph.indptr)
+            np.testing.assert_array_equal(arena.array("indices"), social_graph.indices)
+            np.testing.assert_array_equal(arena.array("edges"), social_graph.edges)
+            weights = arena.array("weights")
+            np.testing.assert_array_equal(weights, social_weights)
+            assert weights.flags["C_CONTIGUOUS"]
+            assert arena.meta["epsilon"] == walk.epsilon
+            assert arena.meta["config"] == walk.config
+            if repair:
+                np.testing.assert_array_equal(arena.array("assignment"), walk.assignment)
+                np.testing.assert_array_equal(arena.array("free"), walk.free)
+            else:
+                with pytest.raises(KeyError):
+                    arena.array("free")
+            del weights  # release the view so unlink() unmaps cleanly
+        finally:
+            arena.unlink()
+    assert not _leftover_segments("t-shm")
 
 
-def test_pack_wave_concatenates_with_correct_offsets():
-    tasks = _fake_wave()
-    arena, vertex_offsets = pack_wave(tasks, prefix="t-shm")
-    try:
-        meta = arena.meta
-        assert meta["num_tasks"] == len(tasks)
-        assert vertex_offsets[-1] == sum(t.subgraph.num_vertices for t in tasks)
-        for i, task in enumerate(tasks):
-            n = task.subgraph.num_vertices
-            io = int(meta["indptr_offsets"][i])
-            indptr = arena.array("indptr")[io:io + n + 1]
-            np.testing.assert_array_equal(indptr, task.subgraph.indptr)
-            wo = int(meta["weight_offsets"][i])
-            block = arena.array("weights")[wo:wo + 2 * n].reshape(2, n)
-            np.testing.assert_array_equal(block, task.weights)
-            assert block.flags["C_CONTIGUOUS"]
-        del indptr, block  # release the views so unlink() unmaps cleanly
-    finally:
-        arena.unlink()
+def test_worker_entry_matches_solve_task_in_process(social_graph, social_weights,
+                                                    monkeypatch):
+    """The worker entry point, run in process on a packed repair walk,
+    returns exactly what solve_task returns: sides and multipliers, for
+    every task of a wave whose tasks are partly frozen.  Each task's warm
+    multipliers reach its solve through its task ref."""
+    from repro.core import recursive, shm
 
+    walk, wave = _repair_walk(social_graph, social_weights, seed=3)
+    assert all(0 < walk.free[task.vertex_ids].sum() < task.vertex_ids.size
+               for task in wave)
+    warm = [{0: 0.25, 1: -1.5}, None]
+    expected = [solve_task(walk, task, lambdas) for task, lambdas in zip(wave, warm)]
+    assert all(lambdas for _, lambdas in expected)
 
-def test_pack_wave_stores_a_warm_wave(monkeypatch):
-    """A repair's wave carries each task's initial sides, fixed mask and
-    multipliers through the arena into the worker's ``gd_bisect`` call;
-    a wave is all cold or all warm."""
-    from repro.core import shm
-
-    tasks = _fake_wave(num_tasks=3, seed=4)
-    rng = np.random.default_rng(4)
-    for index, task in enumerate(tasks):
-        n = task.subgraph.num_vertices
-        task.initial_x = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        task.initial_fixed = rng.random(n) < 0.7
-        task.warm_lambdas = {0: 0.25 * index, 1: -1.5} if index != 1 else None
-    calls = []
-    gd_bisect = shm.gd_bisect
+    seeded = []
+    gd_bisect = recursive.gd_bisect
 
     def recording_gd_bisect(*args, **kwargs):
-        # Copies: views would pin the segment's mapping past unlink().
-        calls.append((kwargs["initial_x"].copy(), kwargs["initial_fixed"].copy(),
-                      kwargs["warm_lambdas"]))
+        seeded.append(kwargs["warm_lambdas"])
         return gd_bisect(*args, **kwargs)
 
-    monkeypatch.setattr(shm, "gd_bisect", recording_gd_bisect)
-    monkeypatch.setattr(shm, "_WORKER_ARENA", None)
-    arena, _ = pack_wave(tasks, prefix="t-shm")
+    monkeypatch.setattr(recursive, "gd_bisect", recording_gd_bisect)
+    monkeypatch.setattr(shm, "_WORKER_WALK", None)
+    executor = BisectionExecutor(ExecutionConfig(parallelism="shm",
+                                                 shm_segment_prefix="t-shm"))
+    # Run every task of the wave through the worker entry point, in process.
+    monkeypatch.setattr(executor, "_map_processes",
+                        lambda function, refs, labels: [function(ref) for ref in refs])
     try:
-        assert arena.array("initial_x").dtype == np.float64
-        # Run the worker entry point in process, one task at a time.
-        for index in range(len(tasks)):
-            shm._run_shm_task(ShmTaskRef(segment=arena.name, index=index))
-        shm._WORKER_ARENA.close()
+        results = executor.solve_frontier(walk, wave, warm)
+        assert executor.stats.shm.attaches == 1
     finally:
-        arena.unlink()
-    assert len(calls) == len(tasks)
-    for task, (initial_x, initial_fixed, warm_lambdas) in zip(tasks, calls):
-        np.testing.assert_array_equal(initial_x, task.initial_x)
-        np.testing.assert_array_equal(initial_fixed, task.initial_fixed)
-        assert warm_lambdas == task.warm_lambdas
-
-    tasks[0].initial_x = None
-    with pytest.raises(ValueError, match="all cold or all warm"):
-        pack_wave(tasks, prefix="t-shm")
+        executor.end_walk()
+        if shm._WORKER_WALK is not None:
+            shm._WORKER_WALK[0].close()
+    assert seeded == warm
+    for (sides, lambdas), (want_sides, want_lambdas) in zip(results, expected):
+        np.testing.assert_array_equal(sides, want_sides)
+        assert lambdas == want_lambdas
     assert not _leftover_segments("t-shm")
 
 
 def test_task_ref_payload_is_tiny():
     import pickle
 
-    ref = ShmTaskRef(segment="repro-shm-12345-6", index=3)
-    assert len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)) < 200
+    for warm_lambdas in (None, {0: 0.123456789, 1: -1.5e-3}):
+        ref = ShmTaskRef(segment="repro-shm-12345-6", start=10_000, stop=20_000,
+                         num_parts=8, first_part=8, depth=1, warm_lambdas=warm_lambdas)
+        assert len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)) < 200
 
 
 # --------------------------------------------------------------------- #
@@ -209,23 +214,49 @@ def test_shm_backend_bit_identical_with_stats(social_graph, social_weights):
         stats = executor.stats.shm
     assert np.array_equal(partition.assignment, reference.assignment)
 
-    # k=8 → waves of 2 and 4 tasks go through arenas (the root wave of
-    # one task runs in process).
+    # k=8 → waves of 2 and 4 tasks go through the pool (the root wave of
+    # one task runs in process), all through the walk's one arena.
     assert stats.waves >= 2
     assert stats.tasks >= 6
-    assert stats.segments_created == stats.waves
+    assert stats.segments_created == 1
     assert stats.attaches >= 1
 
     # The O(coordinates) acceptance claim: per-task pipe traffic is a
-    # pickled ShmTaskRef (tens of bytes), while the bytes a pickling pool
-    # would have shipped per task are the task's whole subgraph.
+    # pickled ShmTaskRef, while the arena holds the whole input graph.
     assert stats.payload_bytes_per_task < 200
-    assert stats.pickled_bytes_avoided > 100 * stats.payload_bytes
-    assert stats.bytes_shared > 0
+    assert stats.bytes_shared > social_graph.indices.nbytes + social_graph.edges.nbytes
 
-    per_task_detail = stats.as_dict()
-    assert len(per_task_detail["per_wave"]) == stats.waves
+    assert not _leftover_segments("t-shm")
 
+
+def test_one_segment_per_walk_unlinked_before_the_next(social_graph, social_weights,
+                                                       monkeypatch):
+    """A caller-owned executor running two walks back to back makes one
+    segment per walk, and unlinks the first before it makes the second."""
+    from repro.core import shm
+
+    present_at_pack = []
+    pack_walk = shm.pack_walk
+
+    def recording_pack_walk(walk, **kwargs):
+        present_at_pack.append(_leftover_segments("t-shm"))
+        return pack_walk(walk, **kwargs)
+
+    monkeypatch.setattr(shm, "pack_walk", recording_pack_walk)
+    execution = ExecutionConfig(parallelism="shm", max_workers=2,
+                                shm_segment_prefix="t-shm")
+    config = GDConfig(iterations=8, seed=2)
+    reference = recursive_bisection(social_graph, social_weights, 8, 0.05, config)
+    with BisectionExecutor(execution) as executor:
+        for _ in range(2):
+            partition = recursive_bisection(social_graph, social_weights, 8, 0.05,
+                                            config, executor=executor)
+            assert np.array_equal(partition.assignment, reference.assignment)
+            assert not _leftover_segments("t-shm")
+        stats = executor.stats.shm
+        assert stats.segments_created == 2
+        assert stats.waves == 4
+    assert present_at_pack == [[], []]
     assert not _leftover_segments("t-shm")
 
 
@@ -268,8 +299,8 @@ def test_shm_matches_serial_for_any_seed(seed, num_parts, workers):
 # --------------------------------------------------------------------- #
 def test_worker_crash_rebuilds_pool_and_leaks_nothing(social_graph, social_weights):
     """An shm worker dying mid-task (hard ``os._exit``) breaks the pool;
-    the executor rebuilds it, the retried task re-attaches the wave
-    segment and overwrites its own output slice (idempotent), the final
+    the executor rebuilds it, the retried task re-attaches the walk
+    segment and overwrites its own output slots (idempotent), the final
     assignment still matches serial bit for bit, and no segment outlives
     the run."""
     config = GDConfig(iterations=12, seed=7)
@@ -291,7 +322,7 @@ def test_worker_crash_rebuilds_pool_and_leaks_nothing(social_graph, social_weigh
 
 def test_raising_wave_unlinks_its_segment(social_graph, social_weights):
     """A wave that exhausts its retry budget raises ExecutorTaskError —
-    and still tears its arena down on the way out."""
+    and its walk still unlinks the arena on the way out."""
     from repro.core.executor import ExecutorTaskError
 
     plan = FaultPlan(faults=(FaultSpec(site="executor.task", at=None,
@@ -305,6 +336,9 @@ def test_raising_wave_unlinks_its_segment(social_graph, social_weights):
             with pytest.raises(ExecutorTaskError, match="depth=1/part=0"):
                 recursive_bisection(social_graph, social_weights, 8, 0.05,
                                     config, executor=executor)
+            # The walk released its arena; the executor is still open.
+            assert executor.stats.shm.segments_created == 1
+            assert not _leftover_segments("t-shm")
     assert not _leftover_segments("t-shm")
 
 
