@@ -399,6 +399,63 @@ def test_churn_repair_quality_and_work():
         f"{[row['batch'] for row in rows if not row['balanced']]}")
 
 
+# --------------------------------------------------------------------- #
+# Churn bookkeeping: the CSR splice and the hop expansion of one batch
+# --------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=2)
+def _churn_bookkeeping_batch(fraction: float):
+    """The ``churn_repair`` input (fb-80 at scale 4, n = 16,000) and one
+    churn batch rewiring ``fraction`` of its edges, with the degree
+    weights kept in sync as the benchmark's batches keep them."""
+    from repro.dynamic import DynamicGraph, UpdateBatch, degree_weight_deltas
+    from repro.graphs import churn_trace
+
+    graph = fb_like(80, scale=4)
+    weights = standard_weights(graph, 2)
+    (insertions, deletions), = churn_trace(graph, 1, fraction, seed=1)
+    vertices, deltas = degree_weight_deltas(DynamicGraph(graph, weights),
+                                            insertions, deletions)
+    return graph, weights, UpdateBatch(insertions=insertions, deletions=deletions,
+                                       weight_vertices=vertices, weight_deltas=deltas)
+
+
+def _bench_dynamic_apply(benchmark, fraction: float):
+    from repro.dynamic import DynamicGraph
+
+    graph, weights, batch = _churn_bookkeeping_batch(fraction)
+
+    def setup():
+        # A fresh live graph per round: a batch can only be applied once.
+        return (DynamicGraph(graph, weights), batch), {}
+
+    benchmark.pedantic(lambda dynamic, batch: dynamic.apply(batch), setup=setup,
+                       rounds=20, iterations=1, warmup_rounds=1)
+
+
+def test_perf_dynamic_apply_small(benchmark):
+    """:meth:`DynamicGraph.apply` of one 0.05% batch (198 edge edits), the
+    ``churn_repair`` batch size."""
+    _bench_dynamic_apply(benchmark, 0.0005)
+
+
+def test_perf_dynamic_apply_large(benchmark):
+    """:meth:`DynamicGraph.apply` of one 1% batch (3,976 edge edits)."""
+    _bench_dynamic_apply(benchmark, 0.01)
+
+
+def test_perf_expand_hops(benchmark):
+    """The released set of a repair: 2 hops (the default
+    ``repartition_hops``) from the vertices of one 0.05% batch."""
+    from repro.dynamic import DynamicGraph
+    from repro.dynamic.repartition import expand_hops
+
+    graph, weights, batch = _churn_bookkeeping_batch(0.0005)
+    dynamic = DynamicGraph(graph, weights)
+    seeds = dynamic.apply(batch).touched_vertices()
+    benchmark(lambda: expand_hops(dynamic.indptr, dynamic.indices, seeds, 2,
+                                  dynamic.num_vertices))
+
+
 def test_perf_pagerank_superstep(benchmark):
     engine = BSPEngine()
     placement = Partition(graph=GRAPH,

@@ -36,6 +36,8 @@ occurred.  Specifics per backend:
   can only resolve by killing the worker).  The executor kills the
   remaining workers, rebuilds the pool, and resubmits every unfinished
   task; each re-execution counts as one more attempt for all of them.
+  A pool that breaks under ``submit`` (a worker died while tasks were
+  being resubmitted) is handled the same way.
 * **serial / single-task waves** — run in the coordinating
   process: exceptions are retried inline, but timeouts are not enforced
   (we cannot interrupt our own thread).
@@ -261,49 +263,43 @@ class BisectionExecutor:
         timeout = self.execution.task_timeout_seconds
         attempts = [0] * len(tasks)
         results: list = [None] * len(tasks)
-        done = [False] * len(tasks)
-
-        def submit_pending():
-            pool = self._ensure_pool()
-            return {index: pool.submit(_invoke, function, tasks[index],
-                                       attempts[index], labels[index])
-                    for index in range(len(tasks)) if not done[index]}
+        # Futures of the submitted, unfinished tasks; results are taken in
+        # task order, so tasks[index:] are the unfinished ones.
+        futures: dict = {}
 
         def fail_pending(error):
             # One more attempt for every unfinished task: the dead pool
             # took all of their executions with it, and we cannot tell
             # which worker actually crashed or hung.
-            for index in range(len(tasks)):
-                if not done[index]:
-                    self._note_failure(labels[index], attempts[index], error)
-                    attempts[index] += 1
+            for pending in range(index, len(tasks)):
+                self._note_failure(labels[pending], attempts[pending], error)
+                attempts[pending] += 1
+            futures.clear()
 
-        futures = submit_pending()
         index = 0
         while index < len(tasks):
-            if done[index]:
-                index += 1
-                continue
             try:
-                results[index] = futures[index].result(timeout)
-                done[index] = True
+                # (Re)submit inside the try: a worker that dies while tasks
+                # are being submitted breaks the pool under ``submit``, and
+                # that is handled like any other broken pool.
+                for pending in range(index, len(tasks)):
+                    if pending not in futures:
+                        futures[pending] = self._ensure_pool().submit(
+                            _invoke, function, tasks[pending], attempts[pending],
+                            labels[pending])
+                results[index] = futures.pop(index).result(timeout)
                 index += 1
             except _FuturesTimeout:
                 self.stats.timeouts += 1
                 self._rebuild_pool()
                 fail_pending(TimeoutError(
                     f"timed out after {timeout}s (process pool rebuilt)"))
-                futures = submit_pending()
             except BrokenProcessPool as error:
                 self._rebuild_pool()
                 fail_pending(error)
-                futures = submit_pending()
             except Exception as error:  # noqa: BLE001 — task raised
                 self._note_failure(labels[index], attempts[index], error)
                 attempts[index] += 1
-                pool = self._ensure_pool()
-                futures[index] = pool.submit(_invoke, function, tasks[index],
-                                             attempts[index], labels[index])
         return results
 
     def solve_frontier(self, walk: Walk, tasks: Sequence[TaskState],

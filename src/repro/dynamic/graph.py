@@ -8,14 +8,18 @@ edge list per update batch costs O(m log m) regardless of how small the
 batch is.  :class:`DynamicGraph` is the update layer underneath the
 incremental repartitioner (:mod:`repro.dynamic.repartition`): it owns the
 canonical edge array, the CSR adjacency and the vertex weight matrix, and
-applies an :class:`UpdateBatch` with work proportional to the batch —
+applies an :class:`UpdateBatch` for one copy per array plus work that
+grows with the batch and the touched rows' entries, never a re-sort of
+the edge list and never a numpy call per touched vertex —
 
-* membership checks and the edge-array splice run on the sorted canonical
-  key array (``O(delta log m)`` searches plus one memcpy-level splice);
-* only the CSR rows of *touched* vertices are recomputed; untouched rows
-  are block-copied between them, so per-row recomputation work is
-  ``O(delta + touched-row degrees)``, never a full re-sort of the edge
-  list;
+* membership checks run on the sorted canonical key array
+  (``O(delta log m)`` searches);
+* the keys, the edges and the CSR ``indices`` are each copied once, by
+  one masked copy that drops the deleted entries and places the inserted
+  ones;
+* the touched CSR rows are gathered at once, and each deleted or
+  inserted entry is located by a binary search of its key in the
+  canonical row order among the gathered entries;
 * vertex-weight deltas are scattered into the touched columns only.
 
 Snapshot parity contract
@@ -25,8 +29,8 @@ Snapshot parity contract
 canonical edge array and the exact CSR layout ``from_edges`` would
 produce: the row order stated in the :class:`~repro.graphs.graph.Graph`
 docstring (all neighbors > r ascending, then all neighbors < r
-ascending), which the incremental row rebuild reproduces from the updated
-neighbor set and on which wave extraction (:meth:`Graph.subgraphs`)
+ascending), which the splice keeps by placing every inserted entry by its
+key in that order, and on which wave extraction (:meth:`Graph.subgraphs`)
 relies.  Everything downstream — metrics, GD repair,
 full recompute — therefore behaves as if the graph had been rebuilt from
 scratch, which is what makes the incremental path testable against the
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphs.graph import Graph, _canonicalize_edges
+from ..graphs.graph import Graph, _canonicalize_edges, row_positions
 from ..partition.validation import validate_weights
 
 __all__ = ["DynamicGraph", "UpdateBatch", "degree_weight_deltas"]
@@ -58,6 +62,42 @@ def _as_edge_array(edges) -> np.ndarray:
     if array.ndim != 2 or array.shape[1] != 2:
         raise ValueError("edge updates must form an (m, 2) array of vertex pairs")
     return array
+
+
+#: One ``(u, v)`` int64 edge row viewed as a single 16-byte scalar.
+_EDGE_ROW = np.dtype((np.void, 16))
+
+
+def _row_order_keys(rows: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+    """Sort keys of CSR entries in the canonical row order.
+
+    Row ``r`` lists its neighbours > ``r`` ascending, then its neighbours
+    < ``r`` ascending; ``(v - r - 1) mod n`` increases along that order,
+    so ``r·n + (v - r - 1) mod n`` orders entries by row, then by their
+    place in the row, and stays below ``n²`` like the edge keys.
+    """
+    return rows * np.int64(n) + (targets - rows - 1) % n
+
+
+def _splice(array: np.ndarray, delete_at: np.ndarray, insert_at: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """A copy of the 1-D ``array`` without its entries at ``delete_at``,
+    and with ``values`` placed before its entries at ``insert_at``.
+
+    Both position arrays index ``array`` and ascend (``insert_at`` may
+    repeat; equal positions keep the order of ``values``; a position of
+    ``array.size`` appends).  The kept entries move in one masked copy.
+    """
+    size = array.size - delete_at.size + insert_at.size
+    slots = insert_at - np.searchsorted(delete_at, insert_at) + np.arange(insert_at.size)
+    out = np.empty(size, dtype=array.dtype)
+    out[slots] = values
+    old = np.ones(array.size, dtype=bool)
+    old[delete_at] = False
+    kept = np.ones(size, dtype=bool)
+    kept[slots] = False
+    out[kept] = array[old]
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,7 +202,8 @@ class DynamicGraph:
 
     def __init__(self, graph: Graph, weights: np.ndarray):
         self._num_vertices = graph.num_vertices
-        self._edges = graph.edges
+        # C order, so that the splice can view each edge row as one scalar.
+        self._edges = np.ascontiguousarray(graph.edges)
         self._keys = (graph.edges[:, 0] * np.int64(max(self._num_vertices, 1))
                       + graph.edges[:, 1])
         self._indptr = graph.indptr
@@ -261,7 +302,8 @@ class DynamicGraph:
                            if batch.weight_vertices.size else None)
 
         if insertions.size or deletions.size:
-            self._splice_edges(insertions, insert_keys, deletions, delete_positions)
+            self._splice_edges(insertions, insert_keys, insert_positions,
+                               deletions, delete_positions)
         if updated_weights is not None:
             self._weights = updated_weights
 
@@ -288,66 +330,54 @@ class DynamicGraph:
         return updated
 
     def _splice_edges(self, insertions: np.ndarray, insert_keys: np.ndarray,
-                      deletions: np.ndarray, delete_positions: np.ndarray) -> None:
-        """Update the canonical edge array and rebuild the touched CSR rows."""
-        keep = np.ones(self._keys.size, dtype=bool)
-        keep[delete_positions] = False
-        kept_keys = self._keys[keep]
-        kept_edges = self._edges[keep]
-        positions = np.searchsorted(kept_keys, insert_keys)
-        self._keys = np.insert(kept_keys, positions, insert_keys)
-        self._edges = np.insert(kept_edges, positions, insertions, axis=0)
+                      insert_positions: np.ndarray, deletions: np.ndarray,
+                      delete_positions: np.ndarray) -> None:
+        """Splice the edits into the canonical edge array and the CSR.
 
-        # Per-row neighbor deltas (O(batch) python dict work).
-        added: dict[int, list[int]] = {}
-        removed: dict[int, list[int]] = {}
-        for u, v in insertions:
-            added.setdefault(int(u), []).append(int(v))
-            added.setdefault(int(v), []).append(int(u))
-        for u, v in deletions:
-            removed.setdefault(int(u), []).append(int(v))
-            removed.setdefault(int(v), []).append(int(u))
-        touched = sorted(set(added) | set(removed))
+        One masked copy per array (keys, edges, indices) plus work that
+        grows with the touched rows' entries, with no per-vertex numpy
+        call: the touched rows are gathered at once
+        (:func:`~repro.graphs.graph.row_positions`), and the deleted
+        entries are found, and the inserted ones placed, by one binary
+        search of each entry's key in the canonical row order
+        (:func:`_row_order_keys`).
+        """
+        self._keys = _splice(self._keys, delete_positions, insert_positions, insert_keys)
+        # The (m, 2) edges go through their 16-byte rows as 1-D scalars:
+        # numpy's masked copies are far slower along axis 0 of a 2-D array.
+        self._edges = _splice(self._edges.view(_EDGE_ROW).ravel(), delete_positions,
+                              insert_positions, insertions.view(_EDGE_ROW).ravel()
+                              ).view(np.int64).reshape(-1, 2)
 
-        old_indptr, old_indices = self._indptr, self._indices
-        new_rows: dict[int, np.ndarray] = {}
-        degree_delta = 0
-        for vertex in touched:
-            neighbors = np.sort(old_indices[old_indptr[vertex]:old_indptr[vertex + 1]])
-            if vertex in removed:
-                neighbors = np.setdiff1d(neighbors,
-                                         np.asarray(removed[vertex], dtype=np.int64),
-                                         assume_unique=True)
-            if vertex in added:
-                neighbors = np.union1d(neighbors,
-                                       np.asarray(added[vertex], dtype=np.int64))
-            # The canonical CSR row order: larger neighbors ascending, then
-            # smaller neighbors ascending (see module docstring).
-            new_rows[vertex] = np.concatenate(
-                [neighbors[neighbors > vertex], neighbors[neighbors < vertex]])
-            degree_delta += new_rows[vertex].size - (old_indptr[vertex + 1]
-                                                     - old_indptr[vertex])
+        n = self._num_vertices
+        old_indptr = self._indptr
+        touched = np.unique(np.concatenate([insertions.ravel(), deletions.ravel()]))
+        positions, bounds = row_positions(old_indptr, touched)
+        rows = np.repeat(touched, np.diff(bounds))
+        row_keys = _row_order_keys(rows, self._indices[positions], n)
 
-        new_indices = np.empty(old_indices.size + degree_delta, dtype=np.int64)
+        # Each edge is two entries, one in each endpoint's row.
+        deleted_keys = np.sort(np.concatenate([
+            _row_order_keys(deletions[:, 0], deletions[:, 1], n),
+            _row_order_keys(deletions[:, 1], deletions[:, 0], n)]))
+        delete_at = positions[np.searchsorted(row_keys, deleted_keys)]
+        inserted_rows = np.concatenate([insertions[:, 0], insertions[:, 1]])
+        inserted_targets = np.concatenate([insertions[:, 1], insertions[:, 0]])
+        inserted_keys = _row_order_keys(inserted_rows, inserted_targets, n)
+        order = np.argsort(inserted_keys)
+        inserted_rows, inserted_keys = inserted_rows[order], inserted_keys[order]
+        # An inserted entry goes before the first entry of its row with a
+        # larger key: ``row start + (entries of the row with a smaller key)``.
+        row_start = bounds[np.searchsorted(touched, inserted_rows)]
+        insert_at = (old_indptr[inserted_rows]
+                     + np.searchsorted(row_keys, inserted_keys) - row_start)
+        self._indices = _splice(self._indices, delete_at, insert_at,
+                                inserted_targets[order])
+
+        degree_delta = (np.bincount(inserted_rows, minlength=n)
+                        - np.bincount(deletions.ravel(), minlength=n))
         new_indptr = old_indptr.copy()
-        old_cursor = new_cursor = 0
-        for vertex in touched:
-            gap = int(old_indptr[vertex]) - old_cursor
-            new_indices[new_cursor:new_cursor + gap] = old_indices[old_cursor:old_cursor + gap]
-            new_cursor += gap
-            row = new_rows[vertex]
-            new_indices[new_cursor:new_cursor + row.size] = row
-            new_cursor += row.size
-            old_cursor = int(old_indptr[vertex + 1])
-        tail = old_indices.size - old_cursor
-        new_indices[new_cursor:new_cursor + tail] = old_indices[old_cursor:]
-
-        # Rebuild indptr from the shifted row lengths: only rows after the
-        # first touched vertex move, by the cumulative degree delta so far.
-        degrees = np.diff(old_indptr)
-        for vertex in touched:
-            degrees[vertex] = new_rows[vertex].size
-        np.cumsum(degrees, out=new_indptr[1:])
-        self._indices = new_indices
+        new_indptr[1:] += np.cumsum(degree_delta)
         self._indptr = new_indptr
         self._snapshot = None
+

@@ -52,6 +52,7 @@ from ..core.checkpoint import TaskState
 from ..core.config import GDConfig
 from ..core.executor import BisectionExecutor
 from ..core.recursive import per_level_epsilon, recursive_bisection, walk_tree
+from ..graphs.graph import row_positions
 from ..partition.partition import Partition
 from ..partition.validation import validate_epsilon, validate_num_parts
 from .graph import DynamicGraph, UpdateBatch
@@ -123,22 +124,24 @@ def expand_hops(indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray,
                 hops: int, num_vertices: int) -> np.ndarray:
     """Boolean mask of vertices within ``hops`` hops of ``seeds``.
 
-    ``hops = 0`` releases the seeds only.  Plain frontier BFS over the
-    CSR; each vertex is expanded at most once, so the cost is
-    O(edges within the released ball).
+    ``hops = 0`` releases the seeds only.  Frontier BFS over the CSR: each
+    hop gathers its frontier's rows at once
+    (:func:`~repro.graphs.graph.row_positions`) and marks the vertices it
+    reaches first in a boolean mask, so a hop costs O(n) plus its
+    frontier rows' edges, and each vertex is expanded at most once.
     """
     mask = np.zeros(num_vertices, dtype=bool)
-    seeds = np.asarray(seeds, dtype=np.int64)
-    mask[seeds] = True
-    frontier = seeds
+    frontier = np.asarray(seeds, dtype=np.int64)
+    mask[frontier] = True
     for _ in range(hops):
         if frontier.size == 0:
             break
-        neighbors = np.concatenate(
-            [indices[indptr[v]:indptr[v + 1]] for v in frontier])
-        fresh = np.unique(neighbors[~mask[neighbors]]) if neighbors.size else neighbors
-        mask[fresh] = True
-        frontier = fresh
+        positions, _ = row_positions(indptr, frontier)
+        fresh = np.zeros(num_vertices, dtype=bool)
+        fresh[indices[positions]] = True
+        fresh &= ~mask
+        mask |= fresh
+        frontier = np.flatnonzero(fresh)
     return mask
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "row_positions"]
 
 
 def _canonicalize_edges(edges: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -50,6 +50,26 @@ def _canonicalize_edges(edges: np.ndarray, num_vertices: int) -> np.ndarray:
     unique_mask[1:] = keys[1:] != keys[:-1]
     lo, hi = lo[order][unique_mask], hi[order][unique_mask]
     return np.column_stack([lo, hi])
+
+
+def row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the CSR entries of ``rows`` sit in ``indices``, row after row.
+
+    Returns ``(positions, bounds)``: ``indices[positions]`` lists the
+    entries of ``rows[0]``, then of ``rows[1]``, and so on, and the
+    entries of ``rows[i]`` are ``positions[bounds[i]:bounds[i + 1]]``.
+    This is the row gather of :meth:`Graph.subgraphs` and of the churn
+    bookkeeping in :mod:`repro.dynamic`: a few array passes over the rows
+    and their entries, with no per-row numpy call.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    positions = np.repeat(starts - bounds[:-1], lengths)
+    positions += np.arange(positions.size)
+    return positions, bounds
 
 
 @dataclass(frozen=True)
@@ -227,14 +247,7 @@ class Graph:
                 # Sorted, in range and n long: every vertex, so no copy.
                 results.append((self, ids))
                 continue
-            # The CSR entries of the set's rows: ``bounds`` delimits each
-            # row's entries, ``positions`` locates them in ``self.indices``.
-            starts = self.indptr[ids]
-            lengths = self.indptr[ids + 1] - starts
-            bounds = np.zeros(ids.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=bounds[1:])
-            positions = np.repeat(starts - bounds[:-1], lengths)
-            positions += np.arange(positions.size)
+            positions, bounds = row_positions(self.indptr, ids)
             targets = self.indices[positions]
             # Keep the entries whose target is in the set and relabel them.
             kept = np.flatnonzero(owner[targets] == index)

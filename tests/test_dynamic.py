@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ExecutionConfig, GDConfig, GDPartitioner, recursive_bisection
 from repro.dynamic import (
@@ -156,6 +156,96 @@ class TestDynamicGraph:
         assert small_dynamic.num_edges == edges_before + 1
 
 
+@st.composite
+def churn_cases(draw):
+    """A small graph and a sequence of valid batches against it.
+
+    Returns ``(n, edges, batches)``: ``edges`` the initial edge list and
+    each batch an ``(insertions, deletions)`` pair of edge lists, valid
+    against the edge set the batches before it leave.  Random graphs of
+    this size keep isolated vertices; the draws add a star hub, batches
+    that delete every edge of a vertex, and batches of many edits on the
+    hub, and they list some edges in ``(v, u)`` orientation.
+    """
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    hub = draw(vertex)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    if draw(st.booleans()):
+        pairs += [(hub, v) for v in draw(st.sets(vertex, max_size=n))]
+    live = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    edges = sorted(live)
+
+    def oriented(edge_set):
+        return [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edge_set)]
+
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        deletions = (set(draw(st.lists(st.sampled_from(sorted(live)), max_size=8)))
+                     if live else set())
+        if draw(st.booleans()):
+            cleared = draw(vertex)
+            deletions |= {edge for edge in live if cleared in edge}
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in live]
+        insertions = (set(draw(st.lists(st.sampled_from(missing), max_size=8)))
+                      if missing else set())
+        if draw(st.booleans()):
+            hub_edges = {edge for edge in live if hub in edge}
+            deletions |= set(sorted(hub_edges)[::2])
+            insertions |= {edge for edge in missing if hub in edge}
+        live = (live - deletions) | insertions
+        batches.append((oriented(insertions), oriented(deletions)))
+    return n, edges, batches
+
+
+def _edge_array(edges) -> np.ndarray:
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+class TestSpliceProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=churn_cases())
+    # A star hub 0 and isolated 5-7: clear the hub, insert at isolated vertices.
+    @example(case=(8, [(0, 1), (0, 2), (0, 3), (0, 4)],
+                   [([(6, 7), (5, 6)], [(0, 1), (0, 2), (0, 3), (0, 4)]),
+                    ([(0, 7), (0, 5), (1, 6)], [])]))
+    # Edits on rows 0 and n - 1.
+    @example(case=(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+                   [([(5, 0), (0, 3)], [(4, 5), (0, 1)]),
+                    ([(0, 1), (4, 5), (0, 4)], [(0, 5), (0, 3), (2, 3)])]))
+    # Many edits on one hub (5): deletions and insertions on both sides of it.
+    @example(case=(12, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (1, 2)],
+                   [([(5, 7), (5, 8), (5, 9), (10, 5), (5, 11), (0, 11)],
+                     [(0, 5), (2, 5), (4, 5), (5, 6)])]))
+    def test_splice_equals_a_rebuild(self, case):
+        """After every batch the snapshot arrays and the edge keys equal
+        those of Graph.from_edges over the edge set the batches leave,
+        and the snapshot taken before the batch still describes its
+        graph."""
+        n, edges, batches = case
+        dynamic = DynamicGraph(Graph.from_edges(n, edges), np.ones((1, n)))
+        live = {tuple(edge) for edge in edges}
+        for insertions, deletions in batches:
+            before = dynamic.snapshot()
+            arrays_before = [array.copy() for array in
+                             (before.edges, before.indptr, before.indices)]
+            dynamic.apply(UpdateBatch(insertions=_edge_array(insertions),
+                                      deletions=_edge_array(deletions)))
+            live = ((live - {(min(e), max(e)) for e in deletions})
+                    | {(min(e), max(e)) for e in insertions})
+            rebuilt = Graph.from_edges(n, sorted(live))
+            snapshot = dynamic.snapshot()
+            for name in ("edges", "indptr", "indices"):
+                array = getattr(snapshot, name)
+                np.testing.assert_array_equal(array, getattr(rebuilt, name))
+                assert array.dtype == np.int64
+            np.testing.assert_array_equal(
+                dynamic._keys, rebuilt.edges[:, 0] * n + rebuilt.edges[:, 1])
+            for array, copy in zip((before.edges, before.indptr, before.indices),
+                                   arrays_before):
+                np.testing.assert_array_equal(array, copy)
+
+
 class TestIncrementalMetrics:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000), num_parts=st.integers(2, 5),
@@ -218,6 +308,42 @@ class TestExpandHops:
         mask = expand_hops(graph.indptr, graph.indices,
                            np.empty(0, dtype=np.int64), 3, 3)
         assert not mask.any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), hops=st.integers(0, 3))
+    def test_matches_the_per_vertex_bfs(self, data, n, hops):
+        """The frontier BFS equals the per-vertex one it replaced, with
+        duplicate, isolated and empty seed lists."""
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        graph = Graph.from_edges(n, pairs)
+        seeds = np.asarray(data.draw(st.lists(vertex, max_size=6)), dtype=np.int64)
+        isolated = np.flatnonzero(np.diff(graph.indptr) == 0)
+        if isolated.size and data.draw(st.booleans()):
+            seeds = np.concatenate([seeds, isolated[:2]])
+        if seeds.size and data.draw(st.booleans()):
+            seeds = np.concatenate([seeds, seeds])
+        mask = expand_hops(graph.indptr, graph.indices, seeds, hops, n)
+        np.testing.assert_array_equal(
+            mask, _per_vertex_bfs(graph.indptr, graph.indices, seeds, hops, n))
+
+
+def _per_vertex_bfs(indptr, indices, seeds, hops, num_vertices):
+    """The oracle: the per-vertex BFS ``expand_hops`` replaced, one row
+    slice per frontier vertex and ``np.unique`` over the neighbours."""
+    mask = np.zeros(num_vertices, dtype=bool)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    mask[seeds] = True
+    frontier = seeds
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        neighbors = np.concatenate(
+            [indices[indptr[v]:indptr[v + 1]] for v in frontier])
+        fresh = np.unique(neighbors[~mask[neighbors]]) if neighbors.size else neighbors
+        mask[fresh] = True
+        frontier = fresh
+    return mask
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,9 @@ shared-segment views replay the serial memory layout (see
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,68 @@ def test_process_hang_times_out_and_rebuilds():
         assert results == [0, 1, 4]
         assert executor.stats.timeouts >= 1
         assert executor.stats.pool_rebuilds >= 1
+
+
+class _SubmitBreaksPool(ProcessPoolExecutor):
+    """A process pool whose ``submit`` calls number ``fail_at`` (counted
+    across rebuilt pools) raise :class:`BrokenProcessPool`, as they do
+    when a worker dies while tasks are being (re)submitted."""
+
+    fail_at: frozenset = frozenset()
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        _SubmitBreaksPool.submits += 1
+        if _SubmitBreaksPool.submits in _SubmitBreaksPool.fail_at:
+            raise BrokenProcessPool(f"pool broke under submit #{_SubmitBreaksPool.submits}")
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def break_submits(monkeypatch):
+    """Swap the executor's pool for a :class:`_SubmitBreaksPool` that
+    breaks under the given submit numbers."""
+    def arm(*fail_at: int):
+        monkeypatch.setattr(_SubmitBreaksPool, "fail_at", frozenset(fail_at))
+        monkeypatch.setattr(_SubmitBreaksPool, "submits", 0)
+        monkeypatch.setattr("repro.core.executor.ProcessPoolExecutor", _SubmitBreaksPool)
+    return arm
+
+
+@pytest.mark.parametrize("fail_at", [(1,), (4,), (2, 6)],
+                         ids=["first-submit", "last-submit", "resubmit-after-rebuild"])
+def test_pool_broken_under_submit_is_rebuilt(break_submits, fail_at):
+    """A submit that raises BrokenProcessPool, on the first submission or
+    on the resubmission after a rebuild, rebuilds the pool and charges one
+    attempt to every unfinished task; the wave still returns its results."""
+    break_submits(*fail_at)
+    with BisectionExecutor(SHM.with_updates(task_retries=3)) as executor:
+        results = executor.map(_square, list(range(4)))
+    assert results == [0, 1, 4, 9]
+    assert executor.stats.pool_rebuilds == len(fail_at)
+    assert executor.stats.retries == 4 * len(fail_at)
+
+
+def test_single_task_resubmit_into_a_broken_pool_is_rebuilt(break_submits):
+    """Task #1 raises on its first attempt and its resubmit (submit #5)
+    meets a broken pool: the pool is rebuilt and the unfinished tasks
+    resubmitted, instead of BrokenProcessPool leaving the wave."""
+    break_submits(5)
+    with inject(_fault_at("#1")):
+        with BisectionExecutor(SHM.with_updates(task_retries=3)) as executor:
+            results = executor.map(_square, list(range(4)))
+    assert results == [0, 1, 4, 9]
+    assert executor.stats.pool_rebuilds == 1
+    # One retry for #1's own failure, then one for each of #1-#3.
+    assert executor.stats.retries == 4
+
+
+def test_pool_broken_under_submit_without_retries_raises_task_error(break_submits):
+    break_submits(2)
+    with BisectionExecutor(SHM.with_updates(task_retries=0)) as executor:
+        with pytest.raises(ExecutorTaskError, match=r"task #0 failed after 1 attempt"):
+            executor.map(_square, list(range(4)))
+        assert executor.stats.pool_rebuilds == 1
 
 
 def test_inline_backends_do_not_enforce_timeouts():

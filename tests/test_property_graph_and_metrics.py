@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import balance_repair, randomized_round
 from repro.graphs import Graph, unit_weights
+from repro.graphs.graph import row_positions
 from repro.partition import (
     Partition,
     cut_size,
@@ -73,6 +74,27 @@ class TestGraphInvariants:
                                     max_size=graph.num_vertices))
         subgraph, _ = graph.subgraph(subset)
         assert subgraph.num_edges <= graph.num_edges
+
+
+    @settings(max_examples=80)
+    @given(graph=random_graphs(), data=st.data())
+    @example(graph=Graph.from_edges(4, [(0, 1)]), data=None)
+    def test_row_positions_concatenate_the_rows(self, graph, data):
+        """The row gather equals the concatenated per-row ranges, empty
+        rows (isolated vertices), repeated rows and an empty row set
+        included."""
+        rows = ([] if data is None else
+                data.draw(st.lists(st.integers(0, graph.num_vertices - 1),
+                                   max_size=2 * graph.num_vertices)))
+        rows = np.asarray(rows, dtype=np.int64)
+        positions, bounds = row_positions(graph.indptr, rows)
+        indptr = graph.indptr
+        expected = [np.arange(indptr[r], indptr[r + 1]) for r in rows]
+        np.testing.assert_array_equal(
+            positions, np.concatenate(expected) if expected else np.empty(0, np.int64))
+        assert positions.dtype == bounds.dtype == np.int64
+        np.testing.assert_array_equal(
+            bounds, np.concatenate([[0], np.cumsum([part.size for part in expected])]))
 
 
 class TestMetricInvariants:
