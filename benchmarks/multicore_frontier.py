@@ -50,9 +50,9 @@ class WaveTimer(BisectionExecutor):
         super().__init__()
         self.waves: list[tuple[int, float]] = []
 
-    def solve_frontier(self, walk, tasks, warm_lambdas):
+    def solve_frontier(self, walk, tasks):
         start = time.perf_counter()
-        results = super().solve_frontier(walk, tasks, warm_lambdas)
+        results = super().solve_frontier(walk, tasks)
         self.waves.append((len(results), time.perf_counter() - start))
         return results
 

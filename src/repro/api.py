@@ -63,13 +63,13 @@ class RunResult:
     """Outcome of one :func:`run` call: the partition plus observability.
 
     ``bisection`` is populated for 2-way runs (the full
-    :class:`~repro.core.BisectionResult` with history, projection and
-    kernel counters); ``executor_stats`` for recursive k-way runs — the
+    :class:`~repro.core.BisectionResult` with history and projection
+    counters); ``executor_stats`` for recursive k-way runs — the
     executor's retry/timeout/pool-rebuild counters and, under
     ``parallelism="shm"``, the shared-memory stats
     (``executor_stats.shm``: pooled waves and tasks, segments created,
     one per walk, attach counts, bytes shared and the pickled bytes per
-    task), next to the kernel counters the 2-way path reports.
+    task).
     """
 
     partition: Partition
@@ -96,8 +96,8 @@ def run(graph: Graph, num_parts: int = 2, *,
         to the paper preset.
     execution:
         Execution parameters (:class:`~repro.core.ExecutionConfig`) —
-        parallelism backend, worker count, timeout/retry budgets, shm
-        segment prefix.  Overrides ``gd.execution`` when given.  The partition is
+        parallelism backend, worker count, timeout/retry budgets.
+        Overrides ``gd.execution`` when given.  The partition is
         bit-identical across execution configs for a fixed ``gd.seed``.
     """
     config = gd if gd is not None else GDConfig()

@@ -114,17 +114,16 @@ class ExecutionConfig(ConfigIO):
         of its recursion-tree coordinate
         (:func:`~repro.core.executor.task_seed`), so a retry replays
         bit-identical work.
-    shm_segment_prefix:
-        Name prefix of the shared-memory segments (suffixed with the
-        coordinator pid and a per-walk counter).  Keep it short: POSIX
-        caps shared-memory names at 31 characters on some platforms.
+
+    The ``"shm"`` backend names its segments ``repro-shm-<pid>-<n>``
+    (coordinator pid and a per-walk counter), so concurrent runs never
+    collide and leftovers are easy to find.
     """
 
     parallelism: str = "serial"
     max_workers: int | None = None
     task_timeout_seconds: float | None = None
     task_retries: int = 2
-    shm_segment_prefix: str = "repro-shm"
 
     _ARG_ALIASES = {
         "workers": "max_workers",
@@ -141,13 +140,6 @@ class ExecutionConfig(ConfigIO):
             raise ValueError("task_timeout_seconds must be positive when given")
         if self.task_retries < 0:
             raise ValueError("task_retries must be non-negative")
-        if (not self.shm_segment_prefix
-                or not self.shm_segment_prefix.replace("-", "").replace("_", "").isalnum()):
-            raise ValueError("shm_segment_prefix must be a non-empty "
-                             "alphanumeric/dash/underscore string")
-        if len(self.shm_segment_prefix) > 16:
-            raise ValueError("shm_segment_prefix must be at most 16 characters "
-                             "(POSIX shared-memory names are length-limited)")
 
     def with_updates(self, **changes) -> "ExecutionConfig":
         """Return a copy with the given fields replaced."""
@@ -211,8 +203,8 @@ class GDConfig(ConfigIO):
         Seed of the random number generator (noise and rounding).
     execution:
         The :class:`ExecutionConfig` of the recursive k-way scheduler —
-        parallelism backend, worker count, per-task timeout/retry
-        budgets and the shared-memory segment prefix.
+        parallelism backend, worker count and per-task timeout/retry
+        budgets.
     repartition_hops:
         Radius of the incremental repartitioner's freeze rule
         (:mod:`repro.dynamic.repartition`): after an update batch, only

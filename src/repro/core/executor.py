@@ -145,19 +145,20 @@ class BisectionExecutor:
     ----------
     execution:
         The :class:`~repro.core.ExecutionConfig` to run on (backend,
-        worker count, per-task timeout and retry budget, shm segment
-        prefix); ``None`` uses the default, serial one.  The config
-        checked every field when it was built, so the executor does not
-        check them again.
+        worker count, per-task timeout and retry budget); ``None`` uses
+        the default, serial one.  The config checked every field when it
+        was built, so the executor does not check them again.
 
     Usable as a context manager; the process pool of the ``"shm"``
     backend is created lazily on the first pooled wave and shut down on
     exit, so it is reused across the recursion levels of a walk (and
     across the walks of a caller-owned executor) instead of being
     respawned per level.  Each walk with a pooled wave gets one arena,
-    released by :meth:`end_walk`.  :attr:`stats` counts retries,
-    timeouts, pool rebuilds and the shared-memory traffic over the
-    executor's lifetime.
+    released by :meth:`end_walk`.  A task hands back only its sides
+    (:meth:`solve_frontier`): no solver state outlives a task, so the
+    executor holds none between waves or walks.  :attr:`stats` counts
+    retries, timeouts, pool rebuilds and the shared-memory traffic over
+    the executor's lifetime.
     """
 
     def __init__(self, execution: ExecutionConfig | None = None):
@@ -302,20 +303,17 @@ class BisectionExecutor:
                 attempts[index] += 1
         return results
 
-    def solve_frontier(self, walk: Walk, tasks: Sequence[TaskState],
-                       warm_lambdas: Sequence[dict[int, float] | None]
-                       ) -> list[tuple[np.ndarray, dict[int, float] | None]]:
+    def solve_frontier(self, walk: Walk, tasks: Sequence[TaskState]) -> list[np.ndarray]:
         """Solve one wave of a walk of the recursion tree.
 
         Every task runs :func:`~repro.core.recursive.solve_task` on
-        ``walk`` with its entry of ``warm_lambdas``.  On the shm backend
-        a wave of two or more tasks runs on the process pool: the walk is
-        packed into one shared-memory arena on its first such wave and
-        only each task's coordinates cross the pipe
-        (:class:`~repro.core.shm.WalkArena`; the retry/timeout/pool-rebuild
-        machinery of :meth:`_map_processes` applies unchanged).  A single
-        task and the serial backend run in process.  Either way each
-        task's ``(sides, exported multipliers)`` comes back in task
+        ``walk``.  On the shm backend a wave of two or more tasks runs on
+        the process pool: the walk is packed into one shared-memory arena
+        on its first such wave and only each task's coordinates cross the
+        pipe (:class:`~repro.core.shm.WalkArena`; the
+        retry/timeout/pool-rebuild machinery of :meth:`_map_processes`
+        applies unchanged).  A single task and the serial backend run in
+        process.  Either way one sides array per task comes back in task
         order, bit-identical across backends (the deterministic-seeding
         contract).  :meth:`end_walk` releases the arena.
         """
@@ -327,9 +325,8 @@ class BisectionExecutor:
             if self._arena is None or self._arena.walk is not walk:
                 self.end_walk()
                 self._arena = WalkArena(walk, self)
-            return self._arena.solve_wave(self, tasks, warm_lambdas, labels)
-        return self.map(lambda pair: solve_task(walk, *pair),
-                        list(zip(tasks, warm_lambdas)), labels=labels)
+            return self._arena.solve_wave(self, tasks, labels)
+        return self.map(lambda task: solve_task(walk, task), tasks, labels=labels)
 
     def end_walk(self) -> None:
         """Unlink the current walk's shared-memory arena (no-op if none)."""

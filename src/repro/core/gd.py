@@ -31,9 +31,10 @@ Structure
 :class:`BisectionStepper` owns one bisection's mutable state and advances
 it one iteration at a time; :func:`bisection_regions` and
 :func:`finalize_bisection` are its construction and finalization halves.
-:func:`gd_bisect` is the driver: build a stepper (cold, or warm-started
-by the incremental repartitioner's repair tasks), step it
-``config.iterations`` times, finalize.
+:func:`gd_bisect` runs one bisection: build a stepper (cold, or started
+from given sides with some vertices fixed, as the incremental
+repartitioner's repair tasks are), step it ``config.iterations`` times,
+finalize.
 """
 
 from __future__ import annotations
@@ -86,19 +87,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class BisectionResult:
-    """Outcome of one GD bisection run.
-
-    ``warm_lambdas`` carries the projection engine's final multipliers
-    (when the method keeps multiplier state), so a later solve over the
-    same balance dimensions — the incremental repartitioner's repair
-    passes, most notably — can seed its engine from this solve's end
-    state instead of a cold start.
-
-    ``kernel_stats`` is the run's per-kernel observability: call and
-    nanosecond counters of every
-    :class:`~repro.core.kernels.KernelBackend` kernel the solve invoked
-    (``{kernel: {"calls": ..., "ns": ...}}``).
-    """
+    """Outcome of one GD bisection run."""
 
     partition: Partition
     fractional: np.ndarray = field(repr=False)
@@ -107,8 +96,6 @@ class BisectionResult:
     config: GDConfig
     elapsed_seconds: float
     projection_stats: ProjectionStats | None = field(default=None, repr=False)
-    warm_lambdas: dict[int, float] | None = field(default=None, repr=False)
-    kernel_stats: dict | None = field(default=None, repr=False)
 
 
 def _history_record(graph: Graph, weights: np.ndarray, relaxation: QuadraticRelaxation,
@@ -199,10 +186,9 @@ class BisectionStepper:
     Warm starts
     -----------
     ``initial_x`` / ``initial_fixed`` start the iterate (and the fixed
-    mask) from a given state instead of all-zeros, and ``warm_lambdas``
-    seeds the projection engine's warm-start multipliers — the
-    incremental repartitioner's repair passes start this way from the
-    previous assignment.  The step-length target is derived from the
+    mask) from a given state instead of all-zeros — the incremental
+    repartitioner's repair passes start this way from the previous
+    assignment.  The step-length target is derived from the
     *free* vertex count: the distance left to travel is ``O(√free)``,
     not ``O(√n)``, and the final balance repair may flip only the
     vertices that started free.
@@ -211,8 +197,7 @@ class BisectionStepper:
     def __init__(self, graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
                  config: GDConfig | None = None, target_fraction: float = 0.5,
                  *, initial_x: np.ndarray | None = None,
-                 initial_fixed: np.ndarray | None = None,
-                 warm_lambdas: dict[int, float] | None = None):
+                 initial_fixed: np.ndarray | None = None):
         # Clock starts here so BisectionResult.elapsed_seconds counts
         # construction (relaxation, regions, engine, free-vertex system).
         self._start_time = time.perf_counter()
@@ -272,17 +257,16 @@ class BisectionStepper:
 
         self.fixing_start = int(config.fixing_start_fraction * config.iterations)
         # One backend and one engine per stepper: kernels and projections
-        # carry per-run stats (and the engine its warm state); worker
-        # processes construct their own, so no state crosses the pickle
-        # boundary.  A warm start's engine is built on the region of its
-        # free vertices, not narrowed from the full region: the one-shot
-        # sweep's band centers then come from the restricted bounds.
+        # carry per-run stats (and the engine its warm state, for this
+        # solve only); worker processes construct their own, so no state
+        # crosses the pickle boundary.  A warm start's engine is built on
+        # the region of its free vertices, not narrowed from the full
+        # region: the one-shot sweep's band centers then come from the
+        # restricted bounds.
         self.backend = NumpyBackend()
         free_region = (self.region.restrict(~self.fixed, self.x[self.fixed])
                        if self.fixed.any() else self.region)
         self.engine = ProjectionEngine(config.projection_method, free_region)
-        if warm_lambdas:
-            self.engine.seed_warm_lambdas(warm_lambdas)
         self.system = FreeVertexSystem(self.relaxation.adjacency, self.fixed, self.x,
                                        self.backend)
 
@@ -357,8 +341,6 @@ class BisectionStepper:
             config=config,
             elapsed_seconds=time.perf_counter() - self._start_time,
             projection_stats=self.engine.stats,
-            warm_lambdas=self.engine.export_warm_lambdas(),
-            kernel_stats=self.backend.stats.as_dict(),
         )
 
 
@@ -366,8 +348,7 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
               config: GDConfig | None = None,
               target_fraction: float = 0.5, *,
               initial_x: np.ndarray | None = None,
-              initial_fixed: np.ndarray | None = None,
-              warm_lambdas: dict[int, float] | None = None) -> BisectionResult:
+              initial_fixed: np.ndarray | None = None) -> BisectionResult:
     """Partition ``graph`` into two parts balanced along every weight row.
 
     Parameters
@@ -385,7 +366,7 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
         Fraction of each weight dimension that part ``V₁`` should receive
         (0.5 for an even split).  Used by recursive partitioning into a
         number of parts that is not a power of two.
-    initial_x, initial_fixed, warm_lambdas:
+    initial_x, initial_fixed:
         A warm start, as in :class:`BisectionStepper`.
     """
     config = config if config is not None else GDConfig()
@@ -402,8 +383,7 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
                                elapsed_seconds=time.perf_counter() - start_time)
 
     stepper = BisectionStepper(graph, weights, epsilon, config, target_fraction,
-                               initial_x=initial_x, initial_fixed=initial_fixed,
-                               warm_lambdas=warm_lambdas)
+                               initial_x=initial_x, initial_fixed=initial_fixed)
     for iteration in range(config.iterations):
         stepper.step(iteration)
     return stepper.result()

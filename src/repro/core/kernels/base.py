@@ -18,9 +18,10 @@ is the plain numpy expression for its kernel.
 Observability
 -------------
 Every kernel call is timed (``time.perf_counter_ns``) into the
-backend's :class:`KernelStats`, which the solvers surface on
-:class:`~repro.core.gd.BisectionResult.kernel_stats` — per-kernel
-call/ns counters for free on every run.
+backend's :class:`KernelStats`.  The counters stay on the backend of the
+stepper that made the calls (``BisectionStepper.backend.stats``); no
+result carries them.  A tracer that keeps each stepper it sees reads
+them from outside (``perfbench/tracer.py``).
 """
 
 from __future__ import annotations
@@ -50,33 +51,6 @@ class KernelStats:
         else:
             entry[0] += 1
             entry[1] += ns
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        """``{kernel: {"calls": ..., "ns": ...}}``, sorted by kernel name."""
-        return {
-            name: {"calls": calls, "ns": ns}
-            for name, (calls, ns) in sorted(self.counters.items())
-        }
-
-    def total_ns(self) -> int:
-        return sum(ns for _, ns in self.counters.values())
-
-    def total_calls(self) -> int:
-        return sum(calls for calls, _ in self.counters.values())
-
-    def merge(self, other: "KernelStats | dict") -> None:
-        """Fold another stats object (or its ``as_dict`` form) into this one."""
-        if isinstance(other, KernelStats):
-            items = [(name, entry[0], entry[1]) for name, entry in other.counters.items()]
-        else:
-            items = [(name, entry["calls"], entry["ns"]) for name, entry in other.items()]
-        for name, calls, ns in items:
-            entry = self.counters.get(name)
-            if entry is None:
-                self.counters[name] = [calls, ns]
-            else:
-                entry[0] += calls
-                entry[1] += ns
 
 
 def kernel(method):

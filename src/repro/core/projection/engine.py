@@ -26,8 +26,10 @@ bisection.  When vertices are fixed the region is narrowed
 (:meth:`ProjectionEngine.narrow_restricted`), O(free) per fixing event,
 and the warm state carries over.
 
-Each bisection task constructs its own engine.  The engine is a plain
-picklable object, but it is deliberately *not* shipped across the
+Each bisection task constructs its own engine, and its warm state lives
+and dies with that one solve: nothing is exported to, or seeded from,
+another solve.  The engine is a plain picklable object, but it is
+deliberately *not* shipped across the
 :class:`~repro.core.executor.BisectionExecutor` process boundary: each
 worker runs ``gd_bisect`` on its own subproblem and therefore builds its
 own engine locally.
@@ -124,32 +126,6 @@ class ProjectionEngine:
     @property
     def stats(self) -> ProjectionStats:
         return self._stats
-
-    def reset(self) -> None:
-        """Drop all warm-start state (the region's invariants stay)."""
-        self._warm_lambdas = None
-        self._corrections = None
-
-    def seed_warm_lambdas(self, lambdas: dict[int, float]) -> None:
-        """Seed the exact projector's warm multipliers from external state.
-
-        Multipliers are indexed by balance dimension, so a warm state
-        exported from *another* engine over the same dimensions — the
-        previous repair pass of the same recursion-tree node, most
-        notably — is a valid warm guess here.  Wrong guesses are detected
-        and corrected by the usual KKT rules, so seeding can change the
-        solve path but never the answer.  Only the exact projector reads
-        the multipliers.
-        """
-        if lambdas:
-            self._warm_lambdas = dict(lambdas)
-
-    def export_warm_lambdas(self) -> dict[int, float] | None:
-        """The most recent solve's multipliers, for seeding another
-        engine; ``None`` when there is nothing warm."""
-        if self._warm_lambdas:
-            return dict(self._warm_lambdas)
-        return None
 
     def project_step(self, z: np.ndarray, gamma: float,
                      gradient: np.ndarray) -> np.ndarray:

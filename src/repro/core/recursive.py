@@ -21,8 +21,9 @@ hands each wave, with one :class:`Walk` record of what every task reads
 :meth:`~repro.core.executor.BisectionExecutor.solve_frontier`, and every
 task runs :func:`solve_task`: it extracts the node's induced subgraph
 (:meth:`Graph.subgraphs`, a row filter of the input graph's CSR; the
-root task's is the input graph itself, uncopied) and bisects it.  The
-task runs serially in process, or on a process pool that shares the
+root task's is the input graph itself, uncopied), bisects it and hands
+back only the node's sides, from which the next wave's tasks are cut.
+The task runs serially in process, or on a process pool that shares the
 whole walk zero-copy through one shared-memory arena
 (``parallelism="shm"``; see :mod:`repro.core.shm`), as
 :attr:`GDConfig.execution` (an :class:`~repro.core.ExecutionConfig`) or
@@ -31,16 +32,14 @@ a caller-owned executor says.
 The same walk serves the incremental repartitioner
 (:mod:`repro.dynamic.repartition`): given a mask of released vertices it
 warm-starts every task from the current assignment's sides with the
-other vertices fixed, skips the subtrees that hold no released vertex,
-and seeds each task's projection engine with the multipliers the last
-solve of the same tree node exported.  A full solve is the walk with
-nothing fixed and nothing warm.
+other vertices fixed, and skips the subtrees that hold no released
+vertex.  A full solve is the walk with nothing fixed.
 
 Each task's ``gd_bisect`` call constructs its own
 :class:`~repro.core.projection.ProjectionEngine` for its subproblem's
-feasible region, so the projection caches and warm-start state are local
-to the worker — only the exported multipliers travel back — and the
-engine's results are independent of the execution backend.
+feasible region, so the projection's warm-start state lives only as long
+as that one solve — a task hands back its sides and nothing else — and
+the engine's results are independent of the execution backend.
 
 Deterministic-seeding contract
 ------------------------------
@@ -110,19 +109,16 @@ class Walk:
     free: np.ndarray | None = None
 
 
-def solve_task(walk: Walk, task: TaskState,
-               warm_lambdas: dict[int, float] | None = None
-               ) -> tuple[np.ndarray, dict[int, float] | None]:
+def solve_task(walk: Walk, task: TaskState) -> np.ndarray:
     """Bisect one node of the recursion tree.
 
     Extracts the node's induced subgraph, seeds the solve by the node's
     coordinate (the deterministic-seeding contract), warm-starts a
     repair's node from the walk's labels with the vertices outside
-    ``walk.free`` fixed and its projection engine seeded with
-    ``warm_lambdas``, and runs :func:`gd_bisect`.  Returns the sides of
-    ``task.vertex_ids`` (sorted, as every task of a walk is) and the
-    multipliers the solve exported.  The one task function of both
-    execution backends: it runs in process and in the ``shm`` workers.
+    ``walk.free`` fixed, and runs :func:`gd_bisect`.  Returns the sides
+    of ``task.vertex_ids`` (sorted, as every task of a walk is).  The one
+    task function of both execution backends: it runs in process and in
+    the ``shm`` workers.
     """
     ((subgraph, mapping),) = walk.graph.subgraphs([task.vertex_ids])
     left_parts = (task.num_parts + 1) // 2
@@ -131,13 +127,12 @@ def solve_task(walk: Walk, task: TaskState,
         warm_start = {
             "initial_x": np.where(walk.assignment[mapping] < task.first_part + left_parts,
                                   1.0, -1.0),
-            "initial_fixed": ~walk.free[mapping],
-            "warm_lambdas": warm_lambdas}
+            "initial_fixed": ~walk.free[mapping]}
     config = walk.config.with_updates(
         seed=task_seed(walk.config.seed, task.depth, task.first_part))
     result = gd_bisect(subgraph, walk.weights[:, mapping], walk.epsilon, config,
                        target_fraction=left_parts / task.num_parts, **warm_start)
-    return result.partition.assignment, result.warm_lambdas
+    return result.partition.assignment
 
 
 def _expand(task: TaskState, sides: np.ndarray) -> Iterable[TaskState]:
@@ -153,7 +148,6 @@ def _expand(task: TaskState, sides: np.ndarray) -> Iterable[TaskState]:
 def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
               frontier: list[TaskState], epsilon_per_level: float, config: GDConfig,
               executor: BisectionExecutor, *, free: np.ndarray | None = None,
-              warm: dict[tuple[int, int], dict[int, float]] | None = None,
               on_wave: Callable[[list[TaskState]], None] | None = None) -> int:
     """Solve the recursion tree below ``frontier``, one wave per level.
 
@@ -163,9 +157,9 @@ def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
 
     ``free`` turns the solve into a repair: each task starts from
     ``assignment``'s current sides with the vertices outside ``free``
-    fixed, and a task holding no free vertex keeps its parts.  ``warm``
-    maps ``(depth, first_part)`` to the multipliers seeded into that
-    node's projection engine, and is updated from every task's export.
+    fixed, and a task holding no free vertex keeps its parts.  Nothing
+    else carries over from earlier solves, so a repair depends only on
+    the graph, weights, assignment, ``free`` and config.
     ``on_wave`` is called with the frontier at the top of every wave.
     The executor's walk state (the ``shm`` arena) is released when the
     walk returns or raises.
@@ -179,7 +173,6 @@ def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
                     execution=config.execution.with_updates(parallelism="serial",
                                                             max_workers=None)),
                 assignment=assignment if free is not None else None, free=free)
-    warm = {} if warm is None else warm
     bisections = 0
     try:
         while frontier:
@@ -192,14 +185,9 @@ def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
                 elif task.vertex_ids.size and (free is None or free[task.vertex_ids].any()):
                     pending.append(task)
 
-            results = executor.solve_frontier(
-                walk, pending, [warm.get((task.depth, task.first_part)) for task in pending])
-
-            frontier = []
-            for task, (sides, lambdas) in zip(pending, results):
-                if lambdas:
-                    warm[(task.depth, task.first_part)] = lambdas
-                frontier.extend(_expand(task, sides))
+            results = executor.solve_frontier(walk, pending)
+            frontier = [child for task, sides in zip(pending, results)
+                        for child in _expand(task, sides)]
             bisections += len(pending)
     finally:
         executor.end_walk()

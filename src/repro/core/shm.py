@@ -17,13 +17,14 @@ a per-vertex output buffer, plus a repair walk's starting assignment and
 free mask; the pickled header carries the per-level epsilon and the
 workers' config.  Per wave the coordinator refills only the id buffer
 with the tasks' vertex sets, back to back.  What crosses the pipe per
-task is a :class:`ShmTaskRef` (segment name, id range, tree coordinate
-and warm multipliers) and a small completion token carrying the task's
-exported multipliers.  Workers attach the segment once per walk, rebuild
-the walk on read-only views into it, run
+task is a :class:`ShmTaskRef` (segment name, id range and tree
+coordinate) and, back, a completion token that is one flag: whether the
+worker attached the segment for this task.  Workers attach the segment
+once per walk, rebuild the walk on read-only views into it, run
 :func:`~repro.core.recursive.solve_task` (the task function the serial
 backend runs in process) and write each task's sides into the output
-buffer at the task's own vertex ids.
+buffer at the task's own vertex ids; the sides are all a task hands
+back.
 
 Determinism: the worker runs the same task function on the same bits
 (the arena's weight matrix is C-contiguous, the layout the stepper gives
@@ -129,10 +130,10 @@ def _install_cleanup() -> None:
         pass
 
 
-def _next_segment_name(prefix: str) -> str:
+def _next_segment_name() -> str:
     # Pid + counter keeps concurrent runs and successive walks apart while
     # staying far below the 31-character POSIX name floor.
-    return f"{prefix}-{os.getpid()}-{next(_SEGMENT_COUNTER)}"
+    return f"repro-shm-{os.getpid()}-{next(_SEGMENT_COUNTER)}"
 
 
 class SharedGraphArena:
@@ -161,8 +162,8 @@ class SharedGraphArena:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def create(cls, arrays: dict[str, np.ndarray], meta: dict | None = None,
-               *, prefix: str = "repro-shm") -> "SharedGraphArena":
+    def create(cls, arrays: dict[str, np.ndarray],
+               meta: dict | None = None) -> "SharedGraphArena":
         """Create a segment holding copies of ``arrays`` plus ``meta``."""
         contiguous = {key: np.ascontiguousarray(value)
                       for key, value in arrays.items()}
@@ -177,7 +178,7 @@ class SharedGraphArena:
         data_start = _align(_HEADER_PREFIX.size + len(blob))
         total = max(1, data_start + offset)
         segment = shared_memory.SharedMemory(
-            name=_next_segment_name(prefix), create=True, size=total)
+            name=_next_segment_name(), create=True, size=total)
         segment.buf[:_HEADER_PREFIX.size] = _HEADER_PREFIX.pack(len(blob))
         segment.buf[_HEADER_PREFIX.size:_HEADER_PREFIX.size + len(blob)] = blob
         arena = cls(segment, owner=True, header=header, data_start=data_start)
@@ -276,8 +277,7 @@ class ShmTaskRef(NamedTuple):
 
     ``start:stop`` is the task's range of the arena's vertex-id buffer;
     ``num_parts``, ``first_part`` and ``depth`` are its recursion-tree
-    coordinate and ``warm_lambdas`` the multipliers seeded into its
-    projection engine.
+    coordinate.
     """
 
     segment: str
@@ -286,10 +286,9 @@ class ShmTaskRef(NamedTuple):
     num_parts: int
     first_part: int
     depth: int
-    warm_lambdas: dict[int, float] | None = None
 
 
-def pack_walk(walk: "Walk", *, prefix: str = "repro-shm") -> SharedGraphArena:
+def pack_walk(walk: "Walk") -> SharedGraphArena:
     """Pack one walk into a fresh shared arena.
 
     Arrays (all 64-byte aligned within the segment): the input graph's
@@ -309,7 +308,7 @@ def pack_walk(walk: "Walk", *, prefix: str = "repro-shm") -> SharedGraphArena:
         arrays["assignment"] = walk.assignment
         arrays["free"] = walk.free
     meta = {"epsilon": walk.epsilon, "config": walk.config, "repair": walk.free is not None}
-    return SharedGraphArena.create(arrays, meta, prefix=prefix)
+    return SharedGraphArena.create(arrays, meta)
 
 
 # ---------------------------------------------------------------------- #
@@ -348,24 +347,24 @@ def _attach_walk(name: str) -> tuple[SharedGraphArena, "Walk", bool]:
     return arena, walk, True
 
 
-def _run_walk_task(ref: ShmTaskRef) -> tuple[bool, dict[int, float] | None]:
+def _run_walk_task(ref: ShmTaskRef) -> bool:
     """Worker entry point: solve one task of the walk in place.
 
     Rebuilds the task from its id range and coordinate, runs
     :func:`~repro.core.recursive.solve_task` on the attached walk and
     writes the sides into the shared output buffer at the task's vertex
-    ids; the exported multipliers ride back in the token.  Idempotent: a
-    retried task (pool rebuild, injected crash) recomputes the same
-    deterministic values and overwrites its own slots.
+    ids.  Returns the completion token: whether this call attached the
+    segment.  Idempotent: a retried task (pool rebuild, injected crash)
+    recomputes the same deterministic values and overwrites its own
+    slots.
     """
     from .recursive import solve_task
 
     arena, walk, attached = _attach_walk(ref.segment)
     task = TaskState(vertex_ids=_readonly(arena.array("vertex_ids")[ref.start:ref.stop]),
                      num_parts=ref.num_parts, first_part=ref.first_part, depth=ref.depth)
-    sides, lambdas = solve_task(walk, task, ref.warm_lambdas)
-    arena.array("out")[task.vertex_ids] = sides
-    return attached, lambdas
+    arena.array("out")[task.vertex_ids] = solve_task(walk, task)
+    return attached
 
 
 # ---------------------------------------------------------------------- #
@@ -414,17 +413,16 @@ class WalkArena:
 
     def __init__(self, walk: "Walk", executor):
         self.walk = walk
-        self.arena = pack_walk(walk, prefix=executor.execution.shm_segment_prefix)
+        self.arena = pack_walk(walk)
         executor.stats.shm.segments_created += 1
         executor.stats.shm.bytes_shared += self.arena.nbytes
 
     def solve_wave(self, executor, tasks: Sequence[TaskState],
-                   warm_lambdas: Sequence[dict[int, float] | None],
-                   labels: Sequence[str]) -> list[tuple[np.ndarray, dict[int, float] | None]]:
+                   labels: Sequence[str]) -> list[np.ndarray]:
         """Solve one wave on ``executor``'s process pool.
 
-        Returns each task's ``(sides, exported multipliers)`` in task
-        order.  Reuses the executor's ``_map_processes`` machinery
+        Returns each task's sides in task order, read from the arena's
+        output buffer.  Reuses the executor's ``_map_processes`` machinery
         wholesale, so per-task timeouts, bounded retries, pool rebuilds
         and the ``executor.task`` fault site all apply to shm workers
         unchanged (rebuilt workers simply re-attach the walk segment).
@@ -432,22 +430,21 @@ class WalkArena:
         ids = self.arena.array("vertex_ids")
         refs = []
         start = 0
-        for task, lambdas in zip(tasks, warm_lambdas):
+        for task in tasks:
             stop = start + task.vertex_ids.size
             ids[start:stop] = task.vertex_ids
             refs.append(ShmTaskRef(self.arena.name, start, stop, task.num_parts,
-                                   task.first_part, task.depth, lambdas))
+                                   task.first_part, task.depth))
             start = stop
         del ids  # release the view so unlink() can unmap cleanly
-        tokens = executor._map_processes(_run_walk_task, refs, labels)
+        attached = executor._map_processes(_run_walk_task, refs, labels)
         out = self.arena.array("out")
-        results = [(out[task.vertex_ids].astype(np.int64), lambdas)
-                   for task, (_, lambdas) in zip(tasks, tokens)]
+        results = [out[task.vertex_ids].astype(np.int64) for task in tasks]
         del out
         stats = executor.stats.shm
         stats.waves += 1
         stats.tasks += len(tasks)
-        stats.attaches += sum(attached for attached, _ in tokens)
+        stats.attaches += sum(attached)
         stats.payload_bytes += sum(len(pickle.dumps(ref, protocol=_PICKLE)) for ref in refs)
         return results
 

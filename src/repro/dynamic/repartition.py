@@ -20,10 +20,8 @@ full recursive GD after every update batch costs
    containing no released vertex are skipped outright; each remaining
    node runs a short GD pass on its free vertices
    (:mod:`repro.core.compaction`) warm-started from the previous sides
-   — the released vertices start at their old ±1 values, the frozen ones
-   enter as the free-vertex system's boundary term, and the projection
-   engine is seeded with the multipliers the previous solve of the same
-   tree node exported (:attr:`BisectionResult.warm_lambdas`).  The
+   — the released vertices start at their old ±1 values and the frozen
+   ones enter as the free-vertex system's boundary term.  The
    bisection's greedy balance repair is confined to the released
    vertices, so frozen vertices provably keep their part.
 3. **Fall back to full recursive GD** when the damage exceeds
@@ -35,10 +33,15 @@ Repair waves are the one-shot scheduler's waves: the same task record,
 task function (:func:`~repro.core.recursive.solve_task`) and
 :class:`~repro.core.executor.BisectionExecutor` path (on ``shm``, one
 shared-memory arena per repair walk that also carries the starting
-assignment and the free mask; each task's warm multipliers ride in its
-task reference), with per-task seeds keyed by the node's recursion-tree
-coordinate, so repaired assignments are **bit-identical** across the
-``serial`` and ``shm`` backends.
+assignment and the free mask), with per-task seeds keyed by the node's
+recursion-tree coordinate, so repaired assignments are **bit-identical**
+across the ``serial`` and ``shm`` backends.
+
+A repartitioner keeps no solver state between batches: a repair depends
+only on the live graph, the weights, the current assignment, the batch
+and the config.  So a repartitioner rebuilt from a stored snapshot and
+assignment (a restarted ``serve``, say) repairs every later batch exactly
+as a long-running one does.
 """
 
 from __future__ import annotations
@@ -177,10 +180,6 @@ class IncrementalRepartitioner:
         self.epsilon = validate_epsilon(epsilon)
         self.num_parts = validate_num_parts(num_parts, dynamic.num_vertices)
         self.metrics = IncrementalMetrics(dynamic, assignment, num_parts)
-        # Warm projection multipliers per recursion-tree coordinate
-        # (depth, first_part), exported by the most recent solve of that
-        # node and seeded into the next repair of the same node.
-        self._warm: dict[tuple[int, int], dict[int, float]] = {}
 
     @classmethod
     def from_partition(cls, partition: Partition, weights: np.ndarray,
@@ -266,9 +265,8 @@ class IncrementalRepartitioner:
         """Rebuild the partition from the live graph, outside any batch.
 
         The serving stack's circuit breaker calls this after repeated
-        repair failures: whatever inconsistent state the failed repairs
-        left behind (partially mutated multipliers, a damaged
-        assignment), a from-scratch recursive solve of the *current*
+        repair failures: whatever damaged assignment the failed repairs
+        left behind, a from-scratch recursive solve of the *current*
         graph replaces it wholesale.  Reported with mode
         ``"escalated"``.
         """
@@ -285,9 +283,6 @@ class IncrementalRepartitioner:
                                         self.dynamic.weights, self.num_parts,
                                         self.epsilon, self.config)
         self.metrics.reset(partition.assignment)
-        # The repair multipliers describe the abandoned solution — drop
-        # them rather than seeding future repairs from a stale state.
-        self._warm.clear()
         moved = int(np.count_nonzero(partition.assignment != previous))
         return self._report(mode, damage,
                             self.full_recompute_iterations + extra_iterations,
@@ -314,7 +309,7 @@ class IncrementalRepartitioner:
                          num_parts=self.num_parts, first_part=0, depth=0)
         with BisectionExecutor(config.execution) as executor:
             tasks = walk_tree(snapshot, self.dynamic.weights, working, [root], eps_level,
-                              repair_config(config), executor, free=free, warm=self._warm)
+                              repair_config(config), executor, free=free)
         # Every task that runs holds a free vertex, so it uses its whole budget.
         iterations = tasks * config.repartition_iterations
 

@@ -3,6 +3,8 @@ and the incremental repartitioner."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -387,9 +389,7 @@ class TestIncrementalRepartitioner:
                                           err_msg=f"backend {backend}")
 
     def test_exact_repair_is_deterministic_across_backends(self, churn_setup):
-        """The same bar for the ``exact`` projection, the one method that
-        exports multipliers: its repairs send warm multipliers through
-        the shm arena and back."""
+        """The same bar for the ``exact`` projection."""
         graph, weights, partition, config, trace = churn_setup
         assignments = {}
         for backend in ("serial", "shm"):
@@ -400,7 +400,6 @@ class TestIncrementalRepartitioner:
                     parallelism=backend,
                     max_workers=2 if backend != "serial" else None))
             assert any(report.mode == "repair" for report in reports)
-            assert repartitioner._warm
             assignments[backend] = repartitioner.assignment
         reference = assignments["serial"]
         for backend, assignment in assignments.items():
@@ -471,6 +470,33 @@ class TestIncrementalRepartitioner:
         first, _ = _replay(graph, weights, partition, config, trace)
         second, _ = _replay(graph, weights, partition, config, trace)
         np.testing.assert_array_equal(first.assignment, second.assignment)
+
+    @pytest.mark.parametrize("method", ["alternating_oneshot", "exact"])
+    def test_rebuilt_repartitioner_repairs_as_the_long_running_one(self, churn_setup,
+                                                                    method):
+        """A repair depends only on the graph, weights, assignment, batch
+        and config: before every batch, a repartitioner rebuilt from the
+        live snapshot and the current assignment (a restarted service)
+        absorbs it exactly as the long-running one does."""
+        graph, weights, partition, config, _ = churn_setup
+        config = config.with_updates(projection_method=method)
+        running = IncrementalRepartitioner(
+            DynamicGraph(graph, weights), partition.assignment, partition.num_parts,
+            epsilon=0.05, config=config)
+        modes = []
+        for index, (insertions, deletions) in enumerate(churn_trace(graph, 6, 0.002,
+                                                                    seed=5)):
+            rebuilt = IncrementalRepartitioner(
+                DynamicGraph(running.dynamic.snapshot(), running.dynamic.weights),
+                running.assignment, partition.num_parts, epsilon=0.05, config=config)
+            expected = running.apply(UpdateBatch(insertions=insertions, deletions=deletions))
+            report = rebuilt.apply(UpdateBatch(insertions=insertions, deletions=deletions))
+            np.testing.assert_array_equal(rebuilt.assignment, running.assignment,
+                                          err_msg=f"batch {index}")
+            assert (dataclasses.replace(report, elapsed_seconds=0.0)
+                    == dataclasses.replace(expected, elapsed_seconds=0.0)), index
+            modes.append(expected.mode)
+        assert modes.count("repair") >= 3, modes
 
     def test_frozen_vertices_keep_their_part(self, churn_setup):
         """The freeze rule's contract: only vertices within h hops of a

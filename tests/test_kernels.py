@@ -190,57 +190,48 @@ class TestPrimitiveKernels:
 
 
 class TestKernelStats:
-    def test_record_and_as_dict(self):
+    def test_record_accumulates_calls_and_ns(self):
         stats = KernelStats()
         stats.record("spmv", 100)
         stats.record("spmv", 50)
         stats.record("norm", 10)
-        assert stats.as_dict() == {"norm": {"calls": 1, "ns": 10},
-                                   "spmv": {"calls": 2, "ns": 150}}
-        assert stats.total_calls() == 3
-        assert stats.total_ns() == 160
-
-    def test_merge_accepts_both_forms(self):
-        left, right = KernelStats(), KernelStats()
-        left.record("gather", 5)
-        right.record("gather", 7)
-        right.record("snap", 1)
-        left.merge(right)
-        left.merge({"snap": {"calls": 2, "ns": 4}})
-        assert left.as_dict() == {"gather": {"calls": 2, "ns": 12},
-                                  "snap": {"calls": 3, "ns": 5}}
+        assert stats.counters == {"spmv": [2, 150], "norm": [1, 10]}
 
     def test_instances_have_fresh_stats(self):
         first, second = NumpyBackend(), NumpyBackend()
         first.step_norm(np.ones(3), np.zeros(3))
-        assert second.stats.total_calls() == 0
+        assert second.stats.counters == {}
 
     def test_kernel_decorator_times_calls(self):
         backend = NumpyBackend()
         backend.step_norm(np.ones(4), np.zeros(4))
         backend.step_norm(np.ones(4), np.zeros(4))
-        entry = backend.stats.as_dict()["step_norm"]
-        assert entry["calls"] == 2
-        assert entry["ns"] > 0
+        calls, ns = backend.stats.counters["step_norm"]
+        assert calls == 2
+        assert ns > 0
 
 
 class TestSolverIntegration:
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     def test_bisection_surfaces_kernel_stats(self, two_cliques_graph, path):
+        # The counters stay on the stepper's backend, where a tracer
+        # reads them; no result carries them.
         weights = standard_weights(two_cliques_graph, 2)
         for method in KERNEL_PATHS[path]:
             config = GDConfig(iterations=20, seed=1, projection_method=method)
-            result = gd_bisect(two_cliques_graph, weights, 0.1, config)
-            stats = result.kernel_stats
-            assert stats, "kernel counters missing from BisectionResult"
-            for entry in stats.values():
-                assert entry["calls"] > 0 and entry["ns"] >= 0
+            stepper = BisectionStepper(two_cliques_graph, weights, 0.1, config)
+            for iteration in range(config.iterations):
+                stepper.step(iteration)
+            counters = stepper.backend.stats.counters
+            assert counters, "kernel counters missing from the stepper's backend"
+            for calls, ns in counters.values():
+                assert calls > 0 and ns >= 0
             # The step and the projection run in the engine, for every
             # method, not as kernels: one projection per gradient.
-            assert not {"fused_update", "axpy"} & set(stats), method
-            assert result.projection_stats.calls == stats["free_gradient"]["calls"], method
+            assert not {"fused_update", "axpy"} & set(counters), method
+            assert stepper.engine.stats.calls == counters["free_gradient"][0], method
             # The gradient's mat-vec runs through the counted spmv kernel.
-            assert stats["spmv"]["calls"] == stats["free_gradient"]["calls"]
+            assert counters["spmv"][0] == counters["free_gradient"][0]
 
     def test_fused_backends_fall_back_off_oneshot(self, two_cliques_graph):
         # The fused step is the one-shot sweep's; off it, every step

@@ -67,19 +67,31 @@ _ORACLE_GRAPHS = {"fb_like": lambda: fb_like(80, scale=0.25),
                   "power_law": lambda: power_law_cluster_graph(300, 6, 8.0, seed=2)}
 
 
-@pytest.mark.parametrize("graph_name", sorted(_ORACLE_GRAPHS))
-@pytest.mark.parametrize("num_parts", [2, 3, 5, 7, 8, 13])
-def test_wave_scheduler_matches_plain_recursion(graph_name, num_parts):
-    """The frontier scheduler is the paper's depth-first recursion,
-    reordered: the same assignment, bit for bit."""
+def _assert_matches_plain_recursion(graph_name, num_parts, dimensions):
     graph = _ORACLE_GRAPHS[graph_name]()
-    weights = standard_weights(graph, 2)
+    weights = standard_weights(graph, dimensions)
     for seed in range(3):
         config = _config(iterations=30, seed=seed)
         expected = reference_recursive_bisection(graph, weights, num_parts, 0.05, config)
         partition = recursive_bisection(graph, weights, num_parts, 0.05, config)
         np.testing.assert_array_equal(partition.assignment, expected,
                                       err_msg=f"seed {seed}")
+
+
+@pytest.mark.parametrize("graph_name", sorted(_ORACLE_GRAPHS))
+@pytest.mark.parametrize("num_parts", [2, 3, 5, 7, 8, 13])
+def test_wave_scheduler_matches_plain_recursion(graph_name, num_parts):
+    """The frontier scheduler is the paper's depth-first recursion,
+    reordered: the same assignment, bit for bit."""
+    _assert_matches_plain_recursion(graph_name, num_parts, 2)
+
+
+@pytest.mark.parametrize("graph_name", sorted(_ORACLE_GRAPHS))
+@pytest.mark.parametrize("num_parts", [2, 3, 5, 7, 8, 13])
+def test_wave_scheduler_matches_plain_recursion_d3(graph_name, num_parts):
+    """The same oracle on ``standard_weights(graph, 3)`` (unit, degree
+    and neighbour-degree sum): every bisection balances three rows."""
+    _assert_matches_plain_recursion(graph_name, num_parts, 3)
 
 
 class TestSimplexProjection:

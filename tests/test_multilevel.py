@@ -88,23 +88,6 @@ def test_stepper_rejects_mismatched_initial_state(social_graph, social_weights):
                          initial_fixed=np.zeros(3, dtype=bool))
 
 
-def test_engine_warm_lambda_export_import(social_graph, social_weights):
-    """Warm multipliers survive an export/import across engines and never
-    change the projection's answer (exact method)."""
-    region = FeasibleRegion.balanced(social_weights, 0.05)
-    rng = np.random.default_rng(1)
-    point = rng.normal(size=social_graph.num_vertices)
-    donor = ProjectionEngine("exact", region)
-    donor.project(point)
-    warm = donor.export_warm_lambdas()
-    receiver_cold = ProjectionEngine("exact", region)
-    receiver_warm = ProjectionEngine("exact", region)
-    if warm:
-        receiver_warm.seed_warm_lambdas(warm)
-    np.testing.assert_array_equal(receiver_warm.project(point),
-                                  receiver_cold.project(point))
-
-
 # --------------------------------------------------------------------- #
 # FreeVertexSystem (compaction)
 # --------------------------------------------------------------------- #

@@ -312,17 +312,6 @@ class TestGDDeterminism:
         assert stats is not None
         assert stats.calls == 10
 
-    def test_engine_reset_clears_warm_state(self, rng):
-        region = _region(rng, n=40, d=2)
-        for method in ("exact", "dykstra"):
-            engine = ProjectionEngine(method, region)
-            for point in _gd_like_points(rng, 40, count=3):
-                engine.project(point)
-            engine.reset()
-            assert engine._warm_lambdas is None
-            assert engine._corrections is None
-        assert engine.export_warm_lambdas() is None
-
 
 class TestOneProjectionPath:
     """Every method's GD iteration projects through the engine."""

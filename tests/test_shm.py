@@ -7,9 +7,9 @@ Three load-bearing properties:
   :mod:`repro.core.recursive` extended to shared-segment workers),
   across part counts, seeds and worker counts.
 * **O(coordinates) dispatch** — the only pickled payload per task is a
-  :class:`~repro.core.shm.ShmTaskRef` (an id range, a tree coordinate
-  and the warm multipliers); the stats must show the pipe traffic per
-  task staying under 200 bytes.
+  :class:`~repro.core.shm.ShmTaskRef` (an id range and a tree
+  coordinate); the stats must show the pipe traffic per task staying
+  under 200 bytes.
 * **One segment per walk, never leaked** — a walk's arena is made on its
   first pooled wave and unlinked when the walk returns or raises,
   including runs where an injected worker crash forces a pool rebuild
@@ -45,10 +45,11 @@ from repro.faults import FaultPlan, FaultSpec, inject
 from repro.graphs import Graph, fb_like, standard_weights
 
 
-def _leftover_segments(prefix: str) -> list[str]:
-    """Shared-memory segments with ``prefix`` still present on the host."""
+def _leftover_segments() -> list[str]:
+    """Shared-memory segments this process created that are still
+    present on the host (names are ``repro-shm-<pid>-<n>``)."""
     return [os.path.basename(path)
-            for path in glob.glob(f"/dev/shm/{prefix}-*")]
+            for path in glob.glob(f"/dev/shm/repro-shm-{os.getpid()}-*")]
 
 
 # --------------------------------------------------------------------- #
@@ -60,7 +61,7 @@ def test_arena_round_trips_arrays_and_meta():
         "b": np.linspace(0.0, 1.0, 7).reshape(1, 7),
         "empty": np.empty((0,), dtype=np.float64),
     }
-    arena = SharedGraphArena.create(arrays, meta={"tag": "t"}, prefix="t-shm")
+    arena = SharedGraphArena.create(arrays, meta={"tag": "t"})
     try:
         attached = SharedGraphArena.attach(arena.name)
         try:
@@ -77,19 +78,19 @@ def test_arena_round_trips_arrays_and_meta():
     finally:
         arena.unlink()
     assert arena.name not in _OWNED
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_arena_unlink_is_idempotent_and_tracked():
-    arena = SharedGraphArena.create({"x": np.ones(3)}, prefix="t-shm")
+    arena = SharedGraphArena.create({"x": np.ones(3)})
     assert arena.name in _OWNED
     arena.unlink()
     arena.unlink()  # second unlink is a no-op, not an error
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_arena_attach_may_not_unlink():
-    arena = SharedGraphArena.create({"x": np.ones(3)}, prefix="t-shm")
+    arena = SharedGraphArena.create({"x": np.ones(3)})
     try:
         attached = SharedGraphArena.attach(arena.name)
         with pytest.raises(RuntimeError, match="only the creating process"):
@@ -108,8 +109,7 @@ def _repair_walk(graph, weights, seed=0):
     config = GDConfig(iterations=20, seed=seed, projection_method="exact")
     assignment = recursive_bisection(graph, weights, 4, 0.05, config).assignment
     free = np.random.default_rng(seed).random(graph.num_vertices) < 0.35
-    # A tight band keeps the balance constraints active, so the exact
-    # projection exports multipliers.
+    # A tight band keeps the balance constraints active.
     walk = Walk(graph=graph, weights=weights, epsilon=0.01, config=config,
                 assignment=assignment, free=free)
     wave = [TaskState(vertex_ids=np.flatnonzero(assignment < 2), num_parts=2,
@@ -126,7 +126,7 @@ def test_pack_walk_round_trips_the_walk(social_graph, social_weights):
     for repair in (False, True):
         packed = walk if repair else Walk(graph=walk.graph, weights=walk.weights,
                                           epsilon=walk.epsilon, config=walk.config)
-        arena = pack_walk(packed, prefix="t-shm")
+        arena = pack_walk(packed)
         try:
             np.testing.assert_array_equal(arena.array("indptr"), social_graph.indptr)
             np.testing.assert_array_equal(arena.array("indices"), social_graph.indices)
@@ -145,67 +145,52 @@ def test_pack_walk_round_trips_the_walk(social_graph, social_weights):
             del weights  # release the view so unlink() unmaps cleanly
         finally:
             arena.unlink()
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_worker_entry_matches_solve_task_in_process(social_graph, social_weights,
                                                     monkeypatch):
     """The worker entry point, run in process on a packed repair walk,
-    returns exactly what solve_task returns: sides and multipliers, for
-    every task of a wave whose tasks are partly frozen.  Each task's warm
-    multipliers reach its solve through its task ref."""
-    from repro.core import recursive, shm
+    gives exactly the sides solve_task returns, for every task of a wave
+    whose tasks are partly frozen."""
+    from repro.core import shm
 
     walk, wave = _repair_walk(social_graph, social_weights, seed=3)
     assert all(0 < walk.free[task.vertex_ids].sum() < task.vertex_ids.size
                for task in wave)
-    warm = [{0: 0.25, 1: -1.5}, None]
-    expected = [solve_task(walk, task, lambdas) for task, lambdas in zip(wave, warm)]
-    assert all(lambdas for _, lambdas in expected)
+    expected = [solve_task(walk, task) for task in wave]
 
-    seeded = []
-    gd_bisect = recursive.gd_bisect
-
-    def recording_gd_bisect(*args, **kwargs):
-        seeded.append(kwargs["warm_lambdas"])
-        return gd_bisect(*args, **kwargs)
-
-    monkeypatch.setattr(recursive, "gd_bisect", recording_gd_bisect)
     monkeypatch.setattr(shm, "_WORKER_WALK", None)
-    executor = BisectionExecutor(ExecutionConfig(parallelism="shm",
-                                                 shm_segment_prefix="t-shm"))
+    executor = BisectionExecutor(ExecutionConfig(parallelism="shm"))
     # Run every task of the wave through the worker entry point, in process.
     monkeypatch.setattr(executor, "_map_processes",
                         lambda function, refs, labels: [function(ref) for ref in refs])
     try:
-        results = executor.solve_frontier(walk, wave, warm)
+        results = executor.solve_frontier(walk, wave)
         assert executor.stats.shm.attaches == 1
     finally:
         executor.end_walk()
         if shm._WORKER_WALK is not None:
             shm._WORKER_WALK[0].close()
-    assert seeded == warm
-    for (sides, lambdas), (want_sides, want_lambdas) in zip(results, expected):
+    assert len(results) == len(wave)
+    for sides, want_sides in zip(results, expected):
         np.testing.assert_array_equal(sides, want_sides)
-        assert lambdas == want_lambdas
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_task_ref_payload_is_tiny():
     import pickle
 
-    for warm_lambdas in (None, {0: 0.123456789, 1: -1.5e-3}):
-        ref = ShmTaskRef(segment="repro-shm-12345-6", start=10_000, stop=20_000,
-                         num_parts=8, first_part=8, depth=1, warm_lambdas=warm_lambdas)
-        assert len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)) < 200
+    ref = ShmTaskRef(segment="repro-shm-12345-6", start=10_000, stop=20_000,
+                     num_parts=8, first_part=8, depth=1)
+    assert len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)) < 200
 
 
 # --------------------------------------------------------------------- #
 # End-to-end: bit identity + stats + cleanliness
 # --------------------------------------------------------------------- #
 def test_shm_backend_bit_identical_with_stats(social_graph, social_weights):
-    config = GDConfig(iterations=15, seed=11,
-                      execution=ExecutionConfig(shm_segment_prefix="t-shm"))
+    config = GDConfig(iterations=15, seed=11)
     reference = recursive_bisection(social_graph, social_weights, 8, 0.05, config)
     with BisectionExecutor(config.execution.with_updates(parallelism="shm",
                                                          max_workers=2)) as executor:
@@ -226,7 +211,7 @@ def test_shm_backend_bit_identical_with_stats(social_graph, social_weights):
     assert stats.payload_bytes_per_task < 200
     assert stats.bytes_shared > social_graph.indices.nbytes + social_graph.edges.nbytes
 
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_one_segment_per_walk_unlinked_before_the_next(social_graph, social_weights,
@@ -239,12 +224,11 @@ def test_one_segment_per_walk_unlinked_before_the_next(social_graph, social_weig
     pack_walk = shm.pack_walk
 
     def recording_pack_walk(walk, **kwargs):
-        present_at_pack.append(_leftover_segments("t-shm"))
+        present_at_pack.append(_leftover_segments())
         return pack_walk(walk, **kwargs)
 
     monkeypatch.setattr(shm, "pack_walk", recording_pack_walk)
-    execution = ExecutionConfig(parallelism="shm", max_workers=2,
-                                shm_segment_prefix="t-shm")
+    execution = ExecutionConfig(parallelism="shm", max_workers=2)
     config = GDConfig(iterations=8, seed=2)
     reference = recursive_bisection(social_graph, social_weights, 8, 0.05, config)
     with BisectionExecutor(execution) as executor:
@@ -252,19 +236,18 @@ def test_one_segment_per_walk_unlinked_before_the_next(social_graph, social_weig
             partition = recursive_bisection(social_graph, social_weights, 8, 0.05,
                                             config, executor=executor)
             assert np.array_equal(partition.assignment, reference.assignment)
-            assert not _leftover_segments("t-shm")
+            assert not _leftover_segments()
         stats = executor.stats.shm
         assert stats.segments_created == 2
         assert stats.waves == 4
     assert present_at_pack == [[], []]
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_small_waves_fall_back_to_plain_dispatch(social_graph, social_weights):
     # k=3 splits 2:1, so every wave holds a single task: each runs in
     # process, results still match and no segment is ever created.
-    execution = ExecutionConfig(parallelism="shm", max_workers=2,
-                                shm_segment_prefix="t-shm")
+    execution = ExecutionConfig(parallelism="shm", max_workers=2)
     config = GDConfig(iterations=12, seed=5)
     reference = recursive_bisection(social_graph, social_weights, 3, 0.05, config)
     with BisectionExecutor(execution) as executor:
@@ -273,7 +256,7 @@ def test_small_waves_fall_back_to_plain_dispatch(social_graph, social_weights):
         assert executor.stats.shm.waves == 0
         assert executor._pool is None
     assert np.array_equal(partition.assignment, reference.assignment)
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 @settings(max_examples=6, deadline=None)
@@ -308,7 +291,7 @@ def test_worker_crash_rebuilds_pool_and_leaks_nothing(social_graph, social_weigh
     plan = FaultPlan(faults=(FaultSpec(site="executor.task", at=None,
                                        label="depth=2/part=2", kind="crash"),))
     execution = ExecutionConfig(parallelism="shm", max_workers=2,
-                                task_retries=3, shm_segment_prefix="t-shm")
+                                task_retries=3)
     with inject(plan):
         with BisectionExecutor(execution) as executor:
             partition = recursive_bisection(social_graph, social_weights, 8,
@@ -317,7 +300,7 @@ def test_worker_crash_rebuilds_pool_and_leaks_nothing(social_graph, social_weigh
             assert executor.stats.retries >= 1
             assert executor.stats.shm.waves >= 2
     assert np.array_equal(partition.assignment, reference.assignment)
-    assert not _leftover_segments("t-shm")
+    assert not _leftover_segments()
 
 
 def test_raising_wave_unlinks_its_segment(social_graph, social_weights):
@@ -329,7 +312,7 @@ def test_raising_wave_unlinks_its_segment(social_graph, social_weights):
                                        label="depth=1/part=0", attempt=None,
                                        kind="crash"),))
     execution = ExecutionConfig(parallelism="shm", max_workers=2,
-                                task_retries=1, shm_segment_prefix="t-shm")
+                                task_retries=1)
     config = GDConfig(iterations=10, seed=3)
     with inject(plan):
         with BisectionExecutor(execution) as executor:
@@ -338,8 +321,8 @@ def test_raising_wave_unlinks_its_segment(social_graph, social_weights):
                                     config, executor=executor)
             # The walk released its arena; the executor is still open.
             assert executor.stats.shm.segments_created == 1
-            assert not _leftover_segments("t-shm")
-    assert not _leftover_segments("t-shm")
+            assert not _leftover_segments()
+    assert not _leftover_segments()
 
 
 @pytest.mark.slow
