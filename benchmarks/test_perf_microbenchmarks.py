@@ -241,12 +241,43 @@ def _k8_frontier(iterations: int = 30) -> list[tuple]:
 
 
 def test_perf_frontier_serial_k8(benchmark):
-    """One 8-task frontier wave solved task by task — the serial backend's
-    per-task iteration loops, without the scheduler around them."""
+    """One 8-task frontier wave solved task by task, each a group of one
+    — the reference for the lock-step wave below."""
     tasks = _k8_frontier()
     benchmark.pedantic(lambda: [gd_bisect(subgraph, weights, 0.05, config)
                                 for subgraph, weights, config in tasks],
                        rounds=3, iterations=1, warmup_rounds=1)
+
+
+def _bench_wave(benchmark, graph, num_tasks: int, iterations: int, rounds: int) -> None:
+    """One wave of ``num_tasks`` bisections of contiguous id chunks of
+    ``graph``, through the serial executor's ``solve_frontier``: the
+    scheduler's path, which steps the wave as one lock-step group."""
+    from repro.core.checkpoint import TaskState
+    from repro.core.executor import BisectionExecutor
+    from repro.core.recursive import Walk
+
+    walk = Walk(graph=graph, weights=standard_weights(graph, 2), epsilon=0.05,
+                config=GDConfig(iterations=iterations, seed=0))
+    tasks = [TaskState(vertex_ids=ids, num_parts=2, first_part=index, depth=3)
+             for index, ids in enumerate(np.array_split(np.arange(graph.num_vertices),
+                                                        num_tasks))]
+    executor = BisectionExecutor()
+    benchmark.pedantic(lambda: executor.solve_frontier(walk, tasks),
+                       rounds=rounds, iterations=1, warmup_rounds=1)
+
+
+def test_perf_frontier_wave_k8(benchmark):
+    """The 8 tasks of test_perf_frontier_serial_k8 (the same seeds) as one
+    lock-step wave of the scheduler, extraction included."""
+    _bench_wave(benchmark, GRAPH, 8, iterations=30, rounds=3)
+
+
+def test_perf_frontier_wave_k32(benchmark):
+    """32 tasks of ~250 vertices of fb_like(80, 2) as one lock-step wave:
+    the shape of the deepest wave of a k = 64 solve, where per-task
+    iteration overhead dominates."""
+    _bench_wave(benchmark, fb_like(80, scale=2), 32, iterations=100, rounds=3)
 
 
 # --------------------------------------------------------------------- #

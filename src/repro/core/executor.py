@@ -6,10 +6,13 @@ disjoint vertex sets and are therefore fully independent.
 :class:`BisectionExecutor` is the small abstraction that runs one such
 frontier, on one of two backends chosen by
 :attr:`ExecutionConfig.parallelism`.  Both run the same task function,
-:func:`repro.core.recursive.solve_task`: ``"serial"`` in the coordinating
-process; ``"shm"`` on a process pool, sharing the whole walk zero-copy
-through one :mod:`multiprocessing.shared_memory` arena so that only task
-coordinates cross the pipe (see :mod:`repro.core.shm`).
+:func:`repro.core.recursive.solve_group`: ``"serial"`` in the
+coordinating process, on the whole wave at once as one lock-step group
+(one GD iteration body steps every task of the wave together); ``"shm"``
+on a process pool, one task — a group of one — per submission, sharing
+the whole walk zero-copy through one :mod:`multiprocessing.shared_memory`
+arena so that only task coordinates cross the pipe (see
+:mod:`repro.core.shm`).
 
 Two properties the scheduler relies on:
 
@@ -39,14 +42,16 @@ occurred.  Specifics per backend:
   A pool that breaks under ``submit`` (a worker died while tasks were
   being resubmitted) is handled the same way.
 * **serial / single-task waves** — run in the coordinating
-  process: exceptions are retried inline, but timeouts are not enforced
-  (we cannot interrupt our own thread).
+  process, a wave as one group: exceptions are retried inline, and a
+  failure retries the whole group, charged to the task that failed; but
+  timeouts are not enforced (we cannot interrupt our own thread).
 
 Each execution enters the fault-injection site ``"executor.task"`` with
 the task's label and its retry attempt
-(:func:`repro.faults.attempt_scope`), so seeded chaos plans can kill or
-hang one specific task of one specific wave and the default
-``attempt=0`` keying makes the retry succeed.
+(:func:`repro.faults.attempt_scope`) — once per task, also when a group
+runs its tasks together — so seeded chaos plans can kill or hang one
+specific task of one specific wave and the default ``attempt=0`` keying
+makes the retry succeed.
 
 Worker processes must be able to import :mod:`repro`; when the
 multiprocessing start method is ``spawn`` (the default on macOS/Windows) this
@@ -58,6 +63,7 @@ Internal module: not part of the stable public API (see ``repro.__all__``); its 
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -242,20 +248,29 @@ class BisectionExecutor:
             labels = [label if label is not None else f"#{index}"
                       for index, label in enumerate(labels)]
         if self.execution.parallelism == "serial" or len(tasks) <= 1:
-            return [self._run_inline(function, task, label)
+            return [self._run_inline(functools.partial(function, task), [label])
                     for task, label in zip(tasks, labels)]
         return self._map_processes(function, tasks, labels)
 
-    def _run_inline(self, function, task, label):
-        """Run one task in the coordinating process, with inline retries.
+    def _run_inline(self, run: Callable[[], _R], labels: Sequence[str]) -> _R:
+        """Run ``run()``, the work of the tasks named by ``labels``, in the
+        coordinating process, with inline retries.
 
-        Timeouts are not enforced here — we cannot interrupt our own
-        thread — so only raised exceptions are retried.
+        Every execution first enters the ``executor.task`` site once per
+        task, under the task's label and the execution's attempt.  A
+        failure retries the whole call and is charged to the task whose
+        site raised; a failure of ``run()`` itself is charged to the
+        first task.  Timeouts are not enforced here — we cannot interrupt
+        our own thread — so only raised exceptions are retried.
         """
         attempt = 0
         while True:
             try:
-                return _invoke(function, task, attempt, label)
+                with attempt_scope(attempt):
+                    for label in labels:
+                        fault_site("executor.task", label=label)
+                    label = labels[0]
+                    return run()
             except Exception as error:  # noqa: BLE001 — retry any task failure
                 self._note_failure(label, attempt, error)
                 attempt += 1
@@ -306,27 +321,33 @@ class BisectionExecutor:
     def solve_frontier(self, walk: Walk, tasks: Sequence[TaskState]) -> list[np.ndarray]:
         """Solve one wave of a walk of the recursion tree.
 
-        Every task runs :func:`~repro.core.recursive.solve_task` on
-        ``walk``.  On the shm backend a wave of two or more tasks runs on
-        the process pool: the walk is packed into one shared-memory arena
-        on its first such wave and only each task's coordinates cross the
-        pipe (:class:`~repro.core.shm.WalkArena`; the
-        retry/timeout/pool-rebuild machinery of :meth:`_map_processes`
-        applies unchanged).  A single task and the serial backend run in
-        process.  Either way one sides array per task comes back in task
-        order, bit-identical across backends (the deterministic-seeding
-        contract).  :meth:`end_walk` releases the arena.
+        Every task runs through :func:`~repro.core.recursive.solve_group`
+        on ``walk``.  The serial backend, and a wave of one task, run the
+        whole wave in process as one lock-step group (:meth:`_run_inline`:
+        each task still enters the ``executor.task`` fault site under its
+        own label, and a failure retries the group).  On the shm backend a
+        wave of two or more tasks runs on the process pool, one task — a
+        group of one — per submission: the walk is packed into one
+        shared-memory arena on its first such wave and only each task's
+        coordinates cross the pipe (:class:`~repro.core.shm.WalkArena`;
+        the retry/timeout/pool-rebuild machinery of :meth:`_map_processes`
+        applies unchanged).  Either way one sides array per task comes
+        back in task order, bit-identical across backends (the
+        deterministic-seeding contract).  :meth:`end_walk` releases the
+        arena.
         """
         # recursive.py imports this module, so the task function is bound late.
-        from .recursive import solve_task
+        from .recursive import solve_group
 
+        if not tasks:
+            return []
         labels = [f"depth={task.depth}/part={task.first_part}" for task in tasks]
         if self.execution.parallelism == "shm" and len(tasks) > 1:
             if self._arena is None or self._arena.walk is not walk:
                 self.end_walk()
                 self._arena = WalkArena(walk, self)
             return self._arena.solve_wave(self, tasks, labels)
-        return self.map(lambda task: solve_task(walk, task), tasks, labels=labels)
+        return self._run_inline(lambda: solve_group(walk, tasks), labels)
 
     def end_walk(self) -> None:
         """Unlink the current walk's shared-memory arena (no-op if none)."""

@@ -28,19 +28,38 @@ warm-starts each projection from the previous iterate's solution.
 
 Structure
 ---------
-:class:`BisectionStepper` owns one bisection's mutable state and advances
-it one iteration at a time; :func:`bisection_regions` and
-:func:`finalize_bisection` are its construction and finalization halves.
-:func:`gd_bisect` runs one bisection: build a stepper (cold, or started
-from given sides with some vertices fixed, as the incremental
-repartitioner's repair tasks are), step it ``config.iterations`` times,
-finalize.
+:class:`BisectionStepper` steps a *group* of bisections in lock step: the
+tasks of one recursion level (:mod:`repro.core.recursive`), or one
+bisection alone, a group of one.  The group lays its tasks out as
+segments of shared iterate buffers.  The elementwise work of an
+iteration runs once per group, on those buffers: the free-vertex gather
+and scatter, the noise mix-in, the sum ``z + γ·∇``, the clip to the
+cube, the step delta, the fixing mask and the snap.  What reduces over a
+task's values, or is scaled by a task's own scalar, runs per task on its
+contiguous slice: the gradient and the first step size, the product
+``γ·∇``, the projection, the realized step length, the fixing
+bookkeeping.  Each task keeps its own RNG stream, step
+controller, projection engine, free-vertex system and finalize.  Every
+entry is computed by the same operations on the same values as when its
+task is stepped alone (a reduction over a contiguous slice gives the bits
+it gives over a copy of the slice), so a task's output does not depend
+on the group it was stepped in.
+
+:func:`solve_bisections` runs a group for ``config.iterations`` steps
+and finalizes every task: the one GD loop.  :func:`gd_bisect` runs one
+bisection through it (cold, or started from given sides with some
+vertices fixed, as the incremental repartitioner's repair tasks are);
+:func:`bisection_regions` and :func:`finalize_bisection` are a task's
+construction and finalization halves.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -64,10 +83,12 @@ from .step import StepSizeController, target_step_length
 
 __all__ = [
     "IterationRecord",
+    "Bisection",
     "BisectionResult",
     "BisectionStepper",
     "bisection_regions",
     "finalize_bisection",
+    "solve_bisections",
     "gd_bisect",
     "GDPartitioner",
 ]
@@ -86,8 +107,31 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class Bisection:
+    """The inputs of one bisection, as :func:`gd_bisect` takes them.
+
+    A sequence of these is a group for :class:`BisectionStepper` and
+    :func:`solve_bisections`; the bisections of one group share their
+    ``config`` up to its ``seed``.
+    """
+
+    graph: Graph
+    weights: np.ndarray
+    epsilon: float = 0.05
+    config: GDConfig = field(default_factory=GDConfig)
+    target_fraction: float = 0.5
+    initial_x: np.ndarray | None = None
+    initial_fixed: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class BisectionResult:
-    """Outcome of one GD bisection run."""
+    """Outcome of one GD bisection run.
+
+    ``projection_stats`` counts the projections of the group the
+    bisection was stepped in: its own when stepped alone, as
+    :func:`gd_bisect` steps it.
+    """
 
     partition: Partition
     fractional: np.ndarray = field(repr=False)
@@ -151,9 +195,9 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
 
     ``movable`` restricts the greedy balance repair to a subset of
     vertices (see :func:`repro.core.rounding.balance_repair`):
-    :meth:`BisectionStepper.result` passes the vertices a warm start left
-    free, so the vertices it fixed provably keep their side.  ``None``
-    (every cold start) lets every vertex move.
+    :meth:`BisectionStepper.results` passes the vertices a warm start
+    left free, so the vertices it fixed provably keep their side.
+    ``None`` (every cold start) lets every vertex move.
     """
     if config.final_projection_rounds > 0:
         free = ~fixed
@@ -170,47 +214,32 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
     return sides
 
 
-class BisectionStepper:
-    """One GD bisection's state, advanced one iteration at a time.
+class _Task:
+    """One bisection of a group: its inputs, its own solver state, and
+    the views of the group's iterate buffers that hold its vertices
+    (``start:stop`` of :attr:`BisectionStepper.x`).
 
-    :func:`gd_bisect` drives a stepper for ``config.iterations`` steps and
-    calls :meth:`result`.  Every iteration runs noise → free-vertex
-    gradient → projection → fixing on the free-vertex system built at
-    construction (with nothing fixed, that system is the adjacency
-    itself).  Only the projection depends on the method, and every method
-    projects through :attr:`engine`, whose region narrows as vertices
-    fix.
-
-    Requires a non-empty graph (``gd_bisect`` short-circuits ``n == 0``).
-
-    Warm starts
-    -----------
-    ``initial_x`` / ``initial_fixed`` start the iterate (and the fixed
-    mask) from a given state instead of all-zeros — the incremental
-    repartitioner's repair passes start this way from the previous
-    assignment.  The step-length target is derived from the
-    *free* vertex count: the distance left to travel is ``O(√free)``,
-    not ``O(√n)``, and the final balance repair may flip only the
-    vertices that started free.
+    Validates the bisection and writes its warm start into the views.
+    The step target is derived from the *free* vertex count: the
+    distance left to travel is ``O(√free)``, not ``O(√n)``, and the
+    final balance repair may flip only the vertices that started free.
     """
 
-    def __init__(self, graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
-                 config: GDConfig | None = None, target_fraction: float = 0.5,
-                 *, initial_x: np.ndarray | None = None,
-                 initial_fixed: np.ndarray | None = None):
-        # Clock starts here so BisectionResult.elapsed_seconds counts
-        # construction (relaxation, regions, engine, free-vertex system).
-        self._start_time = time.perf_counter()
-        config = config if config is not None else GDConfig()
-        epsilon = validate_epsilon(epsilon)
+    def __init__(self, bisection: Bisection, start: int, x: np.ndarray,
+                 fixed: np.ndarray, backend: NumpyBackend, stats: ProjectionStats):
+        config = bisection.config
+        epsilon = validate_epsilon(bisection.epsilon)
+        graph = bisection.graph
         # One memory order for every caller: a column slice such as
         # ``weights[:, mapping]`` is Fortran-ordered, and row dot products
         # over it differ in the last bit from the C-ordered rows the shm
         # executor ships, which would break the executors' bit-identity.
-        weights = np.ascontiguousarray(validate_weights(graph, weights))
+        weights = np.ascontiguousarray(validate_weights(graph, bisection.weights))
+        target_fraction = bisection.target_fraction
         if not 0.0 < target_fraction < 1.0:
             raise ValueError("target_fraction must be strictly between 0 and 1")
-        if graph.num_vertices == 0:
+        n = graph.num_vertices
+        if n == 0:
             raise ValueError("BisectionStepper requires a non-empty graph")
 
         self.graph = graph
@@ -218,130 +247,262 @@ class BisectionStepper:
         self.epsilon = epsilon
         self.config = config
         self.target_fraction = target_fraction
-
-        n = graph.num_vertices
+        self.start, self.stop = start, start + n
         self.rng = np.random.default_rng(config.seed)
         self.history: list[IterationRecord] = []
         self.relaxation = QuadraticRelaxation(graph)
         self.region, self.final_region, self.center = bisection_regions(
             weights, epsilon, config, target_fraction)
-
         self.noise = NoiseSchedule(n, std=config.noise_std,
                                    every_iteration=config.noise_every_iteration,
                                    rng=self.rng)
 
-        if initial_x is not None:
-            initial_x = np.array(initial_x, dtype=np.float64)
+        if bisection.initial_x is not None:
+            initial_x = np.asarray(bisection.initial_x, dtype=np.float64)
             if initial_x.shape != (n,):
                 raise ValueError("initial_x must have one entry per vertex")
-            self.x = initial_x
-        else:
-            self.x = np.zeros(n)
-        if initial_fixed is not None:
-            initial_fixed = np.array(initial_fixed, dtype=bool)
+            x[:] = initial_x
+        if bisection.initial_fixed is not None:
+            initial_fixed = np.asarray(bisection.initial_fixed, dtype=bool)
             if initial_fixed.shape != (n,):
                 raise ValueError("initial_fixed must have one entry per vertex")
-            self.fixed = initial_fixed
-        else:
-            self.fixed = np.zeros(n, dtype=bool)
+            fixed[:] = initial_fixed
+        self.x = x
+        self.fixed = fixed
 
         # Only the vertices that start free may move in the final balance
         # repair (an all-free start needs no mask).
-        self._movable = ~self.fixed if self.fixed.any() else None
-        # Step target over the vertices that can still move: √n for a cold
-        # start, √free for a warm start.
-        free_count = int(n - self.fixed.sum())
+        self.movable = ~fixed if fixed.any() else None
+        free_count = int(n - fixed.sum())
         step_target = target_step_length(max(free_count, 1), config.iterations,
                                          config.step_length_factor)
         self.controller = StepSizeController(step_target, adaptive=config.adaptive_step)
+        # A warm start's engine is built on the region of its free
+        # vertices, not narrowed from the full region: the one-shot
+        # sweep's band centers then come from the restricted bounds.
+        free_region = (self.region.restrict(~fixed, x[fixed])
+                       if fixed.any() else self.region)
+        self.engine = ProjectionEngine(config.projection_method, free_region, stats)
+        self.system = FreeVertexSystem(self.relaxation.adjacency, fixed, x, backend)
 
-        self.fixing_start = int(config.fixing_start_fraction * config.iterations)
-        # One backend and one engine per stepper: kernels and projections
-        # carry per-run stats (and the engine its warm state, for this
-        # solve only); worker processes construct their own, so no state
-        # crosses the pickle boundary.  A warm start's engine is built on
-        # the region of its free vertices, not narrowed from the full
-        # region: the one-shot sweep's band centers then come from the
-        # restricted bounds.
+
+class BisectionStepper:
+    """A group of GD bisections, advanced in lock step one iteration at a
+    time.
+
+    Takes one bisection's inputs, as :func:`gd_bisect` does, or a
+    sequence of :class:`Bisection` records that share their config up to
+    its seed.  Every iteration runs noise → free-vertex gradient →
+    projection → fixing on each task that still has free vertices (a
+    converged task sits the iteration out and draws no noise).  The
+    group's iterate :attr:`x` and fixed mask :attr:`fixed` hold the tasks'
+    vertices back to back; :attr:`tasks` holds each task's own state.
+    Only the projection depends on the method, and every task projects
+    through its own engine, whose region narrows as its vertices fix.
+
+    A group of one answers for its task: ``stepper.engine``,
+    ``.system``, ``.relaxation``, ``.region``, ``.weights``, ... are the
+    task's, and :meth:`result` finalizes it.  :attr:`engine` exists for
+    every group, for the counters: a group's engines share one
+    :class:`~repro.core.projection.ProjectionStats`, as its tasks share
+    one kernel backend (:attr:`backend`), so both count the whole group.
+
+    Warm starts
+    -----------
+    ``initial_x`` / ``initial_fixed`` start a task's iterate (and fixed
+    mask) from a given state instead of all-zeros — the incremental
+    repartitioner's repair passes start this way from the previous
+    assignment.  Every task must have at least one vertex.
+    """
+
+    def __init__(self, graph: Graph | Sequence[Bisection], weights: np.ndarray | None = None,
+                 epsilon: float = 0.05, config: GDConfig | None = None,
+                 target_fraction: float = 0.5, *, initial_x: np.ndarray | None = None,
+                 initial_fixed: np.ndarray | None = None):
+        # Clock starts here so BisectionResult.elapsed_seconds counts
+        # construction (relaxation, regions, engine, free-vertex system).
+        self._start_time = time.perf_counter()
+        if isinstance(graph, Graph):
+            bisections = [Bisection(graph, weights, epsilon,
+                                    config if config is not None else GDConfig(),
+                                    target_fraction, initial_x, initial_fixed)]
+        else:
+            bisections = list(graph)
+        if not bisections:
+            raise ValueError("BisectionStepper needs at least one bisection")
+        shared = bisections[0].config
+        if any(replace(bisection.config, seed=shared.seed) != shared
+               for bisection in bisections[1:]):
+            raise ValueError("the bisections of a group must share their config "
+                             "up to its seed")
+
+        bounds = list(accumulate((bisection.graph.num_vertices for bisection in bisections),
+                                 initial=0))
+        self.x = np.zeros(bounds[-1])
+        self.fixed = np.zeros(bounds[-1], dtype=bool)
+        # One backend and one stats record per group: kernels and
+        # projections carry per-run counters (and each engine its warm
+        # state, for its own solve only); worker processes construct
+        # their own, so no state crosses the pickle boundary.
         self.backend = NumpyBackend()
-        free_region = (self.region.restrict(~self.fixed, self.x[self.fixed])
-                       if self.fixed.any() else self.region)
-        self.engine = ProjectionEngine(config.projection_method, free_region)
-        self.system = FreeVertexSystem(self.relaxation.adjacency, self.fixed, self.x,
-                                       self.backend)
+        stats = ProjectionStats()
+        self.tasks = [_Task(bisection, start, self.x[start:stop], self.fixed[start:stop],
+                            self.backend, stats)
+                      for bisection, start, stop in zip(bisections, bounds, bounds[1:])]
+        self._config = shared
+        self._fixing_start = int(shared.fixing_start_fraction * shared.iterations)
+        # The free vertices of every task, back to back in task order, as
+        # ids into the group buffers; task i's free coordinates are
+        # ``_free_bounds[i]:_free_bounds[i + 1]`` of every free-length
+        # buffer of an iteration.
+        self._free_ids = np.concatenate([task.start + task.system.free_ids
+                                         for task in self.tasks])
+        self._set_free_bounds(list(accumulate((task.system.num_free for task in self.tasks),
+                                              initial=0)))
+
+    def __getattr__(self, name: str):
+        # Only reached for names the group itself lacks: a group of one
+        # answers with its task's attribute.
+        tasks = self.__dict__.get("tasks", ())
+        if len(tasks) == 1 and not name.startswith("__"):
+            return getattr(tasks[0], name)
+        raise AttributeError(name)
+
+    @property
+    def engine(self) -> ProjectionEngine:
+        """The first task's projection engine; its stats count the group."""
+        return self.tasks[0].engine
 
     @property
     def converged(self) -> bool:
-        """Whether every vertex is fixed (the iterate can no longer move)."""
-        return bool(self.fixed.all())
+        """Whether every vertex is fixed (no iterate can move any more)."""
+        return self._free_ids.size == 0
 
-    def step(self, iteration: int) -> float:
-        """Run one noise/gradient/projection/fixing iteration on the free
-        vertices; returns the realized (post-projection) Euclidean step
-        length, 0 once every vertex is fixed."""
-        realized = 0.0 if self.converged else self._iterate(iteration)
-        if self.config.record_history:
-            self.history.append(_history_record(self.graph, self.weights,
-                                                self.relaxation, self.x, iteration,
-                                                realized, int(self.fixed.sum())))
-        return realized
+    def _set_free_bounds(self, bounds: list[int]) -> None:
+        self._free_bounds = bounds
+        self._live = [(index, task, start, stop)
+                      for index, (task, start, stop) in enumerate(zip(self.tasks, bounds,
+                                                                      bounds[1:]))
+                      if start < stop]
 
-    def _iterate(self, iteration: int) -> float:
-        config = self.config
+    def step(self, iteration: int) -> None:
+        """Run one noise/gradient/projection/fixing iteration on every
+        task's free vertices."""
+        realized = [0.0] * len(self.tasks)
+        if not self.converged:
+            self._iterate(iteration, realized)
+        if self._config.record_history:
+            for task, length in zip(self.tasks, realized):
+                task.history.append(_history_record(task.graph, task.weights, task.relaxation,
+                                                    task.x, iteration, length,
+                                                    int(task.fixed.sum())))
+
+    def _iterate(self, iteration: int, realized: list[float]) -> None:
+        config = self._config
         backend = self.backend
-        system = self.system
-        free_ids = system.free_ids
+        free_ids = self._free_ids
+        live = self._live
         x_free = backend.gather(self.x, free_ids)
 
-        if iteration == 0 or self.noise.every_iteration:
-            z = backend.mix_noise(x_free,
-                                  backend.gather(self.noise.sample(iteration), free_ids))
+        if iteration == 0 or config.noise_every_iteration:
+            noise = np.zeros(self.x.size)
+            for _, task, _, _ in live:
+                noise[task.start:task.stop] = task.noise.sample(iteration)
+            z = backend.mix_noise(x_free, backend.gather(noise, free_ids))
         else:
             # The schedule would return all-zeros (drawing nothing from
-            # the RNG); skip the O(n) allocation and the no-op add.
+            # the RNG); skip the allocation and the no-op add.
             z = x_free
-        gradient = system.gradient(z)
-        gamma = self.controller.step_size(gradient)
-        new_free = self.engine.project_step(z, gamma, gradient)
+        # The step z + γ·∇ (each task scales its own gradient), then each
+        # task's projection of its slice, then one clip to the cube.
+        new_free = np.empty(free_ids.size)
+        for _, task, start, stop in live:
+            gradient = task.system.gradient(z[start:stop])
+            np.multiply(task.controller.step_size(gradient), gradient,
+                        out=new_free[start:stop])
+        np.add(z, new_free, out=new_free)
+        for _, task, start, stop in live:
+            task.engine.project_in_place(new_free[start:stop])
+        np.clip(new_free, -1.0, 1.0, out=new_free)
 
-        realized = backend.step_norm(new_free, x_free)
-        self.controller.update(realized)
+        delta = new_free - x_free
+        for index, task, start, stop in live:
+            step = delta[start:stop]
+            realized[index] = length = math.sqrt(step @ step)
+            task.controller.update(length)
         backend.scatter(self.x, free_ids, new_free)
 
-        if config.vertex_fixing and iteration >= self.fixing_start:
+        if config.vertex_fixing and iteration >= self._fixing_start:
             newly_fixed = backend.fixing_mask(new_free, config.fixing_threshold)
             if newly_fixed.any():
-                snapped = backend.snap(backend.gather(new_free, newly_fixed))
-                dying_ids = backend.gather(free_ids, newly_fixed)
-                backend.scatter(self.x, dying_ids, snapped)
-                self.fixed[dying_ids] = True
-                system.fix(newly_fixed, snapped)
-                self.engine.narrow_restricted(~newly_fixed, snapped)
-        return realized
+                self._fix(new_free, newly_fixed)
+
+    def _fix(self, new_free: np.ndarray, newly_fixed: np.ndarray) -> None:
+        """Snap and freeze the newly fixed vertices: once in the group
+        buffers, then in each touched task's free-vertex system and
+        projection engine."""
+        backend = self.backend
+        positions = newly_fixed.nonzero()[0]
+        snapped = backend.snap(backend.gather(new_free, positions))
+        dying_ids = backend.gather(self._free_ids, positions)
+        backend.scatter(self.x, dying_ids, snapped)
+        self.fixed[dying_ids] = True
+        surviving = ~newly_fixed
+        # cuts[i]: how many newly fixed vertices precede task i's slice.
+        cuts = positions.searchsorted(self._free_bounds).tolist()
+        for index, task, start, stop in self._live:
+            first, last = cuts[index], cuts[index + 1]
+            if first < last:
+                values = snapped[first:last]
+                task.system.fix(newly_fixed[start:stop], values)
+                task.engine.narrow_restricted(surviving[start:stop], values)
+        self._free_ids = self._free_ids[surviving]
+        self._set_free_bounds([bound - cut for bound, cut in zip(self._free_bounds, cuts)])
+
+    def results(self) -> list[BisectionResult]:
+        """Finalize every task (clean-up projection, rounding, repair)."""
+        return [self._finalize(task) for task in self.tasks]
 
     def result(self) -> BisectionResult:
-        """Finalize the bisection (clean-up projection, rounding, repair)."""
-        config = self.config
-        sides = finalize_bisection(self.graph, self.weights, config, self.epsilon,
-                                   self.final_region, self.center, self.x,
-                                   self.fixed, self.rng, movable=self._movable)
-        partition = Partition.from_sides(self.graph, sides)
+        """Finalize the task of a group of one."""
+        if len(self.tasks) != 1:
+            raise ValueError("result() finalizes a group of one; use results()")
+        return self._finalize(self.tasks[0])
+
+    def _finalize(self, task: _Task) -> BisectionResult:
+        config = task.config
+        sides = finalize_bisection(task.graph, task.weights, config, task.epsilon,
+                                   task.final_region, task.center, task.x,
+                                   task.fixed, task.rng, movable=task.movable)
+        partition = Partition.from_sides(task.graph, sides)
 
         if config.record_history:
-            self.history.append(_history_record(self.graph, self.weights,
-                                                self.relaxation, sides,
+            task.history.append(_history_record(task.graph, task.weights,
+                                                task.relaxation, sides,
                                                 config.iterations, 0.0,
-                                                int(self.fixed.sum())))
+                                                int(task.fixed.sum())))
 
         return BisectionResult(
             partition=partition,
-            fractional=self.x,
-            history=self.history,
-            epsilon=self.epsilon,
+            fractional=task.x,
+            history=task.history,
+            epsilon=task.epsilon,
             config=config,
             elapsed_seconds=time.perf_counter() - self._start_time,
-            projection_stats=self.engine.stats,
+            projection_stats=task.engine.stats,
         )
+
+
+def solve_bisections(bisections: Sequence[Bisection]) -> list[BisectionResult]:
+    """Solve a group of bisections in lock step, one result per bisection.
+
+    Each result is bit-identical to solving its bisection alone with
+    :func:`gd_bisect`.  Every graph must be non-empty.
+    """
+    stepper = BisectionStepper(bisections)
+    for iteration in range(bisections[0].config.iterations):
+        stepper.step(iteration)
+    return stepper.results()
 
 
 def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
@@ -382,11 +543,9 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
                                epsilon=epsilon, config=config,
                                elapsed_seconds=time.perf_counter() - start_time)
 
-    stepper = BisectionStepper(graph, weights, epsilon, config, target_fraction,
-                               initial_x=initial_x, initial_fixed=initial_fixed)
-    for iteration in range(config.iterations):
-        stepper.step(iteration)
-    return stepper.result()
+    (result,) = solve_bisections([Bisection(graph, weights, epsilon, config, target_fraction,
+                                            initial_x, initial_fixed)])
+    return result
 
 
 class GDPartitioner:

@@ -3,8 +3,8 @@
 Outside the projection step (which :class:`~repro.core.projection.\
 ProjectionEngine` runs for every method), the per-iteration cost of the
 partitioner reduces to a small set of array kernels — the CSR mat-vec of
-the gradient, the noise mix-in, the realized step length, the free-vertex
-gather/scatter, and vertex fixing.  :class:`KernelBackend` names each of
+the gradient, the noise mix-in, the free-vertex gather/scatter, and
+vertex fixing.  :class:`KernelBackend` names each of
 them once, so the arithmetic of one kernel can change without touching
 the solver.
 
@@ -104,10 +104,6 @@ class KernelBackend(ABC):
     @abstractmethod
     def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Noise mix-in ``x + noise``."""
-
-    @abstractmethod
-    def step_norm(self, new: np.ndarray, old: np.ndarray) -> float:
-        """Realized step length ``||new - old||``."""
 
     # ------------------------------------------------------------------ #
     # Free-vertex gather/scatter

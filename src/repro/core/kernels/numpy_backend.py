@@ -30,11 +30,6 @@ class NumpyBackend(KernelBackend):
     def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return x + noise
 
-    @kernel
-    def step_norm(self, new: np.ndarray, old: np.ndarray) -> float:
-        delta = new - old
-        return float(np.sqrt(delta @ delta))
-
     # ------------------------------------------------------------------ #
     # Free-vertex gather/scatter
     # ------------------------------------------------------------------ #

@@ -57,18 +57,12 @@ class OneShotProjector:
         x = np.array(point, dtype=np.float64)
         if x.shape != self._scratch.shape:
             raise ValueError("point dimension does not match the feasible region")
-        return self._sweep(x)
+        self.sweep(x)
+        return np.clip(x, -1.0, 1.0, out=x)
 
-    def project_step(self, z: np.ndarray, gamma: float,
-                     gradient: np.ndarray) -> np.ndarray:
-        """Project the GD step ``z + gamma * gradient``: the step goes into
-        a fresh buffer, which the sweep then updates in place."""
-        y = np.empty(z.shape[0])
-        np.multiply(gamma, gradient, out=y)
-        np.add(z, y, out=y)
-        return self._sweep(y)
-
-    def _sweep(self, y: np.ndarray) -> np.ndarray:
+    def sweep(self, y: np.ndarray) -> None:
+        """Project ``y`` onto every band-center hyperplane in turn, in
+        place: the sweep short of its final clip to the cube."""
         scratch = self._scratch
         for j in range(self._weights.shape[0]):
             norm_squared = float(self._norms[j])
@@ -80,15 +74,14 @@ class OneShotProjector:
             coefficient = (float(row @ y) - float(self._centers[j])) / norm_squared
             np.multiply(coefficient, row, out=scratch)
             np.subtract(y, scratch, out=y)
-        np.clip(y, -1.0, 1.0, out=y)
-        return y
 
     def narrow(self, surviving: np.ndarray, fixed_values: np.ndarray) -> None:
         """Drop the columns outside ``surviving``, now fixed at
         ``fixed_values``: their constant contribution shifts the band
         centers, as :meth:`FeasibleRegion.restrict` shifts the bounds."""
         self._centers = self._centers - self._weights[:, ~surviving] @ fixed_values
-        self._weights = np.ascontiguousarray(self._weights[:, surviving])
+        # compress along the columns gives the C-ordered copy directly.
+        self._weights = self._weights.compress(surviving, axis=1)
         self._norms = _row_norms(self._weights)
         self._scratch = np.empty(self._weights.shape[1])
 

@@ -15,9 +15,11 @@ takes through a bisection.  It holds
   multipliers, or Dykstra's correction (dual) vectors.
 
 :meth:`ProjectionEngine.project_step` projects one GD step
-``z + γ·gradient``.  The default one-shot sweep
-(:class:`~repro.core.projection.alternating.OneShotProjector`) folds the
-step into its in-place sweep; every other method projects the stepped
+``z + γ·gradient``; :meth:`ProjectionEngine.project_in_place` projects a
+step the caller formed, up to the clip to the cube (a lock-step group of
+bisections forms and clips all its tasks' steps at once).  The default
+one-shot sweep (:class:`~repro.core.projection.alternating.OneShotProjector`)
+updates the step in place; every other method projects the stepped
 point.  Because consecutive GD iterates are close, the KKT sign pattern is
 stable between calls and most warm-started exact projections resolve in a
 single O(n) pass (:mod:`~repro.core.projection.warmstart`) instead of an
@@ -28,11 +30,11 @@ and the warm state carries over.
 
 Each bisection task constructs its own engine, and its warm state lives
 and dies with that one solve: nothing is exported to, or seeded from,
-another solve.  The engine is a plain picklable object, but it is
+another solve (the engines of a lock-step group share only their
+:class:`ProjectionStats`).  The engine is a plain picklable object, but it is
 deliberately *not* shipped across the
 :class:`~repro.core.executor.BisectionExecutor` process boundary: each
-worker runs ``gd_bisect`` on its own subproblem and therefore builds its
-own engine locally.
+worker steps its own tasks and therefore builds their engines locally.
 
 Warm starts never change the mathematical result — wrong warm guesses are
 detected and corrected by the same KKT rules as cold starts.  A fresh
@@ -113,11 +115,16 @@ class ProjectionEngine:
         ``"dykstra"`` (same names as :func:`make_projector`).
     region:
         The feasible region of the bisection's free vertices.
+    stats:
+        The counters to add to; a fresh record by default.  The engines
+        of a lock-step group share one (see
+        :class:`~repro.core.gd.BisectionStepper`).
     """
 
-    def __init__(self, method: str, region: FeasibleRegion):
+    def __init__(self, method: str, region: FeasibleRegion,
+                 stats: ProjectionStats | None = None):
         self._method = method
-        self._stats = ProjectionStats()
+        self._stats = stats if stats is not None else ProjectionStats()
         self._projector = make_projector(method, region)
         self._warm_lambdas: dict[int, float] | None = None
         self._corrections: list[np.ndarray] | None = None
@@ -130,12 +137,27 @@ class ProjectionEngine:
     def project_step(self, z: np.ndarray, gamma: float,
                      gradient: np.ndarray) -> np.ndarray:
         """Project the GD step ``z + gamma * gradient`` onto the current
-        region: the projection of one iteration, for every method."""
+        region: the projection of one iteration, for every method.  The
+        step goes into a fresh buffer, which :meth:`project_in_place`
+        and the box clip then update in place."""
+        y = np.empty(z.shape[0])
+        np.multiply(gamma, gradient, out=y)
+        np.add(z, y, out=y)
+        self.project_in_place(y)
+        return np.clip(y, -1.0, 1.0, out=y)
+
+    def project_in_place(self, y: np.ndarray) -> None:
+        """Project the GD step ``y`` onto the current region in place, up
+        to the clip to the cube, which the caller applies: a lock-step
+        group clips all of its tasks' steps at once.  The one-shot sweep
+        leaves the clip out; every other method's projection lies in the
+        cube already, so the clip leaves it unchanged."""
         projector = self._projector
         if isinstance(projector, OneShotProjector):
             self._stats.calls += 1
-            return projector.project_step(z, gamma, gradient)
-        return self.project(z + gamma * gradient)
+            projector.sweep(y)
+        else:
+            y[:] = self.project(y)
 
     def project(self, point: np.ndarray) -> np.ndarray:
         """Project onto the current region, warm-starting from the last call."""

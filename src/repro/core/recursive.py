@@ -19,15 +19,19 @@ tasks in a wave touch disjoint, sorted vertex sets.  :func:`walk_tree`
 hands each wave, with one :class:`Walk` record of what every task reads
 (input graph, weights, per-level ε, config), to
 :meth:`~repro.core.executor.BisectionExecutor.solve_frontier`, and every
-task runs :func:`solve_task`: it extracts the node's induced subgraph
-(:meth:`Graph.subgraphs`, a row filter of the input graph's CSR; the
-root task's is the input graph itself, uncopied), bisects it and hands
-back only the node's sides, from which the next wave's tasks are cut.
-The task runs serially in process, or on a process pool that shares the
-whole walk zero-copy through one shared-memory arena
+task runs through :func:`solve_group`: it extracts the nodes' induced
+subgraphs (one :meth:`Graph.subgraphs` call, a row filter of the input
+graph's CSR; the root task's is the input graph itself, uncopied),
+bisects them in lock step — one GD iteration body steps every task of
+the group together (:class:`~repro.core.gd.BisectionStepper`) — and
+hands back only each node's sides, from which the next wave's tasks are
+cut.  The serial backend runs a whole wave as one group in process; the
+``shm`` backend runs each task as a group of one on a process pool that
+shares the whole walk zero-copy through one shared-memory arena
 (``parallelism="shm"``; see :mod:`repro.core.shm`), as
 :attr:`GDConfig.execution` (an :class:`~repro.core.ExecutionConfig`) or
-a caller-owned executor says.
+a caller-owned executor says.  A task's bits do not depend on the group
+it was stepped in.
 
 The same walk serves the incremental repartitioner
 (:mod:`repro.dynamic.repartition`): given a mask of released vertices it
@@ -35,11 +39,12 @@ warm-starts every task from the current assignment's sides with the
 other vertices fixed, and skips the subtrees that hold no released
 vertex.  A full solve is the walk with nothing fixed.
 
-Each task's ``gd_bisect`` call constructs its own
+Each task constructs its own
 :class:`~repro.core.projection.ProjectionEngine` for its subproblem's
 feasible region, so the projection's warm-start state lives only as long
 as that one solve — a task hands back its sides and nothing else — and
-the engine's results are independent of the execution backend.
+the engine's results are independent of the execution backend and of
+the task's group.
 
 Deterministic-seeding contract
 ------------------------------
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,7 +74,7 @@ from ..partition.validation import validate_epsilon, validate_num_parts, validat
 from .checkpoint import FrontierCheckpoint, TaskState
 from .config import GDConfig
 from .executor import BisectionExecutor, task_seed
-from .gd import gd_bisect
+from .gd import Bisection, solve_bisections
 
 __all__ = ["per_level_epsilon", "recursive_bisection"]
 
@@ -109,30 +114,36 @@ class Walk:
     free: np.ndarray | None = None
 
 
-def solve_task(walk: Walk, task: TaskState) -> np.ndarray:
-    """Bisect one node of the recursion tree.
+def solve_group(walk: Walk, tasks: Sequence[TaskState]) -> list[np.ndarray]:
+    """Bisect nodes of the recursion tree in lock step.
 
-    Extracts the node's induced subgraph, seeds the solve by the node's
-    coordinate (the deterministic-seeding contract), warm-starts a
-    repair's node from the walk's labels with the vertices outside
-    ``walk.free`` fixed, and runs :func:`gd_bisect`.  Returns the sides
-    of ``task.vertex_ids`` (sorted, as every task of a walk is).  The one
-    task function of both execution backends: it runs in process and in
-    the ``shm`` workers.
+    Extracts the nodes' induced subgraphs (one :meth:`Graph.subgraphs`
+    call), seeds each solve by its node's coordinate (the
+    deterministic-seeding contract), warm-starts a repair's nodes from
+    the walk's labels with the vertices outside ``walk.free`` fixed, and
+    steps them as one group (:func:`~repro.core.gd.solve_bisections`).
+    Returns the sides of each ``task.vertex_ids`` (sorted, as every task
+    of a walk is), in task order; each is bit-identical to the sides the
+    node gets when bisected alone.  The one task function of both
+    execution backends: the serial backend runs a whole wave through it
+    in process, and an ``shm`` worker runs one task.
     """
-    ((subgraph, mapping),) = walk.graph.subgraphs([task.vertex_ids])
-    left_parts = (task.num_parts + 1) // 2
-    warm_start = {}
-    if walk.free is not None:
-        warm_start = {
-            "initial_x": np.where(walk.assignment[mapping] < task.first_part + left_parts,
-                                  1.0, -1.0),
-            "initial_fixed": ~walk.free[mapping]}
-    config = walk.config.with_updates(
-        seed=task_seed(walk.config.seed, task.depth, task.first_part))
-    result = gd_bisect(subgraph, walk.weights[:, mapping], walk.epsilon, config,
-                       target_fraction=left_parts / task.num_parts, **warm_start)
-    return result.partition.assignment
+    extracted = walk.graph.subgraphs([task.vertex_ids for task in tasks])
+    bisections = []
+    for task, (subgraph, mapping) in zip(tasks, extracted):
+        left_parts = (task.num_parts + 1) // 2
+        warm_start = {}
+        if walk.free is not None:
+            warm_start = {
+                "initial_x": np.where(walk.assignment[mapping] < task.first_part + left_parts,
+                                      1.0, -1.0),
+                "initial_fixed": ~walk.free[mapping]}
+        config = walk.config.with_updates(
+            seed=task_seed(walk.config.seed, task.depth, task.first_part))
+        bisections.append(Bisection(subgraph, walk.weights[:, mapping], walk.epsilon, config,
+                                    target_fraction=left_parts / task.num_parts,
+                                    **warm_start))
+    return [result.partition.assignment for result in solve_bisections(bisections)]
 
 
 def _expand(task: TaskState, sides: np.ndarray) -> Iterable[TaskState]:
@@ -153,7 +164,7 @@ def walk_tree(graph: Graph, weights: np.ndarray, assignment: np.ndarray,
 
     Leaves write their part into ``assignment``; empty tasks are skipped.
     Each wave's tasks go to ``executor.solve_frontier`` with one
-    :class:`Walk` record, and every task runs :func:`solve_task`.
+    :class:`Walk` record, and every task runs through :func:`solve_group`.
 
     ``free`` turns the solve into a repair: each task starts from
     ``assignment``'s current sides with the vertices outside ``free``

@@ -21,10 +21,10 @@ task is a :class:`ShmTaskRef` (segment name, id range and tree
 coordinate) and, back, a completion token that is one flag: whether the
 worker attached the segment for this task.  Workers attach the segment
 once per walk, rebuild the walk on read-only views into it, run
-:func:`~repro.core.recursive.solve_task` (the task function the serial
-backend runs in process) and write each task's sides into the output
-buffer at the task's own vertex ids; the sides are all a task hands
-back.
+:func:`~repro.core.recursive.solve_group` (the task function the serial
+backend runs a whole wave through in process) on one task at a time —
+a group of one — and write each task's sides into the output buffer at
+the task's own vertex ids; the sides are all a task hands back.
 
 Determinism: the worker runs the same task function on the same bits
 (the arena's weight matrix is C-contiguous, the layout the stepper gives
@@ -351,19 +351,20 @@ def _run_walk_task(ref: ShmTaskRef) -> bool:
     """Worker entry point: solve one task of the walk in place.
 
     Rebuilds the task from its id range and coordinate, runs
-    :func:`~repro.core.recursive.solve_task` on the attached walk and
-    writes the sides into the shared output buffer at the task's vertex
-    ids.  Returns the completion token: whether this call attached the
-    segment.  Idempotent: a retried task (pool rebuild, injected crash)
-    recomputes the same deterministic values and overwrites its own
-    slots.
+    :func:`~repro.core.recursive.solve_group` on the attached walk with
+    this one task (a group of one) and writes the sides into the shared
+    output buffer at the task's vertex ids.  Returns the completion
+    token: whether this call attached the segment.  Idempotent: a
+    retried task (pool rebuild, injected crash) recomputes the same
+    deterministic values and overwrites its own slots.
     """
-    from .recursive import solve_task
+    from .recursive import solve_group
 
     arena, walk, attached = _attach_walk(ref.segment)
     task = TaskState(vertex_ids=_readonly(arena.array("vertex_ids")[ref.start:ref.stop]),
                      num_parts=ref.num_parts, first_part=ref.first_part, depth=ref.depth)
-    arena.array("out")[task.vertex_ids] = solve_task(walk, task)
+    (sides,) = solve_group(walk, [task])
+    arena.array("out")[task.vertex_ids] = sides
     return attached
 
 

@@ -80,6 +80,7 @@ class StepSizeController:
             # Projection absorbed the whole step; push harder next time.
             self._gamma *= self._MAX_CORRECTION
             return
-        correction = self._target / realized_length
-        correction = float(np.clip(correction, self._MIN_CORRECTION, self._MAX_CORRECTION))
+        # min/max clamp a float as np.clip does, without its per-call cost.
+        correction = min(max(self._target / realized_length, self._MIN_CORRECTION),
+                         self._MAX_CORRECTION)
         self._gamma *= correction

@@ -30,7 +30,8 @@ full recursive GD after every update batch costs
    full solve is the quality anchor.
 
 Repair waves are the one-shot scheduler's waves: the same task record,
-task function (:func:`~repro.core.recursive.solve_task`) and
+task function (:func:`~repro.core.recursive.solve_group`; a serial
+repair wave steps its tasks in lock step) and
 :class:`~repro.core.executor.BisectionExecutor` path (on ``shm``, one
 shared-memory arena per repair walk that also carries the starting
 assignment and the free mask), with per-task seeds keyed by the node's

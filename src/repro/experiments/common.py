@@ -16,8 +16,6 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..baselines import (
     BalancedLabelPropagation,
     HashPartitioner,
@@ -42,9 +40,6 @@ __all__ = [
     "PARTITIONING_MODES",
     "public_graph",
     "hash_placement",
-    "as_gigabytes",
-    "normalized_rows",
-    "seeded_rng",
 ]
 
 #: Default generator scale used by the benchmarks; 1.0 keeps every
@@ -136,17 +131,3 @@ def hash_placement(graph: Graph, num_parts: int, seed: int = 0) -> Partition:
     weights = unit_weights(graph)[None, :]
     return HashPartitioner(salt=seed).partition(graph, weights, num_parts)
 
-
-def as_gigabytes(message_bytes: float) -> float:
-    """Convert simulated bytes to GB for Table 2 style reporting."""
-    return message_bytes / 1e9
-
-
-def normalized_rows(rows: list[dict], keys: list[str]) -> list[list]:
-    """Project row dictionaries onto an ordered list of columns."""
-    return [[row[key] for key in keys] for row in rows]
-
-
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Tiny helper so experiments share one RNG construction idiom."""
-    return np.random.default_rng(seed)

@@ -239,6 +239,28 @@ def test_inline_backends_do_not_enforce_timeouts():
         assert executor.stats.timeouts == 0
 
 
+def test_serial_wave_retries_its_group_bit_identically(social_graph, social_weights):
+    """A serial wave runs as one lock-step group, but every task still
+    enters the ``executor.task`` site under its own label: a failure of
+    one task retries the group, and the retry replays the same bits; a
+    permanent failure names the task that failed."""
+    config = GDConfig(iterations=20, seed=4)
+    reference = recursive_bisection(social_graph, social_weights, 4, 0.05, config)
+    with inject(_fault_at("depth=1/part=2")) as registry:
+        with BisectionExecutor(ExecutionConfig(task_retries=1)) as executor:
+            retried = recursive_bisection(social_graph, social_weights, 4, 0.05, config,
+                                          executor=executor)
+        assert executor.stats.retries == 1
+        fired = [(fault.label, fault.attempt) for fault in registry.fired]
+        assert fired == [("depth=1/part=2", 0)]
+    np.testing.assert_array_equal(retried.assignment, reference.assignment)
+    with inject(_fault_at("depth=1/part=2", attempt=None, message="boom")):
+        with pytest.raises(ExecutorTaskError,
+                           match=r"task depth=1/part=2 failed after 2 attempt\(s\): boom"):
+            recursive_bisection(social_graph, social_weights, 4, 0.05,
+                                config.with_updates(execution=ExecutionConfig(task_retries=1)))
+
+
 # --------------------------------------------------------------------- #
 # Deterministic per-task seeding
 # --------------------------------------------------------------------- #

@@ -30,9 +30,9 @@ from repro.graphs import load_dataset, standard_weights
 from repro.partition import edge_locality, imbalance
 
 #: The GD iteration's two step paths, with the projection methods that
-#: take each: the one-shot sweep fuses the gradient step into its
-#: in-place pass (``OneShotProjector.project_step``); every other method
-#: projects the composed step ``z + γ·g`` with its projector.
+#: take each: the one-shot sweep updates the step ``z + γ·g`` in place
+#: (``OneShotProjector.sweep``); every other method projects the step
+#: with its projector.
 KERNEL_PATHS = {"fused": ("alternating_oneshot",),
                 "numpy": ("exact", "alternating", "dykstra")}
 
@@ -123,6 +123,34 @@ class TestFusedAgreement:
         assert np.array_equal(rows, r0)
 
 
+class TestSliceViewArithmetic:
+    """The reductions a lock-step group runs on one task's contiguous
+    slice of a shared buffer give the bits they give on a fresh copy of
+    that slice.  The group stepper's bit-identity with stepping each task
+    alone rests on this; a numpy or BLAS that breaks it fails here first."""
+
+    def test_reductions_on_segment_views_match_copies(self):
+        rng = np.random.default_rng(0)
+        for case in range(3000):
+            d = 1 + case % 3
+            total = int(rng.integers(1, 400))
+            start = int(rng.integers(0, total))
+            stop = int(rng.integers(start + 1, total + 1))
+            buffer = np.ascontiguousarray(rng.standard_normal((d, total)))
+            line = rng.standard_normal(total)
+            view, segment = buffer[:, start:stop], line[start:stop]
+            copy, fresh = np.ascontiguousarray(view), segment.copy()
+            scale = rng.standard_normal(stop - start)
+            where = f"case {case}: d={d}, segment {start}:{stop} of {total}"
+            assert np.dot(segment, segment) == np.dot(fresh, fresh), where
+            assert np.dot(view[0], segment) == np.dot(copy[0], fresh), where
+            assert np.linalg.norm(segment) == np.linalg.norm(fresh), where
+            assert np.array_equal(np.einsum("ij,ij->i", view, view),
+                                  np.einsum("ij,ij->i", copy, copy)), where
+            assert np.array_equal(view @ scale, copy @ scale), where
+            assert np.array_equal(copy @ segment, copy @ fresh), where
+
+
 ALL_BACKENDS = [NumpyBackend]
 
 
@@ -140,11 +168,6 @@ class TestPrimitiveKernels:
         assert np.array_equal(ProjectionEngine("exact", wide).project_step(y, 0.7, x),
                               y + 0.7 * x)
         assert np.array_equal(backend.mix_noise(x, noise), x + noise)
-
-    def test_reductions(self, backend_cls, rng):
-        backend = backend_cls()
-        v, w = rng.standard_normal(9), rng.random(9)
-        assert backend.step_norm(v, w) == float(np.linalg.norm(v - w))
 
     def test_gather_scatter_fixing(self, backend_cls, rng):
         backend = backend_cls()
@@ -167,7 +190,6 @@ class TestPrimitiveKernels:
         backend = backend_cls()
         empty = np.empty(0)
         assert backend.mix_noise(empty, empty).size == 0
-        assert backend.step_norm(empty, empty) == 0.0
         region = FeasibleRegion(weights=np.empty((2, 0)), lower=np.zeros(2),
                                 upper=np.zeros(2))
         for method in PROJECTION_METHODS:
@@ -199,14 +221,14 @@ class TestKernelStats:
 
     def test_instances_have_fresh_stats(self):
         first, second = NumpyBackend(), NumpyBackend()
-        first.step_norm(np.ones(3), np.zeros(3))
+        first.mix_noise(np.ones(3), np.zeros(3))
         assert second.stats.counters == {}
 
     def test_kernel_decorator_times_calls(self):
         backend = NumpyBackend()
-        backend.step_norm(np.ones(4), np.zeros(4))
-        backend.step_norm(np.ones(4), np.zeros(4))
-        calls, ns = backend.stats.counters["step_norm"]
+        backend.mix_noise(np.ones(4), np.zeros(4))
+        backend.mix_noise(np.ones(4), np.zeros(4))
+        calls, ns = backend.stats.counters["mix_noise"]
         assert calls == 2
         assert ns > 0
 

@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reference_gd import reference_recursive_bisection
-from repro.core import GDConfig, gd_multiway, project_rows_to_simplex, recursive_bisection
+from repro.core import (
+    PROJECTION_METHODS,
+    GDConfig,
+    gd_multiway,
+    project_rows_to_simplex,
+    recursive_bisection,
+)
+from repro.core.gd import Bisection, solve_bisections
 from repro.graphs import fb_like, ring_of_cliques, standard_weights
 from repro.graphs.generators import power_law_cluster_graph
 from repro.partition import edge_locality, max_imbalance
@@ -67,11 +75,12 @@ _ORACLE_GRAPHS = {"fb_like": lambda: fb_like(80, scale=0.25),
                   "power_law": lambda: power_law_cluster_graph(300, 6, 8.0, seed=2)}
 
 
-def _assert_matches_plain_recursion(graph_name, num_parts, dimensions):
+def _assert_matches_plain_recursion(graph_name, num_parts, dimensions,
+                                    method="alternating_oneshot"):
     graph = _ORACLE_GRAPHS[graph_name]()
     weights = standard_weights(graph, dimensions)
     for seed in range(3):
-        config = _config(iterations=30, seed=seed)
+        config = _config(iterations=30, seed=seed, projection_method=method)
         expected = reference_recursive_bisection(graph, weights, num_parts, 0.05, config)
         partition = recursive_bisection(graph, weights, num_parts, 0.05, config)
         np.testing.assert_array_equal(partition.assignment, expected,
@@ -92,6 +101,60 @@ def test_wave_scheduler_matches_plain_recursion_d3(graph_name, num_parts):
     """The same oracle on ``standard_weights(graph, 3)`` (unit, degree
     and neighbour-degree sum): every bisection balances three rows."""
     _assert_matches_plain_recursion(graph_name, num_parts, 3)
+
+
+@pytest.mark.parametrize("method", ["exact", "alternating", "dykstra"])
+@pytest.mark.parametrize("num_parts", [3, 8])
+def test_wave_scheduler_matches_plain_recursion_other_methods(method, num_parts):
+    """The oracle for the projection methods besides the default sweep:
+    each task of a lock-step wave projects its own slice through its own
+    engine, and the assignment is per-node ``gd_bisect``'s."""
+    _assert_matches_plain_recursion("fb_like", num_parts, 2, method)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), num_vertices=st.integers(40, 160),
+       num_tasks=st.integers(2, 6), dimensions=st.integers(1, 3),
+       method=st.sampled_from(PROJECTION_METHODS), warm=st.booleans(),
+       fixing_start=st.sampled_from([0.0, 0.25]), noisy=st.booleans())
+def test_lockstep_bits_do_not_depend_on_the_grouping(seed, num_vertices, num_tasks,
+                                                     dimensions, method, warm,
+                                                     fixing_start, noisy):
+    """A wave of bisections stepped as one lock-step group, one by one,
+    or as two groups gives every task the same bits: the same fractional
+    iterate and the same sides.  Warm starts fix a random share of each
+    task's vertices at their sides, as a repair walk does."""
+    rng = np.random.default_rng(seed)
+    graph = power_law_cluster_graph(num_vertices, 4, 6.0, seed=seed)
+    weights = standard_weights(graph, dimensions)
+    owner = rng.integers(0, num_tasks, graph.num_vertices)
+    vertex_sets = [np.flatnonzero(owner == task) for task in range(num_tasks)]
+    vertex_sets = [ids for ids in vertex_sets if ids.size]
+    assume(len(vertex_sets) >= 2)
+    bisections = []
+    for index, (subgraph, mapping) in enumerate(graph.subgraphs(vertex_sets)):
+        num_parts = int(rng.integers(2, 6))
+        config = GDConfig(iterations=20, seed=seed + index, projection_method=method,
+                          fixing_start_fraction=fixing_start,
+                          noise_every_iteration=noisy)
+        warm_start = {}
+        if warm:
+            warm_start = {"initial_x": np.where(rng.random(mapping.size) < 0.5, 1.0, -1.0),
+                          "initial_fixed": rng.random(mapping.size) < 0.5}
+        bisections.append(Bisection(subgraph, weights[:, mapping], 0.05, config,
+                                    ((num_parts + 1) // 2) / num_parts, **warm_start))
+    alone = [result for bisection in bisections for result in solve_bisections([bisection])]
+    cut = len(bisections) // 2
+    groupings = {"one group": solve_bisections(bisections),
+                 "two groups": (solve_bisections(bisections[:cut])
+                                + solve_bisections(bisections[cut:]))}
+    for name, results in groupings.items():
+        for index, (result, expected) in enumerate(zip(results, alone)):
+            where = f"{name}, task {index}"
+            np.testing.assert_array_equal(result.fractional, expected.fractional,
+                                          err_msg=where)
+            np.testing.assert_array_equal(result.partition.assignment,
+                                          expected.partition.assignment, err_msg=where)
 
 
 class TestSimplexProjection:

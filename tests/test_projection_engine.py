@@ -273,12 +273,12 @@ class TestFallbackAccounting:
 def _project_cold(engine: ProjectionEngine) -> None:
     """Make ``engine`` project every step with a copy of its current
     projector and no warm state: the cold reference.  The copy's plain
-    ``project`` of the composed step also stands in for the one-shot
-    sweep's fused in-place pass."""
-    def project_step(z, gamma, gradient):
+    ``project`` of the step also stands in for the one-shot sweep's
+    in-place pass."""
+    def project_in_place(y):
         engine.stats.calls += 1
-        return copy.deepcopy(engine._projector).project(z + gamma * gradient)
-    engine.project_step = project_step
+        y[:] = copy.deepcopy(engine._projector).project(y)
+    engine.project_in_place = project_in_place
 
 
 class TestGDDeterminism:
@@ -319,7 +319,7 @@ class TestOneProjectionPath:
     @pytest.mark.parametrize("method", PROJECTION_METHODS)
     def test_one_project_step_per_iteration(self, method, monkeypatch, social_graph,
                                             social_weights):
-        counts = {"iterate": 0, "project_step": 0}
+        counts = {"iterate": 0, "project_in_place": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -330,10 +330,10 @@ class TestOneProjectionPath:
             monkeypatch.setattr(owner, name, spy)
 
         counted(BisectionStepper, "_iterate")
-        counted(ProjectionEngine, "project_step")
+        counted(ProjectionEngine, "project_in_place")
         config = GDConfig(iterations=20, seed=2, projection_method=method)
         result = gd_bisect(social_graph, social_weights, 0.05, config)
-        assert counts["project_step"] == counts["iterate"] == result.projection_stats.calls
+        assert counts["project_in_place"] == counts["iterate"] == result.projection_stats.calls
         assert counts["iterate"] > 0
         # Vertices fixed along the way, so the region was narrowed.
         assert result.projection_stats.region_rebuilds > 0
@@ -354,19 +354,18 @@ class TestOneProjectionPath:
                                    GDConfig(iterations=10, seed=0),
                                    initial_x=initial_x, initial_fixed=initial_fixed)
         steps = []
-        project_step = stepper.engine.project_step
+        project_in_place = stepper.engine.project_in_place
 
-        def spy(z, gamma, gradient):
-            out = project_step(z, gamma, gradient)
-            steps.append((z.copy(), gamma, gradient.copy(), out.copy()))
-            return out
-        stepper.engine.project_step = spy
+        def spy(y):
+            point = y.copy()
+            project_in_place(y)
+            steps.append((point, np.clip(y, -1.0, 1.0)))
+        stepper.engine.project_in_place = spy
         stepper.step(0)
 
-        z, gamma, gradient, out = steps[0]
+        point, out = steps[0]
         free_region = stepper.region.restrict(~initial_fixed, initial_x[initial_fixed])
-        assert np.array_equal(out, OneShotProjector(free_region).project_step(z, gamma,
-                                                                              gradient))
+        assert np.array_equal(out, OneShotProjector(free_region).project(point))
         # The data tells the two apart: shifting the full region's centers
         # gives other bits here.
         shifted = (stepper.region.centers

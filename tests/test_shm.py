@@ -35,7 +35,7 @@ from repro.core import (
     TaskState,
     recursive_bisection,
 )
-from repro.core.recursive import Walk, solve_task
+from repro.core.recursive import Walk, solve_group
 from repro.core.shm import (
     ShmTaskRef,
     _OWNED,
@@ -148,17 +148,18 @@ def test_pack_walk_round_trips_the_walk(social_graph, social_weights):
     assert not _leftover_segments()
 
 
-def test_worker_entry_matches_solve_task_in_process(social_graph, social_weights,
-                                                    monkeypatch):
+def test_worker_entry_matches_solve_group_in_process(social_graph, social_weights,
+                                                     monkeypatch):
     """The worker entry point, run in process on a packed repair walk,
-    gives exactly the sides solve_task returns, for every task of a wave
-    whose tasks are partly frozen."""
+    gives exactly the sides solve_group returns for the whole wave as one
+    lock-step group, for every task of a wave whose tasks are partly
+    frozen: a worker's group of one matches the serial backend's group."""
     from repro.core import shm
 
     walk, wave = _repair_walk(social_graph, social_weights, seed=3)
     assert all(0 < walk.free[task.vertex_ids].sum() < task.vertex_ids.size
                for task in wave)
-    expected = [solve_task(walk, task) for task in wave]
+    expected = solve_group(walk, wave)
 
     monkeypatch.setattr(shm, "_WORKER_WALK", None)
     executor = BisectionExecutor(ExecutionConfig(parallelism="shm"))
