@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    FreeVertexSystem,
     GDConfig,
     QuadraticRelaxation,
     balance_repair,
@@ -21,6 +22,7 @@ from repro.core import (
     task_seed,
 )
 from repro.core.gd import BisectionStepper
+from repro.core.kernels import NumpyBackend
 from repro.graphs import fb_like
 from repro.core.projection import (
     ExactProjector,
@@ -318,6 +320,48 @@ def _late_stage_stepper():
                                initial_x=warm.x.copy(), initial_fixed=warm.fixed.copy())
     stepper.step(26)  # prime scratch buffers
     return stepper
+
+
+def test_perf_free_system_reslice(benchmark):
+    """The fixing event that re-slices a 250-vertex epoch at 24% live: a
+    deep ``kway_k64`` task (a 250-vertex piece of its ``fb_like(80, 2)``
+    input) cold-started, 187 vertices fixed, then 3 more.  Times the
+    event's bookkeeping plus the restriction of the live rows."""
+    graph, _ = fb_like(80, scale=2).subgraph(np.arange(250))
+    relaxation = QuadraticRelaxation(graph)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, graph.num_vertices)
+    order = rng.permutation(graph.num_vertices)
+
+    def setup():
+        system = FreeVertexSystem(relaxation, np.zeros(graph.num_vertices, dtype=bool), x,
+                                  NumpyBackend())
+        first = np.zeros(graph.num_vertices, dtype=bool)
+        first[order[:187]] = True
+        system.fix(first, np.sign(x[first]))
+        second = np.zeros(system.num_free, dtype=bool)
+        second[:3] = True
+        return (system, second, np.sign(x[system.free_ids[second]])), {}
+
+    def reslice(system, newly_fixed, values):
+        system.fix(newly_fixed, values)
+        assert system.num_free == 60 and system.matrix.shape == (60, 60)
+
+    benchmark.pedantic(reslice, setup=setup, rounds=200, iterations=1, warmup_rounds=5)
+
+
+def test_perf_free_system_warm_build(benchmark):
+    """A repair task's free-vertex system: ``fb_like(80, 4)`` (the
+    ``churn_repair`` input) with 0.1% of its vertices fixed, so nearly
+    the whole adjacency is restricted and the boundary sums the few
+    fixed neighbours."""
+    graph = fb_like(80, scale=4)
+    relaxation = QuadraticRelaxation(graph)
+    rng = np.random.default_rng(1)
+    fixed = rng.random(graph.num_vertices) < 0.001
+    x = np.where(rng.random(graph.num_vertices) < 0.5, 1.0, -1.0)
+    benchmark.pedantic(lambda: FreeVertexSystem(relaxation, fixed, x, NumpyBackend()),
+                       rounds=20, iterations=1, warmup_rounds=1)
 
 
 def test_perf_iteration_kernel_fused_late_stage(benchmark):

@@ -59,17 +59,16 @@ class MetisLikePartitioner(Partitioner):
         if graph.num_vertices == 0:
             return Partition(graph=graph, assignment=np.empty(0, dtype=np.int64),
                              num_parts=num_parts)
-        adjacency = graph.adjacency_matrix()
         assignment = np.zeros(graph.num_vertices, dtype=np.int64)
         rng = np.random.default_rng(self._seed)
-        self._recursive_bisect(adjacency, weights, np.arange(graph.num_vertices),
+        self._recursive_bisect(graph, weights, np.arange(graph.num_vertices),
                                num_parts, 0, assignment, rng)
         return Partition(graph=graph, assignment=assignment, num_parts=num_parts)
 
     # ------------------------------------------------------------------ #
     # Recursive k-way driver
     # ------------------------------------------------------------------ #
-    def _recursive_bisect(self, adjacency: sparse.csr_matrix, weights: np.ndarray,
+    def _recursive_bisect(self, graph: Graph, weights: np.ndarray,
                           vertex_ids: np.ndarray, num_parts: int, first_part: int,
                           assignment: np.ndarray, rng: np.random.Generator) -> None:
         if num_parts == 1 or vertex_ids.size == 0:
@@ -78,16 +77,16 @@ class MetisLikePartitioner(Partitioner):
         left_parts = (num_parts + 1) // 2
         fraction = left_parts / num_parts
 
-        sub_adjacency = adjacency[vertex_ids][:, vertex_ids].tocsr()
+        sub_adjacency = graph.subgraph(vertex_ids)[0].adjacency_matrix()
         sub_weights = weights[:, vertex_ids]
         sides = self._multilevel_bisect(sub_adjacency, sub_weights, fraction, rng)
 
+        # Each child is extracted from the input graph at the next level.
         left_ids = vertex_ids[sides == 0]
         right_ids = vertex_ids[sides == 1]
-        left_adjacency = adjacency  # sliced again at the next level
-        self._recursive_bisect(left_adjacency, weights, left_ids, left_parts,
+        self._recursive_bisect(graph, weights, left_ids, left_parts,
                                first_part, assignment, rng)
-        self._recursive_bisect(adjacency, weights, right_ids, num_parts - left_parts,
+        self._recursive_bisect(graph, weights, right_ids, num_parts - left_parts,
                                first_part + left_parts, assignment, rng)
 
     # ------------------------------------------------------------------ #

@@ -18,23 +18,42 @@ so one iteration's gradient over the free coordinates is
 ``A_FF @ z_F + boundary`` — O(edges among free vertices) instead of
 O(all edges), computed by the stepper's
 :class:`~repro.core.kernels.KernelBackend` for its per-kernel counters.
-A fixing event costs O(newly fixed) bookkeeping, an integer live count
-included; only once most of the current system has been fixed is it
-*restricted again* — sliced down to the surviving free vertices, with the
-fixed columns' contribution folded into the boundary — so the total
-restriction work over a run is bounded by a geometric sum.
+A fixing event costs a few array passes over the current free set; only
+once most of the current system has been fixed is it *restricted again*
+— sliced down to the surviving free vertices, with the fixed columns'
+contribution folded into the boundary — so the total restriction work
+over a run is bounded by a geometric sum.  Every restriction runs
+through :func:`~repro.graphs.graph.restrict_csr`, whose arrays and
+boundary sums are bit for bit those of scipy's fancy indexing and
+mat-vec.
 
 Internal module: not part of the stable public API (see ``repro.__all__``); its contents may change between releases.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
+from typing import NamedTuple
 
+import numpy as np
+
+from ..graphs.graph import restrict_csr
 from .kernels import KernelBackend
+from .relaxation import QuadraticRelaxation
 
 __all__ = ["FreeVertexSystem"]
+
+
+class _EpochMatrix(NamedTuple):
+    """An epoch's ``A_FF`` as the CSR arrays the mat-vec kernel reads."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
 
 
 class FreeVertexSystem:
@@ -42,12 +61,12 @@ class FreeVertexSystem:
 
     The restriction is maintained in *epochs*: the CSR system is sliced
     down to the free vertices when the epoch opens, and a fixing event
-    inside the epoch costs O(newly fixed) — the snapped values are
+    inside the epoch only does bookkeeping — the snapped values are
     written into the epoch's input buffer (their columns of the epoch
     matrix then contribute exactly the constant boundary terms a
     re-slice would have produced, because fixed values never change
-    again) and the vertices leave the live mask.  The epoch is re-sliced
-    from its own matrix only once most of it has died
+    again) and the vertices leave the epoch's live positions.  The epoch
+    is re-sliced from its own matrix only once most of it has died
     (``_RESLICE_FRACTION`` — under a quarter still live), so the total
     slicing work over a run is a geometric series of the first epoch's
     nonzeros, and per-iteration gradients stay O(epoch nnz) ≈
@@ -55,12 +74,13 @@ class FreeVertexSystem:
 
     Parameters
     ----------
-    adjacency:
-        The full (possibly edge-weighted) symmetric adjacency.
+    relaxation:
+        The relaxation of the graph: its unit-weight adjacency is the
+        operator, and its graph's int64 CSR is what a restriction reads.
     fixed:
         Global boolean mask of fixed vertices.  With no fixed vertex the
-        system degenerates to the original operator itself (no slicing,
-        zero boundary) — a cold-started stepper's starting state.
+        system degenerates to the adjacency itself (no slicing, zero
+        boundary) — a cold-started stepper's starting state.
     values:
         Full iterate; only the entries at fixed positions are read.
     backend:
@@ -69,35 +89,51 @@ class FreeVertexSystem:
     """
 
     #: Live fraction below which the epoch matrix is re-sliced.  Dead
-    #: entries only cost mat-vec flops (cheap) while a re-slice costs a
-    #: scipy row+column fancy-index pass (expensive), so the epoch is
-    #: allowed to decay substantially before paying for a rebuild.
+    #: entries cost mat-vec flops on every iteration, a re-slice costs one
+    #: row gather of the live rows (:func:`restrict_csr`), so the epoch
+    #: decays to a quarter live before paying for a rebuild: the rebuilds
+    #: then sum to a geometric series of the first epoch's nonzeros.
     _RESLICE_FRACTION = 0.25
 
-    def __init__(self, adjacency: sparse.csr_matrix, fixed: np.ndarray,
+    def __init__(self, relaxation: QuadraticRelaxation, fixed: np.ndarray,
                  values: np.ndarray, backend: KernelBackend):
+        adjacency = relaxation.adjacency
         fixed = np.asarray(fixed, dtype=bool)
         if fixed.shape[0] != adjacency.shape[0]:
             raise ValueError("fixed mask must have one entry per vertex")
-        values = np.asarray(values, dtype=np.float64)
         self._backend = backend
-        free_ids = np.flatnonzero(~fixed)
-        if not fixed.any():
+        # Every epoch's entries are ones: a prefix of the adjacency's.
+        self._unit = adjacency.data
+        free_ids = (~fixed).nonzero()[0]
+        if free_ids.size == fixed.size:
             # Fully free: the epoch operator is the adjacency itself (no
             # copy) and the boundary contribution is zero.
             self._matrix = adjacency
             self._boundary = np.zeros(adjacency.shape[0])
         else:
-            fixed_ids = np.flatnonzero(fixed)
-            epoch_rows = adjacency[free_ids]
-            self._matrix = epoch_rows[:, free_ids].tocsr()
-            self._boundary = np.asarray(
-                epoch_rows[:, fixed_ids] @ values[fixed_ids]).ravel()
+            # Restrictions read the graph's int64 CSR, whose gathers are
+            # cheaper, and keep the adjacency's (int32) index dtype, whose
+            # mat-vec is.
+            graph = relaxation.graph
+            self._matrix, self._boundary = self._restrict(
+                graph.indptr, graph.indices, free_ids,
+                np.asarray(values, dtype=np.float64), adjacency.indices.dtype)
         self._epoch_ids = free_ids           # global ids of epoch coords
-        self._live = np.ones(free_ids.size, dtype=bool)
-        self._live_count = free_ids.size     # = live.sum(), an exact int
+        self._live_local = np.arange(free_ids.size)  # epoch positions still free
         self._frozen = np.zeros(free_ids.size)  # values of dead epoch coords
-        self._live_ids = free_ids            # = epoch_ids[live], cached
+        self._live_ids = free_ids            # = epoch_ids[live_local], cached
+
+    def _restrict(self, indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+                  values: np.ndarray, dtype: np.dtype) -> tuple[_EpochMatrix, np.ndarray]:
+        """The epoch matrix on ``rows`` of a square CSR, and the dropped
+        columns' contribution ``A[rows][:, dropped] @ values``."""
+        local = np.full(indptr.size - 1, -1, dtype=dtype)
+        local[rows] = np.arange(rows.size, dtype=dtype)
+        sub_indptr, sub_indices, contribution = restrict_csr(indptr, indices, rows,
+                                                             local, values)
+        matrix = _EpochMatrix(sub_indptr, sub_indices, self._unit[:sub_indices.size],
+                              (rows.size, rows.size))
+        return matrix, contribution
 
     # ------------------------------------------------------------------ #
     @property
@@ -110,8 +146,10 @@ class FreeVertexSystem:
         return int(self._live_ids.size)
 
     @property
-    def matrix(self) -> sparse.csr_matrix:
-        """The current epoch operator (rows/cols may include dead coords)."""
+    def matrix(self):
+        """The current epoch operator (rows/cols may include dead coords):
+        the adjacency itself until the first restriction, then the epoch's
+        CSR arrays (``indptr``, ``indices``, ``data``, ``shape``, ``nnz``)."""
         return self._matrix
 
     @property
@@ -124,45 +162,43 @@ class FreeVertexSystem:
         """``∇f`` over the free coordinates: ``(A z)_F`` with fixed
         contributions from the boundary term and the frozen buffer."""
         backend = self._backend
-        if self._live_count == self._epoch_ids.size:
+        live = self._live_local
+        if live.size == self._epoch_ids.size:
             return backend.free_gradient(self._matrix, self._boundary, z_free)
         z_epoch = self._frozen.copy()
-        z_epoch[self._live] = z_free
+        z_epoch[live] = z_free
         full = backend.free_gradient(self._matrix, self._boundary, z_epoch)
-        return backend.gather(full, self._live)
+        return backend.gather(full, live)
 
     def fix(self, newly_fixed: np.ndarray, values: np.ndarray) -> None:
         """Freeze vertices at their snapped values.
 
         ``newly_fixed`` is a boolean mask over the *current free ids* and
         ``values`` the snapped ±1 values of those vertices, aligned to
-        ``free_ids[newly_fixed]``.  O(newly fixed) bookkeeping, plus an
-        amortized re-slice when the epoch has mostly died.
+        ``free_ids[newly_fixed]``.  A few passes over the free ids, and
+        an amortized re-slice when the epoch has mostly died.
         """
         newly_fixed = np.asarray(newly_fixed, dtype=bool)
         if newly_fixed.shape[0] != self._live_ids.size:
             raise ValueError("newly_fixed must mask the current free ids")
-        if not newly_fixed.any():
+        if not np.count_nonzero(newly_fixed):
             return
-        dying = np.flatnonzero(self._live)[newly_fixed]
-        self._frozen[dying] = np.asarray(values, dtype=np.float64)
-        self._live[dying] = False
-        self._live_count -= dying.size
-        self._live_ids = self._epoch_ids[self._live]
-        if self._live_count and self._live_count < self._RESLICE_FRACTION * self._epoch_ids.size:
+        surviving = ~newly_fixed
+        self._frozen[self._live_local[newly_fixed]] = values
+        self._live_local = self._live_local[surviving]
+        self._live_ids = self._live_ids[surviving]
+        live_count = self._live_local.size
+        if live_count and live_count < self._RESLICE_FRACTION * self._epoch_ids.size:
             self._reslice()
 
     def _reslice(self) -> None:
         """Open a new epoch: slice the matrix down to the live coords and
         fold the dead coords' contribution into the boundary."""
-        live_local = np.flatnonzero(self._live)
-        dead_local = np.flatnonzero(~self._live)
-        rows = self._matrix[live_local]
-        self._boundary = (self._boundary[live_local]
-                          + np.asarray(rows[:, dead_local]
-                                       @ self._frozen[dead_local]).ravel())
-        self._matrix = rows[:, live_local].tocsr()
+        live = self._live_local
+        matrix = self._matrix
+        self._matrix, contribution = self._restrict(
+            matrix.indptr, matrix.indices, live, self._frozen, matrix.indices.dtype)
+        self._boundary = self._boundary[live] + contribution
         self._epoch_ids = self._live_ids
-        self._live = np.ones(self._epoch_ids.size, dtype=bool)
-        self._frozen = np.zeros(self._epoch_ids.size)
-        self._live_ids = self._epoch_ids
+        self._live_local = np.arange(live.size)
+        self._frozen = np.zeros(live.size)

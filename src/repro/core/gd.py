@@ -283,7 +283,7 @@ class _Task:
         free_region = (self.region.restrict(~fixed, x[fixed])
                        if fixed.any() else self.region)
         self.engine = ProjectionEngine(config.projection_method, free_region, stats)
-        self.system = FreeVertexSystem(self.relaxation.adjacency, fixed, x, backend)
+        self.system = FreeVertexSystem(self.relaxation, fixed, x, backend)
 
 
 class BisectionStepper:

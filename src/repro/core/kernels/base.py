@@ -92,7 +92,13 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------ #
     @abstractmethod
     def spmv(self, matrix, x: np.ndarray) -> np.ndarray:
-        """CSR mat-vec ``A @ x`` (the gradient of the relaxation)."""
+        """CSR mat-vec ``A @ x`` (the gradient of the relaxation).
+
+        ``matrix`` is a scipy CSR matrix or anything with its ``shape``,
+        ``indptr``, ``indices``, ``data`` and ``nnz`` — a free-vertex
+        system's epoch matrix.  The result has the bits of scipy's
+        ``matrix @ x``.
+        """
 
     @abstractmethod
     def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...graphs.graph import csr_matvec
 from .base import KernelBackend, kernel
 
 __all__ = ["NumpyBackend"]
@@ -17,11 +18,14 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------ #
     @kernel
     def spmv(self, matrix, x: np.ndarray) -> np.ndarray:
-        return matrix @ x
+        # scipy's own mat-vec loop, without its per-call dispatch.
+        return csr_matvec(matrix.indptr, matrix.indices, matrix.data, x, matrix.shape)
 
     @kernel
     def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.spmv(matrix, z) + boundary
+        gradient = self.spmv(matrix, z)
+        gradient += boundary
+        return gradient
 
     # ------------------------------------------------------------------ #
     # Iterate kernels

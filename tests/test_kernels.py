@@ -211,6 +211,42 @@ class TestPrimitiveKernels:
         assert backend.free_gradient(matrix, np.array([1.5]), z)[0] == 1.5
 
 
+class TestSpmvPinnedToScipy:
+    """``NumpyBackend.spmv`` runs the C loop behind scipy's ``csr_matrix @
+    x`` directly, from a private scipy module; its output must stay the
+    bits of ``matrix @ x``.  A scipy release that moves or changes that
+    loop fails here first."""
+
+    @staticmethod
+    def _matrix(num_rows, num_columns, index_dtype, seed):
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((num_rows, num_columns)) < 0.25) * rng.standard_normal(
+            (num_rows, num_columns))
+        dense[::4] = 0.0  # empty rows
+        matrix = sparse.csr_matrix(dense)
+        matrix.indices = matrix.indices.astype(index_dtype)
+        matrix.indptr = matrix.indptr.astype(index_dtype)
+        return matrix
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("shape", [(40, 30), (1, 7), (0, 5), (0, 0)])
+    def test_bits_match_matmul(self, index_dtype, shape):
+        rng = np.random.default_rng(5)
+        for seed in range(5):
+            matrix = self._matrix(*shape, index_dtype, seed)
+            assert matrix.indices.dtype == matrix.indptr.dtype == index_dtype
+            x = rng.standard_normal(shape[1])
+            result = NumpyBackend().spmv(matrix, x)
+            expected = matrix @ x
+            assert result.dtype == expected.dtype and result.shape == expected.shape
+            assert result.tobytes() == expected.tobytes()
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        matrix = self._matrix(6, 4, np.int32, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            NumpyBackend().spmv(matrix, np.ones(5))
+
+
 class TestKernelStats:
     def test_record_accumulates_calls_and_ns(self):
         stats = KernelStats()

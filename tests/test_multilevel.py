@@ -18,6 +18,7 @@ from repro.core import (
     PARALLELISM_MODES,
     PROJECTION_METHODS,
     ProjectionEngine,
+    QuadraticRelaxation,
     gd_bisect,
     recursive_bisection,
 )
@@ -95,14 +96,59 @@ def _dense_reference_gradient(adjacency, x, free_ids):
     return (adjacency @ x)[free_ids]
 
 
+class _ScipyFreeSystem:
+    """The free-vertex system's epochs built with scipy fancy indexing and
+    scipy's mat-vec: the simple reference that ``FreeVertexSystem`` must
+    match bit for bit (same epochs, same re-slice schedule)."""
+
+    def __init__(self, adjacency, fixed, values):
+        free_ids = np.flatnonzero(~fixed)
+        if fixed.any():
+            fixed_ids = np.flatnonzero(fixed)
+            rows = adjacency[free_ids]
+            self.matrix = rows[:, free_ids].tocsr()
+            self.boundary = np.asarray(rows[:, fixed_ids] @ values[fixed_ids]).ravel()
+        else:
+            self.matrix = adjacency
+            self.boundary = np.zeros(adjacency.shape[0])
+        self.live = np.ones(free_ids.size, dtype=bool)
+        self.frozen = np.zeros(free_ids.size)
+        self.reslices = 0
+
+    def gradient(self, z_free):
+        if self.live.all():
+            return self.matrix @ z_free + self.boundary
+        z_epoch = self.frozen.copy()
+        z_epoch[self.live] = z_free
+        return (self.matrix @ z_epoch + self.boundary)[self.live]
+
+    def fix(self, newly_fixed, values):
+        dying = np.flatnonzero(self.live)[newly_fixed]
+        self.frozen[dying] = values
+        self.live[dying] = False
+        live_count = int(self.live.sum())
+        if live_count and live_count < FreeVertexSystem._RESLICE_FRACTION * self.live.size:
+            live_local = np.flatnonzero(self.live)
+            dead_local = np.flatnonzero(~self.live)
+            rows = self.matrix[live_local]
+            self.boundary = (self.boundary[live_local]
+                             + np.asarray(rows[:, dead_local]
+                                          @ self.frozen[dead_local]).ravel())
+            self.matrix = rows[:, live_local].tocsr()
+            self.live = np.ones(live_count, dtype=bool)
+            self.frozen = np.zeros(live_count)
+            self.reslices += 1
+
+
 def test_free_vertex_system_matches_masked_gradient(social_graph):
-    adjacency = social_graph.adjacency_matrix()
+    relaxation = QuadraticRelaxation(social_graph)
+    adjacency = relaxation.adjacency
     n = social_graph.num_vertices
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, n)
     fixed = rng.random(n) < 0.4
     x[fixed] = np.sign(x[fixed] + 1e-9)
-    system = FreeVertexSystem(adjacency, fixed, x, NumpyBackend())
+    system = FreeVertexSystem(relaxation, fixed, x, NumpyBackend())
     z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
     full = x.copy()
     full[system.free_ids] = z
@@ -113,39 +159,49 @@ def test_free_vertex_system_matches_masked_gradient(social_graph):
 
 
 def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
-    """Repeated fixing events (spanning at least one re-slice) keep the
-    gradient identical to the masked full-size computation."""
-    adjacency = social_graph.adjacency_matrix()
+    """Repeated fixing events spanning at least two re-slices, from a cold
+    start and from warm starts: the operator, the boundary and every
+    gradient equal the scipy-built reference system's bit for bit.  The
+    fixed values are fractional, so any change in a sum's order shows."""
+    relaxation = QuadraticRelaxation(social_graph)
+    adjacency = relaxation.adjacency
     n = social_graph.num_vertices
     rng = np.random.default_rng(3)
-    x = rng.uniform(-1, 1, n)
-    fixed = np.zeros(n, dtype=bool)
-    fixed[:10] = True
-    x[fixed] = 1.0
-    system = FreeVertexSystem(adjacency, fixed, x, NumpyBackend())
-    for _ in range(6):
-        if system.num_free < 8:
-            break
-        newly = np.zeros(system.num_free, dtype=bool)
-        newly[rng.permutation(system.num_free)[: system.num_free // 3]] = True
-        snapped = np.where(rng.random(int(newly.sum())) < 0.5, 1.0, -1.0)
-        x[system.free_ids[newly]] = snapped
-        system.fix(newly, snapped)
-        z = x[system.free_ids]
-        np.testing.assert_allclose(
-            system.gradient(z),
-            _dense_reference_gradient(adjacency, x, system.free_ids),
-            rtol=1e-12, atol=1e-12)
+    for start_fixed in (0, 10, 200):
+        x = rng.uniform(-1, 1, n)
+        fixed = np.zeros(n, dtype=bool)
+        fixed[rng.permutation(n)[:start_fixed]] = True
+        system = FreeVertexSystem(relaxation, fixed, x, NumpyBackend())
+        reference = _ScipyFreeSystem(adjacency, fixed, x)
+        while reference.reslices < 2:
+            assert system.num_free >= 4
+            newly = np.zeros(system.num_free, dtype=bool)
+            newly[rng.permutation(system.num_free)[: (2 * system.num_free) // 5]] = True
+            frozen = rng.uniform(-1, 1, int(newly.sum()))
+            x[system.free_ids[newly]] = frozen
+            system.fix(newly, frozen)
+            reference.fix(newly, frozen)
+            z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
+            np.testing.assert_array_equal(system.matrix.indptr, reference.matrix.indptr)
+            np.testing.assert_array_equal(system.matrix.indices, reference.matrix.indices)
+            np.testing.assert_array_equal(system.boundary, reference.boundary)
+            np.testing.assert_array_equal(system.gradient(z), reference.gradient(z))
+            full = x.copy()
+            full[system.free_ids] = z
+            np.testing.assert_allclose(
+                system.gradient(z),
+                _dense_reference_gradient(adjacency, full, system.free_ids),
+                rtol=1e-12, atol=1e-12)
 
 
 def test_free_vertex_system_validates_inputs(social_graph):
-    adjacency = social_graph.adjacency_matrix()
+    relaxation = QuadraticRelaxation(social_graph)
     n = social_graph.num_vertices
     with pytest.raises(ValueError, match="fixed mask"):
-        FreeVertexSystem(adjacency, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend())
+        FreeVertexSystem(relaxation, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend())
     fixed = np.zeros(n, dtype=bool)
     fixed[0] = True
-    system = FreeVertexSystem(adjacency, fixed, np.zeros(n), NumpyBackend())
+    system = FreeVertexSystem(relaxation, fixed, np.zeros(n), NumpyBackend())
     with pytest.raises(ValueError, match="newly_fixed"):
         system.fix(np.zeros(3, dtype=bool), np.zeros(0))
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import balance_repair, randomized_round
 from repro.graphs import Graph, unit_weights
-from repro.graphs.graph import row_positions
+from repro.graphs import graph as graph_module
+from repro.graphs.graph import csr_matvec, restrict_csr, row_positions
 from repro.partition import (
     Partition,
     cut_size,
@@ -95,6 +98,86 @@ class TestGraphInvariants:
         assert positions.dtype == bounds.dtype == np.int64
         np.testing.assert_array_equal(
             bounds, np.concatenate([[0], np.cumsum([part.size for part in expected])]))
+
+    @settings(max_examples=80)
+    @given(graph=random_graphs(max_vertices=40, max_edges=160), data=st.data())
+    @example(graph=Graph.from_edges(4, [(0, 1)]), data=None)
+    def test_restriction_matches_scipy_fancy_indexing(self, graph, data):
+        """:func:`restrict_csr` against scipy's ``A[rows][:, rows]`` and
+        ``A[rows][:, dropped] @ values[dropped]``, bit for bit, on both of
+        its paths: random, keep-all, keep-none, single-vertex and
+        all-but-one subsets, ±1 and fractional values, the graph's int64
+        CSR and scipy's int32 one, int64 and int32 relabelling."""
+        n = graph.num_vertices
+        if data is None:
+            keep, values = np.zeros(n, dtype=bool), np.ones(n)
+        else:
+            kind = data.draw(st.sampled_from(["random", "all", "none", "one", "all_but_one"]))
+            keep = np.zeros(n, dtype=bool)
+            if kind == "random":
+                keep = data.draw(hnp.arrays(bool, n))
+            elif kind == "all":
+                keep[:] = True
+            elif kind in ("one", "all_but_one"):
+                keep[data.draw(st.integers(0, n - 1))] = True
+                if kind == "all_but_one":
+                    keep = ~keep
+            # Mixed magnitudes: a sum in another order loses the small terms.
+            fractional = hnp.arrays(np.float64, n, elements=st.one_of(
+                st.floats(-2, 2, width=32), st.sampled_from([1e16, -1e16, 2.0 ** -30])))
+            values = data.draw(st.one_of(fractional, hnp.arrays(np.float64, n,
+                                                                  elements=st.sampled_from([-1.0, 1.0]))))
+        rows, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+        adjacency = graph.adjacency_matrix()
+        expected = adjacency[rows][:, rows]
+        expected_contribution = np.asarray(adjacency[rows][:, dropped]
+                                           @ values[dropped]).ravel()
+        for indptr, indices, dtype in ((graph.indptr, graph.indices, np.int64),
+                                       (graph.indptr, graph.indices, np.int32),
+                                       (adjacency.indptr, adjacency.indices, np.int32)):
+            local = np.full(n, -1, dtype=dtype)
+            local[rows] = np.arange(rows.size)
+            for scan_fraction in (0.0, 1.0):  # every subset down both paths
+                with mock.patch.object(graph_module, "_SCAN_FRACTION", scan_fraction):
+                    sub_indptr, sub_indices, contribution = restrict_csr(
+                        indptr, indices, rows, local, values)
+                    assert restrict_csr(indptr, indices, rows, local)[2] is None
+                assert sub_indptr.dtype == sub_indices.dtype == dtype
+                assert np.array_equal(sub_indptr, expected.indptr)
+                assert np.array_equal(sub_indices, expected.indices)
+                assert contribution.dtype == np.float64
+                assert np.array_equal(contribution, expected_contribution)
+                # Bit for bit: -0.0 and +0.0 compare equal above.
+                assert np.array_equal(np.signbit(contribution),
+                                      np.signbit(expected_contribution))
+
+    def test_restriction_sums_each_row_in_entry_order(self):
+        """A hub whose dropped neighbours' values cancel differently in
+        another order (the hub row lists 1..40 ascending): pairwise or
+        reordered sums give other bits, on both paths."""
+        hub = Graph.from_edges(41, [(0, leaf) for leaf in range(1, 41)])
+        values = np.tile([1e16, 1.0, -1e16, 0.5], 11)[:41]
+        keep = np.arange(41) % 7 == 0
+        rows, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+        local = np.full(41, -1)
+        local[rows] = np.arange(rows.size)
+        adjacency = hub.adjacency_matrix()
+        expected = np.asarray(adjacency[rows][:, dropped] @ values[dropped]).ravel()
+        assert expected[0] != np.sort(values[dropped]).sum()  # the order shows
+        for scan_fraction in (0.0, 1.0):
+            with mock.patch.object(graph_module, "_SCAN_FRACTION", scan_fraction):
+                contribution = restrict_csr(hub.indptr, hub.indices, rows, local, values)[2]
+            assert contribution.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40)
+    @given(graph=random_graphs(), data=st.data())
+    def test_csr_matvec_matches_scipy(self, graph, data):
+        n = graph.num_vertices
+        x = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-2, 2, width=32)))
+        adjacency = graph.adjacency_matrix()
+        result = csr_matvec(adjacency.indptr, adjacency.indices, adjacency.data, x,
+                            adjacency.shape)
+        assert result.tobytes() == (adjacency @ x).tobytes()
 
 
 class TestMetricInvariants:
