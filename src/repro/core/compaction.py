@@ -44,7 +44,8 @@ __all__ = ["FreeVertexSystem"]
 
 
 class _EpochMatrix(NamedTuple):
-    """An epoch's ``A_FF`` as the CSR arrays the mat-vec kernel reads."""
+    """An epoch's ``A_FF`` as the CSR arrays the mat-vec kernel reads:
+    int64 ``indptr`` and ``indices``, and unit ``data``."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -54,6 +55,15 @@ class _EpochMatrix(NamedTuple):
     @property
     def nnz(self) -> int:
         return self.indices.size
+
+
+def _restrict(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+              values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square CSR's restriction to ``rows`` (int64, like the graph's)
+    and the dropped columns' contribution ``A[rows][:, dropped] @ values``."""
+    local = np.full(indptr.size - 1, -1, dtype=np.int64)
+    local[rows] = np.arange(rows.size)
+    return restrict_csr(indptr, indices, rows, local, values)
 
 
 class FreeVertexSystem:
@@ -75,11 +85,12 @@ class FreeVertexSystem:
     Parameters
     ----------
     relaxation:
-        The relaxation of the graph: its unit-weight adjacency is the
-        operator, and its graph's int64 CSR is what a restriction reads.
+        The relaxation of the graph: the graph's own int64 CSR, with unit
+        entries, is the operator; the relaxation's scipy matrix is never
+        built here.
     fixed:
         Global boolean mask of fixed vertices.  With no fixed vertex the
-        system degenerates to the adjacency itself (no slicing, zero
+        first epoch is the graph's CSR itself (no slicing, no copy, zero
         boundary) — a cold-started stepper's starting state.
     values:
         Full iterate; only the entries at fixed positions are read.
@@ -97,43 +108,27 @@ class FreeVertexSystem:
 
     def __init__(self, relaxation: QuadraticRelaxation, fixed: np.ndarray,
                  values: np.ndarray, backend: KernelBackend):
-        adjacency = relaxation.adjacency
+        graph = relaxation.graph
         fixed = np.asarray(fixed, dtype=bool)
-        if fixed.shape[0] != adjacency.shape[0]:
+        if fixed.shape[0] != graph.num_vertices:
             raise ValueError("fixed mask must have one entry per vertex")
         self._backend = backend
-        # Every epoch's entries are ones: a prefix of the adjacency's.
-        self._unit = adjacency.data
         free_ids = (~fixed).nonzero()[0]
         if free_ids.size == fixed.size:
-            # Fully free: the epoch operator is the adjacency itself (no
-            # copy) and the boundary contribution is zero.
-            self._matrix = adjacency
-            self._boundary = np.zeros(adjacency.shape[0])
+            # Fully free: the epoch is the graph's CSR itself (no copy)
+            # and the boundary contribution is zero.
+            indptr, indices = graph.indptr, graph.indices
+            self._boundary = np.zeros(free_ids.size)
         else:
-            # Restrictions read the graph's int64 CSR, whose gathers are
-            # cheaper, and keep the adjacency's (int32) index dtype, whose
-            # mat-vec is.
-            graph = relaxation.graph
-            self._matrix, self._boundary = self._restrict(
-                graph.indptr, graph.indices, free_ids,
-                np.asarray(values, dtype=np.float64), adjacency.indices.dtype)
+            indptr, indices, self._boundary = _restrict(
+                graph.indptr, graph.indices, free_ids, np.asarray(values, dtype=np.float64))
+        # Every epoch's entries are ones: a prefix of the first epoch's.
+        self._unit = np.ones(indices.size)
+        self._matrix = _EpochMatrix(indptr, indices, self._unit, (free_ids.size,) * 2)
         self._epoch_ids = free_ids           # global ids of epoch coords
         self._live_local = np.arange(free_ids.size)  # epoch positions still free
         self._frozen = np.zeros(free_ids.size)  # values of dead epoch coords
         self._live_ids = free_ids            # = epoch_ids[live_local], cached
-
-    def _restrict(self, indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
-                  values: np.ndarray, dtype: np.dtype) -> tuple[_EpochMatrix, np.ndarray]:
-        """The epoch matrix on ``rows`` of a square CSR, and the dropped
-        columns' contribution ``A[rows][:, dropped] @ values``."""
-        local = np.full(indptr.size - 1, -1, dtype=dtype)
-        local[rows] = np.arange(rows.size, dtype=dtype)
-        sub_indptr, sub_indices, contribution = restrict_csr(indptr, indices, rows,
-                                                             local, values)
-        matrix = _EpochMatrix(sub_indptr, sub_indices, self._unit[:sub_indices.size],
-                              (rows.size, rows.size))
-        return matrix, contribution
 
     # ------------------------------------------------------------------ #
     @property
@@ -146,10 +141,11 @@ class FreeVertexSystem:
         return int(self._live_ids.size)
 
     @property
-    def matrix(self):
-        """The current epoch operator (rows/cols may include dead coords):
-        the adjacency itself until the first restriction, then the epoch's
-        CSR arrays (``indptr``, ``indices``, ``data``, ``shape``, ``nnz``)."""
+    def matrix(self) -> _EpochMatrix:
+        """The current epoch operator (rows/cols may include dead coords)
+        as CSR arrays (``indptr``, ``indices``, ``data``, ``shape``,
+        ``nnz``): a cold start's first epoch holds the graph's own
+        ``indptr`` and ``indices``, and every epoch keeps their int64."""
         return self._matrix
 
     @property
@@ -195,9 +191,10 @@ class FreeVertexSystem:
         """Open a new epoch: slice the matrix down to the live coords and
         fold the dead coords' contribution into the boundary."""
         live = self._live_local
-        matrix = self._matrix
-        self._matrix, contribution = self._restrict(
-            matrix.indptr, matrix.indices, live, self._frozen, matrix.indices.dtype)
+        indptr, indices, contribution = _restrict(self._matrix.indptr, self._matrix.indices,
+                                                  live, self._frozen)
+        self._matrix = _EpochMatrix(indptr, indices, self._unit[:indices.size],
+                                    (live.size,) * 2)
         self._boundary = self._boundary[live] + contribution
         self._epoch_ids = self._live_ids
         self._live_local = np.arange(live.size)

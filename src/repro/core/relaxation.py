@@ -13,6 +13,8 @@ Internal module: not part of the stable public API (see ``repro.__all__``); its 
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 
@@ -22,21 +24,25 @@ __all__ = ["QuadraticRelaxation"]
 
 
 class QuadraticRelaxation:
-    """The quadratic form ``f(x) = ½ xᵀAx`` for a graph's adjacency matrix."""
+    """The quadratic form ``f(x) = ½ xᵀAx`` for a graph's adjacency matrix.
+
+    The scipy matrix :attr:`adjacency` is built on first use: the GD
+    iteration multiplies by the graph's own CSR instead
+    (:class:`~repro.core.compaction.FreeVertexSystem`).
+    """
 
     def __init__(self, graph: Graph):
         self._graph = graph
-        self._adjacency: sparse.csr_matrix = graph.adjacency_matrix()
 
     @property
     def graph(self) -> Graph:
         """The underlying graph."""
         return self._graph
 
-    @property
+    @cached_property
     def adjacency(self) -> sparse.csr_matrix:
-        """The adjacency matrix ``A``."""
-        return self._adjacency
+        """The adjacency matrix ``A``, built on first use."""
+        return self._graph.adjacency_matrix()
 
     @property
     def num_vertices(self) -> int:
@@ -44,7 +50,7 @@ class QuadraticRelaxation:
 
     def objective(self, x: np.ndarray) -> float:
         """``f(x) = ½ xᵀAx`` (larger is better)."""
-        return 0.5 * float(x @ (self._adjacency @ x))
+        return 0.5 * float(x @ (self.adjacency @ x))
 
     def expected_uncut_edges(self, x: np.ndarray) -> float:
         """Expected number of uncut edges after randomized rounding of ``x``.
@@ -55,7 +61,7 @@ class QuadraticRelaxation:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """``∇f(x) = Ax`` — one sparse mat-vec, O(|E|)."""
-        return self._adjacency @ x
+        return self.adjacency @ x
 
     def gradient_step(self, x: np.ndarray, step_size: float) -> np.ndarray:
         """Ascent step ``(I + γA) x`` used by Algorithm 1, line 5."""

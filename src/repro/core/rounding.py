@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, csr_matvec
 
 __all__ = ["randomized_round", "deterministic_round", "balance_repair"]
 
@@ -105,9 +105,10 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
     warm-started bisection confines moves to the vertices it left free.  ``None`` (the default) leaves every vertex movable,
     which is bit-identical to the historical behaviour.
 
-    Cost.  Sides that already meet ε are returned before the adjacency is
-    built.  Otherwise the movable vertices are grouped by weight column
-    (one ``np.lexsort`` over the d rows).  A flip changes the balance by the
+    Cost.  Sides that already meet ε are returned before any neighbour
+    sum is taken.  Otherwise the sums are one mat-vec on the graph's own
+    CSR, and the movable vertices are grouped by weight column (one
+    ``np.lexsort`` over the d rows).  A flip changes the balance by the
     flipped vertex's column only, so a move computes the violation once per
     class present on the donor side, then takes the highest-gain donor-side
     vertex of the near-best classes.  When there are more than half as many
@@ -142,7 +143,8 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
     # = deg_same − deg_other and gains[i] = −sides[i] · neighbor_sums[i] is
     # the cut *decrease* of flipping vertex i.  Both hold small integers in
     # float64, so updating them per flip is exact.
-    neighbor_sums = graph.adjacency_matrix() @ sides
+    neighbor_sums = csr_matvec(graph.indptr, graph.indices, np.ones(graph.indices.size),
+                               sides, (n, n))
     gains = -(sides * neighbor_sums)
     movable_ids = np.arange(n) if movable is None else np.flatnonzero(movable)
     classes = _weight_classes(weights, sides, movable_ids)

@@ -12,13 +12,13 @@ The ``"shm"`` backend shares the walk instead.  On a walk's first wave
 of two or more tasks the coordinator packs one
 :class:`multiprocessing.shared_memory` segment (a
 :class:`SharedGraphArena`, see :func:`pack_walk`) holding the input
-graph's CSR and edge list, the weight matrix, a per-vertex id buffer and
-a per-vertex output buffer, plus a repair walk's starting assignment and
-free mask; the pickled header carries the per-level epsilon and the
-workers' config.  Per wave the coordinator refills only the id buffer
-with the tasks' vertex sets, back to back.  What crosses the pipe per
-task is a :class:`ShmTaskRef` (segment name, id range and tree
-coordinate) and, back, a completion token that is one flag: whether the
+graph's CSR (no edge list), the weight matrix, a per-vertex id buffer
+and a per-vertex output buffer, plus a repair walk's starting
+assignment and free mask; the pickled header carries the per-level
+epsilon and the workers' config.  Per wave the coordinator refills only
+the id buffer with the tasks' vertex sets, back to back.  What crosses
+the pipe per task is a :class:`ShmTaskRef` (segment name, id range and
+tree coordinate) and, back, a completion token that is one flag: whether the
 worker attached the segment for this task.  Workers attach the segment
 once per walk, rebuild the walk on read-only views into it, run
 :func:`~repro.core.recursive.solve_group` (the task function the serial
@@ -292,7 +292,8 @@ def pack_walk(walk: "Walk") -> SharedGraphArena:
     """Pack one walk into a fresh shared arena.
 
     Arrays (all 64-byte aligned within the segment): the input graph's
-    ``indptr``, ``indices`` and ``edges``; ``weights``, C-contiguous;
+    CSR, ``indptr`` and ``indices`` (no edge list: a worker's tasks never
+    read one); ``weights``, C-contiguous;
     ``vertex_ids``, one int64 slot per vertex, which every wave refills
     with its tasks' vertex sets back to back; ``out``, one int8 slot per
     vertex, where each task writes its sides at its own vertex ids; and
@@ -300,8 +301,7 @@ def pack_walk(walk: "Walk") -> SharedGraphArena:
     carries the per-level ``epsilon`` and the workers' ``config``.
     """
     graph = walk.graph
-    arrays = {"indptr": graph.indptr, "indices": graph.indices, "edges": graph.edges,
-              "weights": walk.weights,
+    arrays = {"indptr": graph.indptr, "indices": graph.indices, "weights": walk.weights,
               "vertex_ids": np.zeros(graph.num_vertices, dtype=np.int64),
               "out": np.zeros(graph.num_vertices, dtype=np.int8)}
     if walk.free is not None:
@@ -336,10 +336,10 @@ def _attach_walk(name: str) -> tuple[SharedGraphArena, "Walk", bool]:
         previous, _WORKER_WALK = _WORKER_WALK[0], None
         previous.close()
     arena = SharedGraphArena.attach(name)
-    indptr, indices, edges, weights = (_readonly(arena.array(key))
-                                       for key in ("indptr", "indices", "edges", "weights"))
+    indptr, indices, weights = (_readonly(arena.array(key))
+                                for key in ("indptr", "indices", "weights"))
     meta = arena.meta
-    walk = Walk(graph=Graph.from_csr(indptr.shape[0] - 1, edges, indptr, indices),
+    walk = Walk(graph=Graph.from_csr(indptr.shape[0] - 1, indptr, indices),
                 weights=weights, epsilon=meta["epsilon"], config=meta["config"],
                 assignment=_readonly(arena.array("assignment")) if meta["repair"] else None,
                 free=_readonly(arena.array("free")) if meta["repair"] else None)

@@ -7,16 +7,16 @@ social-graph serving churns continuously, and re-canonicalizing the whole
 edge list per update batch costs O(m log m) regardless of how small the
 batch is.  :class:`DynamicGraph` is the update layer underneath the
 incremental repartitioner (:mod:`repro.dynamic.repartition`): it owns the
-canonical edge array, the CSR adjacency and the vertex weight matrix, and
+sorted edge keys, the CSR adjacency and the vertex weight matrix, and
 applies an :class:`UpdateBatch` for one copy per array plus work that
-grows with the batch and the touched rows' entries, never a re-sort of
-the edge list and never a numpy call per touched vertex —
+grows with the batch and the touched rows' entries, never a re-sort and
+never a numpy call per touched vertex —
 
 * membership checks run on the sorted canonical key array
   (``O(delta log m)`` searches);
-* the keys, the edges and the CSR ``indices`` are each copied once, by
-  one masked copy that drops the deleted entries and places the inserted
-  ones;
+* the keys and the CSR ``indices`` are each copied once, by one masked
+  copy that drops the deleted entries and places the inserted ones (no
+  edge list is kept: a snapshot derives one only if it is read);
 * the touched CSR rows are gathered at once, and each deleted or
   inserted entry is located by a binary search of its key in the
   canonical row order among the gathered entries;
@@ -25,13 +25,13 @@ the edge list and never a numpy call per touched vertex —
 Snapshot parity contract
 ------------------------
 :meth:`DynamicGraph.snapshot` returns a :class:`Graph` that is
-**bit-identical** to ``Graph.from_edges(n, current_edge_set)`` — the same
-canonical edge array and the exact CSR layout ``from_edges`` would
-produce: the row order stated in the :class:`~repro.graphs.graph.Graph`
-docstring (all neighbors > r ascending, then all neighbors < r
-ascending), which the splice keeps by placing every inserted entry by its
-key in that order, and on which wave extraction (:meth:`Graph.subgraphs`)
-relies.  Everything downstream — metrics, GD repair,
+**bit-identical** to ``Graph.from_edges(n, current_edge_set)`` — the
+exact CSR layout ``from_edges`` would produce, and so the same canonical
+edge array once derived: the row order stated in the
+:class:`~repro.graphs.graph.Graph` docstring (all neighbors > r
+ascending, then all neighbors < r ascending), which the splice keeps by
+placing every inserted entry by its key in that order, and on which wave
+extraction (:meth:`Graph.subgraphs`) relies.  Everything downstream — metrics, GD repair,
 full recompute — therefore behaves as if the graph had been rebuilt from
 scratch, which is what makes the incremental path testable against the
 from-scratch one.
@@ -62,10 +62,6 @@ def _as_edge_array(edges) -> np.ndarray:
     if array.ndim != 2 or array.shape[1] != 2:
         raise ValueError("edge updates must form an (m, 2) array of vertex pairs")
     return array
-
-
-#: One ``(u, v)`` int64 edge row viewed as a single 16-byte scalar.
-_EDGE_ROW = np.dtype((np.void, 16))
 
 
 def _row_order_keys(rows: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
@@ -202,10 +198,8 @@ class DynamicGraph:
 
     def __init__(self, graph: Graph, weights: np.ndarray):
         self._num_vertices = graph.num_vertices
-        # C order, so that the splice can view each edge row as one scalar.
-        self._edges = np.ascontiguousarray(graph.edges)
-        self._keys = (graph.edges[:, 0] * np.int64(max(self._num_vertices, 1))
-                      + graph.edges[:, 1])
+        edges = graph.edges
+        self._keys = edges[:, 0] * np.int64(max(self._num_vertices, 1)) + edges[:, 1]
         self._indptr = graph.indptr
         self._indices = graph.indices
         self._weights = validate_weights(graph, weights).copy()
@@ -220,7 +214,7 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        return int(self._edges.shape[0])
+        return self._keys.size
 
     @property
     def num_dimensions(self) -> int:
@@ -254,8 +248,8 @@ class DynamicGraph:
         (see the module docstring); cached until the next :meth:`apply`.
         """
         if self._snapshot is None:
-            self._snapshot = Graph(num_vertices=self._num_vertices, edges=self._edges,
-                                   indptr=self._indptr, indices=self._indices)
+            self._snapshot = Graph(num_vertices=self._num_vertices, indptr=self._indptr,
+                                   indices=self._indices)
         return self._snapshot
 
     # ------------------------------------------------------------------ #
@@ -332,9 +326,9 @@ class DynamicGraph:
     def _splice_edges(self, insertions: np.ndarray, insert_keys: np.ndarray,
                       insert_positions: np.ndarray, deletions: np.ndarray,
                       delete_positions: np.ndarray) -> None:
-        """Splice the edits into the canonical edge array and the CSR.
+        """Splice the edits into the sorted edge keys and the CSR.
 
-        One masked copy per array (keys, edges, indices) plus work that
+        One masked copy per array (keys, indices) plus work that
         grows with the touched rows' entries, with no per-vertex numpy
         call: the touched rows are gathered at once
         (:func:`~repro.graphs.graph.row_positions`), and the deleted
@@ -343,11 +337,6 @@ class DynamicGraph:
         (:func:`_row_order_keys`).
         """
         self._keys = _splice(self._keys, delete_positions, insert_positions, insert_keys)
-        # The (m, 2) edges go through their 16-byte rows as 1-D scalars:
-        # numpy's masked copies are far slower along axis 0 of a 2-D array.
-        self._edges = _splice(self._edges.view(_EDGE_ROW).ravel(), delete_positions,
-                              insert_positions, insertions.view(_EDGE_ROW).ravel()
-                              ).view(np.int64).reshape(-1, 2)
 
         n = self._num_vertices
         old_indptr = self._indptr

@@ -15,6 +15,7 @@ removed during construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -172,27 +173,26 @@ def _dropped_sums(bounds: np.ndarray, targets: np.ndarray, local: np.ndarray,
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected graph in CSR form.
+    """An undirected graph, stored as its CSR adjacency.
 
     Attributes
     ----------
     num_vertices:
         Number of vertices ``n``; vertices are ``0 .. n-1``.
-    edges:
-        ``(m, 2)`` array of unique undirected edges with ``u < v``.
     indptr, indices:
         CSR adjacency structure: the neighbors of vertex ``v`` are
-        ``indices[indptr[v]:indptr[v + 1]]``.
+        ``indices[indptr[v]:indptr[v + 1]]``; each edge is two entries,
+        one in each endpoint's row.
 
     Every graph this package builds keeps one CSR row order — row ``r``
     lists its neighbors > ``r`` ascending, then its neighbors < ``r``
     ascending — the order :meth:`from_edges` gives, that
     :meth:`repro.dynamic.DynamicGraph.snapshot` reproduces, and that
-    :meth:`subgraphs` relies on and keeps.
+    :meth:`subgraphs` relies on and keeps.  The edge list :attr:`edges`
+    is derived from it on first use.
     """
 
     num_vertices: int
-    edges: np.ndarray
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
 
@@ -204,6 +204,7 @@ class Graph:
         """Build a graph from an iterable of ``(u, v)`` pairs.
 
         Duplicate edges (in either orientation) and self loops are ignored.
+        The canonical edge array built on the way is kept as :attr:`edges`.
         """
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
@@ -213,37 +214,33 @@ class Graph:
             edge_array = np.empty((0, 2), dtype=np.int64)
         canonical = _canonicalize_edges(edge_array, num_vertices)
         indptr, indices = cls._build_csr(num_vertices, canonical)
-        return cls(num_vertices=num_vertices, edges=canonical, indptr=indptr, indices=indices)
+        graph = cls(num_vertices=num_vertices, indptr=indptr, indices=indices)
+        vars(graph)["edges"] = canonical
+        return graph
 
     @classmethod
-    def from_csr(cls, num_vertices: int, edges: np.ndarray, indptr: np.ndarray,
-                 indices: np.ndarray) -> "Graph":
+    def from_csr(cls, num_vertices: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         """Adopt caller-owned CSR buffers without copying.
 
         The zero-copy constructor of the shared-memory execution path
-        (:mod:`repro.core.shm`): ``edges``/``indptr``/``indices`` may be
-        views into a shared segment (read-only views included — no
-        algorithm in this package writes into a graph's arrays) and are
-        stored as-is.  The caller guarantees the arrays form a valid
-        canonical CSR graph in the class's row order (as produced by
-        :meth:`from_edges` / :meth:`subgraphs`); only cheap shape/dtype
-        invariants are checked here.
+        (:mod:`repro.core.shm`) and of :func:`~repro.graphs.io.load_graph_npz`:
+        ``indptr``/``indices`` may be views into a shared segment
+        (read-only views included — no algorithm in this package writes
+        into a graph's arrays) and are stored as-is.  The caller
+        guarantees the arrays form a valid CSR graph in the class's row
+        order (as produced by :meth:`from_edges` / :meth:`subgraphs`);
+        only cheap shape/dtype invariants are checked here.
         """
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
-        for name, array, dtype in (("edges", edges, np.int64),
-                                   ("indptr", indptr, np.int64),
-                                   ("indices", indices, np.int64)):
-            if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        for name, array in (("indptr", indptr), ("indices", indices)):
+            if not isinstance(array, np.ndarray) or array.dtype != np.int64:
                 raise ValueError(f"{name} must be an int64 numpy array")
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must be an (m, 2) array")
         if indptr.shape != (num_vertices + 1,):
             raise ValueError("indptr must have length num_vertices + 1")
-        if indices.shape != (int(indptr[-1]) if indptr.size else 0,):
+        if indices.shape != (int(indptr[-1]),):
             raise ValueError("indices length must match indptr[-1]")
-        return cls(num_vertices=num_vertices, edges=edges,
-                   indptr=indptr, indices=indices)
+        return cls(num_vertices=num_vertices, indptr=indptr, indices=indices)
 
     @staticmethod
     def _build_csr(num_vertices: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +258,19 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Basic properties
     # ------------------------------------------------------------------ #
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """``(m, 2)`` int64 array of the unique undirected edges ``(u, v)``,
+        ``u < v``, sorted: the CSR's upper entries (target > row) in CSR
+        order, which the row order of the class docstring lists sorted."""
+        rows = np.repeat(np.arange(self.num_vertices), np.diff(self.indptr))
+        upper = np.flatnonzero(self.indices > rows)
+        return np.column_stack([rows[upper], self.indices[upper]])
+
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self.edges.shape[0])
+        return self.indices.size // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -319,10 +325,10 @@ class Graph:
         is used as is), so the relabelling is monotone and a subgraph's CSR
         is a *row filter* of this graph's in the row order of the class
         docstring (:func:`restrict_csr`): the set's rows, keeping the
-        entries whose target is in the set.  Its edges are the kept entries
-        with target > row, in CSR order.  No sort runs, and the arrays equal
-        :meth:`from_edges` on the induced edges.  A set of every vertex
-        returns this graph itself.
+        entries whose target is in the set.  No sort runs, no edge list is
+        built (a subgraph derives :attr:`edges` only if it is read), and the
+        arrays equal :meth:`from_edges` on the induced edges.  A set of
+        every vertex returns this graph itself.
 
         Raises :class:`ValueError` if the sets overlap or contain invalid
         vertex ids.
@@ -349,11 +355,8 @@ class Graph:
             local[ids] = np.arange(ids.size)
             indptr, indices, _ = restrict_csr(self.indptr, self.indices, ids, local)
             local[ids] = -1
-            local_rows = np.repeat(np.arange(ids.size), np.diff(indptr))
-            upper = np.flatnonzero(indices > local_rows)
-            edges = np.column_stack([local_rows[upper], indices[upper]])
-            results.append((Graph(num_vertices=int(ids.size), edges=edges,
-                                  indptr=indptr, indices=indices), ids))
+            results.append((Graph(num_vertices=int(ids.size), indptr=indptr,
+                                  indices=indices), ids))
         return results
 
     def to_networkx(self):

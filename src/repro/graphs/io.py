@@ -69,25 +69,23 @@ def write_edge_list(graph: Graph, path: str | Path, header: bool = True) -> None
 
 
 def save_graph_npz(graph: Graph, path: str | Path) -> None:
-    """Save the graph in compressed ``.npz`` form (fast round trip)."""
+    """Save the graph's CSR in compressed ``.npz`` form (fast round trip)."""
     np.savez_compressed(
         Path(path),
         num_vertices=np.int64(graph.num_vertices),
-        edges=graph.edges,
         indptr=graph.indptr,
         indices=graph.indices,
     )
 
 
 def load_graph_npz(path: str | Path) -> Graph:
-    """Load a graph previously stored with :func:`save_graph_npz`."""
+    """Load a graph previously stored with :func:`save_graph_npz`.
+
+    The graph is its CSR; an ``edges`` array, which older files carry,
+    is not read.
+    """
     with np.load(Path(path)) as data:
-        return Graph(
-            num_vertices=int(data["num_vertices"]),
-            edges=data["edges"],
-            indptr=data["indptr"],
-            indices=data["indices"],
-        )
+        return Graph.from_csr(int(data["num_vertices"]), data["indptr"], data["indices"])
 
 
 def write_partition(assignment: Sequence[int] | np.ndarray, path: str | Path) -> None:

@@ -19,7 +19,9 @@ from repro.graphs import Graph
 
 def _reference_subgraph(graph: Graph, ids) -> tuple[Graph, np.ndarray]:
     """The induced subgraph by definition: relabel the parent's edges onto
-    the sorted set, drop those leaving it, and sort them into a CSR."""
+    the sorted set, drop those leaving it, and sort them into a CSR.  The
+    graph is built from that CSR, and the edge list it derives must be the
+    filtered edges (already sorted: the relabelling is monotone)."""
     mapping = np.unique(np.asarray(ids, dtype=np.int64))
     new_id = np.full(graph.num_vertices, -1, dtype=np.int64)
     new_id[mapping] = np.arange(mapping.size)
@@ -27,8 +29,9 @@ def _reference_subgraph(graph: Graph, ids) -> tuple[Graph, np.ndarray]:
     keep = (sources >= 0) & (targets >= 0)
     edges = np.column_stack([sources[keep], targets[keep]])
     indptr, indices = Graph._build_csr(mapping.size, edges)
-    return Graph(num_vertices=int(mapping.size), edges=edges, indptr=indptr,
-                 indices=indices), mapping
+    reference = Graph.from_csr(int(mapping.size), indptr, indices)
+    np.testing.assert_array_equal(reference.edges, edges)
+    return reference, mapping
 
 
 def _assert_same(actual: tuple[Graph, np.ndarray], expected: tuple[Graph, np.ndarray]):

@@ -93,3 +93,75 @@ class TestHeadlineClaims:
         ratio = (times[1] / times[0]) / (edges[1] / edges[0])
         # Allow generous slack: constant overheads dominate at tiny sizes.
         assert ratio < 6.0
+
+
+class TestSolvePathReadsOnlyTheCsr:
+    """The GD solve reads a graph through its CSR alone: no code that
+    ``repro.run`` or ``IncrementalRepartitioner.apply`` runs builds a
+    scipy matrix (``Graph.adjacency_matrix`` raises here), and no task
+    subgraph holds an edge list once its task is solved.  Every task
+    function call checks its own subgraphs, so ``shm`` workers (forked
+    with the patches) check theirs too."""
+
+    @pytest.fixture
+    def extracted(self, monkeypatch):
+        from repro.core import recursive
+        from repro.graphs import Graph
+
+        def no_scipy_matrix(graph, dtype=np.float64):
+            raise AssertionError("the solve path built a scipy adjacency matrix")
+
+        subgraphs, solve_group = Graph.subgraphs, recursive.solve_group
+        extracted = []
+
+        def recording_subgraphs(graph, vertex_sets):
+            results = subgraphs(graph, vertex_sets)
+            extracted.extend(subgraph for subgraph, _ in results if subgraph is not graph)
+            return results
+
+        def checked_solve_group(walk, tasks):
+            start = len(extracted)
+            sides = solve_group(walk, tasks)
+            holding = sum("edges" in vars(subgraph) for subgraph in extracted[start:])
+            if holding:
+                raise AssertionError(f"{holding} task subgraphs hold an edge list")
+            return sides
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", no_scipy_matrix)
+        monkeypatch.setattr(Graph, "subgraphs", recording_subgraphs)
+        monkeypatch.setattr(recursive, "solve_group", checked_solve_group)
+        return extracted
+
+    @pytest.mark.parametrize("parallelism", ["serial", "shm"])
+    def test_kway_run(self, extracted, parallelism):
+        from repro import ExecutionConfig, run
+        from repro.graphs import fb_like
+
+        graph = fb_like(80, scale=0.5, seed=0)
+        weights = standard_weights(graph, 2)
+        result = run(graph, 8, weights=weights, epsilon=0.05,
+                     gd=GDConfig(iterations=30, seed=0),
+                     execution=ExecutionConfig(parallelism=parallelism, max_workers=2))
+        assert np.array_equal(np.unique(result.partition.assignment), np.arange(8))
+        if parallelism == "serial":
+            # Waves 1-2: 2 + 4 subgraphs extracted in this process.
+            assert len(extracted) == 6
+        assert not any("edges" in vars(subgraph) for subgraph in extracted)
+
+    def test_churn_repairs(self, extracted):
+        from repro.dynamic import DynamicGraph, IncrementalRepartitioner, UpdateBatch
+        from repro.graphs import churn_trace, fb_like
+
+        graph = fb_like(80, scale=0.4, seed=0)
+        weights = standard_weights(graph, 2)
+        config = GDConfig(iterations=40, seed=0)
+        initial = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 4)
+        repartitioner = IncrementalRepartitioner(DynamicGraph(graph, weights),
+                                                 initial.assignment, 4, epsilon=0.05,
+                                                 config=config)
+        modes = [repartitioner.apply(UpdateBatch(insertions=insertions,
+                                                 deletions=deletions)).mode
+                 for insertions, deletions in churn_trace(graph, 5, 0.002, seed=5)]
+        assert modes == ["repair"] * 5
+        assert extracted
+        assert not any("edges" in vars(subgraph) for subgraph in extracted)

@@ -68,6 +68,24 @@ class TestNpz:
         save_graph_npz(graph, path)
         assert load_graph_npz(path).num_edges == 0
 
+    def test_files_with_an_edge_list_still_load(self, social_graph, tmp_path):
+        """A file saves the graph's CSR alone; a file in the earlier layout,
+        which also holds the edge list, loads to the same graph."""
+        path = tmp_path / "graph.npz"
+        save_graph_npz(social_graph, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["indices", "indptr", "num_vertices"]
+        earlier = tmp_path / "earlier.npz"
+        np.savez_compressed(earlier, num_vertices=np.int64(social_graph.num_vertices),
+                            edges=social_graph.edges, indptr=social_graph.indptr,
+                            indices=social_graph.indices)
+        loaded = load_graph_npz(earlier)
+        assert loaded.num_vertices == social_graph.num_vertices
+        for name in ("edges", "indptr", "indices"):
+            value, expected = getattr(loaded, name), getattr(social_graph, name)
+            assert value.dtype == expected.dtype, name
+            np.testing.assert_array_equal(value, expected, err_msg=name)
+
 
 class TestPartitionIO:
     def test_roundtrip(self, tmp_path):

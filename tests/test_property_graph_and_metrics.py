@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core import balance_repair, randomized_round
 from repro.graphs import Graph, unit_weights
 from repro.graphs import graph as graph_module
-from repro.graphs.graph import csr_matvec, restrict_csr, row_positions
+from repro.graphs.graph import _canonicalize_edges, csr_matvec, restrict_csr, row_positions
 from repro.partition import (
     Partition,
     cut_size,
@@ -30,6 +30,29 @@ def random_graphs(draw, max_vertices=30, max_edges=80):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         min_size=num_edges, max_size=num_edges))
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """``(n, pairs, labels)``: up to 25 vertices with edges (self loops and
+    duplicates included, possibly none), up to 4 isolated vertices spread
+    among them, and a label per vertex naming one of three disjoint
+    vertex sets (or none, -1)."""
+    connected = draw(st.integers(min_value=0, max_value=25))
+    n = connected + draw(st.integers(min_value=0, max_value=4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, connected - 1),
+                                    st.integers(0, connected - 1)),
+                          max_size=80)) if connected else []
+    relabel = draw(st.permutations(range(n)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, 2)))
+    return n, [(relabel[u], relabel[v]) for u, v in pairs], labels
+
+
+def _assert_derived_edges(graph: Graph, expected: np.ndarray) -> None:
+    edges = graph.edges
+    assert edges.dtype == np.int64 and edges.shape == expected.shape
+    np.testing.assert_array_equal(edges, expected)
+    assert graph.num_edges == graph.indices.size // 2 == expected.shape[0]
 
 
 @st.composite
@@ -53,6 +76,28 @@ class TestGraphInvariants:
         edges = {tuple(edge) for edge in graph.edges.tolist()}
         assert len(edges) == graph.num_edges
         assert all(u < v for u, v in edges)
+
+    @settings(max_examples=80)
+    @given(case=graphs_with_isolated_vertices())
+    @example(case=(4, [], np.array([0, 0, 1, -1])))
+    def test_edges_derive_from_the_csr(self, case):
+        """A graph is its CSR, and ``edges`` is derived from it: for
+        ``from_edges``, ``from_csr`` and every ``subgraphs`` output it
+        equals the canonical induced edges, and ``num_edges`` is half the
+        CSR's entries."""
+        n, pairs, labels = case
+        raw = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        built = Graph.from_edges(n, raw)
+        adopted = Graph.from_csr(n, built.indptr, built.indices)
+        assert "edges" not in vars(adopted)
+        for graph in (built, adopted):
+            _assert_derived_edges(graph, _canonicalize_edges(raw, n))
+        sets = [np.flatnonzero(labels == part) for part in range(3)]
+        for ids, (subgraph, mapping) in zip(sets, adopted.subgraphs(sets)):
+            np.testing.assert_array_equal(mapping, ids)
+            inside = np.isin(raw, ids).all(axis=1)
+            _assert_derived_edges(subgraph, _canonicalize_edges(
+                np.searchsorted(ids, raw[inside]), ids.size))
 
     @settings(max_examples=50)
     @given(graph=random_graphs())

@@ -70,10 +70,10 @@ class TestBalanceRepair:
         graph = clique_ring
         weights = unit_weights(graph)[None, :]
         sides = np.where(np.arange(graph.num_vertices) % 2 == 0, 1.0, -1.0)
-        # Sides already within ε come back before the adjacency is built.
-        with mock.patch.object(Graph, "adjacency_matrix") as adjacency:
+        # Sides already within ε come back before any neighbour sum.
+        with mock.patch.object(rounding, "csr_matvec") as neighbour_sums:
             repaired = balance_repair(graph, sides, weights, epsilon=0.1)
-        adjacency.assert_not_called()
+        neighbour_sums.assert_not_called()
         assert np.array_equal(repaired, sides)
 
     def test_never_increases_total_violation(self, social_graph, social_weights):
