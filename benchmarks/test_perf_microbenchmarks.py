@@ -21,7 +21,7 @@ from repro.core import (
     recursive_bisection,
     task_seed,
 )
-from repro.core.gd import BisectionStepper
+from repro.core.gd import Bisection, BisectionStepper
 from repro.core.kernels import NumpyBackend
 from repro.graphs import fb_like
 from repro.core.projection import (
@@ -309,15 +309,16 @@ def _late_stage_stepper():
     degenerates).  Further fixing is disabled so every measured step faces
     the same free set."""
     graph, weights = _fig7_workload()
-    warm = BisectionStepper(graph, weights, 0.05, _FLAT_CONFIG)
+    warm = BisectionStepper([Bisection(graph, weights, 0.05, _FLAT_CONFIG)])
     for iteration in range(26):
         warm.step(iteration)
     free = int((~warm.fixed).sum())
     assert 0 < free < 0.05 * graph.num_vertices, (
         f"{free} free vertices; late-stage kernel benchmark invalid")
-    stepper = BisectionStepper(graph, weights, 0.05,
-                               _FLAT_CONFIG.with_updates(vertex_fixing=False),
-                               initial_x=warm.x.copy(), initial_fixed=warm.fixed.copy())
+    stepper = BisectionStepper([Bisection(graph, weights, 0.05,
+                                          _FLAT_CONFIG.with_updates(vertex_fixing=False),
+                                          initial_x=warm.x.copy(),
+                                          initial_fixed=warm.fixed.copy())])
     stepper.step(26)  # prime scratch buffers
     return stepper
 
@@ -328,13 +329,12 @@ def test_perf_free_system_reslice(benchmark):
     input) cold-started, 187 vertices fixed, then 3 more.  Times the
     event's bookkeeping plus the restriction of the live rows."""
     graph, _ = fb_like(80, scale=2).subgraph(np.arange(250))
-    relaxation = QuadraticRelaxation(graph)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, graph.num_vertices)
     order = rng.permutation(graph.num_vertices)
 
     def setup():
-        system = FreeVertexSystem(relaxation, np.zeros(graph.num_vertices, dtype=bool), x,
+        system = FreeVertexSystem(graph, np.zeros(graph.num_vertices, dtype=bool), x,
                                   NumpyBackend())
         first = np.zeros(graph.num_vertices, dtype=bool)
         first[order[:187]] = True
@@ -356,11 +356,10 @@ def test_perf_free_system_warm_build(benchmark):
     the whole adjacency is restricted and the boundary sums the few
     fixed neighbours."""
     graph = fb_like(80, scale=4)
-    relaxation = QuadraticRelaxation(graph)
     rng = np.random.default_rng(1)
     fixed = rng.random(graph.num_vertices) < 0.001
     x = np.where(rng.random(graph.num_vertices) < 0.5, 1.0, -1.0)
-    benchmark.pedantic(lambda: FreeVertexSystem(relaxation, fixed, x, NumpyBackend()),
+    benchmark.pedantic(lambda: FreeVertexSystem(graph, fixed, x, NumpyBackend()),
                        rounds=20, iterations=1, warmup_rounds=1)
 
 

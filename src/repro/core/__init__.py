@@ -10,7 +10,7 @@ from .config import (
 from .checkpoint import CheckpointMismatch, FrontierCheckpoint, TaskState
 from .executor import BisectionExecutor, ExecutorStats, ExecutorTaskError, task_seed
 from .shm import SharedGraphArena, ShmStats
-from .kernels import KernelBackend, KernelStats, NumpyBackend
+from .kernels import KernelStats, NumpyBackend
 from .relaxation import QuadraticRelaxation
 from .noise import NoiseSchedule
 from .step import StepSizeController, target_step_length
@@ -52,7 +52,6 @@ __all__ = [
     "CheckpointMismatch",
     "FrontierCheckpoint",
     "TaskState",
-    "KernelBackend",
     "KernelStats",
     "NumpyBackend",
     "QuadraticRelaxation",

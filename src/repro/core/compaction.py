@@ -17,7 +17,8 @@ For the free vertex set ``F`` and fixed set ``C``,
 so one iteration's gradient over the free coordinates is
 ``A_FF @ z_F + boundary`` — O(edges among free vertices) instead of
 O(all edges), computed by the stepper's
-:class:`~repro.core.kernels.KernelBackend` for its per-kernel counters.
+:class:`~repro.core.kernels.NumpyBackend` for its per-kernel counters,
+on the graph's own int64 CSR with unit entries (no scipy matrix).
 A fixing event costs a few array passes over the current free set; only
 once most of the current system has been fixed is it *restricted again*
 — sliced down to the surviving free vertices, with the fixed columns'
@@ -36,9 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..graphs.graph import restrict_csr
-from .kernels import KernelBackend
-from .relaxation import QuadraticRelaxation
+from ..graphs.graph import Graph, restrict_csr
+from .kernels import NumpyBackend
 
 __all__ = ["FreeVertexSystem"]
 
@@ -84,10 +84,8 @@ class FreeVertexSystem:
 
     Parameters
     ----------
-    relaxation:
-        The relaxation of the graph: the graph's own int64 CSR, with unit
-        entries, is the operator; the relaxation's scipy matrix is never
-        built here.
+    graph:
+        The graph whose CSR, with unit entries, is the operator.
     fixed:
         Global boolean mask of fixed vertices.  With no fixed vertex the
         first epoch is the graph's CSR itself (no slicing, no copy, zero
@@ -95,8 +93,8 @@ class FreeVertexSystem:
     values:
         Full iterate; only the entries at fixed positions are read.
     backend:
-        The :class:`~repro.core.kernels.KernelBackend` the gradient
-        mat-vec routes through, for per-kernel counters.
+        The backend the gradient mat-vec routes through, for per-kernel
+        counters.
     """
 
     #: Live fraction below which the epoch matrix is re-sliced.  Dead
@@ -106,9 +104,8 @@ class FreeVertexSystem:
     #: then sum to a geometric series of the first epoch's nonzeros.
     _RESLICE_FRACTION = 0.25
 
-    def __init__(self, relaxation: QuadraticRelaxation, fixed: np.ndarray,
-                 values: np.ndarray, backend: KernelBackend):
-        graph = relaxation.graph
+    def __init__(self, graph: Graph, fixed: np.ndarray, values: np.ndarray,
+                 backend: NumpyBackend):
         fixed = np.asarray(fixed, dtype=bool)
         if fixed.shape[0] != graph.num_vertices:
             raise ValueError("fixed mask must have one entry per vertex")

@@ -1,8 +1,9 @@
 """Configuration of the projected-gradient-descent partitioner.
 
 Also home of :class:`ConfigIO`, the shared ``to_dict`` / ``from_dict`` /
-``from_args`` mixin every config dataclass follows, so each subsystem is
-constructible from JSON or an ``argparse`` namespace the same way.
+``from_args`` / ``with_updates`` mixin every config dataclass follows, so
+each subsystem is constructible from JSON or an ``argparse`` namespace
+the same way.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ class ConfigIO:
         values.update(overrides)
         return cls(**values)
 
+    def with_updates(self, **changes):
+        """Return a copy with the given fields replaced."""
+        return replace(self, **changes)
+
 
 @dataclass(frozen=True)
 class ExecutionConfig(ConfigIO):
@@ -140,10 +145,6 @@ class ExecutionConfig(ConfigIO):
             raise ValueError("task_timeout_seconds must be positive when given")
         if self.task_retries < 0:
             raise ValueError("task_retries must be non-negative")
-
-    def with_updates(self, **changes) -> "ExecutionConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,3 @@ class GDConfig(ConfigIO):
             raise ValueError("repartition_damage_threshold must be positive")
         if self.repartition_iterations < 1:
             raise ValueError("repartition_iterations must be at least 1")
-
-    def with_updates(self, **changes) -> "GDConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -76,7 +77,7 @@ import numpy as np
 from ..faults import attempt_scope, fault_site
 from .checkpoint import TaskState
 from .config import ExecutionConfig
-from .shm import ShmStats, WalkArena
+from .shm import SharedGraphArena, ShmStats, ShmTaskRef, pack_walk, run_walk_task
 
 if TYPE_CHECKING:
     from .recursive import Walk
@@ -171,7 +172,9 @@ class BisectionExecutor:
         self.execution = execution if execution is not None else ExecutionConfig()
         self.stats = ExecutorStats()
         self._pool: ProcessPoolExecutor | None = None
-        self._arena: WalkArena | None = None
+        # The walk with a pooled wave, and the arena it is packed into.
+        self._walk: Walk | None = None
+        self._arena: SharedGraphArena | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -236,10 +239,9 @@ class BisectionExecutor:
         ``labels`` (optional, parallel to ``tasks``) name the tasks in
         retry logs, :class:`ExecutorTaskError` messages and the
         ``executor.task`` fault site; unnamed tasks get ``"#<index>"``.
-
-        With a single task (the root of the recursion tree, typically the
-        most expensive bisection of the whole run) the pool is bypassed to
-        avoid pickling the largest subgraph for no concurrency gain.
+        The serial backend, and a single task on any backend, run in the
+        coordinating process (a lone task gains nothing from the pool);
+        otherwise every task is pickled to the shm backend's process pool.
         """
         tasks = list(tasks)
         if labels is None:
@@ -328,11 +330,14 @@ class BisectionExecutor:
         own label, and a failure retries the group).  On the shm backend a
         wave of two or more tasks runs on the process pool, one task — a
         group of one — per submission: the walk is packed into one
-        shared-memory arena on its first such wave and only each task's
-        coordinates cross the pipe (:class:`~repro.core.shm.WalkArena`;
-        the retry/timeout/pool-rebuild machinery of :meth:`_map_processes`
-        applies unchanged).  Either way one sides array per task comes
-        back in task order, bit-identical across backends (the
+        shared-memory arena (:func:`~repro.core.shm.pack_walk`) on its
+        first such wave, each wave writes its tasks' vertex ids into the
+        arena, and only a :class:`~repro.core.shm.ShmTaskRef` per task
+        crosses the pipe; the workers write their sides into the arena's
+        output buffer.  The retry/timeout/pool-rebuild machinery of
+        :meth:`_map_processes` applies unchanged (rebuilt workers simply
+        re-attach).  Either way one sides array per task comes back in
+        task order, bit-identical across backends (the
         deterministic-seeding contract).  :meth:`end_walk` releases the
         arena.
         """
@@ -342,15 +347,40 @@ class BisectionExecutor:
         if not tasks:
             return []
         labels = [f"depth={task.depth}/part={task.first_part}" for task in tasks]
-        if self.execution.parallelism == "shm" and len(tasks) > 1:
-            if self._arena is None or self._arena.walk is not walk:
-                self.end_walk()
-                self._arena = WalkArena(walk, self)
-            return self._arena.solve_wave(self, tasks, labels)
-        return self._run_inline(lambda: solve_group(walk, tasks), labels)
+        if self.execution.parallelism != "shm" or len(tasks) == 1:
+            return self._run_inline(lambda: solve_group(walk, tasks), labels)
+
+        stats = self.stats.shm
+        if self._walk is not walk:
+            self.end_walk()
+            self._arena = pack_walk(walk)
+            self._walk = walk
+            stats.segments_created += 1
+            stats.bytes_shared += self._arena.nbytes
+        arena = self._arena
+        ids = arena.array("vertex_ids")
+        refs = []
+        start = 0
+        for task in tasks:
+            stop = start + task.vertex_ids.size
+            ids[start:stop] = task.vertex_ids
+            refs.append(ShmTaskRef(arena.name, start, stop, task.num_parts,
+                                   task.first_part, task.depth))
+            start = stop
+        del ids  # release the view so unlink() can unmap cleanly
+        attached = self._map_processes(run_walk_task, refs, labels)
+        out = arena.array("out")
+        results = [out[task.vertex_ids].astype(np.int64) for task in tasks]
+        del out
+        stats.waves += 1
+        stats.tasks += len(tasks)
+        stats.attaches += sum(attached)
+        stats.payload_bytes += sum(len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL))
+                                   for ref in refs)
+        return results
 
     def end_walk(self) -> None:
         """Unlink the current walk's shared-memory arena (no-op if none)."""
-        arena, self._arena = self._arena, None
+        arena, self._arena, self._walk = self._arena, None, None
         if arena is not None:
             arena.unlink()

@@ -22,31 +22,34 @@ system ``A_FF z + A_FC x_C`` (:class:`~repro.core.compaction.FreeVertexSystem`)
 and the projection region is the band induced on the free vertices.
 Every projection method is served by one
 :class:`~repro.core.projection.ProjectionEngine` per bisection, which
-projects each gradient step (the default one-shot sweep folds the step
-into its in-place pass), narrows the region as vertices are fixed, and
-warm-starts each projection from the previous iterate's solution.
+projects each gradient step in place (the default one-shot sweep updates
+the step; the stepper then clips it to the cube), narrows the region as
+vertices are fixed, and warm-starts each projection from the previous
+iterate's solution.
 
 Structure
 ---------
-:class:`BisectionStepper` steps a *group* of bisections in lock step: the
-tasks of one recursion level (:mod:`repro.core.recursive`), or one
-bisection alone, a group of one.  The group lays its tasks out as
-segments of shared iterate buffers.  The elementwise work of an
-iteration runs once per group, on those buffers: the free-vertex gather
-and scatter, the noise mix-in, the sum ``z + γ·∇``, the clip to the
-cube, the step delta, the fixing mask and the snap.  What reduces over a
-task's values, or is scaled by a task's own scalar, runs per task on its
-contiguous slice: the gradient and the first step size, the product
-``γ·∇``, the projection, the realized step length, the fixing
-bookkeeping.  Each task keeps its own RNG stream, step
-controller, projection engine, free-vertex system and finalize.  Every
-entry is computed by the same operations on the same values as when its
-task is stepped alone (a reduction over a contiguous slice gives the bits
-it gives over a copy of the slice), so a task's output does not depend
-on the group it was stepped in.
+:class:`BisectionStepper` steps a *group* of bisections in lock step:
+the tasks of one recursion level (:mod:`repro.core.recursive`), or one
+bisection alone, a group of one.  It takes a sequence of
+:class:`Bisection` records and lays its tasks out as segments of shared
+iterate buffers.  The elementwise work of an iteration runs once per
+group, on those buffers: the free-vertex gather and scatter, the noise
+mix-in, the sum ``z + γ·∇``, the clip to the cube, the step delta, the
+fixing mask and the snap.  What reduces over a task's values, or is
+scaled by a task's own scalar, runs per task on its contiguous slice:
+the gradient and the first step size, the product ``γ·∇``, the
+projection (:meth:`~repro.core.projection.ProjectionEngine.project_in_place`),
+the realized step length, the fixing bookkeeping.  Each task keeps its
+own RNG stream, step controller, projection engine, free-vertex system
+and finalize.  Every entry is computed by the same operations on the
+same values as when its task is stepped alone (a reduction over a
+contiguous slice gives the bits it gives over a copy of the slice), so a
+task's output does not depend on the group it was stepped in.
 
-:func:`solve_bisections` runs a group for ``config.iterations`` steps
-and finalizes every task: the one GD loop.  :func:`gd_bisect` runs one
+:func:`solve_bisections` builds the group, runs it for
+``config.iterations`` steps and finalizes every task: the one GD loop,
+and the only place a stepper is built.  :func:`gd_bisect` runs one
 bisection through it (cold, or started from given sides with some
 vertices fixed, as the incremental repartitioner's repair tasks are);
 :func:`bisection_regions` and :func:`finalize_bisection` are a task's
@@ -240,7 +243,7 @@ class _Task:
             raise ValueError("target_fraction must be strictly between 0 and 1")
         n = graph.num_vertices
         if n == 0:
-            raise ValueError("BisectionStepper requires a non-empty graph")
+            raise ValueError("every bisection of a group needs a non-empty graph")
 
         self.graph = graph
         self.weights = weights
@@ -283,51 +286,39 @@ class _Task:
         free_region = (self.region.restrict(~fixed, x[fixed])
                        if fixed.any() else self.region)
         self.engine = ProjectionEngine(config.projection_method, free_region, stats)
-        self.system = FreeVertexSystem(self.relaxation, fixed, x, backend)
+        self.system = FreeVertexSystem(graph, fixed, x, backend)
 
 
 class BisectionStepper:
     """A group of GD bisections, advanced in lock step one iteration at a
     time.
 
-    Takes one bisection's inputs, as :func:`gd_bisect` does, or a
-    sequence of :class:`Bisection` records that share their config up to
-    its seed.  Every iteration runs noise → free-vertex gradient →
-    projection → fixing on each task that still has free vertices (a
-    converged task sits the iteration out and draws no noise).  The
-    group's iterate :attr:`x` and fixed mask :attr:`fixed` hold the tasks'
-    vertices back to back; :attr:`tasks` holds each task's own state.
-    Only the projection depends on the method, and every task projects
-    through its own engine, whose region narrows as its vertices fix.
+    Takes a sequence of :class:`Bisection` records that share their
+    config up to its seed, each with at least one vertex.  Every
+    iteration runs noise → free-vertex gradient → projection → fixing on
+    each task that still has free vertices (a converged task sits the
+    iteration out and draws no noise).  The group's iterate :attr:`x` and
+    fixed mask :attr:`fixed` hold the tasks' vertices back to back;
+    :attr:`tasks` holds each task's own state (its ``engine``,
+    ``system``, ``relaxation``, ``region``, ...).  Only the projection
+    depends on the method, and every task projects through its own
+    engine, whose region narrows as its vertices fix.
 
-    A group of one answers for its task: ``stepper.engine``,
-    ``.system``, ``.relaxation``, ``.region``, ``.weights``, ... are the
-    task's, and :meth:`result` finalizes it.  :attr:`engine` exists for
-    every group, for the counters: a group's engines share one
+    :attr:`engine` and :attr:`backend` are there for the counters: a
+    group's engines share one
     :class:`~repro.core.projection.ProjectionStats`, as its tasks share
-    one kernel backend (:attr:`backend`), so both count the whole group.
-
-    Warm starts
-    -----------
-    ``initial_x`` / ``initial_fixed`` start a task's iterate (and fixed
-    mask) from a given state instead of all-zeros — the incremental
+    one kernel backend, so both count the whole group.  A bisection's
+    ``initial_x`` / ``initial_fixed`` start its iterate (and fixed mask)
+    from a given state instead of all-zeros — the incremental
     repartitioner's repair passes start this way from the previous
-    assignment.  Every task must have at least one vertex.
+    assignment.
     """
 
-    def __init__(self, graph: Graph | Sequence[Bisection], weights: np.ndarray | None = None,
-                 epsilon: float = 0.05, config: GDConfig | None = None,
-                 target_fraction: float = 0.5, *, initial_x: np.ndarray | None = None,
-                 initial_fixed: np.ndarray | None = None):
+    def __init__(self, bisections: Sequence[Bisection]):
         # Clock starts here so BisectionResult.elapsed_seconds counts
         # construction (relaxation, regions, engine, free-vertex system).
         self._start_time = time.perf_counter()
-        if isinstance(graph, Graph):
-            bisections = [Bisection(graph, weights, epsilon,
-                                    config if config is not None else GDConfig(),
-                                    target_fraction, initial_x, initial_fixed)]
-        else:
-            bisections = list(graph)
+        bisections = list(bisections)
         if not bisections:
             raise ValueError("BisectionStepper needs at least one bisection")
         shared = bisections[0].config
@@ -359,14 +350,6 @@ class BisectionStepper:
                                          for task in self.tasks])
         self._set_free_bounds(list(accumulate((task.system.num_free for task in self.tasks),
                                               initial=0)))
-
-    def __getattr__(self, name: str):
-        # Only reached for names the group itself lacks: a group of one
-        # answers with its task's attribute.
-        tasks = self.__dict__.get("tasks", ())
-        if len(tasks) == 1 and not name.startswith("__"):
-            return getattr(tasks[0], name)
-        raise AttributeError(name)
 
     @property
     def engine(self) -> ProjectionEngine:
@@ -463,12 +446,6 @@ class BisectionStepper:
         """Finalize every task (clean-up projection, rounding, repair)."""
         return [self._finalize(task) for task in self.tasks]
 
-    def result(self) -> BisectionResult:
-        """Finalize the task of a group of one."""
-        if len(self.tasks) != 1:
-            raise ValueError("result() finalizes a group of one; use results()")
-        return self._finalize(self.tasks[0])
-
     def _finalize(self, task: _Task) -> BisectionResult:
         config = task.config
         sides = finalize_bisection(task.graph, task.weights, config, task.epsilon,
@@ -528,7 +505,8 @@ def gd_bisect(graph: Graph, weights: np.ndarray, epsilon: float = 0.05,
         (0.5 for an even split).  Used by recursive partitioning into a
         number of parts that is not a power of two.
     initial_x, initial_fixed:
-        A warm start, as in :class:`BisectionStepper`.
+        A warm start (see :class:`BisectionStepper`): the starting
+        iterate, and the vertices fixed from the start.
     """
     config = config if config is not None else GDConfig()
     epsilon = validate_epsilon(epsilon)

@@ -1,22 +1,13 @@
-"""The kernel-backend protocol: the GD iteration's non-projection kernels.
+"""The GD iteration's non-projection kernels, timed per kernel.
 
 Outside the projection step (which :class:`~repro.core.projection.\
 ProjectionEngine` runs for every method), the per-iteration cost of the
 partitioner reduces to a small set of array kernels — the CSR mat-vec of
 the gradient, the noise mix-in, the free-vertex gather/scatter, and
-vertex fixing.  :class:`KernelBackend` names each of
-them once, so the arithmetic of one kernel can change without touching
-the solver.
+vertex fixing.  :class:`NumpyBackend` holds each of them as its plain
+numpy expression; the mat-vec keeps scipy's summation order, so outputs
+are bit-identical across the serial and shm executors.
 
-Determinism contract
---------------------
-A backend must preserve the per-kernel summation orders, so outputs are
-bit-identical across the serial and shm executors.
-:class:`~repro.core.kernels.NumpyBackend` is the reference: each method
-is the plain numpy expression for its kernel.
-
-Observability
--------------
 Every kernel call is timed (``time.perf_counter_ns``) into the
 backend's :class:`KernelStats`.  The counters stay on the backend of the
 stepper that made the calls (``BisectionStepper.backend.stats``); no
@@ -28,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import time
-from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = ["KernelBackend", "KernelStats", "kernel"]
+from ..graphs.graph import csr_matvec
+
+__all__ = ["KernelStats", "NumpyBackend", "kernel"]
 
 
 class KernelStats:
@@ -68,68 +60,58 @@ def kernel(method):
     return timed
 
 
-class KernelBackend(ABC):
-    """Abstract protocol of the solver's hot kernels.
+class NumpyBackend:
+    """Plain-numpy kernels with per-kernel counters.
 
-    Implementations must be cheap to construct — the solvers build one
-    instance per bisection so the stats are per-run — and must never
-    carry state across processes (workers construct their own).
-
-    Buffer ownership: input arrays may be externally owned and
-    *read-only* — under the ``"shm"`` executor the graph arrays and
-    weight rows are zero-copy views into a shared-memory segment with
-    ``writeable=False``.  Kernels must never write into an input unless
-    the kernel is documented as in-place on a named *output* argument
-    (:meth:`scatter`); those outputs are always solver-allocated scratch,
-    never the shared inputs.
+    Cheap to construct: every stepper builds its own, so the stats are
+    per group, and no instance crosses a process boundary (workers build
+    their own).  Input arrays may be externally owned and *read-only* —
+    under the ``"shm"`` executor the graph arrays and weight rows are
+    zero-copy views into a shared-memory segment — so no kernel writes
+    into an input; :meth:`scatter` writes only into its ``target``, which
+    is always solver-allocated.
     """
 
     def __init__(self) -> None:
         self.stats = KernelStats()
 
-    # ------------------------------------------------------------------ #
-    # Sparse mat-vec kernels
-    # ------------------------------------------------------------------ #
-    @abstractmethod
+    @kernel
     def spmv(self, matrix, x: np.ndarray) -> np.ndarray:
-        """CSR mat-vec ``A @ x`` (the gradient of the relaxation).
+        """CSR mat-vec ``A @ x`` with the bits of scipy's ``matrix @ x``.
 
         ``matrix`` is a scipy CSR matrix or anything with its ``shape``,
         ``indptr``, ``indices``, ``data`` and ``nnz`` — a free-vertex
-        system's epoch matrix.  The result has the bits of scipy's
-        ``matrix @ x``.
+        system's epoch matrix.  Runs scipy's own loop without its per-call
+        dispatch.
         """
+        return csr_matvec(matrix.indptr, matrix.indices, matrix.data, x, matrix.shape)
 
-    @abstractmethod
+    @kernel
     def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Compacted gradient ``A_FF @ z + boundary`` over the free set."""
+        gradient = self.spmv(matrix, z)
+        gradient += boundary
+        return gradient
 
-    # ------------------------------------------------------------------ #
-    # Iterate kernels
-    # ------------------------------------------------------------------ #
-    @abstractmethod
+    @kernel
     def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Noise mix-in ``x + noise``."""
+        return x + noise
 
-    # ------------------------------------------------------------------ #
-    # Free-vertex gather/scatter
-    # ------------------------------------------------------------------ #
-    @abstractmethod
+    @kernel
     def gather(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """``values[index]`` for an id array or boolean mask."""
+        return values[index]
 
-    @abstractmethod
+    @kernel
     def scatter(self, target: np.ndarray, index: np.ndarray,
                 values: np.ndarray) -> None:
-        """``target[index] = values`` in place."""
+        target[index] = values
 
-    # ------------------------------------------------------------------ #
-    # Vertex fixing
-    # ------------------------------------------------------------------ #
-    @abstractmethod
+    @kernel
     def fixing_mask(self, x: np.ndarray, threshold: float) -> np.ndarray:
         """Near-integral mask ``|x| >= threshold``."""
+        return np.abs(x) >= threshold
 
-    @abstractmethod
+    @kernel
     def snap(self, v: np.ndarray) -> np.ndarray:
         """Snap to sides: ``+1`` where ``v >= 0``, else ``-1``."""
+        return np.where(v >= 0.0, 1.0, -1.0)

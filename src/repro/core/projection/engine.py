@@ -14,13 +14,15 @@ takes through a bisection.  It holds
 * *warm-start state* from the previous projection: the exact projector's
   multipliers, or Dykstra's correction (dual) vectors.
 
-:meth:`ProjectionEngine.project_step` projects one GD step
-``z + γ·gradient``; :meth:`ProjectionEngine.project_in_place` projects a
-step the caller formed, up to the clip to the cube (a lock-step group of
-bisections forms and clips all its tasks' steps at once).  The default
-one-shot sweep (:class:`~repro.core.projection.alternating.OneShotProjector`)
-updates the step in place; every other method projects the stepped
-point.  Because consecutive GD iterates are close, the KKT sign pattern is
+:meth:`ProjectionEngine.project_in_place` projects the GD step
+``z + γ·gradient`` that the stepper formed, in place, up to the clip to
+the cube: a lock-step group of bisections forms and clips all its tasks'
+steps at once (:class:`~repro.core.gd.BisectionStepper`), so one
+iteration's step is ``project_in_place`` on each task's slice plus the
+group's clip.  The default one-shot sweep
+(:class:`~repro.core.projection.alternating.OneShotProjector`) updates
+the step in place; every other method projects the stepped point.
+Because consecutive GD iterates are close, the KKT sign pattern is
 stable between calls and most warm-started exact projections resolve in a
 single O(n) pass (:mod:`~repro.core.projection.warmstart`) instead of an
 O(n log n) sort-and-search — or, for d ≥ 2, instead of a full nested
@@ -133,18 +135,6 @@ class ProjectionEngine:
     @property
     def stats(self) -> ProjectionStats:
         return self._stats
-
-    def project_step(self, z: np.ndarray, gamma: float,
-                     gradient: np.ndarray) -> np.ndarray:
-        """Project the GD step ``z + gamma * gradient`` onto the current
-        region: the projection of one iteration, for every method.  The
-        step goes into a fresh buffer, which :meth:`project_in_place`
-        and the box clip then update in place."""
-        y = np.empty(z.shape[0])
-        np.multiply(gamma, gradient, out=y)
-        np.add(z, y, out=y)
-        self.project_in_place(y)
-        return np.clip(y, -1.0, 1.0, out=y)
 
     def project_in_place(self, y: np.ndarray) -> None:
         """Project the GD step ``y`` onto the current region in place, up

@@ -57,7 +57,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,8 @@ __all__ = [
     "SharedGraphArena",
     "ShmStats",
     "ShmTaskRef",
-    "WalkArena",
     "pack_walk",
+    "run_walk_task",
 ]
 
 _ALIGNMENT = 64
@@ -347,7 +347,7 @@ def _attach_walk(name: str) -> tuple[SharedGraphArena, "Walk", bool]:
     return arena, walk, True
 
 
-def _run_walk_task(ref: ShmTaskRef) -> bool:
+def run_walk_task(ref: ShmTaskRef) -> bool:
     """Worker entry point: solve one task of the walk in place.
 
     Rebuilds the task from its id range and coordinate, runs
@@ -404,50 +404,3 @@ class ShmStats:
             "payload_bytes": self.payload_bytes,
             "payload_bytes_per_task": self.payload_bytes_per_task,
         }
-
-
-# ---------------------------------------------------------------------- #
-# Wave driver (coordinator side)
-# ---------------------------------------------------------------------- #
-class WalkArena:
-    """A walk packed into its arena on ``executor``'s first pooled wave of it."""
-
-    def __init__(self, walk: "Walk", executor):
-        self.walk = walk
-        self.arena = pack_walk(walk)
-        executor.stats.shm.segments_created += 1
-        executor.stats.shm.bytes_shared += self.arena.nbytes
-
-    def solve_wave(self, executor, tasks: Sequence[TaskState],
-                   labels: Sequence[str]) -> list[np.ndarray]:
-        """Solve one wave on ``executor``'s process pool.
-
-        Returns each task's sides in task order, read from the arena's
-        output buffer.  Reuses the executor's ``_map_processes`` machinery
-        wholesale, so per-task timeouts, bounded retries, pool rebuilds
-        and the ``executor.task`` fault site all apply to shm workers
-        unchanged (rebuilt workers simply re-attach the walk segment).
-        """
-        ids = self.arena.array("vertex_ids")
-        refs = []
-        start = 0
-        for task in tasks:
-            stop = start + task.vertex_ids.size
-            ids[start:stop] = task.vertex_ids
-            refs.append(ShmTaskRef(self.arena.name, start, stop, task.num_parts,
-                                   task.first_part, task.depth))
-            start = stop
-        del ids  # release the view so unlink() can unmap cleanly
-        attached = executor._map_processes(_run_walk_task, refs, labels)
-        out = self.arena.array("out")
-        results = [out[task.vertex_ids].astype(np.int64) for task in tasks]
-        del out
-        stats = executor.stats.shm
-        stats.waves += 1
-        stats.tasks += len(tasks)
-        stats.attaches += sum(attached)
-        stats.payload_bytes += sum(len(pickle.dumps(ref, protocol=_PICKLE)) for ref in refs)
-        return results
-
-    def unlink(self) -> None:
-        self.arena.unlink()

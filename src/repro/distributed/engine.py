@@ -41,19 +41,12 @@ class BSPEngine:
 
         Returns the final per-vertex state and the collected job statistics.
         """
-        if placement.graph is not graph and (
-                placement.graph.num_vertices != graph.num_vertices
-                or not np.array_equal(placement.graph.edges, graph.edges)):
-            # Matching the vertex count alone let a placement computed for
-            # a *different* graph of the same size slip through — under
-            # edge churn that is the common mistake (a stale snapshot's
-            # partition applied to the updated topology must be wrapped in
-            # a Partition over the updated graph explicitly).  Edge
-            # *content* is compared, not just the count: churn batches are
-            # typically edge-count-stationary, so a count check alone
-            # would miss exactly that case.  Edge arrays are canonical
-            # (sorted, unique), so array equality is set equality, and the
-            # O(m) comparison is dwarfed by the superstep loop below.
+        if placement.graph != graph:
+            # Edge *content* is compared, not just the sizes: under edge
+            # churn a stale snapshot's placement has the right vertex
+            # count and, typically, edge count, and must be wrapped in a
+            # Partition over the updated graph explicitly.  The O(m)
+            # comparison is dwarfed by the superstep loop below.
             raise ValueError("placement was computed for a different graph")
         num_workers = placement.num_parts
         worker_of = placement.assignment

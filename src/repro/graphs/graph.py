@@ -171,7 +171,7 @@ def _dropped_sums(bounds: np.ndarray, targets: np.ndarray, local: np.ndarray,
                       (bounds.size - 1, local.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """An undirected graph, stored as its CSR adjacency.
 
@@ -292,6 +292,15 @@ class Graph:
 
     def __len__(self) -> int:
         return self.num_vertices
+
+    def __eq__(self, other: object) -> bool:
+        """Same vertex count and CSR.  Every graph keeps one row order, so
+        equal edge sets give equal CSRs.  A graph is unhashable."""
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self is other or (self.num_vertices == other.num_vertices
+                                 and np.array_equal(self.indptr, other.indptr)
+                                 and np.array_equal(self.indices, other.indices))
 
     # ------------------------------------------------------------------ #
     # Linear algebra views

@@ -118,6 +118,6 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return (self.graph is other.graph
+        return (self.graph == other.graph
                 and self.num_parts == other.num_parts
                 and np.array_equal(self.assignment, other.assignment))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.config import ConfigIO
 from ..partition.validation import validate_epsilon
@@ -108,7 +108,3 @@ class ServeConfig(ConfigIO):
             raise ValueError("escalation_threshold must be at least 1")
         if self.degraded_lag_batches < 1:
             raise ValueError("degraded_lag_batches must be at least 1")
-
-    def with_updates(self, **changes) -> "ServeConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)

@@ -411,24 +411,28 @@ class TestIncrementalRepartitioner:
         starting assignment and free mask included — not through a
         pickling pool, its pooled waves hold partly frozen tasks, and it
         still matches serial bit for bit."""
-        from repro.core import shm
+        from repro.core import executor as executor_module
 
         graph, weights, partition, config, trace = churn_setup
         packed = []
         pooled = []
-        pack_walk = shm.pack_walk
-        solve_wave = shm.WalkArena.solve_wave
+        pack_walk = executor_module.pack_walk
+        map_processes = executor_module.BisectionExecutor._map_processes
 
         def recording_pack_walk(walk, **kwargs):
             packed.append(walk)
             return pack_walk(walk, **kwargs)
 
-        def recording_solve_wave(self, executor, tasks, *args):
-            pooled.append((self.walk, list(tasks)))
-            return solve_wave(self, executor, tasks, *args)
+        def recording_map_processes(self, function, refs, labels):
+            # A pooled wave: each task's vertex ids sit in the arena.
+            ids = self._arena.array("vertex_ids")
+            pooled.append((self._walk, [ids[ref.start:ref.stop].copy() for ref in refs]))
+            del ids
+            return map_processes(self, function, refs, labels)
 
-        monkeypatch.setattr(shm, "pack_walk", recording_pack_walk)
-        monkeypatch.setattr(shm.WalkArena, "solve_wave", recording_solve_wave)
+        monkeypatch.setattr(executor_module, "pack_walk", recording_pack_walk)
+        monkeypatch.setattr(executor_module.BisectionExecutor, "_map_processes",
+                            recording_map_processes)
         assignments = {}
         for backend in ("serial", "shm"):
             # Zero hops release only the touched vertices, so the waves
@@ -444,8 +448,8 @@ class TestIncrementalRepartitioner:
         assert repairs and all(walk.assignment is not None for walk in repairs)
         waves = [tasks for walk, tasks in pooled if walk.free is not None]
         assert waves and all(len(tasks) >= 2 for tasks in waves)
-        assert any(walk.free[task.vertex_ids].any() and not walk.free[task.vertex_ids].all()
-                   for walk, tasks in pooled if walk.free is not None for task in tasks)
+        assert any(walk.free[ids].any() and not walk.free[ids].all()
+                   for walk, tasks in pooled if walk.free is not None for ids in tasks)
         np.testing.assert_array_equal(assignments["shm"], assignments["serial"])
 
     def test_repair_skips_subtrees_without_released_vertices(self, churn_setup):

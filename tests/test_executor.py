@@ -39,10 +39,10 @@ ALL_BACKENDS = PARALLELISM_MODES
 SHM = ExecutionConfig(parallelism="shm", max_workers=2)
 
 #: The GD iteration's two step paths, with the projection methods that
-#: take each: the one-shot sweep fuses the gradient step into its in-place
-#: pass; every other method projects the composed step with its projector.
-KERNEL_PATHS = {"fused": ("alternating_oneshot",),
-                "numpy": ("exact", "alternating", "dykstra")}
+#: take each: the one-shot sweep updates the step in place; every other
+#: method projects the step with its projector.
+STEP_PATHS = {"sweep": ("alternating_oneshot",),
+              "projector": ("exact", "alternating", "dykstra")}
 
 
 def _on(config: GDConfig, execution: ExecutionConfig) -> GDConfig:
@@ -350,13 +350,13 @@ def test_determinism_contract_all_backends(social_graph, social_weights,
     assert np.array_equal(second.assignment, reference.assignment)
 
 
-@pytest.mark.parametrize("kernel_path", KERNEL_PATHS)
+@pytest.mark.parametrize("kernel_path", STEP_PATHS)
 def test_kernel_backends_bit_identical_across_executors(social_graph, social_weights,
                                                         kernel_path):
     """Within each step path of the GD iteration both executors return
     the same bits, so the contract holds for every projection method,
     not only the default one-shot sweep."""
-    for method in KERNEL_PATHS[kernel_path]:
+    for method in STEP_PATHS[kernel_path]:
         config = GDConfig(iterations=12, seed=17, projection_method=method)
         reference = recursive_bisection(social_graph, social_weights, 5, 0.05, config)
         partition = recursive_bisection(social_graph, social_weights, 5, 0.05,
@@ -364,12 +364,12 @@ def test_kernel_backends_bit_identical_across_executors(social_graph, social_wei
         assert np.array_equal(partition.assignment, reference.assignment), method
 
 
-@pytest.mark.parametrize("kernel_path", KERNEL_PATHS)
+@pytest.mark.parametrize("kernel_path", STEP_PATHS)
 def test_kernel_backend_survives_process_pool(social_graph, social_weights, kernel_path):
     """Every stepper constructs its own backend, so the shm pool's workers
     (configs unpickled from the arena header, no shared backend state)
     must reproduce the serial bits."""
-    for method in KERNEL_PATHS[kernel_path]:
+    for method in STEP_PATHS[kernel_path]:
         config = GDConfig(iterations=10, seed=23, projection_method=method)
         serial = recursive_bisection(social_graph, social_weights, 4, 0.05, config)
         pooled = recursive_bisection(social_graph, social_weights, 4, 0.05,

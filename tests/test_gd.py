@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GDConfig, GDPartitioner, gd_bisect
+from repro.core.gd import Bisection, BisectionStepper
 from repro.graphs import Graph, power_law_cluster_graph, standard_weights, unit_weights
 from repro.partition import edge_locality, is_epsilon_balanced, max_imbalance
 
@@ -170,6 +171,28 @@ class TestGDPartitioner:
 
     def test_name(self):
         assert GDPartitioner().name == "GD"
+
+
+class TestStepperGroup:
+    """The stepper's one constructor takes a group of bisections."""
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="at least one bisection"):
+            BisectionStepper([])
+
+    def test_configs_must_agree_up_to_the_seed(self, social_graph, social_weights):
+        first = Bisection(social_graph, social_weights, 0.05, _config(seed=1))
+        reseeded = Bisection(social_graph, social_weights, 0.05, _config(seed=2))
+        assert len(BisectionStepper([first, reseeded]).tasks) == 2
+        other = Bisection(social_graph, social_weights, 0.05, _config(seed=2, iterations=40))
+        with pytest.raises(ValueError, match="up to its seed"):
+            BisectionStepper([first, other])
+
+    def test_empty_graph_rejected(self, social_graph, social_weights):
+        empty = Graph.from_edges(0, [])
+        with pytest.raises(ValueError, match="non-empty graph"):
+            BisectionStepper([Bisection(social_graph, social_weights, 0.05, _config()),
+                              Bisection(empty, np.ones((2, 0)), 0.05, _config())])
 
 
 @settings(max_examples=10, deadline=None)

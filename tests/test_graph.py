@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import Graph
 
@@ -58,6 +60,39 @@ class TestConstruction:
         edges = np.array([[0, 1], [1, 2]])
         graph = Graph.from_edges(3, edges)
         assert graph.num_edges == 2
+
+
+class TestEquality:
+    def test_equal_edge_sets_give_equal_graphs(self):
+        assert Graph.from_edges(3, [(0, 1), (1, 2)]) == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+    def test_differences_are_seen(self):
+        graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert graph != Graph.from_edges(3, [(0, 1), (0, 2)])
+        assert graph != Graph.from_edges(4, [(0, 1), (1, 2)])
+        assert graph != Graph.from_edges(3, [(0, 1)])
+        assert graph != "not a graph"
+
+    def test_from_csr_equals_from_edges(self, social_graph):
+        copy = Graph.from_csr(social_graph.num_vertices, social_graph.indptr.copy(),
+                              social_graph.indices.copy())
+        assert copy == social_graph
+
+    def test_graphs_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+    @settings(max_examples=50)
+    @given(data=st.data(), num_vertices=st.integers(1, 12))
+    def test_from_edges_ignores_order_orientation_and_duplicates(self, data, num_vertices):
+        vertex = st.integers(0, num_vertices - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+        shuffled = data.draw(st.permutations(edges))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        rewritten = [(v, u) if flip else (u, v) for (u, v), flip in zip(shuffled, flips)]
+        duplicates = data.draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+        graph = Graph.from_edges(num_vertices, edges)
+        assert Graph.from_edges(num_vertices, rewritten + duplicates) == graph
 
 
 class TestAccessors:

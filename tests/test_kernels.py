@@ -1,12 +1,12 @@
-"""Tests of the kernel-backend layer (:mod:`repro.core.kernels`) and of
-the one-shot step.
+"""Tests of the kernels (:mod:`repro.core.kernels`) and of the one-shot
+step.
 
-Property-based agreement of the one-shot sweep's in-place step
-(:meth:`ProjectionEngine.project_step`) with a plain composition of the
-projection primitives, the edge cases the solver actually hits (empty
-free sets, single-vertex systems), the per-kernel counters, and the
-solver's quality against the reference transcription of Algorithm 1
-(``tests/reference_gd.py``).
+Property-based agreement of the one-shot step as the stepper takes it
+(:meth:`ProjectionEngine.project_in_place` plus the clip to the cube)
+with a plain composition of the projection primitives, the edge cases
+the solver actually hits (empty free sets, single-vertex systems), the
+per-kernel counters, and the solver's quality against the reference
+transcription of Algorithm 1 (``tests/reference_gd.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy import sparse
 
 from reference_gd import reference_bisect
 from repro.core import GDConfig, GDPartitioner, PROJECTION_METHODS, gd_bisect
-from repro.core.gd import BisectionStepper
+from repro.core.gd import Bisection, BisectionStepper
 from repro.core.kernels import KernelStats, NumpyBackend
 from repro.core.projection import (
     FeasibleRegion,
@@ -33,8 +33,8 @@ from repro.partition import edge_locality, imbalance
 #: take each: the one-shot sweep updates the step ``z + γ·g`` in place
 #: (``OneShotProjector.sweep``); every other method projects the step
 #: with its projector.
-KERNEL_PATHS = {"fused": ("alternating_oneshot",),
-                "numpy": ("exact", "alternating", "dykstra")}
+STEP_PATHS = {"sweep": ("alternating_oneshot",),
+              "projector": ("exact", "alternating", "dykstra")}
 
 
 def _vectors(n, lo=-5.0, hi=5.0):
@@ -59,6 +59,16 @@ def _band(rows):
     return FeasibleRegion(weights=rows, lower=0.1 * totals, upper=0.4 * totals)
 
 
+def _step(engine, z, gamma, gradient):
+    """One task's step as the stepper takes it: ``z + γ·gradient`` in a
+    fresh buffer, projected in place by ``engine``, clipped to the cube."""
+    y = np.empty(z.shape[0])
+    np.multiply(gamma, gradient, out=y)
+    np.add(z, y, out=y)
+    engine.project_in_place(y)
+    return np.clip(y, -1.0, 1.0, out=y)
+
+
 def _composed_step(z, gamma, gradient, rows, centers):
     """The one-shot step written out: the GD step, one hyperplane
     projection per row (squared norms by einsum), the box clip."""
@@ -70,8 +80,9 @@ def _composed_step(z, gamma, gradient, rows, centers):
 
 
 class TestFusedAgreement:
-    """The one-shot step's in-place pass is bit-identical to the plain
-    composition of the step, the hyperplane projections and the clip."""
+    """The one-shot step's in-place pass plus the clip is bit-identical to
+    the plain composition of the step, the hyperplane projections and the
+    clip."""
 
     @settings(max_examples=50)
     @given(z=_vectors(17, -1.0, 1.0), gradient=_vectors(17),
@@ -79,7 +90,7 @@ class TestFusedAgreement:
            gamma=st.floats(1e-4, 2.0))
     def test_fused_update_matches_composition(self, z, gradient, rows, gamma):
         region = _band(rows)
-        step = ProjectionEngine("alternating_oneshot", region).project_step(z, gamma, gradient)
+        step = _step(ProjectionEngine("alternating_oneshot", region), z, gamma, gradient)
         assert np.array_equal(step, _composed_step(z, gamma, gradient, rows, region.centers))
 
     @settings(max_examples=30)
@@ -97,7 +108,7 @@ class TestFusedAgreement:
         engine.narrow_restricted(~dropped, values)
         kept = ~dropped
         centers = region.centers - rows[:, dropped] @ values
-        step = engine.project_step(z[kept], gamma, gradient[kept])
+        step = _step(engine, z[kept], gamma, gradient[kept])
         assert np.array_equal(step, _composed_step(z[kept], gamma, gradient[kept],
                                                    np.ascontiguousarray(rows[:, kept]),
                                                    centers))
@@ -108,7 +119,7 @@ class TestFusedAgreement:
         # A zero weight row has an undefined hyperplane; the step must
         # leave the point untouched by that dimension.
         region = _band(np.zeros((1, 11)))
-        step = ProjectionEngine("alternating_oneshot", region).project_step(z, gamma, gradient)
+        step = _step(ProjectionEngine("alternating_oneshot", region), z, gamma, gradient)
         assert np.array_equal(step, np.clip(z + gamma * gradient, -1.0, 1.0))
 
     def test_fused_update_does_not_mutate_inputs(self):
@@ -117,7 +128,7 @@ class TestFusedAgreement:
         rows = rng.random((2, 9))
         z0, g0, r0 = z.copy(), gradient.copy(), rows.copy()
         engine = ProjectionEngine("alternating_oneshot", _band(rows))
-        engine.project_step(z, 0.3, gradient)
+        _step(engine, z, 0.3, gradient)
         assert np.array_equal(z, z0)
         assert np.array_equal(gradient, g0)
         assert np.array_equal(rows, r0)
@@ -165,8 +176,7 @@ class TestPrimitiveKernels:
         backend = backend_cls()
         x, y, noise = rng.random(8) - 0.5, rng.random(8) - 0.5, rng.random(8)
         wide = FeasibleRegion.balanced(np.ones((1, 8)), 1.0)
-        assert np.array_equal(ProjectionEngine("exact", wide).project_step(y, 0.7, x),
-                              y + 0.7 * x)
+        assert np.array_equal(_step(ProjectionEngine("exact", wide), y, 0.7, x), y + 0.7 * x)
         assert np.array_equal(backend.mix_noise(x, noise), x + noise)
 
     def test_gather_scatter_fixing(self, backend_cls, rng):
@@ -193,7 +203,7 @@ class TestPrimitiveKernels:
         region = FeasibleRegion(weights=np.empty((2, 0)), lower=np.zeros(2),
                                 upper=np.zeros(2))
         for method in PROJECTION_METHODS:
-            out = ProjectionEngine(method, region).project_step(empty, 0.5, empty)
+            out = _step(ProjectionEngine(method, region), empty, 0.5, empty)
             assert out.size == 0, method
 
     def test_single_vertex_region(self, backend_cls):
@@ -203,8 +213,7 @@ class TestPrimitiveKernels:
         z = np.array([0.3])
         region = FeasibleRegion(weights=np.array([[2.0]]), lower=np.array([0.25]),
                                 upper=np.array([0.75]))
-        out = ProjectionEngine("alternating_oneshot", region).project_step(
-            z, 1.0, np.array([5.0]))
+        out = _step(ProjectionEngine("alternating_oneshot", region), z, 1.0, np.array([5.0]))
         assert out.shape == (1,)
         assert out[0] == 0.25  # hyperplane 2x = 0.5, inside the box
         matrix = sparse.csr_matrix(np.zeros((1, 1)))
@@ -270,14 +279,14 @@ class TestKernelStats:
 
 
 class TestSolverIntegration:
-    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("path", STEP_PATHS)
     def test_bisection_surfaces_kernel_stats(self, two_cliques_graph, path):
         # The counters stay on the stepper's backend, where a tracer
         # reads them; no result carries them.
         weights = standard_weights(two_cliques_graph, 2)
-        for method in KERNEL_PATHS[path]:
+        for method in STEP_PATHS[path]:
             config = GDConfig(iterations=20, seed=1, projection_method=method)
-            stepper = BisectionStepper(two_cliques_graph, weights, 0.1, config)
+            stepper = BisectionStepper([Bisection(two_cliques_graph, weights, 0.1, config)])
             for iteration in range(config.iterations):
                 stepper.step(iteration)
             counters = stepper.backend.stats.counters
@@ -296,18 +305,19 @@ class TestSolverIntegration:
         # projects the composed point through the engine's warm path.
         weights = standard_weights(two_cliques_graph, 2)
         config = GDConfig(iterations=15, seed=1, projection_method="exact")
-        stepper = BisectionStepper(two_cliques_graph, weights, 0.1, config)
+        stepper = BisectionStepper([Bisection(two_cliques_graph, weights, 0.1, config)])
         projected = []
         warm_project = stepper.engine.project
         stepper.engine.project = lambda point: projected.append(point) or warm_project(point)
         for iteration in range(config.iterations):
             stepper.step(iteration)
         assert len(projected) == stepper.engine.stats.calls > 0
-        assert stepper.result().partition.num_parts == 2
+        (result,) = stepper.results()
+        assert result.partition.num_parts == 2
 
-    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("path", STEP_PATHS)
     def test_solver_accepts_read_only_input_buffers(self, two_cliques_graph, path):
-        # The buffer-ownership contract of KernelBackend: under the shm
+        # The buffer-ownership contract of NumpyBackend: under the shm
         # executor the graph arrays and weights are externally owned,
         # read-only views — both kernel paths must run on them without
         # attempting an in-place write, and produce the same bits as the
@@ -315,7 +325,7 @@ class TestSolverIntegration:
         weights = standard_weights(two_cliques_graph, 2)
         frozen_weights = weights.copy()
         frozen_weights.flags.writeable = False
-        for method in KERNEL_PATHS[path]:
+        for method in STEP_PATHS[path]:
             config = GDConfig(iterations=20, seed=1, projection_method=method)
             reference = gd_bisect(two_cliques_graph, weights, 0.1, config)
             for array in (two_cliques_graph.indptr, two_cliques_graph.indices,
@@ -359,10 +369,10 @@ class TestCrossBackendQuality:
             fused.append(edge_locality(partition))
         assert np.mean(fused) >= np.mean(reference) - 1.0
 
-    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("path", STEP_PATHS)
     def test_within_backend_runs_are_bit_stable(self, fb_setup, path):
         graph, weights = fb_setup
-        for method in KERNEL_PATHS[path]:
+        for method in STEP_PATHS[path]:
             config = GDConfig(iterations=30, seed=5, projection_method=method)
             first = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 2)
             second = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 2)

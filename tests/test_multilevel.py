@@ -22,7 +22,7 @@ from repro.core import (
     gd_bisect,
     recursive_bisection,
 )
-from repro.core.gd import BisectionStepper
+from repro.core.gd import Bisection, BisectionStepper
 from repro.core.kernels import NumpyBackend
 from repro.core.projection import FeasibleRegion
 from repro.graphs import fb_like, standard_weights
@@ -53,9 +53,9 @@ def test_stepper_accepts_initial_iterate_and_mask(social_graph, social_weights):
     initial_fixed = np.zeros(n, dtype=bool)
     initial_fixed[: n // 3] = True
     initial_x[initial_fixed] = np.sign(initial_x[initial_fixed] + 1e-9)
-    stepper = BisectionStepper(social_graph, social_weights, 0.05,
-                               GDConfig(iterations=10, seed=0),
-                               initial_x=initial_x, initial_fixed=initial_fixed)
+    stepper = BisectionStepper([Bisection(social_graph, social_weights, 0.05,
+                                          GDConfig(iterations=10, seed=0),
+                                          initial_x=initial_x, initial_fixed=initial_fixed)])
     np.testing.assert_array_equal(stepper.x, initial_x)
     stepper.step(0)
     # Fixed coordinates never move.
@@ -72,9 +72,9 @@ def test_stepper_rescales_step_target_to_free_count(social_graph, social_weights
     x = np.zeros(n)
     x[fixed] = 1.0
     config = GDConfig(iterations=10, seed=0)
-    cold = BisectionStepper(social_graph, social_weights, 0.05, config)
-    warm = BisectionStepper(social_graph, social_weights, 0.05, config,
-                            initial_x=x, initial_fixed=fixed)
+    (cold,) = BisectionStepper([Bisection(social_graph, social_weights, 0.05, config)]).tasks
+    (warm,) = BisectionStepper([Bisection(social_graph, social_weights, 0.05, config,
+                                          initial_x=x, initial_fixed=fixed)]).tasks
     ratio = warm.controller.target_length / cold.controller.target_length
     np.testing.assert_allclose(ratio, np.sqrt((n - n // 2) / n), rtol=1e-12)
 
@@ -82,11 +82,11 @@ def test_stepper_rescales_step_target_to_free_count(social_graph, social_weights
 def test_stepper_rejects_mismatched_initial_state(social_graph, social_weights):
     config = GDConfig(iterations=5, seed=0)
     with pytest.raises(ValueError, match="initial_x"):
-        BisectionStepper(social_graph, social_weights, 0.05, config,
-                         initial_x=np.zeros(3))
+        BisectionStepper([Bisection(social_graph, social_weights, 0.05, config,
+                                    initial_x=np.zeros(3))])
     with pytest.raises(ValueError, match="initial_fixed"):
-        BisectionStepper(social_graph, social_weights, 0.05, config,
-                         initial_fixed=np.zeros(3, dtype=bool))
+        BisectionStepper([Bisection(social_graph, social_weights, 0.05, config,
+                                    initial_fixed=np.zeros(3, dtype=bool))])
 
 
 # --------------------------------------------------------------------- #
@@ -148,7 +148,7 @@ def test_free_vertex_system_matches_masked_gradient(social_graph):
     x = rng.uniform(-1, 1, n)
     fixed = rng.random(n) < 0.4
     x[fixed] = np.sign(x[fixed] + 1e-9)
-    system = FreeVertexSystem(relaxation, fixed, x, NumpyBackend())
+    system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend())
     z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
     full = x.copy()
     full[system.free_ids] = z
@@ -171,7 +171,7 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
         x = rng.uniform(-1, 1, n)
         fixed = np.zeros(n, dtype=bool)
         fixed[rng.permutation(n)[:start_fixed]] = True
-        system = FreeVertexSystem(relaxation, fixed, x, NumpyBackend())
+        system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend())
         reference = _ScipyFreeSystem(adjacency, fixed, x)
         while reference.reslices < 2:
             assert system.num_free >= 4
@@ -195,13 +195,12 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
 
 
 def test_free_vertex_system_validates_inputs(social_graph):
-    relaxation = QuadraticRelaxation(social_graph)
     n = social_graph.num_vertices
     with pytest.raises(ValueError, match="fixed mask"):
-        FreeVertexSystem(relaxation, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend())
+        FreeVertexSystem(social_graph, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend())
     fixed = np.zeros(n, dtype=bool)
     fixed[0] = True
-    system = FreeVertexSystem(relaxation, fixed, np.zeros(n), NumpyBackend())
+    system = FreeVertexSystem(social_graph, fixed, np.zeros(n), NumpyBackend())
     with pytest.raises(ValueError, match="newly_fixed"):
         system.fix(np.zeros(3, dtype=bool), np.zeros(0))
 
@@ -216,15 +215,16 @@ def test_compaction_inert_without_vertex_fixing(social_graph, social_weights):
     for method in ("alternating_oneshot", "exact"):
         config = GDConfig(iterations=15, seed=6, vertex_fixing=False,
                           projection_method=method)
-        stepper = BisectionStepper(social_graph, social_weights, 0.05, config)
+        stepper = BisectionStepper([Bisection(social_graph, social_weights, 0.05, config)])
         for iteration in range(config.iterations):
             stepper.step(iteration)
+        (task,) = stepper.tasks
         assert not stepper.fixed.any()
-        assert stepper.system.num_free == social_graph.num_vertices
-        assert stepper.system.matrix.indptr is social_graph.indptr
-        assert stepper.system.matrix.indices is social_graph.indices
-        assert "adjacency" not in vars(stepper.relaxation)
-        assert stepper.engine.stats.region_rebuilds == 0
+        assert task.system.num_free == social_graph.num_vertices
+        assert task.system.matrix.indptr is social_graph.indptr
+        assert task.system.matrix.indices is social_graph.indices
+        assert "adjacency" not in vars(task.relaxation)
+        assert task.engine.stats.region_rebuilds == 0
 
 
 def test_compacted_run_quality_matches_masked():

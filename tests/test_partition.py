@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs import standard_weights
+from repro.graphs import Graph, standard_weights
 from repro.partition import Partition
 from repro.partition.validation import (
     validate_epsilon,
@@ -127,6 +127,15 @@ class TestViews:
         c = Partition(graph=path_graph, assignment=np.array([1, 0, 0, 1, 1, 1]), num_parts=2)
         assert a == b
         assert a != c
+
+    def test_equality_across_equal_graphs(self, path_graph):
+        copy = Graph.from_edges(path_graph.num_vertices, path_graph.edges[::-1])
+        assert copy is not path_graph
+        assignment = np.array([0, 0, 0, 1, 1, 1])
+        a = Partition(graph=path_graph, assignment=assignment, num_parts=2)
+        assert a == Partition(graph=copy, assignment=assignment, num_parts=2)
+        other = Graph.from_edges(path_graph.num_vertices, [(0, 5)])
+        assert a != Partition(graph=other, assignment=assignment, num_parts=2)
 
 
 class TestValidationHelpers:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import PROJECTION_METHODS, GDConfig, gd_bisect
-from repro.core.gd import BisectionStepper
+from repro.core.gd import Bisection, BisectionStepper
 from repro.core.projection import (
     AlternatingProjector,
     DykstraProjector,
@@ -292,12 +292,12 @@ class TestGDDeterminism:
         config = GDConfig(iterations=25, seed=0, projection_method=method)
         results = []
         for cold in (False, True):
-            stepper = BisectionStepper(graph, weights, 0.05, config)
+            stepper = BisectionStepper([Bisection(graph, weights, 0.05, config)])
             if cold:
                 _project_cold(stepper.engine)
             for iteration in range(config.iterations):
                 stepper.step(iteration)
-            results.append(stepper.result())
+            results.extend(stepper.results())
         warm, cold = results
         assert np.array_equal(warm.partition.assignment, cold.partition.assignment)
         assert np.array_equal(warm.fractional, cold.fractional)
@@ -317,8 +317,8 @@ class TestOneProjectionPath:
     """Every method's GD iteration projects through the engine."""
 
     @pytest.mark.parametrize("method", PROJECTION_METHODS)
-    def test_one_project_step_per_iteration(self, method, monkeypatch, social_graph,
-                                            social_weights):
+    def test_one_projection_per_iteration(self, method, monkeypatch, social_graph,
+                                          social_weights):
         counts = {"iterate": 0, "project_in_place": 0}
 
         def counted(owner, name):
@@ -350,9 +350,11 @@ class TestOneProjectionPath:
         initial_x = np.clip(rng.normal(scale=0.5, size=n), -1.0, 1.0)
         initial_fixed = rng.random(n) < 0.4
         initial_x[initial_fixed] = np.where(initial_x[initial_fixed] >= 0.0, 1.0, -1.0)
-        stepper = BisectionStepper(social_graph, weights, 0.05,
-                                   GDConfig(iterations=10, seed=0),
-                                   initial_x=initial_x, initial_fixed=initial_fixed)
+        stepper = BisectionStepper([Bisection(social_graph, weights, 0.05,
+                                              GDConfig(iterations=10, seed=0),
+                                              initial_x=initial_x,
+                                              initial_fixed=initial_fixed)])
+        (task,) = stepper.tasks
         steps = []
         project_in_place = stepper.engine.project_in_place
 
@@ -364,10 +366,10 @@ class TestOneProjectionPath:
         stepper.step(0)
 
         point, out = steps[0]
-        free_region = stepper.region.restrict(~initial_fixed, initial_x[initial_fixed])
+        free_region = task.region.restrict(~initial_fixed, initial_x[initial_fixed])
         assert np.array_equal(out, OneShotProjector(free_region).project(point))
         # The data tells the two apart: shifting the full region's centers
         # gives other bits here.
-        shifted = (stepper.region.centers
-                   - stepper.weights[:, initial_fixed] @ initial_x[initial_fixed])
+        shifted = (task.region.centers
+                   - task.weights[:, initial_fixed] @ initial_x[initial_fixed])
         assert not np.array_equal(free_region.centers, shifted)

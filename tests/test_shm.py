@@ -223,16 +223,16 @@ def test_one_segment_per_walk_unlinked_before_the_next(social_graph, social_weig
                                                        monkeypatch):
     """A caller-owned executor running two walks back to back makes one
     segment per walk, and unlinks the first before it makes the second."""
-    from repro.core import shm
+    from repro.core import executor as executor_module
 
     present_at_pack = []
-    pack_walk = shm.pack_walk
+    pack_walk = executor_module.pack_walk
 
     def recording_pack_walk(walk, **kwargs):
         present_at_pack.append(_leftover_segments())
         return pack_walk(walk, **kwargs)
 
-    monkeypatch.setattr(shm, "pack_walk", recording_pack_walk)
+    monkeypatch.setattr(executor_module, "pack_walk", recording_pack_walk)
     execution = ExecutionConfig(parallelism="shm", max_workers=2)
     config = GDConfig(iterations=8, seed=2)
     reference = recursive_bisection(social_graph, social_weights, 8, 0.05, config)
