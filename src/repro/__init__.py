@@ -40,7 +40,7 @@ Stable public surface
 points (``Graph``, ``GDPartitioner``, ``GDConfig``, ``ExecutionConfig``,
 ``partition_graph``, ``run``, ``evaluate``, the store/serve entry
 points) plus the documented subpackages.  Everything else — in particular the solver internals under
-:mod:`repro.core` (steppers, noise/step schedules, the free-vertex system, kernels)
+:mod:`repro.core` (steppers, step schedules, the free-vertex system, kernels)
 — is importable but may change between releases; such modules carry an
 "internal" note in their docstring.
 """

@@ -12,7 +12,6 @@ from .executor import BisectionExecutor, ExecutorStats, ExecutorTaskError, task_
 from .shm import SharedGraphArena, ShmStats
 from .kernels import KernelStats, NumpyBackend
 from .relaxation import QuadraticRelaxation
-from .noise import NoiseSchedule
 from .step import StepSizeController, target_step_length
 from .rounding import balance_repair, deterministic_round, randomized_round
 from .gd import (
@@ -55,7 +54,6 @@ __all__ = [
     "KernelStats",
     "NumpyBackend",
     "QuadraticRelaxation",
-    "NoiseSchedule",
     "StepSizeController",
     "target_step_length",
     "balance_repair",

@@ -16,9 +16,9 @@ For the free vertex set ``F`` and fixed set ``C``,
 
 so one iteration's gradient over the free coordinates is
 ``A_FF @ z_F + boundary`` — O(edges among free vertices) instead of
-O(all edges), computed by the stepper's
-:class:`~repro.core.kernels.NumpyBackend` for its per-kernel counters,
-on the graph's own int64 CSR with unit entries (no scipy matrix).
+O(all edges): the mat-vec runs through the stepper's
+:class:`~repro.core.kernels.NumpyBackend`, which counts it, on the
+graph's own int64 CSR with unit entries (no scipy matrix).
 A fixing event costs a few array passes over the current free set; only
 once most of the current system has been fixed is it *restricted again*
 — sliced down to the surviving free vertices, with the fixed columns'
@@ -93,7 +93,7 @@ class FreeVertexSystem:
     values:
         Full iterate; only the entries at fixed positions are read.
     backend:
-        The backend the gradient mat-vec routes through, for per-kernel
+        The backend the gradient's mat-vec runs through, for its
         counters.
     """
 
@@ -154,14 +154,15 @@ class FreeVertexSystem:
     def gradient(self, z_free: np.ndarray) -> np.ndarray:
         """``∇f`` over the free coordinates: ``(A z)_F`` with fixed
         contributions from the boundary term and the frozen buffer."""
-        backend = self._backend
         live = self._live_local
-        if live.size == self._epoch_ids.size:
-            return backend.free_gradient(self._matrix, self._boundary, z_free)
-        z_epoch = self._frozen.copy()
-        z_epoch[live] = z_free
-        full = backend.free_gradient(self._matrix, self._boundary, z_epoch)
-        return backend.gather(full, live)
+        whole = live.size == self._epoch_ids.size
+        if not whole:
+            z_epoch = self._frozen.copy()
+            z_epoch[live] = z_free
+            z_free = z_epoch
+        gradient = self._backend.spmv(self._matrix, z_free)
+        gradient += self._boundary
+        return gradient if whole else gradient[live]
 
     def fix(self, newly_fixed: np.ndarray, values: np.ndarray) -> None:
         """Freeze vertices at their snapped values.

@@ -269,6 +269,8 @@ class GDConfig(ConfigIO):
                              f"got {self.projection_method!r}")
         if self.projection_epsilon is not None and self.projection_epsilon <= 0:
             raise ValueError("projection_epsilon must be positive when given")
+        if self.noise_std is not None and self.noise_std < 0:
+            raise ValueError("noise_std must be non-negative when given")
         if self.final_projection_rounds < 0:
             raise ValueError("final_projection_rounds must be non-negative")
         if isinstance(self.execution, dict):

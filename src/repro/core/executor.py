@@ -16,9 +16,9 @@ arena so that only task coordinates cross the pipe (see
 
 Two properties the scheduler relies on:
 
-* **Order preservation** — :meth:`BisectionExecutor.map` returns results in
-  task-submission order regardless of completion order, so the caller can
-  zip results back onto its task list.
+* **Order preservation** — :meth:`BisectionExecutor.solve_frontier`
+  returns one sides array per task in task order, regardless of
+  completion order, so the caller can zip results back onto its wave.
 * **Determinism** — the executor never injects randomness; combined with
   per-task seeds derived from the task's *position in the recursion tree*
   (see :func:`task_seed`), both backends produce bit-identical partitions
@@ -63,14 +63,13 @@ Internal module: not part of the stable public API (see ``repro.__all__``); its 
 
 from __future__ import annotations
 
-import functools
 import logging
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -89,7 +88,6 @@ __all__ = [
     "task_seed",
 ]
 
-_T = TypeVar("_T")
 _R = TypeVar("_R")
 
 logger = logging.getLogger("repro.executor")
@@ -133,20 +131,22 @@ def task_seed(base_seed: int, depth: int, first_part: int) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
-def _invoke(function, task, attempt, label):
+def _invoke(ref: ShmTaskRef, attempt: int, label: str) -> bool:
     """One task execution (runs in the worker on the shm pool).
 
     Module-level for picklability.  Marks the retry attempt for the
     fault registry and enters the ``executor.task`` site, so fault plans
-    can target individual (task, attempt) executions.
+    can target individual (task, attempt) executions, then runs the
+    worker entry point on the task.
     """
     with attempt_scope(attempt):
         fault_site("executor.task", label=label)
-        return function(task)
+        return run_walk_task(ref)
 
 
 class BisectionExecutor:
-    """Runs batches of independent bisection tasks on a chosen backend.
+    """Runs the waves of recursion-tree walks on a chosen backend
+    (:meth:`solve_frontier`).
 
     Parameters
     ----------
@@ -232,28 +232,6 @@ class BisectionExecutor:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def map(self, function: Callable[[_T], _R], tasks: Sequence[_T] | Iterable[_T],
-            labels: Sequence[str] | None = None) -> list[_R]:
-        """Apply ``function`` to every task, returning results in task order.
-
-        ``labels`` (optional, parallel to ``tasks``) name the tasks in
-        retry logs, :class:`ExecutorTaskError` messages and the
-        ``executor.task`` fault site; unnamed tasks get ``"#<index>"``.
-        The serial backend, and a single task on any backend, run in the
-        coordinating process (a lone task gains nothing from the pool);
-        otherwise every task is pickled to the shm backend's process pool.
-        """
-        tasks = list(tasks)
-        if labels is None:
-            labels = [f"#{index}" for index in range(len(tasks))]
-        else:
-            labels = [label if label is not None else f"#{index}"
-                      for index, label in enumerate(labels)]
-        if self.execution.parallelism == "serial" or len(tasks) <= 1:
-            return [self._run_inline(functools.partial(function, task), [label])
-                    for task, label in zip(tasks, labels)]
-        return self._map_processes(function, tasks, labels)
-
     def _run_inline(self, run: Callable[[], _R], labels: Sequence[str]) -> _R:
         """Run ``run()``, the work of the tasks named by ``labels``, in the
         coordinating process, with inline retries.
@@ -277,34 +255,36 @@ class BisectionExecutor:
                 self._note_failure(label, attempt, error)
                 attempt += 1
 
-    def _map_processes(self, function, tasks, labels):
+    def _map_processes(self, refs: Sequence[ShmTaskRef], labels: Sequence[str]) -> list[bool]:
+        """Run every task of a pooled wave on the process pool, with the
+        retry, timeout and pool-rebuild machinery; returns the tasks'
+        completion tokens in task order."""
         timeout = self.execution.task_timeout_seconds
-        attempts = [0] * len(tasks)
-        results: list = [None] * len(tasks)
+        attempts = [0] * len(refs)
+        results: list = [None] * len(refs)
         # Futures of the submitted, unfinished tasks; results are taken in
-        # task order, so tasks[index:] are the unfinished ones.
+        # task order, so refs[index:] are the unfinished ones.
         futures: dict = {}
 
         def fail_pending(error):
             # One more attempt for every unfinished task: the dead pool
             # took all of their executions with it, and we cannot tell
             # which worker actually crashed or hung.
-            for pending in range(index, len(tasks)):
+            for pending in range(index, len(refs)):
                 self._note_failure(labels[pending], attempts[pending], error)
                 attempts[pending] += 1
             futures.clear()
 
         index = 0
-        while index < len(tasks):
+        while index < len(refs):
             try:
                 # (Re)submit inside the try: a worker that dies while tasks
                 # are being submitted breaks the pool under ``submit``, and
                 # that is handled like any other broken pool.
-                for pending in range(index, len(tasks)):
+                for pending in range(index, len(refs)):
                     if pending not in futures:
                         futures[pending] = self._ensure_pool().submit(
-                            _invoke, function, tasks[pending], attempts[pending],
-                            labels[pending])
+                            _invoke, refs[pending], attempts[pending], labels[pending])
                 results[index] = futures.pop(index).result(timeout)
                 index += 1
             except _FuturesTimeout:
@@ -368,7 +348,7 @@ class BisectionExecutor:
                                    task.first_part, task.depth))
             start = stop
         del ids  # release the view so unlink() can unmap cleanly
-        attached = self._map_processes(run_walk_task, refs, labels)
+        attached = self._map_processes(refs, labels)
         out = arena.array("out")
         results = [out[task.vertex_ids].astype(np.int64) for task in tasks]
         del out

@@ -25,7 +25,10 @@ Every projection method is served by one
 projects each gradient step in place (the default one-shot sweep updates
 the step; the stepper then clips it to the cube), narrows the region as
 vertices are fixed, and warm-starts each projection from the previous
-iterate's solution.
+iterate's solution.  Outside the gradient's mat-vec (counted by the
+group's :class:`~repro.core.kernels.NumpyBackend`) and the projection,
+each part of an iteration is one numpy expression: the noise is one draw
+``rng.normal(0, η, n)`` per task, from the task's own RNG.
 
 Structure
 ---------
@@ -36,11 +39,12 @@ bisection alone, a group of one.  It takes a sequence of
 iterate buffers.  The elementwise work of an iteration runs once per
 group, on those buffers: the free-vertex gather and scatter, the noise
 mix-in, the sum ``z + γ·∇``, the clip to the cube, the step delta, the
-fixing mask and the snap.  What reduces over a task's values, or is
-scaled by a task's own scalar, runs per task on its contiguous slice:
-the gradient and the first step size, the product ``γ·∇``, the
-projection (:meth:`~repro.core.projection.ProjectionEngine.project_in_place`),
-the realized step length, the fixing bookkeeping.  Each task keeps its
+fixing mask ``|x| >= threshold`` and the snap to ±1.  What reduces over
+a task's values, or is scaled by a task's own scalar, runs per task on
+its contiguous slice: the gradient and the first step size, the product
+``γ·∇``, the projection
+(:meth:`~repro.core.projection.ProjectionEngine.project_in_place`), the
+realized step length, the fixing bookkeeping.  Each task keeps its
 own RNG stream, step controller, projection engine, free-vertex system
 and finalize.  Every entry is computed by the same operations on the
 same values as when its task is stepped alone (a reduction over a
@@ -73,7 +77,6 @@ from ..partition.validation import validate_epsilon, validate_weights
 from .compaction import FreeVertexSystem
 from .config import GDConfig
 from .kernels import NumpyBackend
-from .noise import NoiseSchedule
 from .projection import (
     AlternatingProjector,
     FeasibleRegion,
@@ -256,9 +259,10 @@ class _Task:
         self.relaxation = QuadraticRelaxation(graph)
         self.region, self.final_region, self.center = bisection_regions(
             weights, epsilon, config, target_fraction)
-        self.noise = NoiseSchedule(n, std=config.noise_std,
-                                   every_iteration=config.noise_every_iteration,
-                                   rng=self.rng)
+        # Noise of the first iteration (of every one with
+        # ``noise_every_iteration``): enough to leave the saddle at the
+        # origin, negligible beside an integral solution's scale √n.
+        self.noise_std = config.noise_std if config.noise_std is not None else 1.0 / np.sqrt(n)
 
         if bisection.initial_x is not None:
             initial_x = np.asarray(bisection.initial_x, dtype=np.float64)
@@ -306,9 +310,9 @@ class BisectionStepper:
 
     :attr:`engine` and :attr:`backend` are there for the counters: a
     group's engines share one
-    :class:`~repro.core.projection.ProjectionStats`, as its tasks share
-    one kernel backend, so both count the whole group.  A bisection's
-    ``initial_x`` / ``initial_fixed`` start its iterate (and fixed mask)
+    :class:`~repro.core.projection.ProjectionStats`, as its tasks'
+    gradients share one mat-vec backend, so both count the whole group.
+    A bisection's ``initial_x`` / ``initial_fixed`` start its iterate (and fixed mask)
     from a given state instead of all-zeros — the incremental
     repartitioner's repair passes start this way from the previous
     assignment.
@@ -331,7 +335,7 @@ class BisectionStepper:
                                  initial=0))
         self.x = np.zeros(bounds[-1])
         self.fixed = np.zeros(bounds[-1], dtype=bool)
-        # One backend and one stats record per group: kernels and
+        # One backend and one stats record per group: the mat-vec and the
         # projections carry per-run counters (and each engine its warm
         # state, for its own solve only); worker processes construct
         # their own, so no state crosses the pickle boundary.
@@ -382,19 +386,20 @@ class BisectionStepper:
 
     def _iterate(self, iteration: int, realized: list[float]) -> None:
         config = self._config
-        backend = self.backend
         free_ids = self._free_ids
         live = self._live
-        x_free = backend.gather(self.x, free_ids)
+        x_free = self.x[free_ids]
 
         if iteration == 0 or config.noise_every_iteration:
+            # Each live task draws noise for all of its vertices, fixed
+            # ones included, so its RNG stream does not depend on how
+            # many of them are still free.
             noise = np.zeros(self.x.size)
             for _, task, _, _ in live:
-                noise[task.start:task.stop] = task.noise.sample(iteration)
-            z = backend.mix_noise(x_free, backend.gather(noise, free_ids))
+                noise[task.start:task.stop] = task.rng.normal(0.0, task.noise_std,
+                                                              size=task.stop - task.start)
+            z = x_free + noise[free_ids]
         else:
-            # The schedule would return all-zeros (drawing nothing from
-            # the RNG); skip the allocation and the no-op add.
             z = x_free
         # The step z + γ·∇ (each task scales its own gradient), then each
         # task's projection of its slice, then one clip to the cube.
@@ -413,10 +418,10 @@ class BisectionStepper:
             step = delta[start:stop]
             realized[index] = length = math.sqrt(step @ step)
             task.controller.update(length)
-        backend.scatter(self.x, free_ids, new_free)
+        self.x[free_ids] = new_free
 
         if config.vertex_fixing and iteration >= self._fixing_start:
-            newly_fixed = backend.fixing_mask(new_free, config.fixing_threshold)
+            newly_fixed = np.abs(new_free) >= config.fixing_threshold
             if newly_fixed.any():
                 self._fix(new_free, newly_fixed)
 
@@ -424,11 +429,10 @@ class BisectionStepper:
         """Snap and freeze the newly fixed vertices: once in the group
         buffers, then in each touched task's free-vertex system and
         projection engine."""
-        backend = self.backend
         positions = newly_fixed.nonzero()[0]
-        snapped = backend.snap(backend.gather(new_free, positions))
-        dying_ids = backend.gather(self._free_ids, positions)
-        backend.scatter(self.x, dying_ids, snapped)
+        snapped = np.where(new_free[positions] >= 0.0, 1.0, -1.0)
+        dying_ids = self._free_ids[positions]
+        self.x[dying_ids] = snapped
         self.fixed[dying_ids] = True
         surviving = ~newly_fixed
         # cuts[i]: how many newly fixed vertices precede task i's slice.

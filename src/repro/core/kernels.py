@@ -1,18 +1,20 @@
-"""The GD iteration's non-projection kernels, timed per kernel.
+"""The gradient's counted mat-vec.
 
 Outside the projection step (which :class:`~repro.core.projection.\
-ProjectionEngine` runs for every method), the per-iteration cost of the
-partitioner reduces to a small set of array kernels — the CSR mat-vec of
-the gradient, the noise mix-in, the free-vertex gather/scatter, and
-vertex fixing.  :class:`NumpyBackend` holds each of them as its plain
-numpy expression; the mat-vec keeps scipy's summation order, so outputs
-are bit-identical across the serial and shm executors.
+ProjectionEngine` runs for every method), the costliest part of a GD
+iteration is the CSR mat-vec of the gradient.  :class:`NumpyBackend`
+runs it (:meth:`NumpyBackend.spmv`, scipy's own loop, so outputs are
+bit-identical across the serial and shm executors) and times every call
+(``time.perf_counter_ns``) into its :class:`KernelStats`; the rest of
+the iteration is plain numpy, inline in
+:class:`~repro.core.gd.BisectionStepper` and
+:class:`~repro.core.compaction.FreeVertexSystem`.
 
-Every kernel call is timed (``time.perf_counter_ns``) into the
-backend's :class:`KernelStats`.  The counters stay on the backend of the
-stepper that made the calls (``BisectionStepper.backend.stats``); no
-result carries them.  A tracer that keeps each stepper it sees reads
-them from outside (``perfbench/tracer.py``).
+The counters stay on the backend of the stepper that made the calls
+(``BisectionStepper.backend.stats``); no result carries them.  A tracer
+that keeps each stepper it sees reads them from outside
+(``perfbench/tracer.py``), and wraps :meth:`NumpyBackend.spmv` to count
+the mat-vec's operations and bytes.
 """
 
 from __future__ import annotations
@@ -61,15 +63,14 @@ def kernel(method):
 
 
 class NumpyBackend:
-    """Plain-numpy kernels with per-kernel counters.
+    """The counted CSR mat-vec, with its per-kernel counters.
 
     Cheap to construct: every stepper builds its own, so the stats are
     per group, and no instance crosses a process boundary (workers build
     their own).  Input arrays may be externally owned and *read-only* —
-    under the ``"shm"`` executor the graph arrays and weight rows are
-    zero-copy views into a shared-memory segment — so no kernel writes
-    into an input; :meth:`scatter` writes only into its ``target``, which
-    is always solver-allocated.
+    under the ``"shm"`` executor the graph arrays are zero-copy views
+    into a shared-memory segment — and :meth:`spmv` writes only into the
+    vector it returns.
     """
 
     def __init__(self) -> None:
@@ -85,33 +86,3 @@ class NumpyBackend:
         dispatch.
         """
         return csr_matvec(matrix.indptr, matrix.indices, matrix.data, x, matrix.shape)
-
-    @kernel
-    def free_gradient(self, matrix, boundary: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Compacted gradient ``A_FF @ z + boundary`` over the free set."""
-        gradient = self.spmv(matrix, z)
-        gradient += boundary
-        return gradient
-
-    @kernel
-    def mix_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return x + noise
-
-    @kernel
-    def gather(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return values[index]
-
-    @kernel
-    def scatter(self, target: np.ndarray, index: np.ndarray,
-                values: np.ndarray) -> None:
-        target[index] = values
-
-    @kernel
-    def fixing_mask(self, x: np.ndarray, threshold: float) -> np.ndarray:
-        """Near-integral mask ``|x| >= threshold``."""
-        return np.abs(x) >= threshold
-
-    @kernel
-    def snap(self, v: np.ndarray) -> np.ndarray:
-        """Snap to sides: ``+1`` where ``v >= 0``, else ``-1``."""
-        return np.where(v >= 0.0, 1.0, -1.0)

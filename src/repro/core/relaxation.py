@@ -5,8 +5,11 @@ over ``x ∈ {-1, 1}ⁿ`` subject to balance constraints.  Dropping the additive
 constant, the relaxation maximizes ``f(x) = ½ xᵀAx`` over the convex body
 ``K = B∞ ∩ ⋂_j S^j_ε`` where ``A`` is the adjacency matrix.
 
-The only operations the optimizer needs are ``f`` and ``∇f = Ax``, both of
-which reduce to sparse matrix--vector products.
+The optimizer needs ``∇f = Ax``, a sparse matrix--vector product, which
+the GD iteration computes on the free vertices only
+(:meth:`~repro.core.compaction.FreeVertexSystem.gradient`);
+:class:`QuadraticRelaxation` evaluates ``f`` for the per-iteration
+history.
 
 Internal module: not part of the stable public API (see ``repro.__all__``); its contents may change between releases.
 """
@@ -51,18 +54,3 @@ class QuadraticRelaxation:
     def objective(self, x: np.ndarray) -> float:
         """``f(x) = ½ xᵀAx`` (larger is better)."""
         return 0.5 * float(x @ (self.adjacency @ x))
-
-    def expected_uncut_edges(self, x: np.ndarray) -> float:
-        """Expected number of uncut edges after randomized rounding of ``x``.
-
-        Equals ``½ Σ_{(u,v)} (x_u x_v + 1) = f(x) + |E| / 2``.
-        """
-        return self.objective(x) + 0.5 * self._graph.num_edges
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """``∇f(x) = Ax`` — one sparse mat-vec, O(|E|)."""
-        return self.adjacency @ x
-
-    def gradient_step(self, x: np.ndarray, step_size: float) -> np.ndarray:
-        """Ascent step ``(I + γA) x`` used by Algorithm 1, line 5."""
-        return x + step_size * self.gradient(x)

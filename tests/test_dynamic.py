@@ -423,12 +423,12 @@ class TestIncrementalRepartitioner:
             packed.append(walk)
             return pack_walk(walk, **kwargs)
 
-        def recording_map_processes(self, function, refs, labels):
+        def recording_map_processes(self, refs, labels):
             # A pooled wave: each task's vertex ids sit in the arena.
             ids = self._arena.array("vertex_ids")
             pooled.append((self._walk, [ids[ref.start:ref.stop].copy() for ref in refs]))
             del ids
-            return map_processes(self, function, refs, labels)
+            return map_processes(self, refs, labels)
 
         monkeypatch.setattr(executor_module, "pack_walk", recording_pack_walk)
         monkeypatch.setattr(executor_module.BisectionExecutor, "_map_processes",

@@ -24,10 +24,12 @@ from repro.core import (
     ExecutionConfig,
     GDConfig,
     GDPartitioner,
+    TaskState,
     recursive_bisection,
     task_seed,
 )
 from repro.core.executor import ExecutorTaskError
+from repro.core.recursive import Walk, solve_group
 from repro.faults import FaultPlan, FaultSpec, inject
 from repro.graphs import Graph, fb_like, standard_weights
 from repro.partition import imbalance, is_epsilon_balanced
@@ -65,31 +67,46 @@ def test_executor_rejects_bad_worker_count():
         BisectionExecutor(ExecutionConfig(parallelism="shm", max_workers=0))
 
 
+def _wave(graph: Graph) -> tuple[Walk, list[TaskState]]:
+    """A wave built by hand, as the scheduler builds one: a walk on
+    ``graph`` and four tasks at depth 3 on uneven, contiguous id chunks,
+    labelled ``depth=3/part=0`` to ``depth=3/part=3``."""
+    walk = Walk(graph=graph, weights=standard_weights(graph, 2), epsilon=0.05,
+                config=GDConfig(iterations=10, seed=0))
+    chunks = np.split(np.arange(graph.num_vertices), [30, 120, 170])
+    return walk, [TaskState(vertex_ids=ids, num_parts=2, first_part=index, depth=3)
+                  for index, ids in enumerate(chunks)]
+
+
+def _assert_serial_bits(results, walk, tasks) -> None:
+    """``results`` are the serial backend's sides for the wave, bit for bit."""
+    expected = BisectionExecutor().solve_frontier(walk, tasks)
+    assert len(results) == len(expected)
+    for sides, want in zip(results, expected):
+        assert sides.dtype == want.dtype and sides.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("parallelism", list(ALL_BACKENDS))
-def test_executor_map_preserves_task_order(parallelism):
+def test_solve_frontier_preserves_task_order(social_graph, parallelism):
+    """One sides array per task, in task order: each equals its task
+    solved alone, as a group of one."""
+    walk, tasks = _wave(social_graph)
     with BisectionExecutor(ExecutionConfig(parallelism=parallelism,
                                            max_workers=2)) as executor:
-        results = executor.map(_square, list(range(20)))
-    assert results == [i * i for i in range(20)]
+        results = executor.solve_frontier(walk, tasks)
+        assert executor.stats.shm.waves == (parallelism == "shm")
+    assert len(results) == len(tasks)
+    for task, sides in zip(tasks, results):
+        (alone,) = solve_group(walk, [task])
+        assert sides.size == task.vertex_ids.size
+        np.testing.assert_array_equal(sides, alone)
 
 
-def test_executor_defaults_to_serial():
+def test_executor_defaults_to_serial(social_graph):
     executor = BisectionExecutor()
     assert executor.execution == ExecutionConfig()
-    assert executor.map(_square, [2, 3]) == [4, 9]
+    executor.solve_frontier(*_wave(social_graph))
     assert executor._pool is None
-
-
-def _square(value: int) -> int:
-    return value * value
-
-
-def test_executor_single_task_bypasses_pool():
-    executor = BisectionExecutor(SHM)
-    assert executor.map(_square, [3]) == [9]
-    # No pool should have been spun up for a single task.
-    assert executor._pool is None
-    executor.shutdown()
 
 
 # --------------------------------------------------------------------- #
@@ -110,62 +127,50 @@ def test_executor_rejects_bad_resilience_knobs():
 
 
 @pytest.mark.parametrize("parallelism", list(ALL_BACKENDS))
-def test_injected_failure_is_retried_to_the_same_results(parallelism):
+def test_injected_failure_is_retried_to_the_same_results(social_graph, parallelism):
     """One task raises on its first execution; the retry recovers and the
-    results are indistinguishable from a clean run (shm parity with
-    serial included)."""
-    expected = [i * i for i in range(6)]
-    with inject(_fault_at("#3")) as registry:
+    results are indistinguishable from a clean serial run."""
+    walk, tasks = _wave(social_graph)
+    with inject(_fault_at("depth=3/part=2")) as registry:
         with BisectionExecutor(ExecutionConfig(parallelism=parallelism,
                                                max_workers=2,
                                                task_retries=2)) as executor:
-            results = executor.map(_square, list(range(6)))
-        assert results == expected
+            results = executor.solve_frontier(walk, tasks)
         assert executor.stats.retries >= 1
         if parallelism == "serial":
             # Pool *processes* fire in their own forked registry; the
             # parent's audit log only sees in-process executions.
-            assert any(f.label == "#3" and f.attempt == 0
+            assert any(f.label == "depth=3/part=2" and f.attempt == 0
                        for f in registry.fired)
+    _assert_serial_bits(results, walk, tasks)
 
 
-def test_terminal_failure_names_task_and_attempts():
+def test_terminal_failure_names_task_and_attempts(social_graph):
     """A permanent fault exhausts the retry budget; the error message
     carries the task coordinate and the attempt count."""
-    plan = _fault_at("depth=1/part=0", attempt=None, message="boom")
+    walk, tasks = _wave(social_graph)
+    plan = _fault_at("depth=3/part=1", attempt=None, message="boom")
     with inject(plan):
-        executor = BisectionExecutor(ExecutionConfig(task_retries=2))
-        with pytest.raises(ExecutorTaskError,
-                           match=r"task depth=1/part=0 failed after "
-                                 r"3 attempt\(s\): boom"):
-            executor.map(_square, [1, 2], labels=["depth=0/part=0",
-                                                  "depth=1/part=0"])
-        assert executor.stats.retries == 2
+        with BisectionExecutor(SHM.with_updates(task_retries=2)) as executor:
+            with pytest.raises(ExecutorTaskError,
+                               match=r"task depth=3/part=1 failed after "
+                                     r"3 attempt\(s\): boom"):
+                executor.solve_frontier(walk, tasks)
+            assert executor.stats.retries == 2
 
 
-def test_process_crash_rebuilds_pool_and_recovers():
-    """A worker dying mid-task (hard ``os._exit``) breaks the pool; the
-    executor rebuilds it, resubmits the unfinished tasks, and the results
-    match a clean serial run bit for bit."""
-    with inject(_fault_at("#2", kind="crash")):
-        with BisectionExecutor(SHM.with_updates(task_retries=3)) as executor:
-            results = executor.map(_square, list(range(5)))
-        assert results == [i * i for i in range(5)]
-        assert executor.stats.pool_rebuilds >= 1
-        assert executor.stats.retries >= 1
-
-
-def test_process_hang_times_out_and_rebuilds():
+def test_process_hang_times_out_and_rebuilds(social_graph):
     """A hung process worker cannot be joined; the timeout kills the pool
     and the retry completes the wave."""
-    plan = _fault_at("#0", kind="hang", duration=30.0)
+    walk, tasks = _wave(social_graph)
+    plan = _fault_at("depth=3/part=0", kind="hang", duration=30.0)
     with inject(plan):
-        with BisectionExecutor(SHM.with_updates(task_timeout_seconds=0.5,
+        with BisectionExecutor(SHM.with_updates(task_timeout_seconds=2.0,
                                                 task_retries=3)) as executor:
-            results = executor.map(_square, list(range(3)))
-        assert results == [0, 1, 4]
+            results = executor.solve_frontier(walk, tasks)
         assert executor.stats.timeouts >= 1
         assert executor.stats.pool_rebuilds >= 1
+    _assert_serial_bits(results, walk, tasks)
 
 
 class _SubmitBreaksPool(ProcessPoolExecutor):
@@ -196,47 +201,54 @@ def break_submits(monkeypatch):
 
 @pytest.mark.parametrize("fail_at", [(1,), (4,), (2, 6)],
                          ids=["first-submit", "last-submit", "resubmit-after-rebuild"])
-def test_pool_broken_under_submit_is_rebuilt(break_submits, fail_at):
+def test_pool_broken_under_submit_is_rebuilt(social_graph, break_submits, fail_at):
     """A submit that raises BrokenProcessPool, on the first submission or
     on the resubmission after a rebuild, rebuilds the pool and charges one
     attempt to every unfinished task; the wave still returns its results."""
+    walk, tasks = _wave(social_graph)
     break_submits(*fail_at)
     with BisectionExecutor(SHM.with_updates(task_retries=3)) as executor:
-        results = executor.map(_square, list(range(4)))
-    assert results == [0, 1, 4, 9]
+        results = executor.solve_frontier(walk, tasks)
     assert executor.stats.pool_rebuilds == len(fail_at)
     assert executor.stats.retries == 4 * len(fail_at)
+    _assert_serial_bits(results, walk, tasks)
 
 
-def test_single_task_resubmit_into_a_broken_pool_is_rebuilt(break_submits):
-    """Task #1 raises on its first attempt and its resubmit (submit #5)
+def test_single_task_resubmit_into_a_broken_pool_is_rebuilt(social_graph, break_submits):
+    """Task 1 raises on its first attempt and its resubmit (submit #5)
     meets a broken pool: the pool is rebuilt and the unfinished tasks
     resubmitted, instead of BrokenProcessPool leaving the wave."""
+    walk, tasks = _wave(social_graph)
     break_submits(5)
-    with inject(_fault_at("#1")):
+    with inject(_fault_at("depth=3/part=1")):
         with BisectionExecutor(SHM.with_updates(task_retries=3)) as executor:
-            results = executor.map(_square, list(range(4)))
-    assert results == [0, 1, 4, 9]
+            results = executor.solve_frontier(walk, tasks)
     assert executor.stats.pool_rebuilds == 1
-    # One retry for #1's own failure, then one for each of #1-#3.
+    # One retry for task 1's own failure, then one for each of tasks 1-3.
     assert executor.stats.retries == 4
+    _assert_serial_bits(results, walk, tasks)
 
 
-def test_pool_broken_under_submit_without_retries_raises_task_error(break_submits):
+def test_pool_broken_under_submit_without_retries_raises_task_error(social_graph,
+                                                                    break_submits):
+    walk, tasks = _wave(social_graph)
     break_submits(2)
     with BisectionExecutor(SHM.with_updates(task_retries=0)) as executor:
-        with pytest.raises(ExecutorTaskError, match=r"task #0 failed after 1 attempt"):
-            executor.map(_square, list(range(4)))
+        with pytest.raises(ExecutorTaskError,
+                           match=r"task depth=3/part=0 failed after 1 attempt"):
+            executor.solve_frontier(walk, tasks)
         assert executor.stats.pool_rebuilds == 1
 
 
-def test_inline_backends_do_not_enforce_timeouts():
+def test_inline_backends_do_not_enforce_timeouts(social_graph):
     """Serial runs cannot be interrupted: a slow task just finishes."""
-    plan = _fault_at("#0", kind="slow", duration=0.05)
+    walk, tasks = _wave(social_graph)
+    plan = _fault_at("depth=3/part=0", kind="slow", duration=0.05)
     with inject(plan):
         executor = BisectionExecutor(ExecutionConfig(task_timeout_seconds=0.001))
-        assert executor.map(_square, [7]) == [49]
+        results = executor.solve_frontier(walk, tasks)
         assert executor.stats.timeouts == 0
+    _assert_serial_bits(results, walk, tasks)
 
 
 def test_serial_wave_retries_its_group_bit_identically(social_graph, social_weights):

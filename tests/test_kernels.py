@@ -1,11 +1,11 @@
-"""Tests of the kernels (:mod:`repro.core.kernels`) and of the one-shot
-step.
+"""Tests of the counted mat-vec (:mod:`repro.core.kernels`) and of the
+one-shot step.
 
 Property-based agreement of the one-shot step as the stepper takes it
 (:meth:`ProjectionEngine.project_in_place` plus the clip to the cube)
 with a plain composition of the projection primitives, the edge cases
 the solver actually hits (empty free sets, single-vertex systems), the
-per-kernel counters, and the solver's quality against the reference
+mat-vec's counters, and the solver's quality against the reference
 transcription of Algorithm 1 (``tests/reference_gd.py``).
 """
 
@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from reference_gd import reference_bisect
-from repro.core import GDConfig, GDPartitioner, PROJECTION_METHODS, gd_bisect
+from repro.core import FreeVertexSystem, GDConfig, GDPartitioner, PROJECTION_METHODS, gd_bisect
 from repro.core.gd import Bisection, BisectionStepper
 from repro.core.kernels import KernelStats, NumpyBackend
 from repro.core.projection import (
@@ -26,7 +26,7 @@ from repro.core.projection import (
     ProjectionEngine,
     project_onto_hyperplane,
 )
-from repro.graphs import load_dataset, standard_weights
+from repro.graphs import Graph, load_dataset, standard_weights
 from repro.partition import edge_locality, imbalance
 
 #: The GD iteration's two step paths, with the projection methods that
@@ -167,39 +167,25 @@ ALL_BACKENDS = [NumpyBackend]
 
 @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
 class TestPrimitiveKernels:
-    """The primitive kernels match their defining numpy expressions."""
+    """The step and the free-vertex gradient on the smallest inputs."""
 
-    def test_axpy_and_mix_noise(self, backend_cls, rng):
+    def test_axpy(self, backend_cls, rng):
         # The GD step ``z + γ·g`` that every projection method starts
         # from (the exact projection of an interior point is the point
-        # itself), and the noise mix-in.
-        backend = backend_cls()
-        x, y, noise = rng.random(8) - 0.5, rng.random(8) - 0.5, rng.random(8)
+        # itself).
+        x, y = rng.random(8) - 0.5, rng.random(8) - 0.5
         wide = FeasibleRegion.balanced(np.ones((1, 8)), 1.0)
         assert np.array_equal(_step(ProjectionEngine("exact", wide), y, 0.7, x), y + 0.7 * x)
-        assert np.array_equal(backend.mix_noise(x, noise), x + noise)
-
-    def test_gather_scatter_fixing(self, backend_cls, rng):
-        backend = backend_cls()
-        values = rng.standard_normal(10)
-        ids = np.array([1, 4, 7])
-        assert np.array_equal(backend.gather(values, ids), values[ids])
-        mask = values > 0
-        assert np.array_equal(backend.gather(values, mask), values[mask])
-        target = np.zeros(10)
-        backend.scatter(target, ids, np.ones(3))
-        assert target[ids].sum() == 3.0 and target.sum() == 3.0
-        assert np.array_equal(backend.fixing_mask(values, 0.5), np.abs(values) >= 0.5)
-        snapped = backend.snap(values)
-        assert set(np.unique(snapped)) <= {-1.0, 1.0}
 
     def test_empty_free_set(self, backend_cls):
-        # Zero-length arrays flow through every elementwise kernel and
+        # Zero-length arrays flow through the free-vertex gradient and
         # every projection method's step; the stepper hits this when the
         # last vertex fixes.
-        backend = backend_cls()
         empty = np.empty(0)
-        assert backend.mix_noise(empty, empty).size == 0
+        system = FreeVertexSystem(Graph.from_edges(3, [(0, 1), (1, 2)]), np.ones(3, dtype=bool),
+                                  np.array([1.0, -1.0, 1.0]), backend_cls())
+        assert system.num_free == 0
+        assert system.gradient(empty).size == 0
         region = FeasibleRegion(weights=np.empty((2, 0)), lower=np.zeros(2),
                                 upper=np.zeros(2))
         for method in PROJECTION_METHODS:
@@ -209,15 +195,19 @@ class TestPrimitiveKernels:
     def test_single_vertex_region(self, backend_cls):
         # d = 1 hyperplane on one coordinate: projection lands exactly on
         # the target, then the box clip applies.
-        backend = backend_cls()
         z = np.array([0.3])
         region = FeasibleRegion(weights=np.array([[2.0]]), lower=np.array([0.25]),
                                 upper=np.array([0.75]))
         out = _step(ProjectionEngine("alternating_oneshot", region), z, 1.0, np.array([5.0]))
         assert out.shape == (1,)
         assert out[0] == 0.25  # hyperplane 2x = 0.5, inside the box
-        matrix = sparse.csr_matrix(np.zeros((1, 1)))
-        assert backend.free_gradient(matrix, np.array([1.5]), z)[0] == 1.5
+        # One free vertex of a triangle: no free neighbour, so its
+        # gradient is the fixed neighbours' boundary term 1.0 - 0.5.
+        system = FreeVertexSystem(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]),
+                                  np.array([True, True, False]), np.array([1.0, -0.5, 0.0]),
+                                  backend_cls())
+        assert np.array_equal(system.boundary, [0.5])
+        assert np.array_equal(system.gradient(z), system.boundary)
 
 
 class TestSpmvPinnedToScipy:
@@ -266,14 +256,15 @@ class TestKernelStats:
 
     def test_instances_have_fresh_stats(self):
         first, second = NumpyBackend(), NumpyBackend()
-        first.mix_noise(np.ones(3), np.zeros(3))
+        first.spmv(_random_csr(3, 0), np.ones(3))
         assert second.stats.counters == {}
 
     def test_kernel_decorator_times_calls(self):
         backend = NumpyBackend()
-        backend.mix_noise(np.ones(4), np.zeros(4))
-        backend.mix_noise(np.ones(4), np.zeros(4))
-        calls, ns = backend.stats.counters["mix_noise"]
+        matrix = _random_csr(4, 1)
+        backend.spmv(matrix, np.ones(4))
+        backend.spmv(matrix, np.ones(4))
+        calls, ns = backend.stats.counters["spmv"]
         assert calls == 2
         assert ns > 0
 
@@ -289,16 +280,14 @@ class TestSolverIntegration:
             stepper = BisectionStepper([Bisection(two_cliques_graph, weights, 0.1, config)])
             for iteration in range(config.iterations):
                 stepper.step(iteration)
+            # The gradient's mat-vec is the one counted kernel; the rest
+            # of the iteration is plain numpy, and the projection runs in
+            # the engine: one mat-vec per projection, for every method.
             counters = stepper.backend.stats.counters
-            assert counters, "kernel counters missing from the stepper's backend"
-            for calls, ns in counters.values():
-                assert calls > 0 and ns >= 0
-            # The step and the projection run in the engine, for every
-            # method, not as kernels: one projection per gradient.
-            assert not {"fused_update", "axpy"} & set(counters), method
-            assert stepper.engine.stats.calls == counters["free_gradient"][0], method
-            # The gradient's mat-vec runs through the counted spmv kernel.
-            assert counters["spmv"][0] == counters["free_gradient"][0]
+            assert set(counters) == {"spmv"}, method
+            calls, ns = counters["spmv"]
+            assert calls > 0 and ns >= 0
+            assert calls == stepper.engine.stats.calls, method
 
     def test_fused_backends_fall_back_off_oneshot(self, two_cliques_graph):
         # The fused step is the one-shot sweep's; off it, every step

@@ -1,4 +1,5 @@
-"""Unit tests for the quadratic relaxation, noise schedule, step controller, config."""
+"""Unit tests for the quadratic relaxation and its gradient, the noise
+schedule, the step controller and the config."""
 
 from __future__ import annotations
 
@@ -6,12 +7,23 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    FreeVertexSystem,
     GDConfig,
-    NoiseSchedule,
+    NumpyBackend,
     QuadraticRelaxation,
     StepSizeController,
+    gd_bisect,
     target_step_length,
 )
+from repro.core.gd import Bisection, BisectionStepper
+
+
+def _gradient(graph, x):
+    """``∇f(x) = Ax`` as the GD iteration computes it: the gradient of
+    a free-vertex system with every vertex free."""
+    system = FreeVertexSystem(graph, np.zeros(graph.num_vertices, dtype=bool), x,
+                              NumpyBackend())
+    return system.gradient(x)
 
 
 class TestQuadraticRelaxation:
@@ -22,50 +34,66 @@ class TestQuadraticRelaxation:
         assert np.isclose(relaxation.objective(x), brute)
 
     def test_gradient_matches_bruteforce(self, triangle_graph):
-        relaxation = QuadraticRelaxation(triangle_graph)
         x = np.array([1.0, -1.0, 0.5])
         expected = np.array([x[1] + x[2], x[0] + x[2], x[0] + x[1]])
-        assert np.allclose(relaxation.gradient(x), expected)
+        assert np.allclose(_gradient(triangle_graph, x), expected)
 
     def test_integral_solution_objective_counts_uncut_edges(self, two_cliques_graph):
         relaxation = QuadraticRelaxation(two_cliques_graph)
         sides = np.array([1.0] * 5 + [-1.0] * 5)
-        # 20 internal edges agree, 1 bridge disagrees: f = (20 - 1) = 19.
+        # 20 internal edges agree, 1 bridge disagrees: f = (20 - 1) = 19,
+        # and ½ Σ_E (x_u x_v + 1) = (f + |E|) / 2 counts the 20 uncut edges.
         assert np.isclose(relaxation.objective(sides), 19.0)
-        assert np.isclose(relaxation.expected_uncut_edges(sides), 19.0 + 21 / 2)
-
-    def test_gradient_step(self, triangle_graph):
-        relaxation = QuadraticRelaxation(triangle_graph)
-        x = np.array([1.0, 0.0, 0.0])
-        stepped = relaxation.gradient_step(x, step_size=0.5)
-        assert np.allclose(stepped, x + 0.5 * relaxation.gradient(x))
+        assert np.isclose((relaxation.objective(sides) + two_cliques_graph.num_edges) / 2, 20.0)
 
     def test_zero_vector_is_saddle(self, social_graph):
-        relaxation = QuadraticRelaxation(social_graph)
-        assert np.allclose(relaxation.gradient(np.zeros(social_graph.num_vertices)), 0.0)
+        zeros = np.zeros(social_graph.num_vertices)
+        assert np.allclose(_gradient(social_graph, zeros), 0.0)
 
 
 class TestNoiseSchedule:
-    def test_noise_only_at_first_iteration(self):
-        schedule = NoiseSchedule(100, std=0.1, rng=np.random.default_rng(0))
-        assert np.any(schedule.sample(0) != 0)
-        assert np.all(schedule.sample(1) == 0)
-        assert np.all(schedule.sample(5) == 0)
+    """Noise is one draw from a task's RNG: at the first iteration, or at
+    every one with ``noise_every_iteration``; nothing else in an
+    iteration draws from it."""
 
-    def test_noise_every_iteration(self):
-        schedule = NoiseSchedule(50, std=0.1, every_iteration=True,
-                                 rng=np.random.default_rng(0))
-        assert np.any(schedule.sample(3) != 0)
+    @staticmethod
+    def _rng_moves(graph, weights, config, iterations):
+        """Whether the task's RNG state moved at each of ``iterations``."""
+        stepper = BisectionStepper([Bisection(graph, weights, 0.05, config)])
+        rng = stepper.tasks[0].rng
+        moved = []
+        for iteration in iterations:
+            before = rng.bit_generator.state
+            stepper.step(iteration)
+            moved.append(rng.bit_generator.state != before)
+        return moved
 
-    def test_default_std_scales_with_n(self):
-        assert NoiseSchedule(100).std == pytest.approx(0.1)
-        assert NoiseSchedule(10000).std == pytest.approx(0.01)
+    def test_noise_only_at_first_iteration(self, social_graph, social_weights):
+        config = GDConfig(iterations=10, seed=1)
+        assert self._rng_moves(social_graph, social_weights, config, [0, 1]) == [True, False]
+
+    def test_noise_every_iteration(self, social_graph, social_weights):
+        config = GDConfig(iterations=10, seed=1, noise_every_iteration=True)
+        assert self._rng_moves(social_graph, social_weights, config, [0, 1]) == [True, True]
+
+    def test_default_std_scales_with_n(self, social_graph, social_weights):
+        # ``noise_std=None`` is 1/√n, bit for bit; a different deviation
+        # gives other bits, so the comparison sees the noise.
+        def solve(noise_std):
+            config = GDConfig(iterations=20, seed=2, noise_std=noise_std)
+            return gd_bisect(social_graph, social_weights, 0.05, config)
+
+        default = solve(None)
+        root = np.sqrt(social_graph.num_vertices)
+        explicit = solve(1.0 / root)
+        assert default.fractional.tobytes() == explicit.fractional.tobytes()
+        assert np.array_equal(default.partition.assignment, explicit.partition.assignment)
+        assert default.fractional.tobytes() != solve(2.0 / root).fractional.tobytes()
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(-1)
-        with pytest.raises(ValueError):
-            NoiseSchedule(10, std=-0.5)
+        with pytest.raises(ValueError, match="noise_std"):
+            GDConfig(noise_std=-0.5)
+        assert GDConfig(noise_std=0.0).noise_std == 0.0
 
 
 class TestStepSizeController:

@@ -167,7 +167,7 @@ def test_worker_entry_matches_solve_group_in_process(social_graph, social_weight
     executor = BisectionExecutor(ExecutionConfig(parallelism="shm"))
     # Run every task of the wave through the worker entry point, in process.
     monkeypatch.setattr(executor, "_map_processes",
-                        lambda function, refs, labels: [function(ref) for ref in refs])
+                        lambda refs, labels: [shm.run_walk_task(ref) for ref in refs])
     try:
         results = executor.solve_frontier(walk, wave)
         assert executor.stats.shm.attaches == 1
