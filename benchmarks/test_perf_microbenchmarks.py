@@ -151,7 +151,7 @@ def test_perf_gradient_matvec(benchmark):
     counted mat-vec on the graph's own CSR, plus the boundary term."""
     x = np.random.default_rng(0).uniform(-1, 1, GRAPH.num_vertices)
     system = FreeVertexSystem(GRAPH, np.zeros(GRAPH.num_vertices, dtype=bool), x,
-                              NumpyBackend())
+                              NumpyBackend(), np.ones(GRAPH.indices.size))
     benchmark(lambda: system.gradient(x))
 
 
@@ -214,7 +214,7 @@ def test_perf_balance_repair_classes(benchmark):
 
 def test_perf_balance_repair_distinct_columns(benchmark):
     """The same plus a real-valued third row: all 8,000 columns are
-    distinct, so the repair keeps the per-vertex scan."""
+    distinct, so every weight class holds one vertex."""
     graph, sides = _repair_workload()
     weights = np.vstack([standard_weights(graph, 2),
                          np.random.default_rng(1).uniform(0.5, 2.0, graph.num_vertices)])
@@ -334,10 +334,11 @@ def test_perf_free_system_reslice(benchmark):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, graph.num_vertices)
     order = rng.permutation(graph.num_vertices)
+    unit = np.ones(graph.indices.size)
 
     def setup():
         system = FreeVertexSystem(graph, np.zeros(graph.num_vertices, dtype=bool), x,
-                                  NumpyBackend())
+                                  NumpyBackend(), unit)
         first = np.zeros(graph.num_vertices, dtype=bool)
         first[order[:187]] = True
         system.fix(first, np.sign(x[first]))
@@ -361,7 +362,10 @@ def test_perf_free_system_warm_build(benchmark):
     rng = np.random.default_rng(1)
     fixed = rng.random(graph.num_vertices) < 0.001
     x = np.where(rng.random(graph.num_vertices) < 0.5, 1.0, -1.0)
-    benchmark.pedantic(lambda: FreeVertexSystem(graph, fixed, x, NumpyBackend()),
+    # The stepper allocates the unit buffer once per group, outside the
+    # system's construction.
+    unit = np.ones(graph.indices.size)
+    benchmark.pedantic(lambda: FreeVertexSystem(graph, fixed, x, NumpyBackend(), unit),
                        rounds=20, iterations=1, warmup_rounds=1)
 
 

@@ -18,7 +18,8 @@ so one iteration's gradient over the free coordinates is
 ``A_FF @ z_F + boundary`` — O(edges among free vertices) instead of
 O(all edges): the mat-vec runs through the stepper's
 :class:`~repro.core.kernels.NumpyBackend`, which counts it, on the
-graph's own int64 CSR with unit entries (no scipy matrix).
+graph's own int64 CSR (no scipy matrix), whose unit entries are a
+prefix view of one buffer of ones that the stepper's group shares.
 A fixing event costs a few array passes over the current free set; only
 once most of the current system has been fixed is it *restricted again*
 — sliced down to the surviving free vertices, with the fixed columns'
@@ -95,6 +96,10 @@ class FreeVertexSystem:
     backend:
         The backend the gradient's mat-vec runs through, for its
         counters.
+    unit:
+        A read-only buffer of ones, at least as long as ``graph.indices``:
+        every epoch's matrix entries are a prefix view of it, so the
+        systems of a stepper's group share one allocation.
     """
 
     #: Live fraction below which the epoch matrix is re-sliced.  Dead
@@ -105,7 +110,7 @@ class FreeVertexSystem:
     _RESLICE_FRACTION = 0.25
 
     def __init__(self, graph: Graph, fixed: np.ndarray, values: np.ndarray,
-                 backend: NumpyBackend):
+                 backend: NumpyBackend, unit: np.ndarray):
         fixed = np.asarray(fixed, dtype=bool)
         if fixed.shape[0] != graph.num_vertices:
             raise ValueError("fixed mask must have one entry per vertex")
@@ -119,9 +124,10 @@ class FreeVertexSystem:
         else:
             indptr, indices, self._boundary = _restrict(
                 graph.indptr, graph.indices, free_ids, np.asarray(values, dtype=np.float64))
-        # Every epoch's entries are ones: a prefix of the first epoch's.
-        self._unit = np.ones(indices.size)
-        self._matrix = _EpochMatrix(indptr, indices, self._unit, (free_ids.size,) * 2)
+        # Every epoch's entries are ones: a prefix of the unit buffer.
+        self._unit = unit
+        self._matrix = _EpochMatrix(indptr, indices, unit[:indices.size],
+                                    (free_ids.size,) * 2)
         self._epoch_ids = free_ids           # global ids of epoch coords
         self._live_local = np.arange(free_ids.size)  # epoch positions still free
         self._frozen = np.zeros(free_ids.size)  # values of dead epoch coords

@@ -189,9 +189,6 @@ class GDConfig(ConfigIO):
         at the origin.
     noise_every_iteration:
         Add noise at every iteration instead of only the first (ablation).
-    final_projection_rounds:
-        Number of full alternating-projection sweeps applied after the last
-        iteration to clean up accumulated imbalance (§3.1).
     balance_repair:
         Run a greedy repair pass after randomized rounding that flips
         vertices towards the requested epsilon balance.  The pass stops
@@ -240,7 +237,6 @@ class GDConfig(ConfigIO):
     projection_epsilon: float | None = None
     noise_std: float | None = None
     noise_every_iteration: bool = False
-    final_projection_rounds: int = 50
     balance_repair: bool = True
     record_history: bool = False
     seed: int = 0
@@ -271,8 +267,6 @@ class GDConfig(ConfigIO):
             raise ValueError("projection_epsilon must be positive when given")
         if self.noise_std is not None and self.noise_std < 0:
             raise ValueError("noise_std must be non-negative when given")
-        if self.final_projection_rounds < 0:
-            raise ValueError("final_projection_rounds must be non-negative")
         if isinstance(self.execution, dict):
             # from_dict hands the nested mapping through verbatim; coerce it
             # here so round-tripped configs rebuild their ExecutionConfig.

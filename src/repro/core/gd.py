@@ -186,6 +186,11 @@ def bisection_regions(weights: np.ndarray, epsilon: float, config: GDConfig,
     return region, final_region, center
 
 
+#: Alternating-projection sweeps run after the last iteration to clean up
+#: the imbalance that one-shot projections accumulate (§3.1).
+_FINAL_PROJECTION_ROUNDS = 50
+
+
 def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
                        epsilon: float, final_region: FeasibleRegion,
                        center: np.ndarray, x: np.ndarray, fixed: np.ndarray,
@@ -205,13 +210,11 @@ def finalize_bisection(graph: Graph, weights: np.ndarray, config: GDConfig,
     left free, so the vertices it fixed provably keep their side.
     ``None`` (every cold start) lets every vertex move.
     """
-    if config.final_projection_rounds > 0:
-        free = ~fixed
-        if free.any():
-            sub_region = final_region.restrict(free, x[fixed]) if fixed.any() else final_region
-            cleaner = AlternatingProjector(sub_region,
-                                           max_rounds=config.final_projection_rounds)
-            x[free] = cleaner.project_to_feasibility(x[free])
+    free = ~fixed
+    if free.any():
+        sub_region = final_region.restrict(free, x[fixed]) if fixed.any() else final_region
+        cleaner = AlternatingProjector(sub_region, max_rounds=_FINAL_PROJECTION_ROUNDS)
+        x[free] = cleaner.project_to_feasibility(x[free])
 
     sides = randomized_round(x, rng)
     if config.balance_repair:
@@ -232,7 +235,8 @@ class _Task:
     """
 
     def __init__(self, bisection: Bisection, start: int, x: np.ndarray,
-                 fixed: np.ndarray, backend: NumpyBackend, stats: ProjectionStats):
+                 fixed: np.ndarray, backend: NumpyBackend, stats: ProjectionStats,
+                 unit: np.ndarray):
         config = bisection.config
         epsilon = validate_epsilon(bisection.epsilon)
         graph = bisection.graph
@@ -290,7 +294,7 @@ class _Task:
         free_region = (self.region.restrict(~fixed, x[fixed])
                        if fixed.any() else self.region)
         self.engine = ProjectionEngine(config.projection_method, free_region, stats)
-        self.system = FreeVertexSystem(graph, fixed, x, backend)
+        self.system = FreeVertexSystem(graph, fixed, x, backend, unit)
 
 
 class BisectionStepper:
@@ -341,8 +345,12 @@ class BisectionStepper:
         # their own, so no state crosses the pickle boundary.
         self.backend = NumpyBackend()
         stats = ProjectionStats()
+        # The unit entries of every task's mat-vec: prefix views of one
+        # read-only buffer, as long as the group's largest CSR.
+        unit = np.ones(max(bisection.graph.indices.size for bisection in bisections))
+        unit.flags.writeable = False
         self.tasks = [_Task(bisection, start, self.x[start:stop], self.fixed[start:stop],
-                            self.backend, stats)
+                            self.backend, stats, unit)
                       for bisection, start, stop in zip(bisections, bounds, bounds[1:])]
         self._config = shared
         self._fixing_start = int(shared.fixing_start_fraction * shared.iterations)

@@ -41,24 +41,9 @@ def deterministic_round(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-#: The repair groups the movable vertices by weight column only when there
-#: are at most this many classes per movable vertex; otherwise each move
-#: scans the vertices.  Measured in CPU time on fb_like(80, 2) and (80, 8)
-#: from a 60/40 start at ε = 0.02, a third integer row setting the class
-#: count, over 5 moves, 50 moves and the whole repair (750 / 2,900 moves),
-#: the grouped repair takes 0.3–0.8× the scan's time at ~0.2 classes per
-#: vertex, 0.7–1.1× at ~0.45, 0.9–1.1× at 0.62–0.77 and 0.9–1.3× with every
-#: column distinct; the cut-off sits below the break-even.  Per repair
-#: call, the paper's weight stacks have 0.01–0.09 classes per vertex at
-#: d = 2 (unit, degree), 0.74–0.98 at d = 3 (+ neighbour-degree sum) and
-#: 1.0 at d = 4 (+ PageRank).
-_MAX_CLASSES_PER_VERTEX = 0.5
-
-
 def _weight_classes(weights: np.ndarray, sides: np.ndarray, movable_ids: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Group ``movable_ids`` by weight column, or ``None`` when there are
-    too many classes for the grouping to pay.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ``movable_ids`` by weight column.
 
     Returns the class of every vertex (the vertices that may not move are
     in an extra class, one past the last), the ``(d, classes)`` weight
@@ -71,8 +56,6 @@ def _weight_classes(weights: np.ndarray, sides: np.ndarray, movable_ids: np.ndar
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
     num_classes = int(np.count_nonzero(starts))
-    if num_classes > _MAX_CLASSES_PER_VERTEX * order.size:
-        return None
     vertex_class = np.full(sides.size, num_classes, dtype=np.int64)
     vertex_class[movable_ids[order]] = np.cumsum(starts) - 1
     sizes = np.diff(np.append(np.flatnonzero(starts), order.size))
@@ -111,12 +94,10 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
     ``np.lexsort`` over the d rows).  A flip changes the balance by the
     flipped vertex's column only, so a move computes the violation once per
     class present on the donor side, then takes the highest-gain donor-side
-    vertex of the near-best classes.  When there are more than half as many
-    classes as movable vertices (real-valued rows; the d = 3 and d = 4
-    standard weights) the grouping does not pay, and each move computes the
-    violation of every donor-side vertex instead.  Both paths compute the
-    same violations and pick the same vertex, so the output does not depend
-    on which one ran.
+    vertex of the near-best classes: the vertex a scan of every donor-side
+    vertex's violation would pick.  With real-valued rows (the d = 3 and
+    d = 4 standard weights) most classes hold one vertex, and a move costs
+    about what that scan would.
     """
     sides = np.asarray(sides, dtype=np.float64).copy()
     weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
@@ -147,9 +128,7 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
                                sides, (n, n))
     gains = -(sides * neighbor_sums)
     movable_ids = np.arange(n) if movable is None else np.flatnonzero(movable)
-    classes = _weight_classes(weights, sides, movable_ids)
-    if classes is not None:
-        vertex_class, class_columns, counts = classes
+    vertex_class, class_columns, counts = _weight_classes(weights, sides, movable_ids)
 
     for _ in range(max_moves):
         current_violation = float(excess.sum())
@@ -157,33 +136,24 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
             break
         donor_side = 1.0 if sums[int(np.argmax(excess))] > 0 else -1.0
         donor = int(donor_side > 0)
-        if classes is None:
-            on_donor_side = sides == donor_side
-            if movable is not None:
-                on_donor_side &= movable
-            candidates = np.flatnonzero(on_donor_side)
-            columns = weights[:, candidates]
-        else:
-            candidates = np.flatnonzero(counts[donor])
-            columns = class_columns[:, candidates]
+        candidates = np.flatnonzero(counts[donor])
         if candidates.size == 0:
             break
 
         # Violation after flipping each candidate (vectorized over candidates).
-        new_sums = sums[:, None] - 2.0 * donor_side * columns
+        new_sums = sums[:, None] - 2.0 * donor_side * class_columns[:, candidates]
         new_excess = np.maximum(np.abs(new_sums) - slack[:, None], 0.0)
         new_violation = (new_excess / scale[:, None]).sum(axis=0)
         best_violation = new_violation.min()
         if best_violation >= current_violation - 1e-15:
             break  # no single flip improves the balance any further
 
-        # Among the (near-)best balance improvements pick the cheapest cut-wise.
-        near_best = candidates[new_violation <= best_violation + 1e-12]
-        if classes is not None:
-            # The donor-side vertices of the near-best classes, ascending.
-            in_near_best = np.zeros(counts.shape[1] + 1, dtype=bool)
-            in_near_best[near_best] = True
-            near_best = np.flatnonzero(in_near_best[vertex_class] & (sides == donor_side))
+        # Among the (near-)best balance improvements pick the cheapest
+        # cut-wise: the donor-side vertices of the near-best classes,
+        # ascending, then the highest gain among them.
+        in_near_best = np.zeros(counts.shape[1] + 1, dtype=bool)
+        in_near_best[candidates[new_violation <= best_violation + 1e-12]] = True
+        near_best = np.flatnonzero(in_near_best[vertex_class] & (sides == donor_side))
         best = near_best[np.argmax(gains[near_best])]
 
         # Flip the vertex, then refresh the weighted sums and the gains of
@@ -194,8 +164,7 @@ def balance_repair(graph: Graph, sides: np.ndarray, weights: np.ndarray,
         neighbor_sums[neighbors] -= 2.0 * donor_side
         gains[neighbors] = -(sides[neighbors] * neighbor_sums[neighbors])
         gains[best] = -(sides[best] * neighbor_sums[best])
-        if classes is not None:
-            counts[donor, vertex_class[best]] -= 1
-            counts[1 - donor, vertex_class[best]] += 1
+        counts[donor, vertex_class[best]] -= 1
+        counts[1 - donor, vertex_class[best]] += 1
         excess = np.maximum(np.abs(sums) - slack, 0.0) / scale
     return sides

@@ -7,19 +7,20 @@ social-graph serving churns continuously, and re-canonicalizing the whole
 edge list per update batch costs O(m log m) regardless of how small the
 batch is.  :class:`DynamicGraph` is the update layer underneath the
 incremental repartitioner (:mod:`repro.dynamic.repartition`): it owns the
-sorted edge keys, the CSR adjacency and the vertex weight matrix, and
-applies an :class:`UpdateBatch` for one copy per array plus work that
-grows with the batch and the touched rows' entries, never a re-sort and
-never a numpy call per touched vertex —
+CSR adjacency and the vertex weight matrix, and nothing else — no edge
+list and no edge-key array beside the CSR.  It applies an
+:class:`UpdateBatch` for one copy per array plus work that grows with the
+batch and the touched rows' entries, never a re-sort and never a numpy
+call per touched vertex —
 
-* membership checks run on the sorted canonical key array
-  (``O(delta log m)`` searches);
-* the keys and the CSR ``indices`` are each copied once, by one masked
-  copy that drops the deleted entries and places the inserted ones (no
-  edge list is kept: a snapshot derives one only if it is read);
-* the touched CSR rows are gathered at once, and each deleted or
-  inserted entry is located by a binary search of its key in the
-  canonical row order among the gathered entries;
+* the touched CSR rows are gathered once
+  (:func:`~repro.graphs.graph.row_positions`) and their entries keyed in
+  the canonical row order (:func:`_row_order_keys`);
+* membership is checked on those gathered rows: each inserted or deleted
+  entry is looked up by a binary search of its key among them, which
+  also locates every deleted entry and places every inserted one;
+* the CSR ``indices`` are copied once, by one masked copy that drops the
+  deleted entries and places the inserted ones, and ``indptr`` once;
 * vertex-weight deltas are scattered into the touched columns only.
 
 Snapshot parity contract
@@ -70,9 +71,17 @@ def _row_order_keys(rows: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray
     Row ``r`` lists its neighbours > ``r`` ascending, then its neighbours
     < ``r`` ascending; ``(v - r - 1) mod n`` increases along that order,
     so ``r·n + (v - r - 1) mod n`` orders entries by row, then by their
-    place in the row, and stays below ``n²`` like the edge keys.
+    place in the row, and stays below ``n²``.
     """
     return rows * np.int64(n) + (targets - rows - 1) % n
+
+
+def _found(row_keys: np.ndarray, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Which ``keys`` are in the ascending ``row_keys``, given their ranks
+    ``np.searchsorted(row_keys, keys)``."""
+    found = ranks < row_keys.size
+    found[found] = row_keys[ranks[found]] == keys[found]
+    return found
 
 
 def _splice(array: np.ndarray, delete_at: np.ndarray, insert_at: np.ndarray,
@@ -198,8 +207,6 @@ class DynamicGraph:
 
     def __init__(self, graph: Graph, weights: np.ndarray):
         self._num_vertices = graph.num_vertices
-        edges = graph.edges
-        self._keys = edges[:, 0] * np.int64(max(self._num_vertices, 1)) + edges[:, 1]
         self._indptr = graph.indptr
         self._indices = graph.indices
         self._weights = validate_weights(graph, weights).copy()
@@ -214,7 +221,7 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._keys.size
+        return self._indices.size // 2
 
     @property
     def num_dimensions(self) -> int:
@@ -234,12 +241,11 @@ class DynamicGraph:
         return self._indices
 
     def has_edge(self, u: int, v: int) -> bool:
-        lo, hi = (u, v) if u < v else (v, u)
-        if lo == hi or lo < 0 or hi >= self._num_vertices:
+        """Whether ``(u, v)`` is an edge: a scan of ``u``'s CSR row."""
+        n = self._num_vertices
+        if u == v or not (0 <= u < n and 0 <= v < n):
             return False
-        key = np.int64(lo) * np.int64(self._num_vertices) + np.int64(hi)
-        position = int(np.searchsorted(self._keys, key))
-        return position < self._keys.size and self._keys[position] == key
+        return bool(np.any(self._indices[self._indptr[u]:self._indptr[u + 1]] == v))
 
     def snapshot(self) -> Graph:
         """The current topology as an immutable :class:`Graph`.
@@ -269,23 +275,11 @@ class DynamicGraph:
         insertions = _canonicalize_edges(batch.insertions, n)
         deletions = _canonicalize_edges(batch.deletions, n)
         scale = np.int64(max(n, 1))
-        insert_keys = insertions[:, 0] * scale + insertions[:, 1]
-        delete_keys = deletions[:, 0] * scale + deletions[:, 1]
-        if np.intersect1d(insert_keys, delete_keys).size:
+        if np.intersect1d(insertions[:, 0] * scale + insertions[:, 1],
+                          deletions[:, 0] * scale + deletions[:, 1]).size:
             raise ValueError("an edge cannot be both inserted and deleted in one batch")
 
-        insert_positions = np.searchsorted(self._keys, insert_keys)
-        in_range = insert_positions < self._keys.size
-        if np.any(self._keys[insert_positions[in_range]] == insert_keys[in_range]):
-            raise ValueError("cannot insert an edge that already exists")
-        delete_positions = np.searchsorted(self._keys, delete_keys)
-        if delete_keys.size:
-            if self._keys.size == 0:
-                raise ValueError("cannot delete an edge that does not exist")
-            clipped = np.minimum(delete_positions, self._keys.size - 1)
-            if np.any((delete_positions >= self._keys.size)
-                      | (self._keys[clipped] != delete_keys)):
-                raise ValueError("cannot delete an edge that does not exist")
+        delete_at, insert_at, inserted_targets = self._locate(insertions, deletions)
 
         # Validate (and stage) the weight deltas BEFORE splicing the edges:
         # apply must be atomic — a rejected batch leaves neither half
@@ -296,8 +290,13 @@ class DynamicGraph:
                            if batch.weight_vertices.size else None)
 
         if insertions.size or deletions.size:
-            self._splice_edges(insertions, insert_keys, insert_positions,
-                               deletions, delete_positions)
+            self._indices = _splice(self._indices, delete_at, insert_at, inserted_targets)
+            degree_delta = (np.bincount(insertions.ravel(), minlength=n)
+                            - np.bincount(deletions.ravel(), minlength=n))
+            indptr = self._indptr.copy()
+            indptr[1:] += np.cumsum(degree_delta)
+            self._indptr = indptr
+            self._snapshot = None
         if updated_weights is not None:
             self._weights = updated_weights
 
@@ -323,50 +322,43 @@ class DynamicGraph:
             raise ValueError("weight deltas must keep every weight strictly positive")
         return updated
 
-    def _splice_edges(self, insertions: np.ndarray, insert_keys: np.ndarray,
-                      insert_positions: np.ndarray, deletions: np.ndarray,
-                      delete_positions: np.ndarray) -> None:
-        """Splice the edits into the sorted edge keys and the CSR.
+    def _locate(self, insertions: np.ndarray, deletions: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the batch's CSR entries leave and enter ``indices``.
 
-        One masked copy per array (keys, indices) plus work that
-        grows with the touched rows' entries, with no per-vertex numpy
-        call: the touched rows are gathered at once
-        (:func:`~repro.graphs.graph.row_positions`), and the deleted
-        entries are found, and the inserted ones placed, by one binary
-        search of each entry's key in the canonical row order
-        (:func:`_row_order_keys`).
+        Each edge is two entries, one in each endpoint's row.  The
+        touched rows are gathered once (:func:`row_positions`) and their
+        entries keyed in the canonical row order (:func:`_row_order_keys`;
+        ascending, as the rows ascend and the keys within a row do).  A
+        binary search of each edited entry's key among them checks it
+        against the live edges, raising :class:`ValueError` on an insert
+        of an existing edge or a delete of a missing one, and places it.
+
+        Returns the deleted entries' positions, ascending, and the
+        inserted entries' positions and targets, in key order.
         """
-        self._keys = _splice(self._keys, delete_positions, insert_positions, insert_keys)
-
         n = self._num_vertices
-        old_indptr = self._indptr
         touched = np.unique(np.concatenate([insertions.ravel(), deletions.ravel()]))
-        positions, bounds = row_positions(old_indptr, touched)
-        rows = np.repeat(touched, np.diff(bounds))
-        row_keys = _row_order_keys(rows, self._indices[positions], n)
+        positions, bounds = row_positions(self._indptr, touched)
+        row_keys = _row_order_keys(np.repeat(touched, np.diff(bounds)),
+                                   self._indices[positions], n)
 
-        # Each edge is two entries, one in each endpoint's row.
+        rows = np.concatenate([insertions[:, 0], insertions[:, 1]])
+        targets = np.concatenate([insertions[:, 1], insertions[:, 0]])
+        keys = _row_order_keys(rows, targets, n)
+        order = np.argsort(keys)
+        rows, targets, keys = rows[order], targets[order], keys[order]
+        ranks = np.searchsorted(row_keys, keys)
+        if _found(row_keys, keys, ranks).any():
+            raise ValueError("cannot insert an edge that already exists")
         deleted_keys = np.sort(np.concatenate([
             _row_order_keys(deletions[:, 0], deletions[:, 1], n),
             _row_order_keys(deletions[:, 1], deletions[:, 0], n)]))
-        delete_at = positions[np.searchsorted(row_keys, deleted_keys)]
-        inserted_rows = np.concatenate([insertions[:, 0], insertions[:, 1]])
-        inserted_targets = np.concatenate([insertions[:, 1], insertions[:, 0]])
-        inserted_keys = _row_order_keys(inserted_rows, inserted_targets, n)
-        order = np.argsort(inserted_keys)
-        inserted_rows, inserted_keys = inserted_rows[order], inserted_keys[order]
+        deleted_ranks = np.searchsorted(row_keys, deleted_keys)
+        if not _found(row_keys, deleted_keys, deleted_ranks).all():
+            raise ValueError("cannot delete an edge that does not exist")
+
         # An inserted entry goes before the first entry of its row with a
         # larger key: ``row start + (entries of the row with a smaller key)``.
-        row_start = bounds[np.searchsorted(touched, inserted_rows)]
-        insert_at = (old_indptr[inserted_rows]
-                     + np.searchsorted(row_keys, inserted_keys) - row_start)
-        self._indices = _splice(self._indices, delete_at, insert_at,
-                                inserted_targets[order])
-
-        degree_delta = (np.bincount(inserted_rows, minlength=n)
-                        - np.bincount(deletions.ravel(), minlength=n))
-        new_indptr = old_indptr.copy()
-        new_indptr[1:] += np.cumsum(degree_delta)
-        self._indptr = new_indptr
-        self._snapshot = None
-
+        insert_at = self._indptr[rows] + ranks - bounds[np.searchsorted(touched, rows)]
+        return positions[deleted_ranks], insert_at, targets

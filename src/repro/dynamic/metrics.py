@@ -11,9 +11,14 @@ running sums:
 * **weight deltas** — scatter-added into the owning part's totals
   (O(batch · d));
 * **repair moves** — when the repartitioner reassigns vertices, the cut is
-  corrected by re-scoring only the edges *incident to the moved set*
-  (each counted once, both-endpoints-moved edges included), and the part
-  weights by two scatter passes (O(moved-degree sum · d)).
+  corrected by re-scoring only the edges at a vertex whose part changed,
+  read off those vertices' CSR rows in one gather (each edge counted
+  once, from its lower endpoint's row when both endpoints changed), and
+  the part weights by two scatter passes (O(moved-degree sum · d)).
+
+The tracker reads the live graph through its CSR alone: a from-scratch
+cut (:meth:`IncrementalMetrics.reset`) counts the crossing CSR entries,
+as :func:`repro.partition.metrics.cut_size` does.
 
 Every derived number (locality %, per-dimension imbalance, ε-balance)
 matches :mod:`repro.partition.metrics` on the current snapshot exactly —
@@ -26,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graphs.graph import row_positions
+from ..partition.metrics import cut_size
 from ..partition.partition import Partition
 from .graph import DynamicGraph, UpdateBatch
 
@@ -56,17 +63,12 @@ class IncrementalMetrics:
         self._recompute()
 
     def _recompute(self) -> None:
-        graph = self._dynamic.snapshot()
         assignment = self._assignment
-        if graph.num_edges:
-            self._cut = int(np.count_nonzero(
-                assignment[graph.edges[:, 0]] != assignment[graph.edges[:, 1]]))
-        else:
-            self._cut = 0
-        weights = self._dynamic.weights
+        self._cut = cut_size(Partition(graph=self._dynamic.snapshot(), assignment=assignment,
+                                       num_parts=self._num_parts))
         self._part_weights = np.vstack([
             np.bincount(assignment, weights=row, minlength=self._num_parts)
-            for row in weights])
+            for row in self._dynamic.weights])
 
     # ------------------------------------------------------------------ #
     # State transitions
@@ -89,10 +91,10 @@ class IncrementalMetrics:
     def move(self, vertices: np.ndarray, new_parts: np.ndarray) -> None:
         """Reassign ``vertices`` (unique ids) to ``new_parts``.
 
-        The cut correction re-scores exactly the edges incident to the
-        moved set: each such edge is gathered once from the CSR rows of
-        the moved vertices and deduplicated by its canonical key, so
-        edges between two moved vertices are not double-counted.
+        The cut correction re-scores exactly the edges at a vertex whose
+        part changes: one gather of those vertices' CSR rows, in which an
+        edge between two of them is counted from its lower endpoint's row
+        only.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         new_parts = np.asarray(new_parts, dtype=np.int64)
@@ -103,26 +105,17 @@ class IncrementalMetrics:
         if new_parts.min() < 0 or new_parts.max() >= self._num_parts:
             raise ValueError("new part id out of range")
         assignment = self._assignment
+        updated = assignment.copy()
+        updated[vertices] = new_parts
 
-        indptr, indices = self._dynamic.indptr, self._dynamic.indices
-        counts = (indptr[vertices + 1] - indptr[vertices]).astype(np.int64)
-        if counts.sum():
-            sources = np.repeat(vertices, counts)
-            targets = np.concatenate([
-                indices[indptr[v]:indptr[v + 1]] for v in vertices])
-            lo = np.minimum(sources, targets)
-            hi = np.maximum(sources, targets)
-            keys = lo * np.int64(self._dynamic.num_vertices) + hi
-            _, first = np.unique(keys, return_index=True)
-            lo, hi = lo[first], hi[first]
-            old_cross = int(np.count_nonzero(assignment[lo] != assignment[hi]))
-            updated = assignment.copy()
-            updated[vertices] = new_parts
-            new_cross = int(np.count_nonzero(updated[lo] != updated[hi]))
-            self._cut += new_cross - old_cross
-        else:
-            updated = assignment.copy()
-            updated[vertices] = new_parts
+        changed = vertices[new_parts != assignment[vertices]]
+        positions, bounds = row_positions(self._dynamic.indptr, changed)
+        targets = self._dynamic.indices[positions]
+        sources = np.repeat(changed, np.diff(bounds))
+        once = (updated[targets] == assignment[targets]) | (sources < targets)
+        sources, targets = sources[once], targets[once]
+        self._cut += int(np.count_nonzero(updated[sources] != updated[targets])
+                         - np.count_nonzero(assignment[sources] != assignment[targets]))
 
         weights = self._dynamic.weights
         old_parts = assignment[vertices]

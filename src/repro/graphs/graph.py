@@ -188,8 +188,10 @@ class Graph:
     lists its neighbors > ``r`` ascending, then its neighbors < ``r``
     ascending — the order :meth:`from_edges` gives, that
     :meth:`repro.dynamic.DynamicGraph.snapshot` reproduces, and that
-    :meth:`subgraphs` relies on and keeps.  The edge list :attr:`edges`
-    is derived from it on first use.
+    :meth:`subgraphs` relies on and keeps.  A graph stores no edge list:
+    these three arrays are all it holds until :attr:`edges` is read,
+    which derives the list from the CSR (only code that writes edges out
+    or simulates them per edge reads it).
     """
 
     num_vertices: int
@@ -204,7 +206,8 @@ class Graph:
         """Build a graph from an iterable of ``(u, v)`` pairs.
 
         Duplicate edges (in either orientation) and self loops are ignored.
-        The canonical edge array built on the way is kept as :attr:`edges`.
+        The canonical edge array built on the way is dropped once the CSR
+        is built: the graph keeps only its CSR.
         """
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
@@ -214,9 +217,7 @@ class Graph:
             edge_array = np.empty((0, 2), dtype=np.int64)
         canonical = _canonicalize_edges(edge_array, num_vertices)
         indptr, indices = cls._build_csr(num_vertices, canonical)
-        graph = cls(num_vertices=num_vertices, indptr=indptr, indices=indices)
-        vars(graph)["edges"] = canonical
-        return graph
+        return cls(num_vertices=num_vertices, indptr=indptr, indices=indices)
 
     @classmethod
     def from_csr(cls, num_vertices: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":

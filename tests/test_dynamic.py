@@ -116,22 +116,41 @@ class TestDynamicGraph:
 
     def test_apply_is_atomic(self, small_dynamic):
         """A rejected batch leaves neither half applied: valid edge churn
-        bundled with an invalid weight delta must not touch the graph."""
+        bundled with an invalid weight delta must not touch the graph, and
+        an insert of an existing edge or a delete of a missing one,
+        bundled with valid churn and weight deltas, touches neither the
+        CSR nor the weights."""
         n = small_dynamic.num_vertices
-        fresh = next((u, v) for u in range(n) for v in range(u + 1, n)
-                     if not small_dynamic.has_edge(u, v))
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if not small_dynamic.has_edge(u, v)]
+        fresh, missing = absent[0], absent[1]
+        existing, other = (tuple(edge) for edge in small_dynamic.snapshot().edges[:2])
+        deltas = {"weight_vertices": [0, 7], "weight_deltas": [[0.5, 0.25], [0.5, 0.25]]}
+        rejected = [
+            ("strictly positive", UpdateBatch(insertions=[fresh], weight_vertices=[0],
+                                              weight_deltas=[[-100.0], [0.0]])),
+            ("already exists", UpdateBatch(insertions=[fresh, existing],
+                                           deletions=[other], **deltas)),
+            ("does not exist", UpdateBatch(insertions=[fresh],
+                                           deletions=[other, missing], **deltas)),
+        ]
+        before = [array.copy() for array in (small_dynamic.indptr, small_dynamic.indices,
+                                             small_dynamic.weights)]
         edges_before = small_dynamic.num_edges
-        weights_before = small_dynamic.weights.copy()
-        with pytest.raises(ValueError, match="strictly positive"):
-            small_dynamic.apply(UpdateBatch(
-                insertions=[fresh], weight_vertices=[0],
-                weight_deltas=[[-100.0], [0.0]]))
-        assert not small_dynamic.has_edge(*fresh)
-        assert small_dynamic.num_edges == edges_before
-        np.testing.assert_array_equal(small_dynamic.weights, weights_before)
+        for message, batch in rejected:
+            with pytest.raises(ValueError, match=message):
+                small_dynamic.apply(batch)
+            for array, copy in zip((small_dynamic.indptr, small_dynamic.indices,
+                                    small_dynamic.weights), before):
+                np.testing.assert_array_equal(array, copy)
+            assert small_dynamic.num_edges == edges_before
+            assert not small_dynamic.has_edge(*fresh)
+            assert small_dynamic.has_edge(*other)
         # The corrected batch then applies cleanly.
-        small_dynamic.apply(UpdateBatch(insertions=[fresh]))
+        small_dynamic.apply(UpdateBatch(insertions=[fresh], deletions=[other], **deltas))
         assert small_dynamic.has_edge(*fresh)
+        assert not small_dynamic.has_edge(*other)
+        assert small_dynamic.num_edges == edges_before
 
     def test_weight_deltas_accumulate_duplicates(self, small_dynamic):
         before = small_dynamic.weights[:, 5].copy()
@@ -220,10 +239,11 @@ class TestSpliceProperties:
                    [([(5, 7), (5, 8), (5, 9), (10, 5), (5, 11), (0, 11)],
                      [(0, 5), (2, 5), (4, 5), (5, 6)])]))
     def test_splice_equals_a_rebuild(self, case):
-        """After every batch the snapshot arrays and the edge keys equal
-        those of Graph.from_edges over the edge set the batches leave,
-        and the snapshot taken before the batch still describes its
-        graph."""
+        """After every batch the snapshot arrays equal those of
+        Graph.from_edges over the edge set the batches leave, the live
+        graph's num_edges and has_edge answer as the rebuilt graph does
+        (on every inserted and deleted pair and on some absent ones), and
+        the snapshot taken before the batch still describes its graph."""
         n, edges, batches = case
         dynamic = DynamicGraph(Graph.from_edges(n, edges), np.ones((1, n)))
         live = {tuple(edge) for edge in edges}
@@ -241,11 +261,47 @@ class TestSpliceProperties:
                 array = getattr(snapshot, name)
                 np.testing.assert_array_equal(array, getattr(rebuilt, name))
                 assert array.dtype == np.int64
-            np.testing.assert_array_equal(
-                dynamic._keys, rebuilt.edges[:, 0] * n + rebuilt.edges[:, 1])
+            assert dynamic.num_edges == rebuilt.num_edges
+            absent = [(u, v) for u in range(n) for v in range(u, n)
+                      if (u, v) not in live][::3]
+            for u, v in [*insertions, *deletions, *absent]:
+                expected = bool(np.any(rebuilt.neighbors(u) == v))
+                assert dynamic.has_edge(u, v) == dynamic.has_edge(v, u) == expected
             for array, copy in zip((before.edges, before.indptr, before.indices),
                                    arrays_before):
                 np.testing.assert_array_equal(array, copy)
+
+
+@st.composite
+def move_cases(draw):
+    """A small partitioned graph and a sequence of ``move`` calls.
+
+    Each moved set mixes drawn vertices with both endpoints of an edge
+    (adjacent moved vertices) and an isolated vertex (an empty CSR row),
+    and gives some of its vertices the part they are already in.
+    """
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    graph = Graph.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=50)))
+    num_parts = draw(st.integers(1, 4))
+    part = st.integers(0, num_parts - 1)
+    assignment = np.array(draw(st.lists(part, min_size=n, max_size=n)), dtype=np.int64)
+    isolated = np.flatnonzero(graph.degrees == 0).tolist()
+    edges = graph.edges.tolist()
+    moves = []
+    current = assignment.copy()
+    for _ in range(draw(st.integers(1, 3))):
+        moved = set(draw(st.lists(vertex, max_size=n)))
+        if edges and draw(st.booleans()):
+            moved |= set(draw(st.sampled_from(edges)))
+        if isolated and draw(st.booleans()):
+            moved.add(draw(st.sampled_from(isolated)))
+        vertices = draw(st.permutations(sorted(moved)))
+        new_parts = [int(current[v]) if draw(st.booleans()) else draw(part)
+                     for v in vertices]
+        current[vertices] = new_parts
+        moves.append((vertices, new_parts))
+    return graph, assignment, num_parts, moves
 
 
 class TestIncrementalMetrics:
@@ -284,6 +340,24 @@ class TestIncrementalMetrics:
         for epsilon in (0.01, 0.05, 0.5):
             assert (metrics.is_epsilon_balanced(epsilon)
                     == is_epsilon_balanced(reference, dynamic.weights, epsilon))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=move_cases())
+    def test_move_keeps_the_cut_of_a_from_scratch_count(self, case):
+        """After every move the running cut equals a from-scratch
+        cut_size, and both equal a count over the edge list."""
+        graph, assignment, num_parts, moves = case
+        metrics = IncrementalMetrics(DynamicGraph(graph, np.ones((1, graph.num_vertices))),
+                                     assignment, num_parts)
+        expected = assignment.copy()
+        for vertices, new_parts in moves:
+            metrics.move(np.asarray(vertices, dtype=np.int64),
+                         np.asarray(new_parts, dtype=np.int64))
+            expected[vertices] = new_parts
+            np.testing.assert_array_equal(metrics.assignment, expected)
+            reference = Partition(graph=graph, assignment=expected, num_parts=num_parts)
+            by_edges = sum(int(expected[u] != expected[v]) for u, v in graph.iter_edges())
+            assert metrics.cut_size == cut_size(reference) == by_edges
 
     def test_move_handles_both_endpoints_moving(self):
         graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

@@ -165,3 +165,52 @@ class TestSolvePathReadsOnlyTheCsr:
         assert modes == ["repair"] * 5
         assert extracted
         assert not any("edges" in vars(subgraph) for subgraph in extracted)
+
+
+class TestChurnPathReadsOnlyTheCsr:
+    """The churn path reads the live graph through its CSR alone: with
+    ``Graph.edges`` raising, a live graph is built, repairs a batch,
+    recomputes (forced by a low damage threshold, and on request), and
+    answers ``has_edge``, a metrics reset and the edge locality.  The
+    update batches are drawn before the patch, since simulating churn
+    samples the edge list."""
+
+    def test_churn_path(self, monkeypatch):
+        from repro.dynamic import (
+            DynamicGraph,
+            IncrementalRepartitioner,
+            UpdateBatch,
+            degree_weight_deltas,
+        )
+        from repro.graphs import Graph, churn_trace, fb_like
+
+        graph = fb_like(80, scale=0.4, seed=0)
+        weights = standard_weights(graph, 2)
+        config = GDConfig(iterations=40, seed=0)
+        initial = GDPartitioner(epsilon=0.05, config=config).partition(graph, weights, 4)
+        trace = churn_trace(graph, 3, 0.002, seed=5)
+
+        def no_edge_list(graph):
+            raise AssertionError("the churn path read an edge list")
+
+        monkeypatch.setattr(Graph, "edges", property(no_edge_list))
+        dynamic = DynamicGraph(graph, weights)
+
+        def batch(index):
+            insertions, deletions = trace[index]
+            vertices, deltas = degree_weight_deltas(dynamic, insertions, deletions)
+            return UpdateBatch(insertions=insertions, deletions=deletions,
+                               weight_vertices=vertices, weight_deltas=deltas)
+
+        repartitioner = IncrementalRepartitioner(dynamic, initial.assignment, 4,
+                                                 epsilon=0.05, config=config)
+        assert repartitioner.apply(batch(0)).mode == "repair"
+        recomputing = IncrementalRepartitioner(
+            dynamic, repartitioner.assignment, 4, epsilon=0.05,
+            config=config.with_updates(repartition_damage_threshold=1e-9))
+        assert recomputing.apply(batch(1)).mode == "recompute"
+        assert recomputing.recompute().mode == "escalated"
+        inserted, deleted = trace[1][0][0], trace[1][1][0]
+        assert dynamic.has_edge(*inserted) and not dynamic.has_edge(*deleted)
+        recomputing.metrics.reset(initial.assignment)
+        assert recomputing.metrics.edge_locality_pct == edge_locality(recomputing.partition())

@@ -183,7 +183,7 @@ class TestPrimitiveKernels:
         # last vertex fixes.
         empty = np.empty(0)
         system = FreeVertexSystem(Graph.from_edges(3, [(0, 1), (1, 2)]), np.ones(3, dtype=bool),
-                                  np.array([1.0, -1.0, 1.0]), backend_cls())
+                                  np.array([1.0, -1.0, 1.0]), backend_cls(), np.ones(4))
         assert system.num_free == 0
         assert system.gradient(empty).size == 0
         region = FeasibleRegion(weights=np.empty((2, 0)), lower=np.zeros(2),
@@ -205,7 +205,7 @@ class TestPrimitiveKernels:
         # gradient is the fixed neighbours' boundary term 1.0 - 0.5.
         system = FreeVertexSystem(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]),
                                   np.array([True, True, False]), np.array([1.0, -0.5, 0.0]),
-                                  backend_cls())
+                                  backend_cls(), np.ones(6))
         assert np.array_equal(system.boundary, [0.5])
         assert np.array_equal(system.gradient(z), system.boundary)
 

@@ -148,7 +148,8 @@ def test_free_vertex_system_matches_masked_gradient(social_graph):
     x = rng.uniform(-1, 1, n)
     fixed = rng.random(n) < 0.4
     x[fixed] = np.sign(x[fixed] + 1e-9)
-    system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend())
+    system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend(),
+                              np.ones(social_graph.indices.size))
     z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
     full = x.copy()
     full[system.free_ids] = z
@@ -171,7 +172,8 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
         x = rng.uniform(-1, 1, n)
         fixed = np.zeros(n, dtype=bool)
         fixed[rng.permutation(n)[:start_fixed]] = True
-        system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend())
+        system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend(),
+                              np.ones(social_graph.indices.size))
         reference = _ScipyFreeSystem(adjacency, fixed, x)
         while reference.reslices < 2:
             assert system.num_free >= 4
@@ -197,10 +199,12 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
 def test_free_vertex_system_validates_inputs(social_graph):
     n = social_graph.num_vertices
     with pytest.raises(ValueError, match="fixed mask"):
-        FreeVertexSystem(social_graph, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend())
+        FreeVertexSystem(social_graph, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend(),
+                         np.ones(social_graph.indices.size))
     fixed = np.zeros(n, dtype=bool)
     fixed[0] = True
-    system = FreeVertexSystem(social_graph, fixed, np.zeros(n), NumpyBackend())
+    system = FreeVertexSystem(social_graph, fixed, np.zeros(n), NumpyBackend(),
+                              np.ones(social_graph.indices.size))
     with pytest.raises(ValueError, match="newly_fixed"):
         system.fix(np.zeros(3, dtype=bool), np.zeros(0))
 

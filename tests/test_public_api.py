@@ -101,7 +101,7 @@ class TestRemovedNames:
     def test_removed_attributes_are_gone(self):
         config = GDConfig()
         for name in ("projection", "parallelism", "max_workers",
-                     "task_timeout_seconds", "task_retries"):
+                     "task_timeout_seconds", "task_retries", "final_projection_rounds"):
             assert not hasattr(config, name), name
         assert not hasattr(ExecutionConfig(), "shm_min_wave_tasks")
         assert not hasattr(ServeConfig(), "shutdown_drain_seconds")
@@ -112,7 +112,7 @@ class TestRemovedNames:
 
     def test_from_dict_refuses_removed_keys(self):
         for key, value in (("projection", "exact"), ("parallelism", "shm"),
-                           ("task_retries", 1)):
+                           ("task_retries", 1), ("final_projection_rounds", 50)):
             with pytest.raises(ValueError, match=f"unknown GDConfig fields: {key}"):
                 GDConfig.from_dict({key: value, "seed": 4})
         with pytest.raises(ValueError, match="unknown ServeConfig fields"):

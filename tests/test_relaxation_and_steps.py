@@ -22,7 +22,7 @@ def _gradient(graph, x):
     """``∇f(x) = Ax`` as the GD iteration computes it: the gradient of
     a free-vertex system with every vertex free."""
     system = FreeVertexSystem(graph, np.zeros(graph.num_vertices, dtype=bool), x,
-                              NumpyBackend())
+                              NumpyBackend(), np.ones(graph.indices.size))
     return system.gradient(x)
 
 
@@ -172,7 +172,3 @@ class TestGDConfig:
     def test_invalid_fixing_fraction(self):
         with pytest.raises(ValueError):
             GDConfig(fixing_start_fraction=1.5)
-
-    def test_invalid_final_rounds(self):
-        with pytest.raises(ValueError):
-            GDConfig(final_projection_rounds=-1)

@@ -170,9 +170,9 @@ def test_incremental_gains_match_full_recompute(inputs):
 
 @st.composite
 def _class_repair_inputs(draw):
-    """Inputs for both repair paths: weight rows with repeated columns
-    (unit, small-integer, degree) or a real-valued row that makes every
-    column distinct, from starts mostly on one side."""
+    """Repair inputs with few weight classes or many: weight rows with
+    repeated columns (unit, small-integer, degree) or a real-valued row
+    that makes every column distinct, from starts mostly on one side."""
     n = draw(st.integers(min_value=2, max_value=200))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     edges = rng.integers(0, n, size=(draw(st.integers(0, 4 * n)), 2))
@@ -193,30 +193,15 @@ def _class_repair_inputs(draw):
     return graph, sides, weights, epsilon, center, movable, max_moves
 
 
-def test_both_repair_paths_match_the_reference():
-    """The class path and the scan are bit-identical to the oracle.  A spy
-    on the class builder shows that both paths ran: some examples grouped
-    the vertices by weight column, and some kept the scan over
-    all-distinct columns."""
-    built = []
-    build = rounding._weight_classes
-
-    def spy(*args):
-        classes = build(*args)
-        built.append(classes is not None)
-        return classes
-
-    @settings(max_examples=200, deadline=None)
-    @given(inputs=_class_repair_inputs())
-    def check(inputs):
-        graph, sides, weights, epsilon, center, movable, max_moves = inputs
-        repaired = balance_repair(graph, sides, weights, epsilon, center=center,
-                                  max_moves=max_moves, movable=movable)
-        expected = reference_balance_repair(graph, sides, weights, epsilon, center=center,
-                                            movable=movable, max_moves=max_moves)
-        np.testing.assert_array_equal(repaired, expected)
-
-    with mock.patch.object(rounding, "_weight_classes", spy):
-        check()
-    assert True in built, "no example took the class path"
-    assert False in built, "no example kept the scan"
+@settings(max_examples=200, deadline=None)
+@given(inputs=_class_repair_inputs())
+def test_repair_matches_the_reference(inputs):
+    """The repair over weight classes is bit-identical to the per-vertex
+    oracle, on few classes (unit, small-integer and degree rows) and on
+    all-distinct columns (real-valued rows)."""
+    graph, sides, weights, epsilon, center, movable, max_moves = inputs
+    repaired = balance_repair(graph, sides, weights, epsilon, center=center,
+                              max_moves=max_moves, movable=movable)
+    expected = reference_balance_repair(graph, sides, weights, epsilon, center=center,
+                                        movable=movable, max_moves=max_moves)
+    np.testing.assert_array_equal(repaired, expected)
