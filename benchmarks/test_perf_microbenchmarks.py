@@ -147,12 +147,34 @@ def test_perf_calibration_spmv(benchmark):
 
 
 def test_perf_gradient_matvec(benchmark):
-    """The GD iteration's gradient on a fully free system of GRAPH: the
-    counted mat-vec on the graph's own CSR, plus the boundary term."""
+    """The GD iteration's gradient on a fully free system of GRAPH, a
+    group of one: the counted mat-vec on the graph's own CSR, plus the
+    boundary term."""
     x = np.random.default_rng(0).uniform(-1, 1, GRAPH.num_vertices)
-    system = FreeVertexSystem(GRAPH, np.zeros(GRAPH.num_vertices, dtype=bool), x,
+    system = FreeVertexSystem([GRAPH], np.zeros(GRAPH.num_vertices, dtype=bool), x,
                               NumpyBackend(), np.ones(GRAPH.indices.size))
     benchmark(lambda: system.gradient(x))
+
+
+def test_perf_group_gradient_k32(benchmark):
+    """One gradient of a group of 32 systems of 250 vertices each, cut
+    from fb_like(80, 2): the shape of the deepest wave of a k = 64 solve.
+    Each task is cold-started with 60% of its vertices then fixed (under
+    the re-slice threshold), so the gradient scatters the free iterate
+    into the group's input and gathers the free rows, as it does once a
+    wave's fixing has begun."""
+    graph = fb_like(80, scale=2)
+    graphs = [graph.subgraph(ids)[0]
+              for ids in np.array_split(np.arange(graph.num_vertices), 32)]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, graph.num_vertices)
+    system = FreeVertexSystem(graphs, np.zeros(graph.num_vertices, dtype=bool), x,
+                              NumpyBackend(), np.ones(max(sub.indices.size for sub in graphs)))
+    newly_fixed = rng.random(system.num_free) < 0.6
+    system.fix(newly_fixed, np.sign(x[newly_fixed]))
+    z = x[system.free_ids]
+    assert len(system.free_bounds) == 33 and system.num_free < 0.5 * graph.num_vertices
+    benchmark(lambda: system.gradient(z))
 
 
 def test_perf_exact_projection(benchmark):
@@ -328,8 +350,9 @@ def _late_stage_stepper():
 def test_perf_free_system_reslice(benchmark):
     """The fixing event that re-slices a 250-vertex epoch at 24% live: a
     deep ``kway_k64`` task (a 250-vertex piece of its ``fb_like(80, 2)``
-    input) cold-started, 187 vertices fixed, then 3 more.  Times the
-    event's bookkeeping plus the restriction of the live rows."""
+    input) cold-started as a group of one, 187 vertices fixed, then 3
+    more.  Times the event's bookkeeping plus the restriction of the live
+    rows and the group's new layout."""
     graph, _ = fb_like(80, scale=2).subgraph(np.arange(250))
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, graph.num_vertices)
@@ -337,7 +360,7 @@ def test_perf_free_system_reslice(benchmark):
     unit = np.ones(graph.indices.size)
 
     def setup():
-        system = FreeVertexSystem(graph, np.zeros(graph.num_vertices, dtype=bool), x,
+        system = FreeVertexSystem([graph], np.zeros(graph.num_vertices, dtype=bool), x,
                                   NumpyBackend(), unit)
         first = np.zeros(graph.num_vertices, dtype=bool)
         first[order[:187]] = True
@@ -348,16 +371,16 @@ def test_perf_free_system_reslice(benchmark):
 
     def reslice(system, newly_fixed, values):
         system.fix(newly_fixed, values)
-        assert system.num_free == 60 and system.matrix.shape == (60, 60)
+        assert system.num_free == 60 and system.epoch(0)[0].shape == (60, 60)
 
     benchmark.pedantic(reslice, setup=setup, rounds=200, iterations=1, warmup_rounds=5)
 
 
 def test_perf_free_system_warm_build(benchmark):
-    """A repair task's free-vertex system: ``fb_like(80, 4)`` (the
-    ``churn_repair`` input) with 0.1% of its vertices fixed, so nearly
-    the whole adjacency is restricted and the boundary sums the few
-    fixed neighbours."""
+    """A repair task's free-vertex system, a group of one:
+    ``fb_like(80, 4)`` (the ``churn_repair`` input) with 0.1% of its
+    vertices fixed, so nearly the whole adjacency is restricted and the
+    boundary sums the few fixed neighbours."""
     graph = fb_like(80, scale=4)
     rng = np.random.default_rng(1)
     fixed = rng.random(graph.num_vertices) < 0.001
@@ -365,7 +388,7 @@ def test_perf_free_system_warm_build(benchmark):
     # The stepper allocates the unit buffer once per group, outside the
     # system's construction.
     unit = np.ones(graph.indices.size)
-    benchmark.pedantic(lambda: FreeVertexSystem(graph, fixed, x, NumpyBackend(), unit),
+    benchmark.pedantic(lambda: FreeVertexSystem([graph], fixed, x, NumpyBackend(), unit),
                        rounds=20, iterations=1, warmup_rounds=1)
 
 

@@ -39,17 +39,21 @@ bisection alone, a group of one.  It takes a sequence of
 iterate buffers.  The elementwise work of an iteration runs once per
 group, on those buffers: the free-vertex gather and scatter, the noise
 mix-in, the sum ``z + γ·∇``, the clip to the cube, the step delta, the
-fixing mask ``|x| >= threshold`` and the snap to ±1.  What reduces over
-a task's values, or is scaled by a task's own scalar, runs per task on
-its contiguous slice: the gradient and the first step size, the product
+fixing mask ``|x| >= threshold`` and the snap to ±1.  So do the gradient
+and the fixing bookkeeping, through the group's one
+:class:`~repro.core.compaction.FreeVertexSystem`: one call each per
+group iteration, inside which only scipy's mat-vec loop runs per task.
+What reduces over a task's values, or is scaled by a task's own scalar,
+runs per task on its contiguous slice: the first step size, the product
 ``γ·∇``, the projection
-(:meth:`~repro.core.projection.ProjectionEngine.project_in_place`), the
-realized step length, the fixing bookkeeping.  Each task keeps its
-own RNG stream, step controller, projection engine, free-vertex system
-and finalize.  Every entry is computed by the same operations on the
-same values as when its task is stepped alone (a reduction over a
-contiguous slice gives the bits it gives over a copy of the slice), so a
-task's output does not depend on the group it was stepped in.
+(:meth:`~repro.core.projection.ProjectionEngine.project_in_place`) and
+the engine's narrowing at a fixing event, the realized step length.
+Each task keeps its own RNG stream, step controller, projection engine,
+re-slice schedule (in the group's system) and finalize.  Every entry is
+computed by the same operations on the same values as when its task is
+stepped alone (a reduction over a contiguous slice gives the bits it
+gives over a copy of the slice), so a task's output does not depend on
+the group it was stepped in.
 
 :func:`solve_bisections` builds the group, runs it for
 ``config.iterations`` steps and finalizes every task: the one GD loop,
@@ -235,8 +239,7 @@ class _Task:
     """
 
     def __init__(self, bisection: Bisection, start: int, x: np.ndarray,
-                 fixed: np.ndarray, backend: NumpyBackend, stats: ProjectionStats,
-                 unit: np.ndarray):
+                 fixed: np.ndarray, stats: ProjectionStats):
         config = bisection.config
         epsilon = validate_epsilon(bisection.epsilon)
         graph = bisection.graph
@@ -294,7 +297,6 @@ class _Task:
         free_region = (self.region.restrict(~fixed, x[fixed])
                        if fixed.any() else self.region)
         self.engine = ProjectionEngine(config.projection_method, free_region, stats)
-        self.system = FreeVertexSystem(graph, fixed, x, backend, unit)
 
 
 class BisectionStepper:
@@ -306,16 +308,19 @@ class BisectionStepper:
     iteration runs noise → free-vertex gradient → projection → fixing on
     each task that still has free vertices (a converged task sits the
     iteration out and draws no noise).  The group's iterate :attr:`x` and
-    fixed mask :attr:`fixed` hold the tasks' vertices back to back;
+    fixed mask :attr:`fixed` hold the tasks' vertices back to back, and
+    its free-vertex :attr:`system` holds every task's ``A_FF`` and
+    boundary: one gradient and one fixing call per group iteration.
     :attr:`tasks` holds each task's own state (its ``engine``,
-    ``system``, ``relaxation``, ``region``, ...).  Only the projection
+    ``controller``, ``relaxation``, ``region``, ...).  Only the projection
     depends on the method, and every task projects through its own
     engine, whose region narrows as its vertices fix.
 
     :attr:`engine` and :attr:`backend` are there for the counters: a
     group's engines share one
-    :class:`~repro.core.projection.ProjectionStats`, as its tasks'
-    gradients share one mat-vec backend, so both count the whole group.
+    :class:`~repro.core.projection.ProjectionStats`, and its system times
+    each group gradient's mat-vec into the backend's stats, so both count
+    the whole group.
     A bisection's ``initial_x`` / ``initial_fixed`` start its iterate (and fixed mask)
     from a given state instead of all-zeros — the incremental
     repartitioner's repair passes start this way from the previous
@@ -345,23 +350,22 @@ class BisectionStepper:
         # their own, so no state crosses the pickle boundary.
         self.backend = NumpyBackend()
         stats = ProjectionStats()
+        self.tasks = [_Task(bisection, start, self.x[start:stop], self.fixed[start:stop],
+                            stats)
+                      for bisection, start, stop in zip(bisections, bounds, bounds[1:])]
         # The unit entries of every task's mat-vec: prefix views of one
         # read-only buffer, as long as the group's largest CSR.
         unit = np.ones(max(bisection.graph.indices.size for bisection in bisections))
         unit.flags.writeable = False
-        self.tasks = [_Task(bisection, start, self.x[start:stop], self.fixed[start:stop],
-                            self.backend, stats, unit)
-                      for bisection, start, stop in zip(bisections, bounds, bounds[1:])]
+        # The free vertices of every task, back to back in task order, as
+        # ids into the group buffers (``system.free_ids``); task i's free
+        # coordinates are ``system.free_bounds[i]:system.free_bounds[i + 1]``
+        # of every free-length buffer of an iteration.
+        self.system = FreeVertexSystem([bisection.graph for bisection in bisections],
+                                       self.fixed, self.x, self.backend, unit)
         self._config = shared
         self._fixing_start = int(shared.fixing_start_fraction * shared.iterations)
-        # The free vertices of every task, back to back in task order, as
-        # ids into the group buffers; task i's free coordinates are
-        # ``_free_bounds[i]:_free_bounds[i + 1]`` of every free-length
-        # buffer of an iteration.
-        self._free_ids = np.concatenate([task.start + task.system.free_ids
-                                         for task in self.tasks])
-        self._set_free_bounds(list(accumulate((task.system.num_free for task in self.tasks),
-                                              initial=0)))
+        self._set_live()
 
     @property
     def engine(self) -> ProjectionEngine:
@@ -371,10 +375,12 @@ class BisectionStepper:
     @property
     def converged(self) -> bool:
         """Whether every vertex is fixed (no iterate can move any more)."""
-        return self._free_ids.size == 0
+        return self.system.num_free == 0
 
-    def _set_free_bounds(self, bounds: list[int]) -> None:
-        self._free_bounds = bounds
+    def _set_live(self) -> None:
+        """``_live``: each task with free vertices, with its index and its
+        slice of the free coordinates."""
+        bounds = self.system.free_bounds
         self._live = [(index, task, start, stop)
                       for index, (task, start, stop) in enumerate(zip(self.tasks, bounds,
                                                                       bounds[1:]))
@@ -394,7 +400,7 @@ class BisectionStepper:
 
     def _iterate(self, iteration: int, realized: list[float]) -> None:
         config = self._config
-        free_ids = self._free_ids
+        free_ids = self.system.free_ids
         live = self._live
         x_free = self.x[free_ids]
 
@@ -409,13 +415,13 @@ class BisectionStepper:
             z = x_free + noise[free_ids]
         else:
             z = x_free
-        # The step z + γ·∇ (each task scales its own gradient), then each
-        # task's projection of its slice, then one clip to the cube.
-        new_free = np.empty(free_ids.size)
+        # The step z + γ·∇ (one gradient for the group, each task scaling
+        # its own slice), then each task's projection of its slice, then
+        # one clip to the cube.
+        new_free = self.system.gradient(z)
         for _, task, start, stop in live:
-            gradient = task.system.gradient(z[start:stop])
-            np.multiply(task.controller.step_size(gradient), gradient,
-                        out=new_free[start:stop])
+            gradient = new_free[start:stop]
+            gradient *= task.controller.step_size(gradient)
         np.add(z, new_free, out=new_free)
         for _, task, start, stop in live:
             task.engine.project_in_place(new_free[start:stop])
@@ -435,24 +441,23 @@ class BisectionStepper:
 
     def _fix(self, new_free: np.ndarray, newly_fixed: np.ndarray) -> None:
         """Snap and freeze the newly fixed vertices: once in the group
-        buffers, then in each touched task's free-vertex system and
-        projection engine."""
+        buffers and the group's free-vertex system, then in each touched
+        task's projection engine."""
+        system = self.system
         positions = newly_fixed.nonzero()[0]
         snapped = np.where(new_free[positions] >= 0.0, 1.0, -1.0)
-        dying_ids = self._free_ids[positions]
+        dying_ids = system.free_ids[positions]
         self.x[dying_ids] = snapped
         self.fixed[dying_ids] = True
         surviving = ~newly_fixed
         # cuts[i]: how many newly fixed vertices precede task i's slice.
-        cuts = positions.searchsorted(self._free_bounds).tolist()
+        cuts = positions.searchsorted(system.free_bounds).tolist()
         for index, task, start, stop in self._live:
             first, last = cuts[index], cuts[index + 1]
             if first < last:
-                values = snapped[first:last]
-                task.system.fix(newly_fixed[start:stop], values)
-                task.engine.narrow_restricted(surviving[start:stop], values)
-        self._free_ids = self._free_ids[surviving]
-        self._set_free_bounds([bound - cut for bound, cut in zip(self._free_bounds, cuts)])
+                task.engine.narrow_restricted(surviving[start:stop], snapped[first:last])
+        system.fix(newly_fixed, snapped)
+        self._set_live()
 
     def results(self) -> list[BisectionResult]:
         """Finalize every task (clean-up projection, rounding, repair)."""

@@ -1,20 +1,24 @@
-"""The gradient's counted mat-vec.
+"""The gradient's mat-vec counters.
 
 Outside the projection step (which :class:`~repro.core.projection.\
 ProjectionEngine` runs for every method), the costliest part of a GD
-iteration is the CSR mat-vec of the gradient.  :class:`NumpyBackend`
-runs it (:meth:`NumpyBackend.spmv`, scipy's own loop, so outputs are
-bit-identical across the serial and shm executors) and times every call
-(``time.perf_counter_ns``) into its :class:`KernelStats`; the rest of
-the iteration is plain numpy, inline in
-:class:`~repro.core.gd.BisectionStepper` and
-:class:`~repro.core.compaction.FreeVertexSystem`.
+iteration is the CSR mat-vec of the gradient.  A stepper's
+:class:`~repro.core.compaction.FreeVertexSystem` runs it, once per
+group gradient, as one scipy loop per task
+(:func:`~repro.graphs.graph.csr_matvec`, so outputs are bit-identical
+across the serial and shm executors), and times the whole group's
+mat-vec (``time.perf_counter_ns``) into its stepper's
+:class:`NumpyBackend` stats, as one ``spmv`` call; the rest of the
+iteration is plain numpy, inline in
+:class:`~repro.core.gd.BisectionStepper` and the system.
 
 The counters stay on the backend of the stepper that made the calls
 (``BisectionStepper.backend.stats``); no result carries them.  A tracer
 that keeps each stepper it sees reads them from outside
-(``perfbench/tracer.py``), and wraps :meth:`NumpyBackend.spmv` to count
-the mat-vec's operations and bytes.
+(``perfbench/tracer.py``).  :meth:`NumpyBackend.spmv` and the
+:func:`kernel` timer it wears have no caller in the package: they stay
+only because that tracer wraps :meth:`NumpyBackend.spmv` (to count a
+mat-vec's operations and bytes), and go once it no longer reads them.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def kernel(method):
 
 
 class NumpyBackend:
-    """The counted CSR mat-vec, with its per-kernel counters.
+    """The per-kernel counters of one stepper, and a counted CSR mat-vec.
 
     Cheap to construct: every stepper builds its own, so the stats are
     per group, and no instance crosses a process boundary (workers build

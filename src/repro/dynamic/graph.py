@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphs.graph import Graph, _canonicalize_edges, row_positions
+from ..graphs.graph import Graph, _canonicalize_edges, in_sorted, row_positions
 from ..partition.validation import validate_weights
 
 __all__ = ["DynamicGraph", "UpdateBatch", "degree_weight_deltas"]
@@ -74,14 +74,6 @@ def _row_order_keys(rows: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray
     place in the row, and stays below ``n²``.
     """
     return rows * np.int64(n) + (targets - rows - 1) % n
-
-
-def _found(row_keys: np.ndarray, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Which ``keys`` are in the ascending ``row_keys``, given their ranks
-    ``np.searchsorted(row_keys, keys)``."""
-    found = ranks < row_keys.size
-    found[found] = row_keys[ranks[found]] == keys[found]
-    return found
 
 
 def _splice(array: np.ndarray, delete_at: np.ndarray, insert_at: np.ndarray,
@@ -349,13 +341,13 @@ class DynamicGraph:
         order = np.argsort(keys)
         rows, targets, keys = rows[order], targets[order], keys[order]
         ranks = np.searchsorted(row_keys, keys)
-        if _found(row_keys, keys, ranks).any():
+        if in_sorted(row_keys, keys, ranks).any():
             raise ValueError("cannot insert an edge that already exists")
         deleted_keys = np.sort(np.concatenate([
             _row_order_keys(deletions[:, 0], deletions[:, 1], n),
             _row_order_keys(deletions[:, 1], deletions[:, 0], n)]))
         deleted_ranks = np.searchsorted(row_keys, deleted_keys)
-        if not _found(row_keys, deleted_keys, deleted_ranks).all():
+        if not in_sorted(row_keys, deleted_keys, deleted_ranks).all():
             raise ValueError("cannot delete an edge that does not exist")
 
         # An inserted entry goes before the first entry of its row with a

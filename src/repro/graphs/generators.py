@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, in_sorted
 
 __all__ = [
     "chung_lu_graph",
@@ -234,12 +234,13 @@ def churn_trace(
     if n < 2:
         raise ValueError("churn requires at least two vertices")
     scale = np.int64(n)
-    # The live edge set, kept both as a sorted key array (spliced per
-    # batch — O(delta log m) searches plus a memcpy, never a per-batch
-    # re-sort) and as a hash set for the O(1) membership probes of the
-    # insertion sampler.
-    keys = np.sort(graph.edges[:, 0] * scale + graph.edges[:, 1])
-    edge_keys = set(keys.tolist())
+    # The live edge set as a sorted key array ``u * n + v`` (``u < v``),
+    # spliced per batch: O(delta log m) searches plus a memcpy, never a
+    # re-sort.  The CSR's upper entries (target > row) in CSR order are
+    # the keys in ascending order (the class's row order lists them so).
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    upper = graph.indices > rows
+    keys = rows[upper] * scale + graph.indices[upper]
     # Endpoint bias from the *initial* degrees: recomputing degrees per
     # batch would make the trace cost O(n) per batch for no modelling
     # gain at these churn rates.
@@ -251,37 +252,34 @@ def churn_trace(
         count = max(1, int(churn_fraction * keys.size))
         delete_keys = rng.choice(keys, size=min(count, keys.size), replace=False)
         deletions = np.column_stack([delete_keys // scale, delete_keys % scale])
-        blocked = set(delete_keys.tolist())
 
         # Candidate endpoints are drawn in vectorized blocks (one cumsum
-        # of the bias vector per block, not per candidate) and filtered;
-        # the attempt budget bounds the loop on dense graphs, where fewer
-        # fresh slots than ``count`` may exist.
-        insertions: list[tuple[int, int]] = []
+        # of the bias vector per block, not per candidate) and filtered
+        # in one pass per block, as a scan in draw order would: self loops,
+        # live edges (the batch's deletions among them) and edges already
+        # accepted are skipped, and the first unseen candidates are kept
+        # up to the count.  The attempt budget bounds the loop on dense
+        # graphs, where fewer fresh slots than ``count`` may exist.
+        accepted = np.empty(0, dtype=np.int64)
         attempts_left = 16
-        while len(insertions) < count and attempts_left:
+        while accepted.size < count and attempts_left:
             attempts_left -= 1
             draws = rng.choice(n, size=(2 * count, 2), p=probabilities)
-            for u, v in draws:
-                lo, hi = (int(u), int(v)) if u < v else (int(v), int(u))
-                if lo == hi:
-                    continue
-                key = lo * int(scale) + hi
-                if key in edge_keys or key in blocked:
-                    continue
-                blocked.add(key)
-                insertions.append((lo, hi))
-                if len(insertions) == count:
-                    break
-        insert_array = np.asarray(insertions, dtype=np.int64).reshape(-1, 2)
-        insert_keys = np.sort(insert_array[:, 0] * scale + insert_array[:, 1])
+            lo, hi = draws.min(axis=1), draws.max(axis=1)
+            candidates = (lo * scale + hi)[lo != hi]
+            taken = np.sort(accepted)
+            candidates = candidates[~in_sorted(keys, candidates, keys.searchsorted(candidates))
+                                    & ~in_sorted(taken, candidates, taken.searchsorted(candidates))]
+            _, first = np.unique(candidates, return_index=True)
+            first.sort()
+            accepted = np.concatenate([accepted, candidates[first[:count - accepted.size]]])
+        insert_array = np.column_stack([accepted // scale, accepted % scale])
+        insert_keys = np.sort(accepted)
 
         keep = np.ones(keys.size, dtype=bool)
         keep[np.searchsorted(keys, delete_keys)] = False
         kept = keys[keep]
         keys = np.insert(kept, np.searchsorted(kept, insert_keys), insert_keys)
-        edge_keys.difference_update(delete_keys.tolist())
-        edge_keys.update(insert_keys.tolist())
         batches.append((insert_array, deletions))
     return batches
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec as _scipy_csr_matvec
 
-__all__ = ["Graph", "csr_matvec", "restrict_csr", "row_positions"]
+__all__ = ["Graph", "csr_matvec", "in_sorted", "restrict_csr", "row_positions"]
 
 #: Above this share of the vertices kept, :func:`restrict_csr` labels every
 #: entry in one pass over ``indices`` instead of gathering the kept rows'
@@ -82,25 +82,45 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
     return positions, bounds
 
 
+def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Which ``keys`` are in the ascending ``sorted_keys``, given their ranks
+    ``np.searchsorted(sorted_keys, keys)``."""
+    found = ranks < sorted_keys.size
+    found[found] = sorted_keys[ranks[found]] == keys[found]
+    return found
+
+
 def csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-               x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+               x: np.ndarray, shape: tuple[int, int],
+               out: np.ndarray | None = None) -> np.ndarray:
     """``A @ x`` for the ``shape`` CSR matrix ``(data, indices, indptr)``.
 
     The C loop that scipy's ``csr_matrix @ x`` ends in, run into a zeroed
     output as scipy runs it, so the result has the same bits: each row
     sums its entries in entry order, starting from +0.0.  Calling it
     directly skips scipy's per-call dispatch, which costs more than the
-    loop on a matrix of a few hundred entries.  The loop reads what the
-    arrays' lengths say, so those are checked; the entries are trusted to
-    form a valid CSR matrix, as scipy trusts a constructed matrix.
+    loop on a matrix of a few hundred entries.  The loop reads and writes
+    what the arrays' lengths say, so those are checked; the entries are
+    trusted to form a valid CSR matrix, as scipy trusts a constructed
+    matrix.
+
+    ``out``, when given, is the result: the loop adds each row's sum to
+    its entry, so a zeroed ``out`` (a block of a larger zeroed buffer,
+    say) receives the bits of ``A @ x``.  It must have one entry per row
+    and the result's dtype.
     """
     num_rows, num_columns = shape
     if x.shape != (num_columns,) or indptr.shape != (num_rows + 1,):
         raise ValueError(f"dimension mismatch: a {shape} matrix with {indptr.size} row "
                          f"pointers times a vector of shape {x.shape}")
-    result = np.zeros(num_rows, dtype=np.promote_types(data.dtype, x.dtype))
-    _scipy_csr_matvec(num_rows, num_columns, indptr, indices, data, x, result)
-    return result
+    dtype = np.promote_types(data.dtype, x.dtype)
+    if out is None:
+        out = np.zeros(num_rows, dtype=dtype)
+    elif out.shape != (num_rows,) or out.dtype != dtype:
+        raise ValueError(f"out must be a {dtype} vector of length {num_rows}, "
+                         f"not {out.dtype} of shape {out.shape}")
+    _scipy_csr_matvec(num_rows, num_columns, indptr, indices, data, x, out)
+    return out
 
 
 def restrict_csr(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,

@@ -11,6 +11,8 @@ transcription of Algorithm 1 (``tests/reference_gd.py``).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,8 @@ from repro.core.projection import (
     project_onto_hyperplane,
 )
 from repro.graphs import Graph, load_dataset, standard_weights
+from repro.graphs import graph as graph_module
+from repro.graphs.graph import csr_matvec
 from repro.partition import edge_locality, imbalance
 
 #: The GD iteration's two step paths, with the projection methods that
@@ -182,7 +186,7 @@ class TestPrimitiveKernels:
         # every projection method's step; the stepper hits this when the
         # last vertex fixes.
         empty = np.empty(0)
-        system = FreeVertexSystem(Graph.from_edges(3, [(0, 1), (1, 2)]), np.ones(3, dtype=bool),
+        system = FreeVertexSystem([Graph.from_edges(3, [(0, 1), (1, 2)])], np.ones(3, dtype=bool),
                                   np.array([1.0, -1.0, 1.0]), backend_cls(), np.ones(4))
         assert system.num_free == 0
         assert system.gradient(empty).size == 0
@@ -203,11 +207,12 @@ class TestPrimitiveKernels:
         assert out[0] == 0.25  # hyperplane 2x = 0.5, inside the box
         # One free vertex of a triangle: no free neighbour, so its
         # gradient is the fixed neighbours' boundary term 1.0 - 0.5.
-        system = FreeVertexSystem(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]),
+        system = FreeVertexSystem([Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])],
                                   np.array([True, True, False]), np.array([1.0, -0.5, 0.0]),
                                   backend_cls(), np.ones(6))
-        assert np.array_equal(system.boundary, [0.5])
-        assert np.array_equal(system.gradient(z), system.boundary)
+        _, boundary = system.epoch(0)
+        assert np.array_equal(boundary, [0.5])
+        assert np.array_equal(system.gradient(z), boundary)
 
 
 class TestSpmvPinnedToScipy:
@@ -245,6 +250,40 @@ class TestSpmvPinnedToScipy:
         with pytest.raises(ValueError, match="dimension mismatch"):
             NumpyBackend().spmv(matrix, np.ones(5))
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_out_blocks_match_matmul(self, index_dtype):
+        # The free-vertex system's gradient: one block per task, each
+        # written into its slice of one zeroed buffer.
+        rng = np.random.default_rng(6)
+        shapes = [(40, 30), (1, 7), (0, 5), (12, 12), (25, 25)]
+        matrices = [self._matrix(*shape, index_dtype, seed) for seed, shape in enumerate(shapes)]
+        vectors = [rng.standard_normal(shape[1]) for shape in shapes]
+        bounds = np.cumsum([0] + [rows for rows, _ in shapes])
+        out = np.zeros(bounds[-1])
+        for matrix, x, start, stop in zip(matrices, vectors, bounds, bounds[1:]):
+            block = out[start:stop]
+            result = csr_matvec(matrix.indptr, matrix.indices, matrix.data, x, matrix.shape,
+                                out=block)
+            assert result is block
+        for matrix, x, start, stop in zip(matrices, vectors, bounds, bounds[1:]):
+            assert out[start:stop].tobytes() == (matrix @ x).tobytes()
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_out_of_the_wrong_length_or_dtype_raises_before_the_loop(self, index_dtype):
+        # The C loop writes one entry per row through ``out`` unchecked, so
+        # a short ``out`` must be refused before it runs.
+        matrix = self._matrix(6, 4, index_dtype, 0)
+        x = np.ones(4)
+        with mock.patch.object(graph_module, "_scipy_csr_matvec",
+                               side_effect=AssertionError("the loop ran")):
+            for out in (np.zeros(5), np.zeros(7), np.zeros((6, 1)),
+                        np.zeros(6, dtype=np.float32), np.zeros(6, dtype=np.int64)):
+                before = out.copy()
+                with pytest.raises(ValueError, match="out must be"):
+                    csr_matvec(matrix.indptr, matrix.indices, matrix.data, x, matrix.shape,
+                               out=out)
+                assert out.tobytes() == before.tobytes()
+
 
 class TestKernelStats:
     def test_record_accumulates_calls_and_ns(self):
@@ -278,16 +317,19 @@ class TestSolverIntegration:
         for method in STEP_PATHS[path]:
             config = GDConfig(iterations=20, seed=1, projection_method=method)
             stepper = BisectionStepper([Bisection(two_cliques_graph, weights, 0.1, config)])
+            gradients = []
+            gradient = stepper.system.gradient
+            stepper.system.gradient = lambda z: gradients.append(z.size) or gradient(z)
             for iteration in range(config.iterations):
                 stepper.step(iteration)
-            # The gradient's mat-vec is the one counted kernel; the rest
-            # of the iteration is plain numpy, and the projection runs in
-            # the engine: one mat-vec per projection, for every method.
+            # The gradient's mat-vec is the one counted kernel, recorded
+            # once per group gradient; the rest of the iteration is plain
+            # numpy, and the projection runs in the engine.
             counters = stepper.backend.stats.counters
             assert set(counters) == {"spmv"}, method
             calls, ns = counters["spmv"]
             assert calls > 0 and ns >= 0
-            assert calls == stepper.engine.stats.calls, method
+            assert calls == len(gradients) <= config.iterations, method
 
     def test_fused_backends_fall_back_off_oneshot(self, two_cliques_graph):
         # The fused step is the one-shot sweep's; off it, every step

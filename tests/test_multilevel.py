@@ -7,8 +7,11 @@ against the full-size reference transcription of Algorithm 1
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_gd import reference_bisect
 from repro.core import (
@@ -26,6 +29,7 @@ from repro.core.gd import Bisection, BisectionStepper
 from repro.core.kernels import NumpyBackend
 from repro.core.projection import FeasibleRegion
 from repro.graphs import fb_like, standard_weights
+from repro.graphs.generators import power_law_cluster_graph
 from repro.partition import edge_locality, imbalance
 
 
@@ -148,7 +152,7 @@ def test_free_vertex_system_matches_masked_gradient(social_graph):
     x = rng.uniform(-1, 1, n)
     fixed = rng.random(n) < 0.4
     x[fixed] = np.sign(x[fixed] + 1e-9)
-    system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend(),
+    system = FreeVertexSystem([social_graph], fixed, x, NumpyBackend(),
                               np.ones(social_graph.indices.size))
     z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
     full = x.copy()
@@ -172,8 +176,8 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
         x = rng.uniform(-1, 1, n)
         fixed = np.zeros(n, dtype=bool)
         fixed[rng.permutation(n)[:start_fixed]] = True
-        system = FreeVertexSystem(social_graph, fixed, x, NumpyBackend(),
-                              np.ones(social_graph.indices.size))
+        system = FreeVertexSystem([social_graph], fixed, x, NumpyBackend(),
+                                  np.ones(social_graph.indices.size))
         reference = _ScipyFreeSystem(adjacency, fixed, x)
         while reference.reslices < 2:
             assert system.num_free >= 4
@@ -184,9 +188,10 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
             system.fix(newly, frozen)
             reference.fix(newly, frozen)
             z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
-            np.testing.assert_array_equal(system.matrix.indptr, reference.matrix.indptr)
-            np.testing.assert_array_equal(system.matrix.indices, reference.matrix.indices)
-            np.testing.assert_array_equal(system.boundary, reference.boundary)
+            matrix, boundary = system.epoch(0)
+            np.testing.assert_array_equal(matrix.indptr, reference.matrix.indptr)
+            np.testing.assert_array_equal(matrix.indices, reference.matrix.indices)
+            np.testing.assert_array_equal(boundary, reference.boundary)
             np.testing.assert_array_equal(system.gradient(z), reference.gradient(z))
             full = x.copy()
             full[system.free_ids] = z
@@ -199,14 +204,106 @@ def test_free_vertex_system_fix_is_exact_across_epochs(social_graph):
 def test_free_vertex_system_validates_inputs(social_graph):
     n = social_graph.num_vertices
     with pytest.raises(ValueError, match="fixed mask"):
-        FreeVertexSystem(social_graph, np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend(),
+        FreeVertexSystem([social_graph], np.zeros(3, dtype=bool), np.zeros(3), NumpyBackend(),
                          np.ones(social_graph.indices.size))
     fixed = np.zeros(n, dtype=bool)
     fixed[0] = True
-    system = FreeVertexSystem(social_graph, fixed, np.zeros(n), NumpyBackend(),
+    system = FreeVertexSystem([social_graph], fixed, np.zeros(n), NumpyBackend(),
                               np.ones(social_graph.indices.size))
     with pytest.raises(ValueError, match="newly_fixed"):
         system.fix(np.zeros(3, dtype=bool), np.zeros(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(12, 80), min_size=2, max_size=5, unique=True),
+       warm=st.lists(st.booleans(), min_size=5, max_size=5),
+       seed=st.integers(0, 2**31 - 1))
+def test_group_system_matches_each_task_alone(sizes, warm, seed):
+    """A group's system against one scipy-built reference per task, cold
+    and warm started: after every fixing event the group gradient is the
+    concatenation of the tasks' reference gradients, and each task's epoch
+    operator and boundary are its reference's, bit for bit.  Each event
+    fixes fractional values at random free positions of random tasks; at
+    most one task crosses its own re-slice threshold per event, so the
+    run sees two tasks re-slice at different events before one task is
+    fixed entirely, which ends it."""
+    rng = np.random.default_rng(seed)
+    graphs = [power_law_cluster_graph(num_vertices=n, num_communities=2, average_degree=6.0,
+                                      seed=int(rng.integers(2**31)))
+              for n in sizes]
+    bounds = np.cumsum([0] + sizes)
+    x = rng.uniform(-1, 1, bounds[-1])
+    fixed = np.zeros(bounds[-1], dtype=bool)
+    for start, stop, is_warm in zip(bounds, bounds[1:], warm):
+        if is_warm:
+            fixed[start + rng.permutation(stop - start)[:rng.integers(1, (stop - start) // 2)]] = True
+    system = FreeVertexSystem(graphs, fixed, x, NumpyBackend(),
+                              np.ones(max(graph.indices.size for graph in graphs)))
+    references = [_ScipyFreeSystem(QuadraticRelaxation(graph).adjacency,
+                                   fixed[start:stop].copy(), x[start:stop].copy())
+                  for graph, start, stop in zip(graphs, bounds, bounds[1:])]
+
+    def check():
+        np.testing.assert_array_equal(system.free_ids, np.flatnonzero(~fixed))
+        free = system.free_bounds
+        z = x[system.free_ids] + rng.normal(scale=0.01, size=system.num_free)
+        expected = [reference.gradient(z[first:last]) if first < last else np.empty(0)
+                    for reference, first, last in zip(references, free, free[1:])]
+        assert system.gradient(z).tobytes() == np.concatenate(expected).tobytes()
+        for index, (reference, first, last) in enumerate(zip(references, free, free[1:])):
+            if first < last:
+                matrix, boundary = system.epoch(index)
+                np.testing.assert_array_equal(matrix.indptr, reference.matrix.indptr)
+                np.testing.assert_array_equal(matrix.indices, reference.matrix.indices)
+                assert boundary.tobytes() == reference.boundary.tobytes()
+
+    check()
+    resliced_at: dict[int, list[int]] = {}
+    finished = False
+    event = 0
+    while not finished:
+        free = system.free_bounds
+        newly = np.zeros(system.num_free, dtype=bool)
+        # Once two tasks have re-sliced, this event fixes a whole task.
+        finish = (rng.choice([index for index in range(len(sizes)) if free[index] < free[index + 1]])
+                  if len(resliced_at) >= 2 else None)
+        crossed = False
+        for index in rng.permutation(len(sizes)):
+            first, live = free[index], free[index + 1] - free[index]
+            if index == finish:
+                newly[first:first + live] = True
+                continue
+            if live < 2 or rng.random() < 0.5:
+                continue
+            count = int(rng.integers(1, live))
+            threshold = FreeVertexSystem._RESLICE_FRACTION * references[index].live.size
+            if live - count < threshold:
+                if crossed:
+                    count = live - math.ceil(threshold)
+                    if count < 1:
+                        continue
+                crossed = True
+            newly[first + rng.choice(live, count, replace=False)] = True
+        if not newly.any():
+            continue
+        values = rng.uniform(-1, 1, int(newly.sum()))
+        dying = system.free_ids[newly]
+        x[dying] = values
+        fixed[dying] = True
+        cuts = np.flatnonzero(newly).searchsorted(free)
+        for index, reference in enumerate(references):
+            if cuts[index] < cuts[index + 1]:
+                reslices = reference.reslices
+                reference.fix(newly[free[index]:free[index + 1]],
+                              values[cuts[index]:cuts[index + 1]])
+                if reference.reslices > reslices:
+                    resliced_at.setdefault(index, []).append(event)
+        system.fix(newly, values)
+        check()
+        finished = finish is not None
+        event += 1
+    first_reslices = sorted(events[0] for events in resliced_at.values())
+    assert len(set(first_reslices)) == len(first_reslices) >= 2
 
 
 # --------------------------------------------------------------------- #
@@ -223,10 +320,11 @@ def test_compaction_inert_without_vertex_fixing(social_graph, social_weights):
         for iteration in range(config.iterations):
             stepper.step(iteration)
         (task,) = stepper.tasks
+        matrix, _ = stepper.system.epoch(0)
         assert not stepper.fixed.any()
-        assert task.system.num_free == social_graph.num_vertices
-        assert task.system.matrix.indptr is social_graph.indptr
-        assert task.system.matrix.indices is social_graph.indices
+        assert stepper.system.num_free == social_graph.num_vertices
+        assert matrix.indptr is social_graph.indptr
+        assert matrix.indices is social_graph.indices
         assert "adjacency" not in vars(task.relaxation)
         assert task.engine.stats.region_rebuilds == 0
 

@@ -21,7 +21,7 @@ from repro.core.gd import Bisection, BisectionStepper
 def _gradient(graph, x):
     """``∇f(x) = Ax`` as the GD iteration computes it: the gradient of
     a free-vertex system with every vertex free."""
-    system = FreeVertexSystem(graph, np.zeros(graph.num_vertices, dtype=bool), x,
+    system = FreeVertexSystem([graph], np.zeros(graph.num_vertices, dtype=bool), x,
                               NumpyBackend(), np.ones(graph.indices.size))
     return system.gradient(x)
 
